@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from relmag.matrices import IntegerMatrix, primitive_vector, rank, nullspace_basis, _rref
+from relmag.matrices import IntegerMatrix, primitive_vector, rank, nullspace_basis
 
 ENUMERATION_LIMIT = 24
 
@@ -23,6 +23,10 @@ class EnumerationTooLarge(ValueError):
 
 class TrivialNullspaceError(ValueError):
     """The null space contains only the zero vector."""
+
+
+class SpanError(RuntimeError):
+    """The enumerated circuits do not span the null space (an enumeration bug)."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,10 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     """All circuits of A, canonical form, sorted lexicographically by support.
 
     Candidate supports are explored by increasing cardinality inside the
-    support of the null space; a support qualifies when the null vectors
-    confined to it form a single ray touching every index.  Supersets of a
-    found support are pruned (they cannot be minimal).
+    support of the null space, up to rank(A) + 1 (no circuit is larger); a
+    support I qualifies when the null space of the column submatrix A_I is
+    a single ray with no zero entry.  Supersets of a found support are
+    pruned (they cannot be minimal).
     """
     if a.cols > ENUMERATION_LIMIT and not allow_large:
         raise EnumerationTooLarge(
@@ -98,38 +103,23 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
         return [_circuit_from_ray(basis[0])]
 
     cols = sorted(set(j for v in basis for j in _support(v)))
+    max_size = min(len(cols), a.cols - d + 1)
     found: list[Circuit] = []
     found_masks: list[int] = []
-    for size in range(1, len(cols) + 1):
+    for size in range(1, max_size + 1):
         for idx in combinations(cols, size):
             mask = 0
             for j in idx:
                 mask |= 1 << j
             if any(fm & mask == fm for fm in found_masks):
                 continue
-            inside = set(idx)
-            # coefficients c with sum_l c_l * basis_l vanishing outside idx
-            outside_rows = [
-                [Fraction(v[j]) for v in basis] for j in cols if j not in inside
-            ]
-            if outside_rows:
-                pivots = _rref(outside_rows)
-                freedom = d - len(pivots)
-            else:
-                pivots = []
-                freedom = d
-            if freedom != 1:
+            rays = nullspace_basis(a.column_submatrix(idx))
+            # a zero entry would mean the ray's support is smaller than idx
+            if len(rays) != 1 or 0 in rays[0]:
                 continue
-            free = [c for c in range(d) if c not in pivots]
-            coeff = [Fraction(0)] * d
-            coeff[free[0]] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                coeff[pc] = -outside_rows[r][free[0]]
-            vec = [
-                sum(coeff[l] * basis[l][j] for l in range(d)) for j in range(a.cols)
-            ]
-            if _support(vec) != idx:
-                continue
+            vec = [0] * a.cols
+            for j, v in zip(idx, rays[0]):
+                vec[j] = v
             circ = _circuit_from_ray(vec)
             found.append(circ)
             found_masks.append(mask)
@@ -154,7 +144,8 @@ def elementary_basis(a: IntegerMatrix, allow_large: bool = False) -> list[Circui
             rows = cand
             if len(chosen) == target:
                 break
-    assert len(chosen) == target, "circuits failed to span the null space"
+    if len(chosen) != target:
+        raise SpanError("circuits failed to span the null space")
     return chosen
 
 

@@ -14,8 +14,8 @@ import sys
 import click
 
 from relmag import detbounds, generators
-from relmag.circuits import EnumerationTooLarge, TrivialNullspaceError, enumerate_circuits
-from relmag.magnitude import PropositionViolation, omega_matrix_upper
+from relmag.circuits import EnumerationTooLarge, enumerate_circuits
+from relmag.magnitude import omega_matrix_upper
 from relmag.matrices import MatrixError, format_matrix, parse_matrix
 from relmag.systems import (
     BoundViolationError,
@@ -52,6 +52,32 @@ def _load_matrix(path: str):
         raise click.exceptions.Exit(EXIT_INPUT)
 
 
+def _enumerate(fn, a, allow_large):
+    """Run an exponential enumeration; a refused one is an input error."""
+    try:
+        return fn(a, allow_large=allow_large)
+    except EnumerationTooLarge as exc:
+        _fail(str(exc))
+        raise click.exceptions.Exit(EXIT_INPUT)
+
+
+def _report_omega(matrix_path, fmt, allow_large, render):
+    """Shared body of omega and certify: they differ in the text report."""
+    cert = _enumerate(omega_matrix_upper, _load_matrix(matrix_path), allow_large)
+    if fmt == "json":
+        click.echo(json.dumps(cert.to_dict(), indent=2))
+    else:
+        click.echo(render(cert))
+    if not cert.verdict:
+        raise click.exceptions.Exit(EXIT_VIOLATION)
+
+
+def _certify_line(cert) -> str:
+    bound = cert.theorem_bound if cert.theorem_bound is not None else "-"
+    tail = " SHARP" if cert.sharp else ""
+    return "omega=%s bound=%s%s" % (cert.omega_upper, bound, tail)
+
+
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
     help="Report format.",
@@ -73,18 +99,7 @@ def main():
 @allow_large_option
 def omega(matrix_path, fmt, allow_large):
     """Compute the certified magnitude upper bound of a matrix."""
-    a = _load_matrix(matrix_path)
-    try:
-        cert = omega_matrix_upper(a, allow_large=allow_large)
-    except EnumerationTooLarge as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
-    if fmt == "json":
-        click.echo(json.dumps(cert.to_dict(), indent=2))
-    else:
-        click.echo(cert.to_text())
-    if not cert.verdict:
-        raise click.exceptions.Exit(EXIT_VIOLATION)
+    _report_omega(matrix_path, fmt, allow_large, lambda cert: cert.to_text())
 
 
 @main.command()
@@ -93,12 +108,7 @@ def omega(matrix_path, fmt, allow_large):
 @allow_large_option
 def circuits(matrix_path, fmt, allow_large):
     """List all minimal-support null vectors of a matrix."""
-    a = _load_matrix(matrix_path)
-    try:
-        circs = enumerate_circuits(a, allow_large=allow_large)
-    except EnumerationTooLarge as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
+    circs = _enumerate(enumerate_circuits, _load_matrix(matrix_path), allow_large)
     if fmt == "json":
         click.echo(json.dumps([c.to_dict() for c in circs], indent=2))
     else:
@@ -113,22 +123,7 @@ def circuits(matrix_path, fmt, allow_large):
 @allow_large_option
 def certify(matrix_path, fmt, allow_large):
     """Certify the (norm-1)^rank magnitude bound for a matrix."""
-    a = _load_matrix(matrix_path)
-    try:
-        cert = omega_matrix_upper(a, allow_large=allow_large)
-    except EnumerationTooLarge as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
-    if fmt == "json":
-        click.echo(json.dumps(cert.to_dict(), indent=2))
-    else:
-        bound = cert.theorem_bound if cert.theorem_bound is not None else "-"
-        tail = " SHARP" if cert.sharp else ""
-        click.echo(
-            "omega=%s bound=%s%s" % (cert.omega_upper, bound, tail)
-        )
-    if not cert.verdict:
-        raise click.exceptions.Exit(EXIT_VIOLATION)
+    _report_omega(matrix_path, fmt, allow_large, _certify_line)
 
 
 @main.command()

@@ -1,10 +1,14 @@
 """Exact integer and rational matrix arithmetic.
 
 Everything here operates on arbitrary-precision Python ints and
-fractions.Fraction, so results are always exact.  Determinants and ranks
-use fraction-free (Bareiss-style) elimination to keep intermediate values
-as integers; a zero-skipping cofactor expansion is provided as an
-independent cross-check route.
+fractions.Fraction, so results are always exact.  One fraction-free
+(Bareiss) row echelon routine, ``_echelon``, and one integer back
+substitution, ``_back_substitute``, carry all elimination: rank,
+determinant, null space and the unique solver here, and the reduction of
+unit systems and the circuit test elsewhere.  ``_solve_augmented`` joins
+the two for A.x = b, shared by the unique solver and the reduction.  Cramer's rule and a
+zero-skipping cofactor expansion are kept as independent cross-check
+routes.
 """
 
 from __future__ import annotations
@@ -115,66 +119,103 @@ def infinity_norm(a: IntegerMatrix) -> int:
     return max(sum(abs(e) for e in row) for row in a.entries)
 
 
-def rank(a: IntegerMatrix) -> int:
-    """Exact rank via integer elimination (rows rescaled by their gcd)."""
-    m, n = a.rows, a.cols
-    rows = [list(r) for r in a.entries]
-    rk = 0
+def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Forward fraction-free (Bareiss) row echelon form, in place.
+
+    Columns without a pivot are skipped.  After the pass, row r holds the
+    r-th pivot row; every entry below the pivots is zero and every division
+    is exact, so all entries stay integers (each is a minor of the input).
+    Returns the pivot columns and the sign of the row permutation.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
     for c in range(n):
-        piv = None
-        for r in range(rk, m):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        for r in range(rk + 1, m):
-            f = rows[r][c]
-            if f == 0:
-                continue
-            p = prow[c]
-            row = [p * x - f * y for x, y in zip(rows[r], prow)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-            rows[r] = [x // g for x in row] if g > 1 else row
-        rk += 1
-        if rk == m:
+        if r == m:
             break
-    return rk
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        # element by element in place: faster than rebuilding rows here
+        for i in range(r + 1, m):
+            row = rows[i]
+            f = row[c]
+            if f:
+                for j in range(c + 1, n):
+                    row[j] = (row[j] * p - f * prow[j]) // prev
+                row[c] = 0
+            elif p != prev:
+                for j in range(c + 1, n):
+                    row[j] = row[j] * p // prev
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, sign
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:
+    """Fill in x at the pivot columns so that every echelon row annihilates x.
+
+    x holds integers; the entries at non-pivot columns are given.  Where a
+    pivot does not divide its row's partial sum, all of x is rescaled by an
+    integer factor, so x stays integral and is fixed up to scale only.
+    """
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        p = row[c]
+        s = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j])
+        if s % p:
+            g = gcd(s, p)
+            q = p // g
+            for j in range(len(x)):
+                x[j] *= q
+            x[c] = -s // g
+        else:
+            x[c] = -s // p
+
+
+def _solve_augmented(rows: list[list[int]]):
+    """Solve A.x = b from the augmented integer matrix [A | b], in place.
+
+    One fraction-free elimination of [A | b].  Returns None when the
+    right-hand side column has a pivot (b is not in the column space of A).
+    Otherwise returns the pivot columns of A and the values of the pivot
+    variables, as a dict column -> Fraction, with every free variable zero.
+    """
+    n = len(rows[0]) - 1
+    pivots, _ = _echelon(rows)
+    if n in pivots:
+        return None
+    # [A | b] . (y, t) = 0 gives A . (y / -t) = b
+    y = [0] * n + [-1]
+    _back_substitute(rows, pivots, y)
+    t = -y[n]
+    return pivots, {c: Fraction(y[c], t) for c in pivots}
+
+
+def rank(a: IntegerMatrix) -> int:
+    """Exact rank: the number of pivots of the fraction-free echelon form."""
+    return len(_echelon([list(r) for r in a.entries])[0])
 
 
 def determinant(m: IntegerMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise NonSquareError("determinant requires a square matrix")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        piv = None
-        for r in range(i, n):
-            if a[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        pivval = a[i][i]
-        for r in range(i + 1, n):
-            arow = a[r]
-            irow = a[i]
-            f = arow[i]
-            for c in range(i + 1, n):
-                arow[c] = (arow[c] * pivval - f * irow[c]) // prev
-            arow[i] = 0
-        prev = pivval
-    return sign * a[n - 1][n - 1]
+    rows = [list(r) for r in m.entries]
+    pivots, sign = _echelon(rows)
+    return sign * rows[-1][-1] if len(pivots) == m.rows else 0
 
 
 def determinant_cofactor(m: IntegerMatrix) -> int:
@@ -210,13 +251,11 @@ def primitive_vector(x) -> tuple[int, ...]:
     entry is positive.  Parallel vectors map to the same result.
     """
     fr = [Fraction(v) for v in x]
-    if all(v == 0 for v in fr):
-        raise ValueError("zero vector has no primitive form")
     den = lcm(*(v.denominator for v in fr))
     ints = [int(v * den) for v in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
     ints = [v // g for v in ints]
     first = next(v for v in ints if v != 0)
     if first < 0:
@@ -224,66 +263,42 @@ def primitive_vector(x) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _rref(rows: list[list[Fraction]]):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
     """Basis of N(A), each vector in canonical primitive integer form.
 
-    Empty list iff rank(A) = n.  Basis vectors come from the free columns
-    of the reduced row echelon form, in increasing column order.
+    Empty list iff rank(A) = n.  There is one basis vector per free
+    (non-pivot) column f, in increasing order: the null vector that is 1 at
+    f and 0 at the other free columns.
     """
     n = a.cols
-    rows = [[Fraction(e) for e in row] for row in a.entries]
-    pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    rows = [list(r) for r in a.entries]
+    pivots, _ = _echelon(rows)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(primitive_vector(v))
+    for f in range(n):
+        if f not in pivot_set:
+            x = [0] * n
+            x[f] = 1
+            _back_substitute(rows, pivots, x)
+            basis.append(primitive_vector(x))
     return basis
 
 
 def solve_unique(a: IntegerMatrix, b) -> tuple[Fraction, ...]:
-    """Unique solution of A.x = b via exact Gaussian elimination."""
+    """Unique solution of A.x = b via exact fraction-free elimination."""
     if a.rows != a.cols:
         raise NonSquareError("solve_unique requires a square matrix")
     n = a.rows
     if len(b) != n:
         raise MatrixError("right-hand side length mismatch")
-    rows = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a.entries)]
-    pivots = _rref(rows)
-    if len(pivots) < n or n in pivots:
+    bf = [Fraction(v) for v in b]
+    den = lcm(*(v.denominator for v in bf))
+    rows = [list(row) + [int(bf[i] * den)] for i, row in enumerate(a.entries)]
+    solved = _solve_augmented(rows)
+    if solved is None or len(solved[0]) < n:
         raise SingularMatrixError("matrix is singular")
-    return tuple(rows[r][n] for r in range(n))
+    values = solved[1]
+    return tuple(values[c] / den for c in range(n))
 
 
 def cramer_solve(a: IntegerMatrix, b) -> tuple[Fraction, ...]:

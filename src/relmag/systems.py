@@ -18,7 +18,8 @@ from fractions import Fraction
 from relmag.matrices import (
     IntegerMatrix,
     SingularMatrixError,
-    _rref,
+    _echelon,
+    _solve_augmented,
     cramer_solve,
     determinant,
     format_rational,
@@ -176,22 +177,20 @@ def _parse_side(s: str, line_no: int, col_base: int):
         if seen_term and pending is None:
             raise ParseError("expected '+' or '-'", line_no, col_base + pos)
         sign = pending if pending is not None else 1
-        m = _COEFVAR.match(s, pos)
+        m = _COEFVAR.match(s, pos) or _VAR.match(s, pos)
         if m:
-            coeff, var = int(m.group(1)), int(m.group(2))
+            coeff = int(m.group(1)) if m.lastindex == 2 else 1
+            var = int(m.group(m.lastindex))
             if coeff == 0:
                 raise ParseError("zero coefficient", line_no, col_base + pos)
+            if var < 1:
+                raise ParseError("variable indices start at 1", line_no, col_base + pos)
             terms.append((sign * coeff, var))
         else:
-            m = _VAR.match(s, pos)
-            if m:
-                terms.append((sign, int(m.group(1))))
-            else:
-                m = _NUM.match(s, pos)
-                if m:
-                    const += sign * int(m.group(1))
-                else:
-                    raise ParseError("expected term", line_no, col_base + pos)
+            m = _NUM.match(s, pos)
+            if not m:
+                raise ParseError("expected term", line_no, col_base + pos)
+            const += sign * int(m.group(1))
         pos = m.end()
         pending = None
         seen_term = True
@@ -211,7 +210,7 @@ def parse_system(text: str) -> System:
     like ``3x1`` abbreviate repeated unit terms.
     """
     text = text.replace("−", "-")
-    k: int | None = None
+    k = 2
     equations: list[Equation] = []
     statement_no = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -229,24 +228,23 @@ def parse_system(text: str) -> System:
                     if k < 2:
                         raise ParseError("k must be >= 2", line_no, col)
                 else:
-                    equations.append(_parse_equation(stripped, line_no, col))
+                    eq = _parse_equation(stripped, line_no, col)
+                    if isinstance(eq, SumEquation) and eq.weight() > k + 1:
+                        raise ParseError(
+                            "equation %s has %d unit terms, limit is k+1 = %d"
+                            % (eq.to_text(), eq.weight(), k + 1),
+                            line_no,
+                            col,
+                        )
+                    equations.append(eq)
             offset += len(chunk) + 1
-    if k is None:
-        k = 2
     if not equations:
         raise ParseError("no equations", 1, 0)
     maxvar = max(
         (e.var if isinstance(e, UnitEquation) else max(v for _, v in e.terms))
         for e in equations
     )
-    for e in equations:
-        vars_ = [e.var] if isinstance(e, UnitEquation) else [v for _, v in e.terms]
-        if min(vars_) < 1:
-            raise ParseError("variable indices start at 1", 1, 0)
-    try:
-        return System(k=k, nvars=maxvar, equations=tuple(equations))
-    except SystemError_ as exc:
-        raise ParseError(str(exc), 1, 0) from exc
+    return System(k=k, nvars=maxvar, equations=tuple(equations))
 
 
 def _parse_equation(s: str, line_no: int, col_base: int) -> Equation:
@@ -322,67 +320,32 @@ def check_solution(system: System, x) -> bool:
     return True
 
 
-def _consistency_check(system: System) -> None:
-    """Raise UnsolvableSystemError unless the system has a solution."""
-    n = system.nvars
-    rows = []
-    for eq in system.equations:
-        row = [Fraction(0)] * (n + 1)
-        if isinstance(eq, UnitEquation):
-            row[eq.var - 1] = Fraction(1)
-            row[n] = Fraction(eq.sign)
-        else:
-            for c, v in eq.terms:
-                row[v - 1] += Fraction(c)
-        rows.append(row)
-    pivots = _rref(rows)
-    if n in pivots:
-        raise UnsolvableSystemError("system is unsolvable")
-
-
 def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: int):
-    """RREF solution of unit + homogeneous equations over variables 1..nvars.
+    """Solve unit + homogeneous equations over variables 1..nvars.
 
-    Free variables are the non-pivot columns in ascending column order
-    (the lexicographically earliest pivot set).  Returns the solution
-    values of the pivot variables with all free variables set to zero,
-    plus the free variable list.
+    One fraction-free elimination of the augmented matrix [A | b]; a pivot
+    in the right-hand side column means the system is unsolvable.  Free
+    variables are the non-pivot columns in ascending order (the
+    lexicographically earliest pivot set).  Returns the values of the
+    pivot variables with all free variables set to zero, plus the free
+    variable list.
     """
-    cols = list(range(1, nvars + 1))
-    colidx = {v: i for i, v in enumerate(cols)}
-    n = len(cols)
     uvar, usign = unit
-    rows = [[Fraction(0)] * (n + 1)]
-    rows[0][colidx[uvar]] = Fraction(1)
-    rows[0][n] = Fraction(usign)
+    rows = [[0] * (nvars + 1)]
+    rows[0][uvar - 1] = 1
+    rows[0][nvars] = usign
     for d in eqs:
-        row = [Fraction(0)] * (n + 1)
+        row = [0] * (nvars + 1)
         for v, c in d.items():
-            row[colidx[v]] = Fraction(c)
+            row[v - 1] = c
         rows.append(row)
-    pivots = _rref(rows)
-    if n in pivots:
+    solved = _solve_augmented(rows)
+    if solved is None:
         raise UnsolvableSystemError("system is unsolvable")
-    free = [cols[c] for c in range(n) if c not in pivots]
-    values = {cols[pc]: rows[r][n] for r, pc in enumerate(pivots)}
-    return values, free
-
-
-def _try_add_row(leads: dict[int, list[Fraction]], row: list[Fraction]) -> bool:
-    """Incremental independence test; inserts the reduced row if new."""
-    row = row[:]
-    while True:
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            return False
-        if lead not in leads:
-            break
-        f = row[lead]
-        basis_row = leads[lead]
-        row = [x - f * y for x, y in zip(row, basis_row)]
-    inv = row[lead]
-    leads[lead] = [x / inv for x in row]
-    return True
+    pivots, values = solved
+    pivot_set = set(pivots)
+    free = [c + 1 for c in range(nvars) if c not in pivot_set]
+    return {c + 1: v for c, v in values.items()}, free
 
 
 def reduce_system(system: System) -> tuple[System, ReductionTrace]:
@@ -400,7 +363,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     units = system.unit_equations()
     if not units:
         raise AllHomogeneousError("no unit equation; the zero vector solves the system")
-    _consistency_check(system)
     records: list[StepRecord] = []
 
     # step 1: keep one unit equation, turn the others into differences
@@ -409,7 +371,9 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     eqs: list[dict[int, int]] = []
     for ue in units[1:]:
         if ue.var == uvar:
-            continue  # duplicate; contradiction already excluded above
+            if ue.sign != usign:
+                raise UnsolvableSystemError("system is unsolvable")
+            continue
         eqs.append({ue.var: 1, uvar: -ue.sign * usign})
         converted.append((ue.var, ue.sign))
     if converted:
@@ -484,29 +448,19 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         if sum(abs(c) for c in d.values()) > k + 1:
             raise ReductionError("coefficient weight exceeded k+1 after merging")
 
-    # select an independent equation set: unit row + n-1 homogeneous rows
+    # select an independent equation set: unit row + n-1 homogeneous rows,
+    # each kept iff independent of the rows before it, i.e. the pivot
+    # columns of the transposed matrix [unit row; eqs]^T
     n = len(active)
     cols = sorted(active)
-    colidx = {v: i for i, v in enumerate(cols)}
-    leads: dict[int, list[Fraction]] = {}
-    unit_row = [Fraction(0)] * n
-    unit_row[colidx[uvar]] = Fraction(1)
-    _try_add_row(leads, unit_row)
-    selected: list[dict[int, int]] = []
-    dropped = 0
-    for d in eqs:
-        row = [Fraction(0)] * n
-        for v, c in d.items():
-            row[colidx[v]] = Fraction(c)
-        if len(selected) < n - 1 and _try_add_row(leads, row):
-            selected.append(d)
-        else:
-            dropped += 1
-    if len(selected) != n - 1:
+    transposed = [[1 if v == uvar else 0] + [d.get(v, 0) for d in eqs] for v in cols]
+    pivots, _ = _echelon(transposed)
+    selected = [eqs[p - 1] for p in pivots[1:]]
+    dropped = len(eqs) - len(selected)
+    if pivots[:1] != [0] or len(selected) != n - 1:
         raise ReductionError("could not select %d independent equations" % (n - 1))
     if dropped:
         records.append(StepRecord(2, "dropped %d dependent equations" % dropped))
-
     # step 6 (sign absorption): make the unit equation x = +1
     flipped = usign == -1
     if flipped:
@@ -666,12 +620,6 @@ class Assembled:
     chain_rows: tuple[tuple[int, ...], ...]  # 0-based row indices in matrix
     type3_rows: tuple[int, ...]
     unit_col: int
-
-    def variable_of_column(self, col: int) -> int:
-        for v, c in self.column_of.items():
-            if c == col:
-                return v
-        raise KeyError(col)
 
 
 def assemble(system: System, decomp: ChainDecomposition) -> Assembled:

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from conftest import oracle_circuits, random_matrix
+from relmag import circuits
 from relmag.circuits import (
     ENUMERATION_LIMIT,
     Circuit,
     EnumerationTooLarge,
+    SpanError,
     TrivialNullspaceError,
     elementary_basis,
     enumerate_circuits,
@@ -89,6 +91,17 @@ def test_elementary_basis_spans():
         if basis:
             stacked = IntegerMatrix.from_rows([list(c.vector) for c in basis])
             assert rank(stacked) == nullity
+
+
+def test_elementary_basis_raises_when_circuits_do_not_span(monkeypatch):
+    a = IntegerMatrix.from_rows([[1, -1, 0]])  # circuits {1,2} and {3}, nullity 2
+    assert len(elementary_basis(a)) == 2
+    real = circuits.enumerate_circuits
+    monkeypatch.setattr(
+        circuits, "enumerate_circuits", lambda a, allow_large=False: real(a)[1:]
+    )
+    with pytest.raises(SpanError):
+        elementary_basis(a)
 
 
 def test_min_support_size():

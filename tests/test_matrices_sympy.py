@@ -1,0 +1,80 @@
+"""Differential tests of the elimination kernel against sympy.
+
+rank, determinant, nullspace_basis and solve_unique all run on the one
+fraction-free echelon routine in relmag.matrices, and so does the brute
+force circuit oracle in conftest (through nullspace_basis).  sympy's exact
+rational linear algebra is an outside reference for all four.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from relmag.matrices import (
+    IntegerMatrix,
+    SingularMatrixError,
+    determinant,
+    nullspace_basis,
+    primitive_vector,
+    rank,
+    solve_unique,
+)
+
+sympy = pytest.importorskip("sympy")
+
+
+def random_rows(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    """Random m x n rows; two in five are a product B.C of inner size
+    below min(m, n), so rank-deficient matrices are frequent."""
+    if rng.random() < 0.4:
+        inner = rng.randint(1, max(1, min(m, n) - 1))
+        b = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(m)]
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)]
+        return [[sum(b[i][l] * c[l][j] for l in range(inner)) for j in range(n)] for i in range(m)]
+    return [[rng.randint(-5, 5) if rng.random() < 0.75 else 0 for _ in range(n)] for _ in range(m)]
+
+
+def to_fraction(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+def test_rank_and_nullspace_match_sympy():
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        rows = random_rows(rng, rng.randint(1, 6), rng.randint(1, 7))
+        a = IntegerMatrix.from_rows(rows)
+        ref = sympy.Matrix(rows)
+        assert rank(a) == ref.rank()
+        # sympy also takes one basis vector per free column of the RREF,
+        # 1 at that column and 0 at the other free ones
+        expected = [primitive_vector([to_fraction(q) for q in v]) for v in ref.nullspace()]
+        assert nullspace_basis(a) == expected
+
+
+def test_determinant_matches_sympy():
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        rows = random_rows(rng, n, n)
+        assert determinant(IntegerMatrix.from_rows(rows)) == sympy.Matrix(rows).det()
+
+
+def test_solve_unique_matches_sympy():
+    rng = random.Random(20261020)
+    singular = 0
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        rows = random_rows(rng, n, n)
+        b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        ref = sympy.Matrix(rows)
+        a = IntegerMatrix.from_rows(rows)
+        if ref.det() == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                solve_unique(a, b)
+            continue
+        rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
+        expected = tuple(to_fraction(q) for q in ref.LUsolve(rhs))
+        assert solve_unique(a, b) == expected
+    assert singular > 100  # the rank-deficient products are exercised

@@ -67,6 +67,17 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_system("k=2; x1+x1+x1+x2=0")  # weight 4 > k+1 = 3
 
+    def test_checks_after_parsing_carry_position(self):
+        with pytest.raises(ParseError) as exc:
+            parse_system("k=2\nx1=1\nx1+x2+x3+x4=0")  # weight 4 > k+1 = 3
+        assert (exc.value.line, exc.value.col) == (3, 0)
+        with pytest.raises(ParseError) as exc:
+            parse_system("k=2\nx1=1\n  x1 - x0 = 0")
+        assert (exc.value.line, exc.value.col) == (3, 7)
+        with pytest.raises(ParseError) as exc:
+            parse_system("k=3; x1=1; x1+x1+x1+x1+x2=0")
+        assert (exc.value.line, exc.value.col) == (1, 11)
+
     def test_round_trip(self):
         # to_text expands coefficients into repeated unit terms, so the
         # round trip preserves semantics (combined coefficients), not syntax
@@ -136,10 +147,40 @@ class TestReduction:
         assert trace2.reduced_solution == trace.reduced_solution
 
     def test_unsolvable(self):
-        with pytest.raises(UnsolvableSystemError):
-            reduce_system(parse_system("k=2; x1=1; x1=-1"))
-        with pytest.raises(UnsolvableSystemError):
-            reduce_system(parse_system("k=2; x1=1; x1+x1-x2=0; x2-x1=0"))
+        for text in [
+            "k=2; x1=1; x1=-1",  # opposite duplicate of the kept unit (step 1)
+            "k=2; x1=1; x2=1; x2=-1",  # contradiction found by the elimination
+            "k=2; x1=1; x1+x1-x2=0; x2-x1=0",
+        ]:
+            with pytest.raises(UnsolvableSystemError):
+                reduce_system(parse_system(text))
+
+    def test_unsolvable_iff_sympy_ranks_differ(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(400):
+            s = random_system(rng)
+            rows = []
+            for eq in s.equations:
+                row = [0] * (s.nvars + 1)
+                if isinstance(eq, UnitEquation):
+                    row[eq.var - 1] = 1
+                    row[s.nvars] = eq.sign
+                else:
+                    for c, v in eq.terms:
+                        row[v - 1] += c
+                rows.append(row)
+            aug = sympy.Matrix(rows)
+            inconsistent = aug[:, : s.nvars].rank() != aug.rank()
+            try:
+                reduce_system(s)
+                rejected = False
+            except UnsolvableSystemError:
+                rejected = True
+            assert rejected == inconsistent
+            outcomes.add(rejected)
+        assert outcomes == {True, False}
 
     def test_postconditions_randomized(self):
         rng = random.Random(59)
