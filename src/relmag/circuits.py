@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from relmag.matrices import IntegerMatrix, primitive_vector, rank, nullspace_basis
 
-ENUMERATION_LIMIT = 24
+# Every matrix of at most 24 columns has fewer candidate supports than this.
+CANDIDATE_LIMIT = 2 ** 24
 
 
 class EnumerationTooLarge(ValueError):
@@ -88,13 +90,10 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     support of the null space, up to rank(A) + 1 (no circuit is larger); a
     support I qualifies when the null space of the column submatrix A_I is
     a single ray with no zero entry.  Supersets of a found support are
-    pruned (they cannot be minimal).
+    pruned (they cannot be minimal).  Raises EnumerationTooLarge when
+    there are more than CANDIDATE_LIMIT candidate supports, unless
+    allow_large is set.
     """
-    if a.cols > ENUMERATION_LIMIT and not allow_large:
-        raise EnumerationTooLarge(
-            "circuit enumeration over %d columns is exponential; "
-            "pass allow_large=True to force it" % a.cols
-        )
     basis = nullspace_basis(a)
     d = len(basis)
     if d == 0:
@@ -104,6 +103,12 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
 
     cols = sorted(set(j for v in basis for j in _support(v)))
     max_size = min(len(cols), a.cols - d + 1)
+    candidates = sum(comb(len(cols), s) for s in range(1, max_size + 1))
+    if candidates > CANDIDATE_LIMIT and not allow_large:
+        raise EnumerationTooLarge(
+            "circuit enumeration would test %d candidate supports (limit %d); "
+            "pass allow_large=True to force it" % (candidates, CANDIDATE_LIMIT)
+        )
     found: list[Circuit] = []
     found_masks: list[int] = []
     for size in range(1, max_size + 1):

@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success / all checks pass, 1 = a certified bound or
 determinant identity failed (which would falsify a theorem), 2 = input
-error.  Reports go to stdout; --format json switches to a structured
-document.
+error, 3 = internal error (a reduction postcondition failed).  Reports go
+to stdout; --format json switches to a structured document.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from relmag.magnitude import omega_matrix_upper
 from relmag.matrices import MatrixError, format_matrix, parse_matrix
 from relmag.systems import (
     BoundViolationError,
+    ChainIntersectionError,
+    ReductionError,
     SystemError_,
     parse_system,
     solve_and_certify,
@@ -26,6 +28,7 @@ from relmag.systems import (
 
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _fail(message: str):
@@ -84,7 +87,7 @@ format_option = click.option(
 )
 allow_large_option = click.option(
     "--allow-large", is_flag=True,
-    help="Permit circuit enumeration beyond 24 columns (exponential).",
+    help="Permit circuit enumeration beyond 2^24 candidate supports (exponential).",
 )
 
 
@@ -129,9 +132,8 @@ def certify(matrix_path, fmt, allow_large):
 @main.command()
 @click.option("--system", "system_path", required=True, help="System file, '-' for stdin.")
 @format_option
-@click.option("--jobs", type=int, default=1, help="Parallel per-column certifications.")
 @click.option("--no-certify", is_flag=True, help="Skip the determinant certification chain.")
-def solve(system_path, fmt, jobs, no_certify):
+def solve(system_path, fmt, no_certify):
     """Solve a unit-coefficient system and certify the k^(n-1) bound."""
     text = _read(system_path)
     try:
@@ -140,10 +142,13 @@ def solve(system_path, fmt, jobs, no_certify):
         _fail(str(exc))
         raise click.exceptions.Exit(EXIT_INPUT)
     try:
-        report = solve_and_certify(system, certify=not no_certify, jobs=jobs)
+        report = solve_and_certify(system, certify=not no_certify)
     except BoundViolationError as exc:
         _fail("bound violated: %s" % exc)
         raise click.exceptions.Exit(EXIT_VIOLATION)
+    except (ReductionError, ChainIntersectionError) as exc:
+        _fail("internal error: %s" % exc)
+        raise click.exceptions.Exit(EXIT_INTERNAL)
     except SystemError_ as exc:
         _fail(str(exc))
         raise click.exceptions.Exit(EXIT_INPUT)

@@ -9,10 +9,11 @@ are integer-exact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from relmag.matrices import (
     IntegerMatrix,
@@ -179,7 +180,7 @@ class GramPartition:
         if seen != set(range(self.factor.rows)):
             raise ValueError("partition does not cover all indices")
 
-    @property
+    @cached_property
     def gram(self) -> IntegerMatrix:
         return self.factor.gram()
 
@@ -187,49 +188,20 @@ class GramPartition:
 def hadamard_fischer_check(g: GramPartition):
     """det W <= product of the principal block minors, all sides exact.
 
-    Returns (holds, det W, product).  W is positive semidefinite by
-    construction (a Gram matrix), so the inequality is a theorem; a False
-    result indicates a bug.
+    Returns (holds, det W, product, minors), minors in block order.  W is
+    positive semidefinite by construction (a Gram matrix), so the
+    inequality is a theorem; a False result indicates a bug.
     """
     w = g.gram
     lhs = determinant(w)
-    rhs = 1
-    for block in g.blocks:
-        sub = IntegerMatrix.from_rows(
-            [[w.entries[i][j] for j in block] for i in block]
+    minors = tuple(
+        determinant(
+            IntegerMatrix.from_rows([[w.entries[i][j] for j in block] for i in block])
         )
-        rhs *= determinant(sub)
-    return lhs <= rhs, lhs, rhs
-
-
-def type3_norm_bound(equation, k: int, deleted_variable: int | None = None):
-    """Squared l2 norm of a residual equation's coefficients and its bound.
-
-    Without deletion the bound is min(k^2-1, (k-1)^2+4); with one
-    variable deleted it is (k-1)^2+1.  Violations raise
-    LemmaViolationError.  The equation must be a residual (type 3) one:
-    combined coefficients, not the k-to-1 two-variable pattern.
-    """
-    terms = list(equation.terms)
-    if len(terms) < 2:
-        raise ValueError("residual equations have at least two variables")
-    mags = sorted(abs(c) for c, _ in terms)
-    if len(terms) == 2 and mags == [1, k]:
-        raise ValueError("k-to-1 equation is a chain link, not a residual equation")
-    if deleted_variable is not None:
-        kept = [(c, v) for c, v in terms if v != deleted_variable]
-        if len(kept) == len(terms):
-            raise ValueError("deleted variable x%d not in equation" % deleted_variable)
-        terms = kept
-        bound = (k - 1) ** 2 + 1
-    else:
-        bound = min(k * k - 1, (k - 1) ** 2 + 4)
-    norm_sq = sum(c * c for c, _ in terms)
-    if norm_sq > bound:
-        raise LemmaViolationError(
-            "coefficient norm %d exceeds bound %d (k=%d)" % (norm_sq, bound, k)
-        )
-    return norm_sq, bound
+        for block in g.blocks
+    )
+    rhs = prod(minors)
+    return lhs <= rhs, lhs, rhs, minors
 
 
 def enumerate_residual_multisets(k: int) -> list[tuple[int, ...]]:
@@ -389,14 +361,13 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def _certify_column(asm, x, det_a: int, i: int) -> ColumnCertificate:
+def _certify_column(asm, x, det_a: int, blocks, i: int) -> ColumnCertificate:
     n, k = asm.n, asm.k
     u = asm.matrix.delete_row_col(0, i)
     det_u = determinant(u)
-    blocks = [tuple(r - 1 for r in rows) for rows in asm.chain_rows]
-    blocks.extend((r - 1,) for r in asm.type3_rows)
-    g = GramPartition(factor=u, blocks=tuple(blocks))
-    hf_ok, det_w, hf_product = hadamard_fischer_check(g)
+    hf_ok, det_w, hf_product, minors = hadamard_fischer_check(
+        GramPartition(factor=u, blocks=blocks)
+    )
     bound = k ** (2 * (n - 1))
     xi = x[i]
     ok = (
@@ -410,14 +381,10 @@ def _certify_column(asm, x, det_a: int, i: int) -> ColumnCertificate:
     for ci, cols in enumerate(asm.chain_cols):
         if i in cols:
             case = 1
-            # the cut chain's principal minor collapses to C_p (+) D_q <= k^(2t)
+            # the cut chain's principal minor collapses to C_p (+) D_q <= k^(2t);
+            # chain blocks lead the partition, so block ci is chain ci
             t = len(asm.chain_rows[ci])
-            block = tuple(r - 1 for r in asm.chain_rows[ci])
-            w = g.gram
-            sub = IntegerMatrix.from_rows(
-                [[w.entries[a][b] for b in block] for a in block]
-            )
-            ok = ok and determinant(sub) <= k ** (2 * t)
+            ok = ok and minors[ci] <= k ** (2 * t)
             break
     if case == 2:
         # every residual row containing x_i has its diagonal entry bounded
@@ -436,20 +403,16 @@ def _certify_column(asm, x, det_a: int, i: int) -> ColumnCertificate:
     )
 
 
-def certify_solution_bound(asm, x=None, jobs: int = 1) -> CertificationReport:
+def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
     """Run the per-column certification x_i^2 <= det W_i <= k^(2(n-1)).
 
     asm is an assembled square system (unit row first, chain blocks,
-    residual rows).  W_i is the Gram matrix of the submatrix U_i obtained
-    by deleting the first row and column i.  Case 1 columns cut a chain
-    block, case 2 columns cut residual rows only.
+    residual rows), x its exact solution and det_a = det A, both as
+    returned by systems.solve_assembled.  W_i is the Gram matrix of the
+    submatrix U_i obtained by deleting the first row and column i.  Case 1
+    columns cut a chain block, case 2 columns cut residual rows only.
     """
-    from relmag.systems import solve_assembled
-
     n, k = asm.n, asm.k
-    det_a = determinant(asm.matrix)
-    if x is None:
-        x, det_a, _ = solve_assembled(asm)
     bound = k ** (2 * (n - 1))
     if n == 1:
         # U_1 is empty; det W_1 = 1 by the empty-product convention
@@ -460,13 +423,10 @@ def certify_solution_bound(asm, x=None, jobs: int = 1) -> CertificationReport:
             ),
         )
     else:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                entries = tuple(
-                    pool.map(lambda i: _certify_column(asm, x, det_a, i), range(n))
-                )
-        else:
-            entries = tuple(_certify_column(asm, x, det_a, i) for i in range(n))
+        # rows of U_i are rows 1.. of A, so block indices shift down by one
+        blocks = tuple(tuple(r - 1 for r in rows) for rows in asm.chain_rows)
+        blocks += tuple((r - 1,) for r in asm.type3_rows)
+        entries = tuple(_certify_column(asm, x, det_a, blocks, i) for i in range(n))
     max_abs = max(abs(v) for v in x)
     return CertificationReport(
         n=n,

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
     IntegerMatrix,
     SingularMatrixError,
@@ -539,9 +540,7 @@ class Chain:
 @dataclass(frozen=True)
 class ChainDecomposition:
     chains: tuple[Chain, ...]
-    type2: tuple[int, ...]
     type3: tuple[int, ...]
-    unit_index: int
 
 
 def chain_decompose(system: System) -> ChainDecomposition:
@@ -552,19 +551,14 @@ def chain_decompose(system: System) -> ChainDecomposition:
     shared variable or a cycle signals a reduction bug.
     """
     k = system.k
-    unit_index = next(
-        i for i, e in enumerate(system.equations) if isinstance(e, UnitEquation)
-    )
     nxt: dict[int, tuple[int, int]] = {}  # a -> (b, equation index)
     incoming: set[int] = set()
-    type2 = []
     type3 = []
     for i, eq in enumerate(system.equations):
         if isinstance(eq, UnitEquation):
             continue
         mags = sorted(abs(c) for c, _ in eq.terms)
         if len(eq.terms) == 2 and mags == [1, k]:
-            type2.append(i)
             (c1, v1), (c2, v2) = eq.terms
             if abs(c1) == k:
                 b, a = v1, v2
@@ -602,9 +596,7 @@ def chain_decompose(system: System) -> ChainDecomposition:
         raise ReductionError("fewer than r-1 residual equations for %d chains" % r)
     return ChainDecomposition(
         chains=tuple(chains),
-        type2=tuple(type2),
         type3=tuple(type3),
-        unit_index=unit_index,
     )
 
 
@@ -619,7 +611,6 @@ class Assembled:
     chain_cols: tuple[tuple[int, ...], ...]
     chain_rows: tuple[tuple[int, ...], ...]  # 0-based row indices in matrix
     type3_rows: tuple[int, ...]
-    unit_col: int
 
 
 def assemble(system: System, decomp: ChainDecomposition) -> Assembled:
@@ -645,9 +636,8 @@ def assemble(system: System, decomp: ChainDecomposition) -> Assembled:
             p += 1
 
     rows: list[list[int]] = []
-    unit_col = pos[1]
     row0 = [0] * n
-    row0[unit_col] = 1
+    row0[pos[1]] = 1
     rows.append(row0)
     chain_rows = []
     for chain in decomp.chains:
@@ -685,7 +675,6 @@ def assemble(system: System, decomp: ChainDecomposition) -> Assembled:
         chain_cols=tuple(chain_cols),
         chain_rows=tuple(chain_rows),
         type3_rows=tuple(type3_rows),
-        unit_col=unit_col,
     )
 
 
@@ -735,7 +724,7 @@ class SolveReport:
     solution: tuple[Fraction, ...]  # original variables, 1-based order
     reduced_solution: tuple[Fraction, ...]
     trace: ReductionTrace | None
-    certification: object | None  # detbounds.CertificationReport
+    certification: CertificationReport | None
     trivial: bool = False
 
     def to_dict(self) -> dict:
@@ -780,10 +769,11 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
     Reduces, assembles, solves exactly, reconstructs a solution of the
     original system, and checks |x_i| <= k^(n-1) with n the reduced size.
     With certify=True the full determinant certification chain
-    x_i^2 <= det W_i <= k^(2(n-1)) is run per column.
+    x_i^2 <= det W_i <= k^(2(n-1)) is run per column.  Certification is
+    single-threaded; jobs is accepted for existing callers and must be 1.
     """
-    from relmag import detbounds
-
+    if jobs != 1:
+        raise ValueError("jobs must be 1, got %r" % (jobs,))
     k = system.k
     try:
         reduced, trace = reduce_system(system)
@@ -824,7 +814,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         raise BoundViolationError("solution magnitude exceeds k^(n-1) = %d" % bound)
     certification = None
     if certify:
-        certification = detbounds.certify_solution_bound(asm, x=x, jobs=jobs)
+        certification = certify_solution_bound(asm, x, det_a)
         if not certification.all_ok:
             raise BoundViolationError("determinant certification failed")
     return SolveReport(

@@ -7,7 +7,6 @@ import pytest
 from conftest import oracle_circuits, random_matrix
 from relmag import circuits
 from relmag.circuits import (
-    ENUMERATION_LIMIT,
     Circuit,
     EnumerationTooLarge,
     SpanError,
@@ -17,6 +16,7 @@ from relmag.circuits import (
     is_elementary,
     min_support_size,
 )
+from relmag.generators import extremal_matrix
 from relmag.matrices import IntegerMatrix, rank
 
 
@@ -58,10 +58,15 @@ def test_circuit_line_format():
 
 
 def test_enumeration_guard():
-    a = IntegerMatrix.from_rows([[0] * (ENUMERATION_LIMIT + 1)])
-    with pytest.raises(EnumerationTooLarge):
-        enumerate_circuits(a)
-    assert enumerate_circuits(a, allow_large=True)  # n singleton circuits
+    # [I_12 | J_12x14]: rank 12, supports of up to 13 of 26 columns
+    wide = IntegerMatrix.from_rows(
+        [[int(i == j) for j in range(12)] + [1] * 14 for i in range(12)]
+    )
+    with pytest.raises(EnumerationTooLarge, match="38754731 candidate supports"):
+        enumerate_circuits(wide)
+    # the guard counts candidates, not columns
+    assert len(enumerate_circuits(IntegerMatrix.from_rows([[0] * 25]))) == 25
+    assert len(enumerate_circuits(extremal_matrix(2, 30))) == 1
 
 
 def test_matches_oracle_randomized():

@@ -4,7 +4,9 @@ import json
 
 from click.testing import CliRunner
 
+from relmag import circuits, cli
 from relmag.cli import main
+from relmag.systems import ReductionError
 
 runner = CliRunner()
 
@@ -69,8 +71,9 @@ class TestCircuits:
         doc = json.loads(res.output)
         assert len(doc) == 3 and doc[0]["support"] == [1, 2]
 
-    def test_guard_and_override(self, tmp_path):
-        wide = "1 25\n" + " ".join(["0"] * 25) + "\n"
+    def test_guard_and_override(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(circuits, "CANDIDATE_LIMIT", 10)
+        wide = "1 25\n" + " ".join(["0"] * 25) + "\n"  # 25 candidate supports
         path = write(tmp_path, "wide.txt", wide)
         assert invoke("circuits", "--matrix", path).exit_code == 2
         assert invoke("circuits", "--matrix", path, "--allow-large").exit_code == 0
@@ -95,18 +98,20 @@ class TestSolve:
         assert "x1=1, x2=2, x3=4" in res.output
         assert "max=4 bound=k^(n-1)=4 OK" in res.output
 
-    def test_json_and_jobs(self, tmp_path):
+    def test_json(self, tmp_path):
         res = invoke(
             "solve",
             "--system",
             write(tmp_path, "s.txt", CHAIN_SYSTEM),
             "--format",
             "json",
-            "--jobs",
-            "2",
         )
         doc = json.loads(res.output)
         assert doc["bound_ok"] is True and doc["certification"]["all_ok"] is True
+
+    def test_no_jobs_option(self, tmp_path):
+        path = write(tmp_path, "s.txt", CHAIN_SYSTEM)
+        assert invoke("solve", "--system", path, "--jobs", "2").exit_code == 2
 
     def test_no_certify(self, tmp_path):
         res = invoke(
@@ -121,6 +126,15 @@ class TestSolve:
     def test_parse_error(self, tmp_path):
         res = invoke("solve", "--system", write(tmp_path, "s.txt", "x1=7"))
         assert res.exit_code == 2
+
+    def test_internal_error(self, tmp_path, monkeypatch):
+        def broken(system, certify=True):
+            raise ReductionError("assembled matrix is singular")
+
+        monkeypatch.setattr(cli, "solve_and_certify", broken)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
+        assert res.exit_code == 3
+        assert "internal error: assembled matrix is singular" in res.output
 
 
 class TestGenerators:

@@ -11,18 +11,17 @@ from relmag.detbounds import (
     det_closed_form,
     enumerate_residual_multisets,
     hadamard_fischer_check,
-    type3_norm_bound,
     verify_coefficient_bounds,
     verify_recurrences,
 )
 from relmag.generators import extremal_dsl
 from relmag.matrices import IntegerMatrix, determinant, determinant_cofactor
 from relmag.systems import (
-    SumEquation,
     assemble,
     chain_decompose,
     parse_system,
     reduce_system,
+    solve_assembled,
 )
 
 
@@ -88,16 +87,16 @@ class TestHadamardFischer:
             factor=IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1]]),
             blocks=((0,), (1,)),
         )
-        holds, lhs, rhs = hadamard_fischer_check(g)
-        assert holds and lhs == 3 and rhs == 4
+        holds, lhs, rhs, minors = hadamard_fischer_check(g)
+        assert holds and lhs == 3 and rhs == 4 and minors == (2, 2)
 
     def test_single_block_is_equality(self):
         g = GramPartition(
             factor=IntegerMatrix.from_rows([[2, 1], [1, -3]]),
             blocks=((0, 1),),
         )
-        holds, lhs, rhs = hadamard_fischer_check(g)
-        assert holds and lhs == rhs
+        holds, lhs, rhs, minors = hadamard_fischer_check(g)
+        assert holds and lhs == rhs and minors == (lhs,)
 
     def test_partition_validation(self):
         u = IntegerMatrix.from_rows([[1, 0], [0, 1]])
@@ -129,19 +128,6 @@ class TestCoefficientBounds:
             assert (k - 1) ** 2 + 1 <= k * k - 2
             assert (k * k - 1) ** 2 > k * k * (k * k - 2)
 
-    def test_type3_norm_bound_examples(self):
-        assert type3_norm_bound(SumEquation(terms=((4, 1), (2, 2))), 5) == (20, 20)
-        assert type3_norm_bound(
-            SumEquation(terms=((1, 1), (1, 2), (1, 3))), 2
-        ) == (3, 3)
-        assert type3_norm_bound(
-            SumEquation(terms=((3, 1), (1, 2), (1, 3))), 4, deleted_variable=2
-        ) == (10, 10)
-
-    def test_type3_rejects_chain_link(self):
-        with pytest.raises(ValueError):
-            type3_norm_bound(SumEquation(terms=((2, 1), (-1, 2))), 2)
-
     def test_cut_chain_minor_bound(self):
         # det C_p * det D_q <= k^(2t) whenever p + q = t
         for k in (2, 3, 5):
@@ -156,40 +142,43 @@ class TestCoefficientBounds:
 
 class TestCertification:
     def _assembled(self, text):
+        """(asm, x, det A): the arguments certify_solution_bound takes."""
         system = parse_system(text)
         reduced, _ = reduce_system(system)
-        return assemble(reduced, chain_decompose(reduced))
+        asm = assemble(reduced, chain_decompose(reduced))
+        x, det_a, _ = solve_assembled(asm)
+        return asm, x, det_a
 
     def test_sharp_chain_all_case1(self):
-        asm = self._assembled(extremal_dsl(2, 4))
-        rep = certify_solution_bound(asm)
+        args = self._assembled(extremal_dsl(2, 4))
+        rep = certify_solution_bound(*args)
         assert rep.all_ok and rep.sharp
         assert rep.bound == 2 ** 6
         assert all(e.case == 1 for e in rep.entries)
         assert all(e.det_w == e.det_u * e.det_u for e in rep.entries)
 
     def test_mixed_cases(self):
-        asm = self._assembled("k=3; x1=1; 3x2=x1; 3x4=x3; x3-x1-x1=0")
-        rep = certify_solution_bound(asm)
+        args = self._assembled("k=3; x1=1; 3x2=x1; 3x4=x3; x3-x1-x1=0")
+        rep = certify_solution_bound(*args)
         assert rep.all_ok
         cases = {e.case for e in rep.entries}
         assert cases == {1}  # every column cuts one of the two chains
 
     def test_case2_column(self):
         # x4 appears only in residual equations, so its column is case 2
-        asm = self._assembled("k=3; x1=1; 3x2=x1; x1+x2-x4=0")
-        rep = certify_solution_bound(asm)
+        args = self._assembled("k=3; x1=1; 3x2=x1; x1+x2-x4=0")
+        rep = certify_solution_bound(*args)
         assert rep.all_ok
         assert 2 in {e.case for e in rep.entries}
 
     def test_n1_convention(self):
-        asm = self._assembled("k=2; x1=1; x2=1")
-        rep = certify_solution_bound(asm)
+        args = self._assembled("k=2; x1=1; x2=1")
+        rep = certify_solution_bound(*args)
         assert rep.n == 1 and rep.all_ok and rep.entries[0].det_w == 1
 
     def test_serialization(self):
-        asm = self._assembled(extremal_dsl(2, 3))
-        rep = certify_solution_bound(asm)
+        args = self._assembled(extremal_dsl(2, 3))
+        rep = certify_solution_bound(*args)
         d = rep.to_dict()
         assert d["all_ok"] is True and d["bound"] == 16
         assert len(d["columns"]) == 3

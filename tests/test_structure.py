@@ -1,0 +1,32 @@
+"""Module dependency rules, checked on the source syntax tree."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "relmag"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_imports_inside_functions():
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        "%s:%d imports inside %s()" % (path.name, node.lineno, fn.name)
+                    )
+
+
+def test_detbounds_does_not_import_systems():
+    for node in ast.walk(_tree(SRC / "detbounds.py")):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["relmag" if node.level else "", node.module]))
+            names = [module] + ["%s.%s" % (module, alias.name) for alias in node.names]
+        else:
+            continue
+        assert "relmag.systems" not in names, "detbounds.py:%d" % node.lineno

@@ -260,12 +260,9 @@ class TestSolveAndCertify:
         assert d["certification"]["all_ok"] is True
         assert "max=4 bound=k^(n-1)=4 OK" in rep.to_text()
 
-    def test_parallel_jobs_agree(self):
-        s = parse_system(extremal_dsl(3, 5))
-        rep1 = solve_and_certify(s, jobs=1)
-        rep2 = solve_and_certify(s, jobs=4)
-        assert rep1.solution == rep2.solution
-        assert rep1.certification.to_dict() == rep2.certification.to_dict()
+    def test_jobs_other_than_one_rejected(self):
+        with pytest.raises(ValueError):
+            solve_and_certify(parse_system(extremal_dsl(3, 5)), jobs=2)
 
     def test_no_certify_skips_chain(self):
         rep = solve_and_certify(parse_system(extremal_dsl(2, 6)), certify=False)
