@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from relmag.matrices import IntegerMatrix, primitive_vector, rank, nullspace_basis
+from relmag.matrices import IntegerMatrix, rank, nullspace_basis
 
 # Every matrix of at most 24 columns has fewer candidate supports than this.
 CANDIDATE_LIMIT = 2 ** 24
@@ -78,11 +78,6 @@ def is_elementary(a: IntegerMatrix, x) -> bool:
     return rank(sub) == len(sup) - 1
 
 
-def _circuit_from_ray(vec) -> Circuit:
-    prim = primitive_vector(vec)
-    return Circuit(support=_support(prim), vector=prim)
-
-
 def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
     """All circuits of A, canonical form, sorted lexicographically by support.
 
@@ -99,15 +94,15 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     if d == 0:
         return []
     if d == 1:
-        return [_circuit_from_ray(basis[0])]
+        return [Circuit(support=_support(basis[0]), vector=basis[0])]
 
     cols = sorted(set(j for v in basis for j in _support(v)))
     max_size = min(len(cols), a.cols - d + 1)
     candidates = sum(comb(len(cols), s) for s in range(1, max_size + 1))
     if candidates > CANDIDATE_LIMIT and not allow_large:
         raise EnumerationTooLarge(
-            "circuit enumeration would test %d candidate supports (limit %d); "
-            "pass allow_large=True to force it" % (candidates, CANDIDATE_LIMIT)
+            "circuit enumeration would test %d candidate supports (limit %d)"
+            % (candidates, CANDIDATE_LIMIT)
         )
     found: list[Circuit] = []
     found_masks: list[int] = []
@@ -122,11 +117,11 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
             # a zero entry would mean the ray's support is smaller than idx
             if len(rays) != 1 or 0 in rays[0]:
                 continue
+            # rays[0] is primitive, so its zero-padded extension is too
             vec = [0] * a.cols
             for j, v in zip(idx, rays[0]):
                 vec[j] = v
-            circ = _circuit_from_ray(vec)
-            found.append(circ)
+            found.append(Circuit(support=idx, vector=tuple(vec)))
             found_masks.append(mask)
     found.sort(key=lambda c: c.support)
     return found

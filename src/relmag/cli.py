@@ -60,7 +60,7 @@ def _enumerate(fn, a, allow_large):
     try:
         return fn(a, allow_large=allow_large)
     except EnumerationTooLarge as exc:
-        _fail(str(exc))
+        _fail("%s; pass --allow-large to force it" % exc)
         raise click.exceptions.Exit(EXIT_INPUT)
 
 

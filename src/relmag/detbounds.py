@@ -3,14 +3,14 @@
 Closed-form determinants of the tridiagonal chain blocks, the
 Hadamard-Fischer product majorization for Gram matrices, coefficient
 norm bounds for residual equations, and the per-column certification
-chain x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems.  All checks
-are integer-exact.
+chain x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems, where each
+W_i comes from one Gram matrix per system by a rank-one downdate.  All
+checks are integer-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -163,42 +163,22 @@ def verify_recurrences(t_max: int, k: int) -> RecurrenceReport:
     )
 
 
-@dataclass(frozen=True)
-class GramPartition:
-    """A Gram matrix W = U U^T with a block partition of its indices."""
-
-    factor: IntegerMatrix
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            for i in block:
-                if i in seen:
-                    raise ValueError("partition blocks are not disjoint")
-                seen.add(i)
-        if seen != set(range(self.factor.rows)):
-            raise ValueError("partition does not cover all indices")
-
-    @cached_property
-    def gram(self) -> IntegerMatrix:
-        return self.factor.gram()
-
-
-def hadamard_fischer_check(g: GramPartition):
+def hadamard_fischer_check(w: IntegerMatrix, blocks):
     """det W <= product of the principal block minors, all sides exact.
 
-    Returns (holds, det W, product, minors), minors in block order.  W is
-    positive semidefinite by construction (a Gram matrix), so the
-    inequality is a theorem; a False result indicates a bug.
+    w is a Gram matrix U U^T, hence positive semidefinite, so the inequality
+    is a theorem and a False result indicates a bug.  blocks must partition
+    range(w.rows), else ValueError.  Returns (holds, det W, product,
+    minors), minors in block order.
     """
-    w = g.gram
+    if sorted(i for block in blocks for i in block) != list(range(w.rows)):
+        raise ValueError("blocks do not partition the indices of W")
     lhs = determinant(w)
     minors = tuple(
         determinant(
             IntegerMatrix.from_rows([[w.entries[i][j] for j in block] for i in block])
         )
-        for block in g.blocks
+        for block in blocks
     )
     rhs = prod(minors)
     return lhs <= rhs, lhs, rhs, minors
@@ -361,13 +341,19 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def _certify_column(asm, x, det_a: int, blocks, i: int) -> ColumnCertificate:
+def _certify_column(asm, x, det_a: int, g: IntegerMatrix, blocks, i: int) -> ColumnCertificate:
     n, k = asm.n, asm.k
-    u = asm.matrix.delete_row_col(0, i)
-    det_u = determinant(u)
-    hf_ok, det_w, hf_product, minors = hadamard_fischer_check(
-        GramPartition(factor=u, blocks=blocks)
+    det_u = determinant(asm.matrix.delete_row_col(0, i))
+    # W_i = U_i U_i^T = G - c c^T, c = column i of A without its first entry;
+    # det W = det U^2 below checks this downdate against det U on every column
+    c = [row[i] for row in asm.matrix.entries[1:]]
+    w = IntegerMatrix(
+        tuple(
+            tuple(e - cr * cs for e, cs in zip(grow, c)) if cr else grow
+            for grow, cr in zip(g.entries, c)
+        )
     )
+    hf_ok, det_w, hf_product, minors = hadamard_fischer_check(w, blocks)
     bound = k ** (2 * (n - 1))
     xi = x[i]
     ok = (
@@ -409,8 +395,11 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
     asm is an assembled square system (unit row first, chain blocks,
     residual rows), x its exact solution and det_a = det A, both as
     returned by systems.solve_assembled.  W_i is the Gram matrix of the
-    submatrix U_i obtained by deleting the first row and column i.  Case 1
-    columns cut a chain block, case 2 columns cut residual rows only.
+    submatrix U_i obtained by deleting the first row and column i.  All W_i
+    come from one Gram matrix G = A' A'^T, A' being rows 2..n of A: since
+    (U_i U_i^T)_rs = sum over c != i of a_rc a_sc, W_i = G - c_i c_i^T with
+    c_i column i of A', a rank-one downdate.  Case 1 columns cut a chain
+    block, case 2 columns cut residual rows only.
     """
     n, k = asm.n, asm.k
     bound = k ** (2 * (n - 1))
@@ -426,7 +415,8 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
         # rows of U_i are rows 1.. of A, so block indices shift down by one
         blocks = tuple(tuple(r - 1 for r in rows) for rows in asm.chain_rows)
         blocks += tuple((r - 1,) for r in asm.type3_rows)
-        entries = tuple(_certify_column(asm, x, det_a, blocks, i) for i in range(n))
+        g = IntegerMatrix(asm.matrix.entries[1:]).gram()
+        entries = tuple(_certify_column(asm, x, det_a, g, blocks, i) for i in range(n))
     max_abs = max(abs(v) for v in x)
     return CertificationReport(
         n=n,

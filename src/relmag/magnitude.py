@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from relmag.circuits import Circuit, enumerate_circuits, min_support_size
+from relmag.circuits import Circuit, enumerate_circuits
 from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, rank
 
 

@@ -6,9 +6,9 @@ fractions.Fraction, so results are always exact.  One fraction-free
 substitution, ``_back_substitute``, carry all elimination: rank,
 determinant, null space and the unique solver here, and the reduction of
 unit systems and the circuit test elsewhere.  ``_solve_augmented`` joins
-the two for A.x = b, shared by the unique solver and the reduction.  Cramer's rule and a
-zero-skipping cofactor expansion are kept as independent cross-check
-routes.
+the two for A.x = b, shared by the unique solver, the reduction and the
+assembled-system solve.  Cramer's rule and a zero-skipping cofactor
+expansion are kept as independent cross-check routes.
 """
 
 from __future__ import annotations
@@ -190,18 +190,20 @@ def _solve_augmented(rows: list[list[int]]):
 
     One fraction-free elimination of [A | b].  Returns None when the
     right-hand side column has a pivot (b is not in the column space of A).
-    Otherwise returns the pivot columns of A and the values of the pivot
-    variables, as a dict column -> Fraction, with every free variable zero.
+    Otherwise returns the pivot columns of A, the values of the pivot
+    variables, as a dict column -> Fraction, with every free variable zero,
+    and the sign of the row permutation: for square nonsingular A,
+    det A = sign * rows[-1][-1] after the call.
     """
     n = len(rows[0]) - 1
-    pivots, _ = _echelon(rows)
+    pivots, sign = _echelon(rows)
     if n in pivots:
         return None
     # [A | b] . (y, t) = 0 gives A . (y / -t) = b
     y = [0] * n + [-1]
     _back_substitute(rows, pivots, y)
     t = -y[n]
-    return pivots, {c: Fraction(y[c], t) for c in pivots}
+    return pivots, {c: Fraction(y[c], t) for c in pivots}, sign
 
 
 def rank(a: IntegerMatrix) -> int:

@@ -12,19 +12,16 @@ the assembled matrix is solved exactly, certifying ``|x_i| <= k^(n-1)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
     IntegerMatrix,
-    SingularMatrixError,
     _echelon,
     _solve_augmented,
     cramer_solve,
-    determinant,
     format_rational,
-    solve_unique,
 )
 
 
@@ -343,7 +340,7 @@ def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: in
     solved = _solve_augmented(rows)
     if solved is None:
         raise UnsolvableSystemError("system is unsolvable")
-    pivots, values = solved
+    pivots, values, _ = solved
     pivot_set = set(pivots)
     free = [c + 1 for c in range(nvars) if c not in pivot_set]
     return {c + 1: v for c, v in values.items()}, free
@@ -684,18 +681,19 @@ _CRAMER_CROSSCHECK_LIMIT = 10
 def solve_assembled(asm: Assembled):
     """Solve A x = e_1 exactly; returns (x, det A, per-column det A_i).
 
+    One fraction-free elimination of [A | e_1] gives both x and det A.
     det A_i is the Cramer numerator (column i replaced by e_1); for small
     systems the explicit Cramer solution is computed and compared.
     """
     n = asm.n
     e1 = [1] + [0] * (n - 1)
-    det_a = determinant(asm.matrix)
-    if det_a == 0:
+    rows = [list(row) + [b] for row, b in zip(asm.matrix.entries, e1)]
+    solved = _solve_augmented(rows)
+    if solved is None or len(solved[0]) < n:
         raise ReductionError("assembled matrix is singular")
-    try:
-        x = solve_unique(asm.matrix, e1)
-    except SingularMatrixError as exc:
-        raise ReductionError("assembled matrix is singular") from exc
+    _, values, sign = solved
+    x = tuple(values[c] for c in range(n))
+    det_a = sign * rows[n - 1][n - 1]
     if n <= _CRAMER_CROSSCHECK_LIMIT:
         if cramer_solve(asm.matrix, e1) != x:
             raise ReductionError("Cramer and elimination solutions disagree")

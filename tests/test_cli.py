@@ -75,7 +75,9 @@ class TestCircuits:
         monkeypatch.setattr(circuits, "CANDIDATE_LIMIT", 10)
         wide = "1 25\n" + " ".join(["0"] * 25) + "\n"  # 25 candidate supports
         path = write(tmp_path, "wide.txt", wide)
-        assert invoke("circuits", "--matrix", path).exit_code == 2
+        res = invoke("circuits", "--matrix", path)
+        assert res.exit_code == 2
+        assert "pass --allow-large to force it" in res.stderr
         assert invoke("circuits", "--matrix", path, "--allow-large").exit_code == 0
 
 

@@ -1,10 +1,13 @@
 """Determinant closed forms, Hadamard-Fischer, coefficient bounds."""
 
+import math
+import random
+
 import pytest
+from conftest import random_system
 
 from relmag.detbounds import (
     ChainBlockSpec,
-    GramPartition,
     LemmaViolationError,
     build_chain_block,
     certify_solution_bound,
@@ -14,9 +17,10 @@ from relmag.detbounds import (
     verify_coefficient_bounds,
     verify_recurrences,
 )
-from relmag.generators import extremal_dsl
+from relmag.generators import extremal_dsl, extremal_system
 from relmag.matrices import IntegerMatrix, determinant, determinant_cofactor
 from relmag.systems import (
+    UnsolvableSystemError,
     assemble,
     chain_decompose,
     parse_system,
@@ -83,27 +87,21 @@ class TestChainBlocks:
 class TestHadamardFischer:
     def test_simple_partition(self):
         # U = [[1,1,0],[0,1,1]] gives W = [[2,1],[1,2]], det 3 <= 2*2
-        g = GramPartition(
-            factor=IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1]]),
-            blocks=((0,), (1,)),
-        )
-        holds, lhs, rhs, minors = hadamard_fischer_check(g)
+        u = IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        holds, lhs, rhs, minors = hadamard_fischer_check(u.gram(), ((0,), (1,)))
         assert holds and lhs == 3 and rhs == 4 and minors == (2, 2)
 
     def test_single_block_is_equality(self):
-        g = GramPartition(
-            factor=IntegerMatrix.from_rows([[2, 1], [1, -3]]),
-            blocks=((0, 1),),
-        )
-        holds, lhs, rhs, minors = hadamard_fischer_check(g)
+        u = IntegerMatrix.from_rows([[2, 1], [1, -3]])
+        holds, lhs, rhs, minors = hadamard_fischer_check(u.gram(), ((0, 1),))
         assert holds and lhs == rhs and minors == (lhs,)
 
     def test_partition_validation(self):
-        u = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+        w = IntegerMatrix.from_rows([[1, 0], [0, 1]]).gram()
         with pytest.raises(ValueError):
-            GramPartition(factor=u, blocks=((0,),))  # misses index 1
+            hadamard_fischer_check(w, ((0,),))  # misses index 1
         with pytest.raises(ValueError):
-            GramPartition(factor=u, blocks=((0,), (0, 1)))  # overlap
+            hadamard_fischer_check(w, ((0,), (0, 1)))  # overlap
 
 
 class TestCoefficientBounds:
@@ -140,14 +138,17 @@ class TestCoefficientBounds:
                     assert prod <= k ** (2 * t)
 
 
+def _certify_args(system):
+    """(asm, x, det A): the arguments certify_solution_bound takes."""
+    reduced, _ = reduce_system(system)
+    asm = assemble(reduced, chain_decompose(reduced))
+    x, det_a, _ = solve_assembled(asm)
+    return asm, x, det_a
+
+
 class TestCertification:
     def _assembled(self, text):
-        """(asm, x, det A): the arguments certify_solution_bound takes."""
-        system = parse_system(text)
-        reduced, _ = reduce_system(system)
-        asm = assemble(reduced, chain_decompose(reduced))
-        x, det_a, _ = solve_assembled(asm)
-        return asm, x, det_a
+        return _certify_args(parse_system(text))
 
     def test_sharp_chain_all_case1(self):
         args = self._assembled(extremal_dsl(2, 4))
@@ -183,3 +184,40 @@ class TestCertification:
         assert d["all_ok"] is True and d["bound"] == 16
         assert len(d["columns"]) == 3
         assert "certification: max=4 sharp=yes OK" in rep.to_text()
+
+    def test_one_gram_per_system(self, monkeypatch):
+        calls = []
+        real = IntegerMatrix.gram
+        monkeypatch.setattr(IntegerMatrix, "gram", lambda m: calls.append(m) or real(m))
+        for text in (extremal_dsl(2, 6), "k=3; x1=1; 3x2=x1; x1+x2-x4=0"):
+            args = self._assembled(text)
+            calls.clear()
+            rep = certify_solution_bound(*args)
+            assert rep.n > 1 and rep.all_ok and len(calls) == 1
+
+    def test_matches_dense_gram(self):
+        """Each column's det W_i and block-minor product equal a dense U_i U_i^T."""
+        systems = [extremal_system(k, n) for k in (2, 3) for n in range(2, 17)]
+        rng = random.Random(4)
+        systems += [random_system(rng) for _ in range(300)]
+        checked = 0
+        for system in systems:
+            try:
+                asm, x, det_a = _certify_args(system)
+            except UnsolvableSystemError:
+                continue
+            if asm.n == 1:
+                continue
+            rep = certify_solution_bound(asm, x, det_a)
+            blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
+            blocks += [[r - 1] for r in asm.type3_rows]
+            for i, entry in enumerate(rep.entries):
+                w = asm.matrix.delete_row_col(0, i).gram()
+                minors = [
+                    determinant(IntegerMatrix.from_rows([[w.row(r)[c] for c in b] for r in b]))
+                    for b in blocks
+                ]
+                assert entry.det_w == determinant(w)
+                assert entry.hf_product == math.prod(minors)
+                checked += 1
+        assert checked > 400

@@ -30,3 +30,28 @@ def test_detbounds_does_not_import_systems():
         else:
             continue
         assert "relmag.systems" not in names, "detbounds.py:%d" % node.lineno
+
+
+def test_no_unused_imports():
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        imported = {}
+        exported = set()
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        for name, lineno in imported.items():
+            assert name in read or name in exported, (
+                "%s:%d imports %s but never reads it" % (path.name, lineno, name)
+            )

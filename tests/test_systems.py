@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_system
 from relmag.generators import extremal_dsl, extremal_system
+from relmag.matrices import determinant
 from relmag.systems import (
     BoundViolationError,
     ChainIntersectionError,
@@ -21,6 +22,7 @@ from relmag.systems import (
     parse_system,
     reduce_system,
     solve_and_certify,
+    solve_assembled,
 )
 
 
@@ -263,6 +265,23 @@ class TestSolveAndCertify:
     def test_jobs_other_than_one_rejected(self):
         with pytest.raises(ValueError):
             solve_and_certify(parse_system(extremal_dsl(3, 5)), jobs=2)
+
+    def test_solve_assembled_determinants(self):
+        """det A and the Cramer numerators det A_i equal independent Bareiss runs."""
+        rng = random.Random(83)
+        done = 0
+        while done < 200:
+            try:
+                reduced, _ = reduce_system(random_system(rng))
+            except UnsolvableSystemError:
+                continue
+            asm = assemble(reduced, chain_decompose(reduced))
+            _, det_a, det_ai = solve_assembled(asm)
+            a = asm.matrix
+            e1 = [1] + [0] * (a.rows - 1)
+            assert det_a == determinant(a)
+            assert det_ai == tuple(determinant(a.replace_column(i, e1)) for i in range(a.cols))
+            done += 1
 
     def test_no_certify_skips_chain(self):
         rep = solve_and_certify(parse_system(extremal_dsl(2, 6)), certify=False)
