@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 = success / all checks pass, 1 = a certified bound or
-determinant identity failed (which would falsify a theorem), 2 = input
-error, 3 = internal error (a reduction postcondition failed).  Reports go
-to stdout; --format json switches to a structured document.
+determinant identity failed (which would falsify a theorem), 2 = bad
+input (an unreadable or non-UTF-8 file, a malformed matrix or system, an
+unsolvable system, a refused enumeration, a bad option), 3 = internal
+error (a reduction postcondition failed, or any unexpected exception).
+Reports go to stdout; --format json switches to a structured document.
 """
 
 from __future__ import annotations
@@ -30,43 +32,46 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# (exception types, exit code, stderr message) -- the first matching row
+# wins.  BoundViolationError, ReductionError and ChainIntersectionError
+# subclass SystemError_, so their rows precede the input row; the last row
+# takes everything else.
+EXIT_TABLE = (
+    ((BoundViolationError,), EXIT_VIOLATION, "bound violated: {exc}"),
+    ((detbounds.LemmaViolationError,), EXIT_VIOLATION, "lemma falsified: {exc}"),
+    ((ReductionError, ChainIntersectionError), EXIT_INTERNAL, "internal error: {exc}"),
+    ((EnumerationTooLarge,), EXIT_INPUT, "{exc}; pass --allow-large to force it"),
+    ((SystemError_, MatrixError, OSError, UnicodeDecodeError), EXIT_INPUT, "{exc}"),
+    ((Exception,), EXIT_INTERNAL, "internal error: {type}: {exc}"),
+)
 
-def _fail(message: str):
-    click.echo("error: %s" % message, err=True)
+
+class _Main(click.Group):
+    """Applies EXIT_TABLE around every subcommand; click's own exceptions pass."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+            raise
+        except Exception as exc:
+            for types, code, message in EXIT_TABLE:
+                if isinstance(exc, types):
+                    break
+            click.echo("error: " + message.format(type=type(exc).__name__, exc=exc), err=True)
+            raise click.exceptions.Exit(code) from exc
 
 
 def _read(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        _fail("cannot read %s: %s" % (path, exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
-
-
-def _load_matrix(path: str):
-    text = _read(path)
-    try:
-        return parse_matrix(text)
-    except MatrixError as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
-
-
-def _enumerate(fn, a, allow_large):
-    """Run an exponential enumeration; a refused one is an input error."""
-    try:
-        return fn(a, allow_large=allow_large)
-    except EnumerationTooLarge as exc:
-        _fail("%s; pass --allow-large to force it" % exc)
-        raise click.exceptions.Exit(EXIT_INPUT)
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _report_omega(matrix_path, fmt, allow_large, render):
     """Shared body of omega and certify: they differ in the text report."""
-    cert = _enumerate(omega_matrix_upper, _load_matrix(matrix_path), allow_large)
+    cert = omega_matrix_upper(parse_matrix(_read(matrix_path)), allow_large=allow_large)
     if fmt == "json":
         click.echo(json.dumps(cert.to_dict(), indent=2))
     else:
@@ -91,7 +96,7 @@ allow_large_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact relative-magnitude computation and certification."""
 
@@ -111,7 +116,7 @@ def omega(matrix_path, fmt, allow_large):
 @allow_large_option
 def circuits(matrix_path, fmt, allow_large):
     """List all minimal-support null vectors of a matrix."""
-    circs = _enumerate(enumerate_circuits, _load_matrix(matrix_path), allow_large)
+    circs = enumerate_circuits(parse_matrix(_read(matrix_path)), allow_large=allow_large)
     if fmt == "json":
         click.echo(json.dumps([c.to_dict() for c in circs], indent=2))
     else:
@@ -135,23 +140,7 @@ def certify(matrix_path, fmt, allow_large):
 @click.option("--no-certify", is_flag=True, help="Skip the determinant certification chain.")
 def solve(system_path, fmt, no_certify):
     """Solve a unit-coefficient system and certify the k^(n-1) bound."""
-    text = _read(system_path)
-    try:
-        system = parse_system(text)
-    except SystemError_ as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
-    try:
-        report = solve_and_certify(system, certify=not no_certify)
-    except BoundViolationError as exc:
-        _fail("bound violated: %s" % exc)
-        raise click.exceptions.Exit(EXIT_VIOLATION)
-    except (ReductionError, ChainIntersectionError) as exc:
-        _fail("internal error: %s" % exc)
-        raise click.exceptions.Exit(EXIT_INTERNAL)
-    except SystemError_ as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
+    report = solve_and_certify(parse_system(_read(system_path)), certify=not no_certify)
     if fmt == "json":
         click.echo(json.dumps(report.to_dict(), indent=2))
     else:
@@ -159,56 +148,45 @@ def solve(system_path, fmt, no_certify):
 
 
 @main.command("gen-extremal")
-@click.option("--k", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=2), required=True)
+@click.option("--n", type=click.IntRange(min=2), required=True)
 @click.option(
     "--mode", type=click.Choice(["homogeneous", "system"]), default="homogeneous",
     help="Emit the chain matrix or the x1=1 system DSL.",
 )
 def gen_extremal(k, n, mode):
     """Emit the sharp chain instance for given k and n."""
-    try:
-        if mode == "homogeneous":
-            click.echo(format_matrix(generators.extremal_matrix(k, n)), nl=False)
-        else:
-            click.echo(generators.extremal_dsl(k, n), nl=False)
-    except ValueError as exc:
-        _fail(str(exc))
-        raise click.exceptions.Exit(EXIT_INPUT)
+    if mode == "homogeneous":
+        click.echo(format_matrix(generators.extremal_matrix(k, n)), nl=False)
+    else:
+        click.echo(generators.extremal_dsl(k, n), nl=False)
 
 
 @main.command("verify-lemmas")
-@click.option("--tmax", type=int, default=8, help="Largest chain block size.")
-@click.option("--kmax", type=int, default=5, help="Largest k to check.")
+@click.option("--tmax", type=click.IntRange(min=3), default=8, help="Largest chain block size.")
+@click.option("--kmax", type=click.IntRange(min=2), default=5, help="Largest k to check.")
 @format_option
 def verify_lemmas(tmax, kmax, fmt):
     """Self-test the determinant identities and coefficient bounds."""
-    if tmax < 3 or kmax < 2:
-        _fail("need --tmax >= 3 and --kmax >= 2")
-        raise click.exceptions.Exit(EXIT_INPUT)
     results = {"recurrences": [], "coefficient_bounds": []}
-    try:
-        for k in range(1, kmax + 1):
-            rep = detbounds.verify_recurrences(tmax, k)
-            results["recurrences"].append(rep.to_dict())
-            if fmt == "text":
-                click.echo(
-                    "k=%d: %d block determinants and %d recurrences verified"
-                    % (k, rep.matrices_checked, rep.recurrences_checked)
-                )
-        for k in range(2, kmax + 1):
-            rep = detbounds.verify_coefficient_bounds(k)
-            results["coefficient_bounds"].append(
-                {"k": k, "multisets_checked": rep.multisets_checked, "bound": rep.bound}
+    for k in range(1, kmax + 1):
+        rep = detbounds.verify_recurrences(tmax, k)
+        results["recurrences"].append(rep.to_dict())
+        if fmt == "text":
+            click.echo(
+                "k=%d: %d block determinants and %d recurrences verified"
+                % (k, rep.matrices_checked, rep.recurrences_checked)
             )
-            if fmt == "text":
-                click.echo(
-                    "k=%d: %d coefficient multisets within bound %d, equality attained"
-                    % (k, rep.multisets_checked, rep.bound)
-                )
-    except detbounds.LemmaViolationError as exc:
-        _fail("lemma falsified: %s" % exc)
-        raise click.exceptions.Exit(EXIT_VIOLATION)
+    for k in range(2, kmax + 1):
+        rep = detbounds.verify_coefficient_bounds(k)
+        results["coefficient_bounds"].append(
+            {"k": k, "multisets_checked": rep.multisets_checked, "bound": rep.bound}
+        )
+        if fmt == "text":
+            click.echo(
+                "k=%d: %d coefficient multisets within bound %d, equality attained"
+                % (k, rep.multisets_checked, rep.bound)
+            )
     if fmt == "json":
         click.echo(json.dumps(results, indent=2))
     else:

@@ -252,9 +252,8 @@ def primitive_vector(x) -> tuple[int, ...]:
     Scales so that entries are integers with gcd 1 and the first nonzero
     entry is positive.  Parallel vectors map to the same result.
     """
-    fr = [Fraction(v) for v in x]
-    den = lcm(*(v.denominator for v in fr))
-    ints = [int(v * den) for v in fr]
+    den = lcm(*(v.denominator for v in x))
+    ints = [v.numerator * (den // v.denominator) for v in x]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -333,10 +332,13 @@ def format_rational(x) -> str:
 
 
 def parse_matrix(text: str) -> IntegerMatrix:
-    """Parse the text format: first line "m n", then m rows of n integers."""
+    """Parse the text format: first line "m n", then m rows of n integers.
+
+    `#` starts a comment that runs to the end of its line.
+    """
     # tolerate unicode minus in hand-written files
-    lines = [ln.strip() for ln in text.replace("−", "-").splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln.split("#", 1)[0].strip() for ln in text.replace("−", "-").splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise MatrixError("empty matrix input")
     header = lines[0].split()

@@ -4,9 +4,9 @@ import json
 
 from click.testing import CliRunner
 
-from relmag import circuits, cli
+from relmag import circuits, cli, detbounds
 from relmag.cli import main
-from relmag.systems import ReductionError
+from relmag.systems import BoundViolationError, ReductionError
 
 runner = CliRunner()
 
@@ -51,6 +51,23 @@ class TestOmega:
     def test_missing_file(self):
         res = invoke("omega", "--matrix", "/nonexistent/path")
         assert res.exit_code == 2
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff1 2\n1 2\n")
+        res = invoke("omega", "--matrix", str(path))
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: 'utf-8' codec can't decode")
+
+    def test_unexpected_exception(self, tmp_path, monkeypatch):
+        def broken(a, allow_large=False):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "omega_matrix_upper", broken)
+        res = invoke("omega", "--matrix", write(tmp_path, "a.txt", CHAIN_MATRIX))
+        assert res.exit_code == 3
+        assert res.stderr.startswith("error: internal error: RuntimeError: boom")
+        assert "Traceback" not in res.output
 
 
 class TestCircuits:
@@ -138,6 +155,15 @@ class TestSolve:
         assert res.exit_code == 3
         assert "internal error: assembled matrix is singular" in res.output
 
+    def test_bound_violated(self, tmp_path, monkeypatch):
+        def broken(system, certify=True):
+            raise BoundViolationError("|x3| = 5 > 4")
+
+        monkeypatch.setattr(cli, "solve_and_certify", broken)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: bound violated: |x3| = 5 > 4")
+
 
 class TestGenerators:
     def test_round_trip_matrix(self, tmp_path):
@@ -157,6 +183,7 @@ class TestGenerators:
 
     def test_bad_params(self):
         assert invoke("gen-extremal", "--k", "1", "--n", "3").exit_code == 2
+        assert invoke("gen-extremal", "--k", "2", "--n", "1").exit_code == 2
 
 
 class TestVerifyLemmas:
@@ -173,3 +200,12 @@ class TestVerifyLemmas:
 
     def test_bad_params(self):
         assert invoke("verify-lemmas", "--tmax", "2").exit_code == 2
+
+    def test_lemma_falsified(self, monkeypatch):
+        def broken(tmax, k):
+            raise detbounds.LemmaViolationError("det C_3 != recurrence")
+
+        monkeypatch.setattr(detbounds, "verify_recurrences", broken)
+        res = invoke("verify-lemmas", "--tmax", "3", "--kmax", "2")
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: lemma falsified: det C_3 != recurrence")

@@ -183,6 +183,8 @@ class TestTextFormat:
     def test_comments_and_unicode_minus(self):
         a = parse_matrix("# chain\n1 2\n3 −4\n")
         assert a.entries == ((3, -4),)
+        assert parse_matrix("1 2  # header\n1 2\n").entries == ((1, 2),)
+        assert parse_matrix("1 2\n1 2  # row 1\n").entries == ((1, 2),)
 
     def test_round_trip(self):
         rng = random.Random(29)

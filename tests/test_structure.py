@@ -55,3 +55,10 @@ def test_no_unused_imports():
             assert name in read or name in exported, (
                 "%s:%d imports %s but never reads it" % (path.name, lineno, name)
             )
+
+
+def test_cli_has_one_try():
+    """The exit-code table is applied in one place, not per command."""
+    tries = [node.lineno for node in ast.walk(_tree(SRC / "cli.py"))
+             if isinstance(node, ast.Try)]
+    assert len(tries) == 1, "cli.py has try statements at lines %s" % tries

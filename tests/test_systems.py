@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_system
 from relmag.generators import extremal_dsl, extremal_system
@@ -24,6 +26,26 @@ from relmag.systems import (
     solve_and_certify,
     solve_assembled,
 )
+
+
+@st.composite
+def _systems(draw):
+    """Any valid System: every sum equation within the k+1 weight limit."""
+    k = draw(st.integers(2, 5))
+    nvars = draw(st.integers(1, 8))
+    var = st.integers(1, nvars)
+    equations = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            equations.append(UnitEquation(var=draw(var), sign=draw(st.sampled_from([1, -1]))))
+            continue
+        budget, terms = k + 1, []
+        while budget and (not terms or draw(st.booleans())):
+            c = draw(st.integers(1, budget))
+            terms.append((draw(st.sampled_from([c, -c])), draw(var)))
+            budget -= c
+        equations.append(SumEquation(terms=tuple(terms)))
+    return System(k=k, nvars=nvars, equations=tuple(equations))
 
 
 class TestParser:
@@ -92,6 +114,20 @@ class TestParser:
                     assert e1.combined() == e2.combined()
                 else:
                     assert e1 == e2
+
+    @given(_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, s):
+        again = parse_system(s.to_text())
+        assert again.k == s.k and len(again.equations) == len(s.equations)
+        for e1, e2 in zip(again.equations, s.equations):
+            if isinstance(e2, SumEquation):
+                assert isinstance(e1, SumEquation) and e1.combined() == e2.combined()
+            else:
+                assert e1 == e2
+        used = [e.var for e in s.unit_equations()]
+        used += [v for e in s.sum_equations() for _, v in e.terms]
+        assert again.nvars == max(used)
 
 
 class TestSystemValidation:
