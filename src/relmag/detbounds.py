@@ -3,9 +3,12 @@
 Closed-form determinants of the tridiagonal chain blocks, the
 Hadamard-Fischer product majorization for Gram matrices, coefficient
 norm bounds for residual equations, and the per-column certification
-chain x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems, where each
-W_i comes from one Gram matrix per system by a rank-one downdate.  All
-checks are integer-exact.
+chain x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems.  The
+certification eliminates no matrix: det U_i = +-x_i det A comes from the
+solve, det W_i = det U_i^2, each chain block minor of W_i comes from the
+continuant recurrence and is checked against its closed form, and each
+residual block minor is a squared row norm.  hadamard_fischer_check is
+the dense route the tests compare against.  All checks are integer-exact.
 """
 
 from __future__ import annotations
@@ -341,52 +344,58 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def _certify_column(asm, x, det_a: int, g: IntegerMatrix, blocks, i: int) -> ColumnCertificate:
-    n, k = asm.n, asm.k
-    det_u = determinant(asm.matrix.delete_row_col(0, i))
-    # W_i = U_i U_i^T = G - c c^T, c = column i of A without its first entry;
-    # det W = det U^2 below checks this downdate against det U on every column
-    c = [row[i] for row in asm.matrix.entries[1:]]
-    w = IntegerMatrix(
-        tuple(
-            tuple(e - cr * cs for e, cs in zip(grow, c)) if cr else grow
-            for grow, cr in zip(g.entries, c)
+def _continuant(diag, off) -> int:
+    """Determinant of the symmetric tridiagonal matrix with diagonal diag
+    and off-diagonal off, by the three-term recurrence
+    f_j = d_j f_(j-1) - e_(j-1)^2 f_(j-2) (Muir's continuant)."""
+    prev, cur = 1, diag[0]
+    for d, e in zip(diag[1:], off):
+        prev, cur = cur, d * cur - e * e * prev
+    return cur
+
+
+def _chain_tridiagonal(a, rows, cols):
+    """Diagonal and off-diagonal of the chain block of G = A' A'^T.
+
+    Row j of the chain must be supported on exactly cols[j] and cols[j+1];
+    then rows j and j+1 share only column cols[j+1], rows further apart
+    share none, and the block is tridiagonal.
+    """
+    for j, r in enumerate(rows):
+        if [c for c, e in enumerate(a[r]) if e] != [cols[j], cols[j + 1]]:
+            raise ValueError(
+                "chain row %d is not supported on columns %d, %d" % (r, cols[j], cols[j + 1])
+            )
+    diag = [a[r][c] ** 2 + a[r][d] ** 2 for r, c, d in zip(rows, cols, cols[1:])]
+    off = [a[r][c] * a[s][c] for r, s, c in zip(rows, rows[1:], cols[1:])]
+    return diag, off
+
+
+def _cut_chain_minor(a, rows, diag, off, i: int, p: int, k: int) -> int:
+    """The chain block minor of W_i = G - c_i c_i^T, i the chain's column p.
+
+    c_i meets the chain in row p-1, which ends at column i, and in row p,
+    which starts there; the downdate touches only those two rows, and the
+    minor must equal det C_p det D_(t-p), else LemmaViolationError.
+    """
+    t = len(rows)
+    diag, off = list(diag), list(off)
+    if p > 0:
+        diag[p - 1] -= a[rows[p - 1]][i] ** 2
+    if p < t:
+        diag[p] -= a[rows[p]][i] ** 2
+    if 0 < p < t:
+        off[p - 1] -= a[rows[p - 1]][i] * a[rows[p]][i]
+    minor = _continuant(diag, off)
+    expected = det_closed_form(ChainBlockSpec("C", p, k)) * det_closed_form(
+        ChainBlockSpec("D", t - p, k)
+    )
+    if minor != expected:
+        raise LemmaViolationError(
+            "column %d cuts a chain block with det %d, closed form det C_%d det D_%d says %d"
+            % (i + 1, minor, p, t - p, expected)
         )
-    )
-    hf_ok, det_w, hf_product, minors = hadamard_fischer_check(w, blocks)
-    bound = k ** (2 * (n - 1))
-    xi = x[i]
-    ok = (
-        hf_ok
-        and det_w == det_u * det_u
-        and abs(xi * det_a) == abs(det_u)  # |det A_i| = |det U_i|
-        and xi * xi <= det_w
-        and det_w <= bound
-    )
-    case = 2
-    for ci, cols in enumerate(asm.chain_cols):
-        if i in cols:
-            case = 1
-            # the cut chain's principal minor collapses to C_p (+) D_q <= k^(2t);
-            # chain blocks lead the partition, so block ci is chain ci
-            t = len(asm.chain_rows[ci])
-            ok = ok and minors[ci] <= k ** (2 * t)
-            break
-    if case == 2:
-        # every residual row containing x_i has its diagonal entry bounded
-        for r in asm.type3_rows:
-            if asm.matrix.entries[r][i] != 0:
-                diag = sum(e * e for c, e in enumerate(asm.matrix.entries[r]) if c != i)
-                ok = ok and diag <= (k - 1) ** 2 + 1 <= k * k - 2
-    return ColumnCertificate(
-        index=i + 1,
-        case=case,
-        x=xi,
-        det_w=det_w,
-        det_u=det_u,
-        hf_product=hf_product,
-        ok=ok,
-    )
+    return minor
 
 
 def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
@@ -394,12 +403,21 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
 
     asm is an assembled square system (unit row first, chain blocks,
     residual rows), x its exact solution and det_a = det A, both as
-    returned by systems.solve_assembled.  W_i is the Gram matrix of the
-    submatrix U_i obtained by deleting the first row and column i.  All W_i
-    come from one Gram matrix G = A' A'^T, A' being rows 2..n of A: since
-    (U_i U_i^T)_rs = sum over c != i of a_rc a_sc, W_i = G - c_i c_i^T with
-    c_i column i of A', a rank-one downdate.  Case 1 columns cut a chain
-    block, case 2 columns cut residual rows only.
+    returned by systems.solve_assembled.  U_i is A without its first row
+    and column i, and W_i = U_i U_i^T = G - c_i c_i^T, with G = A' A'^T,
+    A' the rows 2..n of A and c_i column i of A'.  No matrix is eliminated:
+
+    - det U_i = (-1)^i x_i det A (0-based i): Cramer's det A_i expanded
+      along its column i, which is e_1;
+    - det W_i = det U_i^2 (Cauchy-Binet, U_i being square);
+    - each chain block of W_i is tridiagonal; its minor comes from the
+      continuant recurrence and must equal the closed form, det B_t when
+      column i misses the chain and det C_p det D_q when i is the chain's
+      column p (tail first), else LemmaViolationError;
+    - each residual block is 1 x 1, the squared row norm less a_ri^2.
+
+    The Hadamard-Fischer product of these minors bounds det W_i.  Case 1
+    columns cut a chain block, case 2 columns cut residual rows only.
     """
     n, k = asm.n, asm.k
     bound = k ** (2 * (n - 1))
@@ -412,11 +430,57 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
             ),
         )
     else:
-        # rows of U_i are rows 1.. of A, so block indices shift down by one
-        blocks = tuple(tuple(r - 1 for r in rows) for rows in asm.chain_rows)
-        blocks += tuple((r - 1,) for r in asm.type3_rows)
-        g = IntegerMatrix(asm.matrix.entries[1:]).gram()
-        entries = tuple(_certify_column(asm, x, det_a, g, blocks, i) for i in range(n))
+        a = asm.matrix.entries
+        chains = []  # (rows, diag, off) of the chain block of G, per chain
+        whole = []  # det B_t per chain, its minor in W_i when i misses it
+        cut_by = {}  # column -> (chain index, position p in the chain)
+        for ci, (rows, cols) in enumerate(zip(asm.chain_rows, asm.chain_cols)):
+            diag, off = _chain_tridiagonal(a, rows, cols)
+            minor = _continuant(diag, off)
+            expected = det_closed_form(ChainBlockSpec("B", len(rows), k))
+            if minor != expected:
+                raise LemmaViolationError(
+                    "chain block %d has det %d, closed form det B_%d says %d"
+                    % (ci, minor, len(rows), expected)
+                )
+            chains.append((rows, diag, off))
+            whole.append(minor)
+            cut_by.update((c, (ci, p)) for p, c in enumerate(cols))
+        residual = [(a[r], sum(e * e for e in a[r])) for r in asm.type3_rows]
+        entries = []
+        for i, xi in enumerate(x):
+            det_ai = xi * det_a  # Cramer: det A_i = x_i det A, an integer
+            ok = det_ai.denominator == 1
+            det_u = -det_ai.numerator if i % 2 else det_ai.numerator
+            det_w = det_u * det_u
+            minors = whole + [norm - row[i] ** 2 for row, norm in residual]
+            case = 2
+            if i in cut_by:
+                case = 1
+                ci, p = cut_by[i]
+                rows, diag, off = chains[ci]
+                minors[ci] = _cut_chain_minor(a, rows, diag, off, i, p, k)
+                # the cut chain's principal minor is det C_p det D_q <= k^(2t)
+                ok = ok and minors[ci] <= k ** (2 * len(rows))
+            else:
+                # every residual row containing x_i has its diagonal entry bounded
+                for row, norm in residual:
+                    if row[i]:
+                        ok = ok and norm - row[i] ** 2 <= (k - 1) ** 2 + 1 <= k * k - 2
+            hf_product = prod(minors)
+            ok = ok and xi * xi <= det_w <= hf_product and det_w <= bound
+            entries.append(
+                ColumnCertificate(
+                    index=i + 1,
+                    case=case,
+                    x=xi,
+                    det_w=det_w,
+                    det_u=det_u,
+                    hf_product=hf_product,
+                    ok=ok,
+                )
+            )
+        entries = tuple(entries)
     max_abs = max(abs(v) for v in x)
     return CertificationReport(
         n=n,

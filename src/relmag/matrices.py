@@ -4,15 +4,16 @@ Everything here operates on arbitrary-precision Python ints and
 fractions.Fraction, so results are always exact.  One fraction-free
 (Bareiss) row echelon routine, ``_echelon``, and one integer back
 substitution, ``_back_substitute``, carry all elimination: rank,
-determinant, null space and the unique solver here, and the reduction of
-unit systems and the circuit test elsewhere.  ``_solve_augmented`` joins
-the two for A.x = b, shared by the unique solver, the reduction and the
-assembled-system solve.  Cramer's rule and a zero-skipping cofactor
-expansion are kept as independent cross-check routes.
+determinant and null space here, and the reduction of unit systems and
+the circuit test elsewhere.  ``_solve_augmented`` joins the two for
+A.x = b, shared by the reduction and the assembled-system solve.
+Cramer's rule and a zero-skipping cofactor expansion are kept as
+independent cross-check routes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -285,23 +286,6 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def solve_unique(a: IntegerMatrix, b) -> tuple[Fraction, ...]:
-    """Unique solution of A.x = b via exact fraction-free elimination."""
-    if a.rows != a.cols:
-        raise NonSquareError("solve_unique requires a square matrix")
-    n = a.rows
-    if len(b) != n:
-        raise MatrixError("right-hand side length mismatch")
-    bf = [Fraction(v) for v in b]
-    den = lcm(*(v.denominator for v in bf))
-    rows = [list(row) + [int(bf[i] * den)] for i, row in enumerate(a.entries)]
-    solved = _solve_augmented(rows)
-    if solved is None or len(solved[0]) < n:
-        raise SingularMatrixError("matrix is singular")
-    values = solved[1]
-    return tuple(values[c] / den for c in range(n))
-
-
 def cramer_solve(a: IntegerMatrix, b) -> tuple[Fraction, ...]:
     """Solve A.x = b for square nonsingular A via Cramer's rule.
 
@@ -331,17 +315,28 @@ def format_rational(x) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def _position(line_no: int, line: str, index: int) -> str:
+    """"line L, col C" of the index-th entry of line, or of its end."""
+    starts = [m.start() for m in re.finditer(r"\S+", line)] + [len(line.rstrip())]
+    return "line %d, col %d" % (line_no, starts[index])
+
+
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse the text format: first line "m n", then m rows of n integers.
 
-    `#` starts a comment that runs to the end of its line.
+    `#` starts a comment that runs to the end of its line.  A row with the
+    wrong number of entries or a non-integer entry is reported at its
+    line, counting comment and blank lines, and 0-based column.
     """
     # tolerate unicode minus in hand-written files
-    lines = [ln.split("#", 1)[0].strip() for ln in text.replace("−", "-").splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [
+        (line_no, ln.split("#", 1)[0])
+        for line_no, ln in enumerate(text.replace("−", "-").splitlines(), start=1)
+    ]
+    lines = [(line_no, ln) for line_no, ln in lines if ln.strip()]
     if not lines:
         raise MatrixError("empty matrix input")
-    header = lines[0].split()
+    header = lines[0][1].split()
     if len(header) != 2:
         raise MatrixError("first line must be 'm n'")
     try:
@@ -353,14 +348,22 @@ def parse_matrix(text: str) -> IntegerMatrix:
     if len(lines) != m + 1:
         raise MatrixError("expected %d data rows, got %d" % (m, len(lines) - 1))
     rows = []
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != n:
-            raise MatrixError("expected %d entries per row, got %d" % (n, len(parts)))
-        try:
-            rows.append([int(p) for p in parts])
-        except ValueError as exc:
-            raise MatrixError("non-integer entry in %r" % ln) from exc
+            raise MatrixError(
+                "%s: expected %d entries per row, got %d"
+                % (_position(line_no, ln, min(n, len(parts))), n, len(parts))
+            )
+        row = []
+        for index, p in enumerate(parts):
+            try:
+                row.append(int(p))
+            except ValueError as exc:
+                raise MatrixError(
+                    "%s: non-integer entry %r" % (_position(line_no, ln, index), p)
+                ) from exc
+        rows.append(row)
     return IntegerMatrix.from_rows(rows)
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from relmag.circuits import Circuit
-from relmag.matrices import IntegerMatrix, nullspace_basis, primitive_vector
+from relmag.matrices import IntegerMatrix, _solve_augmented, nullspace_basis, primitive_vector
 from relmag.systems import SumEquation, System, UnitEquation
 
 
@@ -32,6 +34,23 @@ def oracle_circuits(a: IntegerMatrix) -> list[Circuit]:
             out.append(Circuit(support=idx, vector=primitive_vector(vec)))
     out.sort(key=lambda c: c.support)
     return out
+
+
+def solve_square(a: IntegerMatrix, b) -> tuple[Fraction, ...] | None:
+    """Solve A.x = b through matrices._solve_augmented, the kernel that
+    systems.solve_assembled and the reduction run.
+
+    A rational b is scaled to integers by its common denominator first.
+    Returns None when A is singular: fewer than n pivots, or b outside
+    the column space.
+    """
+    b = [Fraction(v) for v in b]
+    den = lcm(*(v.denominator for v in b))
+    rows = [list(row) + [int(v * den)] for row, v in zip(a.entries, b)]
+    solved = _solve_augmented(rows)
+    if solved is None or len(solved[0]) < a.cols:
+        return None
+    return tuple(solved[1][c] / den for c in range(a.cols))
 
 
 def random_matrix(rng: random.Random, m: int, n: int, lo: int = -3, hi: int = 3) -> IntegerMatrix:

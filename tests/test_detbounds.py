@@ -1,11 +1,13 @@
 """Determinant closed forms, Hadamard-Fischer, coefficient bounds."""
 
-import math
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import random_system
 
+import relmag.detbounds
+import relmag.matrices
 from relmag.detbounds import (
     ChainBlockSpec,
     LemmaViolationError,
@@ -138,6 +140,11 @@ class TestCoefficientBounds:
                     assert prod <= k ** (2 * t)
 
 
+# two chains x1 -> x2 -> x3 and x4 -> x5 -> x6 joined by a residual row;
+# x7 occurs in a residual row only, so its column is case 2
+MULTI_CHAIN = "k=3; x1=1; 3x2=x1; 3x3=x2; 3x5=x4; 3x6=x5; x4-x1-x2-x3=0; x7-x1-x3=0"
+
+
 def _certify_args(system):
     """(asm, x, det A): the arguments certify_solution_bound takes."""
     reduced, _ = reduce_system(system)
@@ -185,22 +192,48 @@ class TestCertification:
         assert len(d["columns"]) == 3
         assert "certification: max=4 sharp=yes OK" in rep.to_text()
 
-    def test_one_gram_per_system(self, monkeypatch):
+    def test_chain_structure_enforced(self):
+        asm, x, det_a = _certify_args(extremal_system(2, 4))
+        rows = [list(r) for r in asm.matrix.entries]
+        rows[2] = [0, 2, 0, -1]  # the second chain row skips chain column 2
+        with pytest.raises(ValueError, match="not supported on columns 1, 2"):
+            certify_solution_bound(replace(asm, matrix=IntegerMatrix.from_rows(rows)), x, det_a)
+        rows[2] = [0, 2, -2, 0]  # the right support, but no longer a B_3 block
+        with pytest.raises(LemmaViolationError, match="closed form det B_3"):
+            certify_solution_bound(replace(asm, matrix=IntegerMatrix.from_rows(rows)), x, det_a)
+
+    def test_no_gram_or_determinant(self, monkeypatch):
+        """Certification eliminates no matrix: it reads det U_i from the solve."""
         calls = []
-        real = IntegerMatrix.gram
-        monkeypatch.setattr(IntegerMatrix, "gram", lambda m: calls.append(m) or real(m))
-        for text in (extremal_dsl(2, 6), "k=3; x1=1; 3x2=x1; x1+x2-x4=0"):
+        real_gram = IntegerMatrix.gram
+        monkeypatch.setattr(IntegerMatrix, "gram", lambda m: calls.append("gram") or real_gram(m))
+        for module in (relmag.detbounds, relmag.matrices):
+            monkeypatch.setattr(
+                module, "determinant", lambda m: calls.append("determinant") or determinant(m)
+            )
+        real_echelon = relmag.matrices._echelon
+        monkeypatch.setattr(
+            relmag.matrices, "_echelon", lambda rows: calls.append("_echelon") or real_echelon(rows)
+        )
+        for text in (extremal_dsl(2, 6), "k=3; x1=1; 3x2=x1; x1+x2-x4=0", MULTI_CHAIN):
             args = self._assembled(text)
             calls.clear()
             rep = certify_solution_bound(*args)
-            assert rep.n > 1 and rep.all_ok and len(calls) == 1
+            assert rep.n > 1 and rep.all_ok and calls == []
 
     def test_matches_dense_gram(self):
-        """Each column's det W_i and block-minor product equal a dense U_i U_i^T."""
-        systems = [extremal_system(k, n) for k in (2, 3) for n in range(2, 17)]
+        """Every column agrees with a dense U_i and W_i = U_i U_i^T.
+
+        det U_i, with its sign, is the Bareiss determinant of U_i, and
+        det W_i, the block-minor product and the Hadamard-Fischer verdict are
+        hadamard_fischer_check's on the dense W_i.
+        """
+        systems = [extremal_system(k, n) for k in (2, 3, 4) for n in range(2, 17)]
+        systems.append(parse_system(MULTI_CHAIN))
         rng = random.Random(4)
         systems += [random_system(rng) for _ in range(300)]
         checked = 0
+        cases = set()
         for system in systems:
             try:
                 asm, x, det_a = _certify_args(system)
@@ -212,12 +245,14 @@ class TestCertification:
             blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
             blocks += [[r - 1] for r in asm.type3_rows]
             for i, entry in enumerate(rep.entries):
-                w = asm.matrix.delete_row_col(0, i).gram()
-                minors = [
-                    determinant(IntegerMatrix.from_rows([[w.row(r)[c] for c in b] for r in b]))
-                    for b in blocks
-                ]
-                assert entry.det_w == determinant(w)
-                assert entry.hf_product == math.prod(minors)
+                u = asm.matrix.delete_row_col(0, i)
+                holds, det_w, hf_product, _ = hadamard_fischer_check(u.gram(), blocks)
+                assert entry.det_u == determinant(u)
+                assert entry.det_w == det_w
+                assert entry.hf_product == hf_product
+                assert (entry.det_w <= entry.hf_product) == holds
+                cases.add((len(asm.chain_rows) > 1, entry.case))
                 checked += 1
         assert checked > 400
+        # case-2 columns and columns cutting one of several chains both occur
+        assert {(True, 1), (True, 2)} <= cases

@@ -1,9 +1,11 @@
 """Exact integer/rational linear algebra primitives."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from conftest import solve_square
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,6 @@ from relmag.matrices import (
     parse_matrix,
     primitive_vector,
     rank,
-    solve_unique,
 )
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -149,7 +150,7 @@ class TestPrimitiveVector:
 class TestSolvers:
     def test_unique_solution(self):
         a = square([[2, 1], [1, 3]])
-        x = solve_unique(a, [5, 10])
+        x = solve_square(a, [5, 10])
         assert x == (Fraction(1), Fraction(3))
         assert cramer_solve(a, [5, 10]) == x
 
@@ -162,15 +163,15 @@ class TestSolvers:
             if determinant(a) == 0:
                 continue
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-            x = solve_unique(a, b)
+            x = solve_square(a, b)
             assert cramer_solve(a, b) == x
             assert list(a.apply(x)) == [Fraction(v) for v in b]
             done += 1
 
     def test_singular_rejected(self):
         a = square([[1, 2], [2, 4]])
-        with pytest.raises(SingularMatrixError):
-            solve_unique(a, [1, 1])
+        assert solve_square(a, [1, 1]) is None  # b outside the column space
+        assert solve_square(a, [1, 2]) is None  # fewer than n pivots
         with pytest.raises(SingularMatrixError):
             cramer_solve(a, [1, 1])
 
@@ -198,6 +199,15 @@ class TestTextFormat:
     def test_bad_input(self):
         for text in ["", "2 2\n1 2\n", "1 2\n1 2 3\n", "1 1\nx\n"]:
             with pytest.raises(MatrixError):
+                parse_matrix(text)
+        # rows are reported at their real line, comment and blank lines included
+        for text, where in [
+            ("1 2\n1 2 3\n", "line 2, col 4: expected 2 entries per row, got 3"),
+            ("1 1\nx\n", "line 2, col 0: non-integer entry 'x'"),
+            ("# m n\n\n2 3\n1 2 3\n# next\n4 5\n", "line 6, col 3: expected 3 entries"),
+            ("2 2\n1 2\n3  4.0  # bad\n", "line 3, col 3: non-integer entry '4.0'"),
+        ]:
+            with pytest.raises(MatrixError, match="^" + re.escape(where)):
                 parse_matrix(text)
 
     def test_format_rational(self):

@@ -1,6 +1,7 @@
 """Differential tests of the elimination kernel against sympy.
 
-rank, determinant, nullspace_basis and solve_unique all run on the one
+rank, determinant, nullspace_basis and _solve_augmented (the solver behind
+systems.solve_assembled and the reduction) all run on the one
 fraction-free echelon routine in relmag.matrices, and so does the brute
 force circuit oracle in conftest (through nullspace_basis).  sympy's exact
 rational linear algebra is an outside reference for all four.
@@ -10,15 +11,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import solve_square
 
 from relmag.matrices import (
     IntegerMatrix,
-    SingularMatrixError,
     determinant,
     nullspace_basis,
     primitive_vector,
     rank,
-    solve_unique,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -60,7 +60,7 @@ def test_determinant_matches_sympy():
         assert determinant(IntegerMatrix.from_rows(rows)) == sympy.Matrix(rows).det()
 
 
-def test_solve_unique_matches_sympy():
+def test_solve_augmented_matches_sympy():
     rng = random.Random(20261020)
     singular = 0
     for _ in range(1000):
@@ -71,10 +71,9 @@ def test_solve_unique_matches_sympy():
         a = IntegerMatrix.from_rows(rows)
         if ref.det() == 0:
             singular += 1
-            with pytest.raises(SingularMatrixError):
-                solve_unique(a, b)
+            assert solve_square(a, b) is None
             continue
         rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
         expected = tuple(to_fraction(q) for q in ref.LUsolve(rhs))
-        assert solve_unique(a, b) == expected
+        assert solve_square(a, b) == expected
     assert singular > 100  # the rank-deficient products are exercised
