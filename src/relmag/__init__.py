@@ -18,8 +18,8 @@ from relmag.matrices import (
     nullspace_basis,
     rank,
 )
-from relmag.circuits import Circuit, enumerate_circuits, elementary_basis, is_elementary, min_support_size
-from relmag.magnitude import MagnitudeCertificate, classify_small_norm, omega_matrix_upper, omega_vector
+from relmag.circuits import Circuit, enumerate_circuits, elementary_basis, is_elementary
+from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper, omega_vector
 from relmag.systems import System, parse_system, reduce_system, chain_decompose, solve_and_certify
 from relmag.generators import extremal_matrix, extremal_dsl
 
@@ -37,9 +37,7 @@ __all__ = [
     "enumerate_circuits",
     "elementary_basis",
     "is_elementary",
-    "min_support_size",
     "MagnitudeCertificate",
-    "classify_small_norm",
     "omega_matrix_upper",
     "omega_vector",
     "System",

@@ -23,14 +23,6 @@ class EnumerationTooLarge(ValueError):
     """Refused an exponential enumeration; pass allow_large to override."""
 
 
-class TrivialNullspaceError(ValueError):
-    """The null space contains only the zero vector."""
-
-
-class SpanError(RuntimeError):
-    """The enumerated circuits do not span the null space (an enumeration bug)."""
-
-
 @dataclass(frozen=True)
 class Circuit:
     """support: sorted 0-based column indices; vector: full-length primitive."""
@@ -127,31 +119,12 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     return found
 
 
-def elementary_basis(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
-    """A linearly independent spanning subset of the circuits.
+def elementary_basis(a: IntegerMatrix) -> list[Circuit]:
+    """A basis of the null space made of circuits, from one elimination.
 
-    Greedy over the enumeration order; size is n - rank(A).
+    Each nullspace_basis ray is 1 at one free column, 0 at the others and
+    otherwise supported on the independent pivot columns, so it is that
+    column's fundamental circuit with respect to the pivot basis, already
+    in canonical primitive form.  There are n - rank(A) of them.
     """
-    target = a.cols - rank(a)
-    if target == 0:
-        return []
-    chosen: list[Circuit] = []
-    rows: list[list[int]] = []
-    for circ in enumerate_circuits(a, allow_large=allow_large):
-        cand = rows + [list(circ.vector)]
-        if rank(IntegerMatrix.from_rows(cand)) > len(rows):
-            chosen.append(circ)
-            rows = cand
-            if len(chosen) == target:
-                break
-    if len(chosen) != target:
-        raise SpanError("circuits failed to span the null space")
-    return chosen
-
-
-def min_support_size(a: IntegerMatrix, allow_large: bool = False) -> int:
-    """Least number of nonzero coordinates over nonzero null vectors."""
-    circs = enumerate_circuits(a, allow_large=allow_large)
-    if not circs:
-        raise TrivialNullspaceError("null space is trivial")
-    return min(len(c.support) for c in circs)
+    return [Circuit(support=_support(v), vector=v) for v in nullspace_basis(a)]

@@ -20,6 +20,7 @@ from relmag.circuits import EnumerationTooLarge, enumerate_circuits
 from relmag.magnitude import omega_matrix_upper
 from relmag.matrices import MatrixError, format_matrix, parse_matrix
 from relmag.systems import (
+    MAX_VARIABLES,
     BoundViolationError,
     ChainIntersectionError,
     ReductionError,
@@ -149,7 +150,7 @@ def solve(system_path, fmt, no_certify):
 
 @main.command("gen-extremal")
 @click.option("--k", type=click.IntRange(min=2), required=True)
-@click.option("--n", type=click.IntRange(min=2), required=True)
+@click.option("--n", type=click.IntRange(2, MAX_VARIABLES), required=True)
 @click.option(
     "--mode", type=click.Choice(["homogeneous", "system"]), default="homogeneous",
     help="Emit the chain matrix or the x1=1 system DSL.",

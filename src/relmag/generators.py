@@ -10,14 +10,14 @@ k^(n-1) solution bound.
 from __future__ import annotations
 
 from relmag.matrices import IntegerMatrix
-from relmag.systems import System, SumEquation, UnitEquation
+from relmag.systems import MAX_VARIABLES, System, SumEquation, UnitEquation
 
 
 def _check_params(k: int, n: int) -> None:
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
-    if n < 2:
-        raise ValueError("n must be >= 2, got %d" % n)
+    if not 2 <= n <= MAX_VARIABLES:
+        raise ValueError("n must be in 2..%d, got %d" % (MAX_VARIABLES, n))
 
 
 def extremal_matrix(k: int, n: int) -> IntegerMatrix:

@@ -5,7 +5,8 @@ absolute coordinate to its smallest nonzero absolute coordinate.  For a
 matrix it is the minimum over nonzero null vectors, 0 by convention when
 the null space is trivial.  The certificate records the circuit-based
 upper bound together with the per-clause verdicts of the sharp bound
-(norm - 1)^rank and its min-support refinement.
+(norm - 1)^rank and its min-support refinement t, or, for norm <= 2,
+of the dichotomy omega in {0, 1} (every circuit has ratio 1).
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from fractions import Fraction
 
 from relmag.circuits import Circuit, enumerate_circuits
 from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, rank
-
-
-class PropositionViolation(AssertionError):
-    """A proved statement failed on a concrete instance; must never fire."""
 
 
 def omega_vector(x) -> Fraction:
@@ -153,36 +150,3 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
         sharp=sharp,
         checks=tuple(checks),
     )
-
-
-@dataclass(frozen=True)
-class SmallNormVerdict:
-    omega: Fraction  # 0 or 1
-    circuits_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "omega": format_rational(self.omega),
-            "circuits_checked": self.circuits_checked,
-        }
-
-
-def classify_small_norm(a: IntegerMatrix, allow_large: bool = False) -> SmallNormVerdict:
-    """Verify the norm <= 2 dichotomy: matrix magnitude is 0 or 1.
-
-    Checks every circuit has unit magnitude ratio and raises
-    PropositionViolation otherwise (which would falsify a proved fact).
-    """
-    norm = infinity_norm(a)
-    if norm >= 3:
-        raise ValueError("classify_small_norm requires infinity norm <= 2, got %d" % norm)
-    circs = enumerate_circuits(a, allow_large=allow_large)
-    for c in circs:
-        w = omega_vector(c.restricted())
-        if w != 1:
-            raise PropositionViolation(
-                "circuit %s has magnitude ratio %s on a norm-%d matrix"
-                % (c.to_line(), w, norm)
-            )
-    omega = Fraction(0) if not circs else Fraction(1)
-    return SmallNormVerdict(omega=omega, circuits_checked=len(circs))

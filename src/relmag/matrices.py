@@ -69,9 +69,6 @@ class IntegerMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(tuple(zip(*self.entries)))
 

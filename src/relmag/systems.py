@@ -25,6 +25,11 @@ from relmag.matrices import (
 )
 
 
+# Largest variable index a system may use: every reduction row is dense in
+# the variables, so the index, not the equation count, sets the cost.
+MAX_VARIABLES = 4096
+
+
 class SystemError_(ValueError):
     """Base for constraint-system errors."""
 
@@ -113,6 +118,10 @@ class System:
             raise SystemError_("k must be >= 2, got %d" % self.k)
         if self.nvars < 1:
             raise SystemError_("system needs at least one variable")
+        if self.nvars > MAX_VARIABLES:
+            raise SystemError_(
+                "system has %d variables, limit is %d" % (self.nvars, MAX_VARIABLES)
+            )
         for eq in self.equations:
             if isinstance(eq, UnitEquation):
                 if eq.sign not in (1, -1):
@@ -183,6 +192,12 @@ def _parse_side(s: str, line_no: int, col_base: int):
                 raise ParseError("zero coefficient", line_no, col_base + pos)
             if var < 1:
                 raise ParseError("variable indices start at 1", line_no, col_base + pos)
+            if var > MAX_VARIABLES:
+                raise ParseError(
+                    "variable index %d exceeds the limit %d" % (var, MAX_VARIABLES),
+                    line_no,
+                    col_base + pos,
+                )
             terms.append((sign * coeff, var))
         else:
             m = _NUM.match(s, pos)
@@ -205,7 +220,8 @@ def parse_system(text: str) -> System:
     Grammar: optional ``k=<int>`` header (default 2); statements separated
     by ';' or newlines; equations ``xI = 1``, ``xI = -1``,
     ``+-xI +- xJ ... = 0`` and the sugar ``xI + xJ = xK``.  Coefficients
-    like ``3x1`` abbreviate repeated unit terms.
+    like ``3x1`` abbreviate repeated unit terms.  Variable indices run
+    from 1 to MAX_VARIABLES.
     """
     text = text.replace("−", "-")
     k = 2
@@ -260,7 +276,9 @@ def _parse_equation(s: str, line_no: int, col_base: int) -> Equation:
     if len(terms) == 1 and abs(terms[0][0]) == 1 and abs(const) == 1:
         coeff, var = terms[0]
         return UnitEquation(var=var, sign=-const * coeff)
-    raise ParseError("right-hand side must be 0, 1 or -1", line_no, col_base)
+    if abs(const) > 1:
+        raise ParseError("right-hand side must be 0, 1 or -1", line_no, col_base)
+    raise ParseError("a right-hand side of +-1 needs a single term +-xI", line_no, col_base)
 
 
 # ---------------------------------------------------------------------------

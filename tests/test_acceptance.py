@@ -13,7 +13,7 @@ from itertools import product
 from conftest import oracle_circuits, random_matrix, random_system
 from relmag.circuits import enumerate_circuits
 from relmag.generators import extremal_matrix, extremal_system
-from relmag.magnitude import classify_small_norm, omega_matrix_upper, omega_vector
+from relmag.magnitude import omega_matrix_upper, omega_vector
 from relmag.matrices import IntegerMatrix, infinity_norm, rank
 from relmag.systems import UnsolvableSystemError, check_solution, solve_and_certify
 from relmag.detbounds import verify_coefficient_bounds, verify_recurrences
@@ -134,12 +134,18 @@ def _small_norm_corpus():
 def test_criterion_6_small_norm_dichotomy():
     start = time.monotonic()
     corpus = _small_norm_corpus()
-    circuits = 0
+    ok = True
+    nontrivial = 0
     for a in corpus:
-        verdict = classify_small_norm(a)  # raises if any circuit has omega != 1
-        circuits += verdict.circuits_checked
-    _report(6, "small-norm dichotomy", True, time.monotonic() - start, 60,
-            "%d matrices exhaustive, %d circuits all omega=1" % (len(corpus), circuits))
+        cert = omega_matrix_upper(a)
+        ok = ok and cert.verdict and cert.omega_upper in (0, 1)
+        if cert.nullity:
+            # the verdict includes the check that every circuit has omega 1
+            ok = ok and dict(cert.checks).get("small_norm_all_circuits_unit") is True
+            nontrivial += 1
+    _report(6, "small-norm dichotomy", ok, time.monotonic() - start, 60,
+            "%d matrices exhaustive, every circuit of the %d with a nontrivial "
+            "null space omega=1" % (len(corpus), nontrivial))
 
 
 def test_criterion_7_elementary_vector_bound():

@@ -5,16 +5,12 @@ import random
 import pytest
 
 from conftest import oracle_circuits, random_matrix
-from relmag import circuits
 from relmag.circuits import (
     Circuit,
     EnumerationTooLarge,
-    SpanError,
-    TrivialNullspaceError,
     elementary_basis,
     enumerate_circuits,
     is_elementary,
-    min_support_size,
 )
 from relmag.generators import extremal_matrix
 from relmag.matrices import IntegerMatrix, rank
@@ -38,8 +34,7 @@ def test_chain_matrix_single_ray():
 def test_full_rank_no_circuits():
     a = IntegerMatrix.from_rows([[1, 0], [0, 1]])
     assert enumerate_circuits(a) == []
-    with pytest.raises(TrivialNullspaceError):
-        min_support_size(a)
+    assert elementary_basis(a) == []
 
 
 def test_is_elementary():
@@ -88,9 +83,11 @@ def test_circuits_are_elementary_and_primitive():
 
 def test_elementary_basis_spans():
     rng = random.Random(41)
-    for _ in range(100):
-        a = random_matrix(rng, rng.randint(1, 3), rng.randint(2, 6))
+    for _ in range(300):
+        a = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 7))
         basis = elementary_basis(a)
+        circs = enumerate_circuits(a)
+        assert all(c in circs for c in basis)
         nullity = a.cols - rank(a)
         assert len(basis) == nullity
         if basis:
@@ -98,19 +95,13 @@ def test_elementary_basis_spans():
             assert rank(stacked) == nullity
 
 
-def test_elementary_basis_raises_when_circuits_do_not_span(monkeypatch):
-    a = IntegerMatrix.from_rows([[1, -1, 0]])  # circuits {1,2} and {3}, nullity 2
-    assert len(elementary_basis(a)) == 2
-    real = circuits.enumerate_circuits
-    monkeypatch.setattr(
-        circuits, "enumerate_circuits", lambda a, allow_large=False: real(a)[1:]
-    )
-    with pytest.raises(SpanError):
-        elementary_basis(a)
-
-
-def test_min_support_size():
-    a = IntegerMatrix.from_rows([[1, 1, 1]])
-    assert min_support_size(a) == 2
-    chain = IntegerMatrix.from_rows([[2, -1, 0], [0, 2, -1]])
-    assert min_support_size(chain) == 3
+def test_elementary_basis_beyond_enumeration_limit():
+    rng = random.Random(43)
+    a = random_matrix(rng, 30, 90, lo=-1, hi=1)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_circuits(a)
+    basis = elementary_basis(a)
+    assert len(basis) == 90 - rank(a)
+    for c in basis:
+        assert is_elementary(a, c.vector)
+        assert c.support == tuple(j for j, v in enumerate(c.vector) if v != 0)

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from relmag import circuits, cli, detbounds
 from relmag.cli import main
-from relmag.systems import BoundViolationError, ReductionError
+from relmag.systems import MAX_VARIABLES, BoundViolationError, ReductionError
 
 runner = CliRunner()
 
@@ -184,6 +184,7 @@ class TestGenerators:
     def test_bad_params(self):
         assert invoke("gen-extremal", "--k", "1", "--n", "3").exit_code == 2
         assert invoke("gen-extremal", "--k", "2", "--n", "1").exit_code == 2
+        assert invoke("gen-extremal", "--k", "2", "--n", str(MAX_VARIABLES + 1)).exit_code == 2
 
 
 class TestVerifyLemmas:

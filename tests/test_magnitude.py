@@ -7,11 +7,7 @@ import pytest
 
 from conftest import random_matrix
 from relmag.generators import extremal_matrix
-from relmag.magnitude import (
-    classify_small_norm,
-    omega_matrix_upper,
-    omega_vector,
-)
+from relmag.magnitude import omega_matrix_upper, omega_vector
 from relmag.matrices import IntegerMatrix, infinity_norm
 
 
@@ -69,6 +65,11 @@ class TestOmegaMatrix:
         assert cert.min_support == 2
         assert cert.verdict
 
+    def test_min_support(self):
+        chain = omega_matrix_upper(IntegerMatrix.from_rows([[2, -1, 0], [0, 2, -1]]))
+        assert chain.min_support == 3
+        assert omega_matrix_upper(IntegerMatrix.from_rows([[1, 0], [0, 1]])).min_support is None
+
     def test_checks_hold_randomized(self):
         rng = random.Random(47)
         for _ in range(300):
@@ -90,19 +91,20 @@ class TestOmegaMatrix:
 
 
 class TestSmallNorm:
-    def test_rejects_large_norm(self):
-        with pytest.raises(ValueError):
-            classify_small_norm(IntegerMatrix.from_rows([[2, 1]]))
+    """For norm <= 2 the certificate checks that every circuit has ratio 1."""
 
     def test_zero_matrix(self):
-        v = classify_small_norm(IntegerMatrix.from_rows([[0, 0]]))
-        assert v.omega == 1  # every singleton column is a circuit of ratio 1
+        cert = omega_matrix_upper(IntegerMatrix.from_rows([[0, 0]]))
+        assert cert.omega_upper == 1  # every singleton column is a circuit of ratio 1
+        assert dict(cert.checks)["small_norm_all_circuits_unit"]
 
     def test_dichotomy_examples(self):
-        v = classify_small_norm(IntegerMatrix.from_rows([[1, 1], [1, -1]]))
-        assert v.omega == 0 and v.circuits_checked == 0
-        v = classify_small_norm(IntegerMatrix.from_rows([[1, -1, 0], [0, 1, -1]]))
-        assert v.omega == 1
+        cert = omega_matrix_upper(IntegerMatrix.from_rows([[1, 1], [1, -1]]))
+        assert cert.omega_upper == 0 and cert.nullity == 0 and cert.verdict
+        cert = omega_matrix_upper(IntegerMatrix.from_rows([[1, -1, 0], [0, 1, -1]]))
+        assert cert.omega_upper == 1
+        assert dict(cert.checks)["small_norm_all_circuits_unit"]
+        assert cert.theorem_bound is None and cert.support_bound is None
 
     def test_dichotomy_randomized(self):
         rng = random.Random(53)
@@ -111,6 +113,9 @@ class TestSmallNorm:
             a = random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5), lo=-1, hi=1)
             if infinity_norm(a) > 2:
                 continue
-            v = classify_small_norm(a)
-            assert v.omega in (0, 1)
+            cert = omega_matrix_upper(a)
+            assert cert.verdict, cert.to_text()
+            assert cert.omega_upper in (0, 1)
+            if cert.nullity:
+                assert dict(cert.checks)["small_norm_all_circuits_unit"]
             checked += 1

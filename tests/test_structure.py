@@ -1,7 +1,9 @@
-"""Module dependency rules, checked on the source syntax tree."""
+"""Module dependency rules, checked on the source syntax tree, and the exports."""
 
 import ast
 from pathlib import Path
+
+import relmag
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relmag"
 
@@ -62,3 +64,12 @@ def test_cli_has_one_try():
     tries = [node.lineno for node in ast.walk(_tree(SRC / "cli.py"))
              if isinstance(node, ast.Try)]
     assert len(tries) == 1, "cli.py has try statements at lines %s" % tries
+
+
+def test_all_names_resolve():
+    """Every exported name exists, so `from relmag import *` works."""
+    missing = [name for name in relmag.__all__ if not hasattr(relmag, name)]
+    assert not missing, "relmag.__all__ names missing attributes: %s" % missing
+    namespace = {}
+    exec("from relmag import *", namespace)
+    assert set(relmag.__all__) <= set(namespace)

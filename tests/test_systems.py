@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system
-from relmag.generators import extremal_dsl, extremal_system
+from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
 from relmag.matrices import determinant
 from relmag.systems import (
+    MAX_VARIABLES,
     BoundViolationError,
     ChainIntersectionError,
     ParseError,
@@ -86,6 +87,14 @@ class TestParser:
             parse_system("k=1; x1=1")  # k must be >= 2
         with pytest.raises(ParseError):
             parse_system("x1=1; x1+x2")  # missing '='
+        with pytest.raises(ParseError, match="right-hand side of \\+-1 needs a single term") as exc:
+            parse_system("x1=1\n  2x1 = 1")
+        assert (exc.value.line, exc.value.col) == (2, 2)
+        with pytest.raises(ParseError, match="right-hand side of \\+-1 needs a single term") as exc:
+            parse_system("x1 + x2 = 1")
+        assert (exc.value.line, exc.value.col) == (1, 0)
+        with pytest.raises(ParseError, match="right-hand side must be 0, 1 or -1"):
+            parse_system("x1 + x2 = 2")
 
     def test_weight_limit_enforced(self):
         with pytest.raises(ParseError):
@@ -138,6 +147,19 @@ class TestSystemValidation:
     def test_rejects_out_of_range_var(self):
         with pytest.raises(ValueError):
             System(k=2, nvars=1, equations=(UnitEquation(var=2, sign=1),))
+
+    def test_variable_limit(self):
+        # parsed, not solved: the limit bounds the size of the dense reduction
+        assert parse_system("x%d=1" % MAX_VARIABLES).nvars == MAX_VARIABLES
+        with pytest.raises(ParseError, match="exceeds the limit") as exc:
+            parse_system("x1=1\nx1 - x%d = 0" % (MAX_VARIABLES + 1))
+        assert (exc.value.line, exc.value.col) == (2, 5)
+        with pytest.raises(ValueError, match="limit is %d" % MAX_VARIABLES):
+            System(k=2, nvars=MAX_VARIABLES + 1, equations=(UnitEquation(var=1, sign=1),))
+        with pytest.raises(ValueError):
+            extremal_matrix(2, MAX_VARIABLES + 1)
+        with pytest.raises(ValueError):
+            extremal_system(2, MAX_VARIABLES + 1)
 
     def test_rejects_overweight(self):
         with pytest.raises(ValueError):
