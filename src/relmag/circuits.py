@@ -10,10 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from relmag.matrices import IntegerMatrix, rank, nullspace_basis
+from relmag.matrices import (
+    IntegerMatrix,
+    _bareiss_step,
+    _back_substitute,
+    nullspace_basis,
+    primitive_vector,
+    rank,
+)
 
 # Every matrix of at most 24 columns has fewer candidate supports than this.
 CANDIDATE_LIMIT = 2 ** 24
@@ -73,13 +79,19 @@ def is_elementary(a: IntegerMatrix, x) -> bool:
 def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
     """All circuits of A, canonical form, sorted lexicographically by support.
 
-    Candidate supports are explored by increasing cardinality inside the
-    support of the null space, up to rank(A) + 1 (no circuit is larger); a
-    support I qualifies when the null space of the column submatrix A_I is
-    a single ray with no zero entry.  Supersets of a found support are
-    pruned (they cannot be minimal).  Raises EnumerationTooLarge when
-    there are more than CANDIDATE_LIMIT candidate supports, unless
-    allow_large is set.
+    A circuit is a minimal dependent column set, and every circuit lies in
+    the support of the null space.  The walk goes depth first over the
+    independent sets S of those columns, each taken in increasing column
+    order and carrying the Bareiss echelon rows of A pivoted on S.  A
+    later column j that has no entry below the pivot rows depends on S:
+    back substitution gives the unique null vector on S + {j}, and S + {j}
+    is a circuit iff that vector has no zero entry, so each circuit C is
+    found once, from C minus its largest column.  Any other later column
+    is independent of S: one Bareiss step on it extends the rows, and
+    S + {j} is walked in turn.  A dependent set is never extended.
+    Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
+    candidate supports (column sets of the null-space support of at most
+    rank(A) + 1 columns), unless allow_large is set.
     """
     basis = nullspace_basis(a)
     d = len(basis)
@@ -96,25 +108,34 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
             "circuit enumeration would test %d candidate supports (limit %d)"
             % (candidates, CANDIDATE_LIMIT)
         )
+    # the walk runs on A restricted to cols, in local column indices
+    width = len(cols)
+    m = a.rows
     found: list[Circuit] = []
-    found_masks: list[int] = []
-    for size in range(1, max_size + 1):
-        for idx in combinations(cols, size):
-            mask = 0
-            for j in idx:
-                mask |= 1 << j
-            if any(fm & mask == fm for fm in found_masks):
+    # (S, echelon rows pivoted on S, last pivot); an explicit stack, so a
+    # high rank cannot exhaust the recursion limit
+    stack = [((), [[row[c] for c in cols] for row in a.entries], 1)]
+    while stack:
+        sset, rows, prev = stack.pop()
+        r = len(sset)
+        for j in range(sset[-1] + 1 if sset else 0, width):
+            piv = next((i for i in range(r, m) if rows[i][j]), None)
+            if piv is None:
+                x = [0] * width
+                x[j] = 1
+                _back_substitute(rows, sset, x)
+                if all(x[s] for s in sset):
+                    vec = [0] * a.cols
+                    for c, v in zip(cols, primitive_vector(x)):
+                        vec[c] = v
+                    support = tuple(cols[s] for s in sset) + (cols[j],)
+                    found.append(Circuit(support=support, vector=tuple(vec)))
                 continue
-            rays = nullspace_basis(a.column_submatrix(idx))
-            # a zero entry would mean the ray's support is smaller than idx
-            if len(rays) != 1 or 0 in rays[0]:
-                continue
-            # rays[0] is primitive, so its zero-padded extension is too
-            vec = [0] * a.cols
-            for j, v in zip(idx, rays[0]):
-                vec[j] = v
-            found.append(Circuit(support=idx, vector=tuple(vec)))
-            found_masks.append(mask)
+            # the pivot rows are never written again, so they are shared
+            ext = rows[:r] + [row[:] for row in rows[r:]]
+            ext[r], ext[piv] = ext[piv], ext[r]
+            _bareiss_step(ext, r, j, prev)
+            stack.append((sset + (j,), ext, ext[r][j]))
     found.sort(key=lambda c: c.support)
     return found
 

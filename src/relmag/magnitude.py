@@ -19,12 +19,16 @@ from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, rank
 
 
 def omega_vector(x) -> Fraction:
-    """max |x_i| over all coordinates / min |x_i| over nonzero ones."""
-    vals = [abs(Fraction(v)) for v in x]
-    nonzero = [v for v in vals if v != 0]
+    """max |x_i| over all coordinates / min |x_i| over nonzero ones.
+
+    Entries are ints or Fractions, compared as they are; only the
+    quotient is built as a Fraction.
+    """
+    vals = [abs(v) for v in x]
+    nonzero = [v for v in vals if v]
     if not nonzero:
         raise ValueError("relative magnitude of the zero vector is undefined")
-    return max(vals) / min(nonzero)
+    return Fraction(max(vals)) / min(nonzero)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Everything here operates on arbitrary-precision Python ints and
 fractions.Fraction, so results are always exact.  One fraction-free
-(Bareiss) row echelon routine, ``_echelon``, and one integer back
-substitution, ``_back_substitute``, carry all elimination: rank,
-determinant and null space here, and the reduction of unit systems and
-the circuit test elsewhere.  ``_solve_augmented`` joins the two for
-A.x = b, shared by the reduction and the assembled-system solve.
+(Bareiss) pivot step, ``_bareiss_step``, and one integer back
+substitution, ``_back_substitute``, carry all elimination: ``_echelon``
+repeats the step for rank, determinant and null space here and for the
+reduction of unit systems, and the circuit walk takes one step per
+column it adds to an independent set.  ``_solve_augmented`` joins
+``_echelon`` and the back substitution for A.x = b, shared by the
+reduction and the assembled-system solve.
 Cramer's rule and a zero-skipping cofactor expansion are kept as
 independent cross-check routes.
 """
@@ -142,23 +144,33 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        prow = rows[r]
-        p = prow[c]
-        # element by element in place: faster than rebuilding rows here
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[c]
-            if f:
-                for j in range(c + 1, n):
-                    row[j] = (row[j] * p - f * prow[j]) // prev
-                row[c] = 0
-            elif p != prev:
-                for j in range(c + 1, n):
-                    row[j] = row[j] * p // prev
+        _bareiss_step(rows, r, c, prev)
         pivots.append(c)
-        prev = p
+        prev = rows[r][c]
         r += 1
     return pivots, sign
+
+
+def _bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None:
+    """Clear column c below the pivot rows[r][c], in place.
+
+    prev is the previous pivot (1 before the first), which divides every
+    update exactly.  Only the columns after c are updated.
+    """
+    prow = rows[r]
+    p = prow[c]
+    n = len(prow)
+    # element by element in place: faster than rebuilding rows here
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        f = row[c]
+        if f:
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[c] = 0
+        elif p != prev:
+            for j in range(c + 1, n):
+                row[j] = row[j] * p // prev
 
 
 def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:

@@ -107,6 +107,19 @@ class SumEquation:
 Equation = UnitEquation | SumEquation
 
 
+def _overweight_message(eq: SumEquation, k: int) -> str:
+    """The error for an equation over the weight limit k + 1.
+
+    It writes the coefficients out, e.g. ``1000000x1-x2=0``, so its length
+    follows the input text; to_text would write one term per unit of weight.
+    """
+    text = "".join(
+        "%s%sx%d" % ("-" if c < 0 else "+", abs(c) if abs(c) != 1 else "", v)
+        for c, v in eq.terms
+    ).removeprefix("+")
+    return "equation %s=0 has %d unit terms, limit is k+1 = %d" % (text, eq.weight(), k + 1)
+
+
 @dataclass(frozen=True)
 class System:
     k: int
@@ -137,10 +150,7 @@ class System:
                     if not 1 <= v <= self.nvars:
                         raise SystemError_("variable x%d out of range" % v)
                 if eq.weight() > self.k + 1:
-                    raise SystemError_(
-                        "equation %s has %d unit terms, limit is k+1 = %d"
-                        % (eq.to_text(), eq.weight(), self.k + 1)
-                    )
+                    raise SystemError_(_overweight_message(eq, self.k))
 
     def unit_equations(self) -> list[UnitEquation]:
         return [e for e in self.equations if isinstance(e, UnitEquation)]
@@ -244,12 +254,7 @@ def parse_system(text: str) -> System:
                 else:
                     eq = _parse_equation(stripped, line_no, col)
                     if isinstance(eq, SumEquation) and eq.weight() > k + 1:
-                        raise ParseError(
-                            "equation %s has %d unit terms, limit is k+1 = %d"
-                            % (eq.to_text(), eq.weight(), k + 1),
-                            line_no,
-                            col,
-                        )
+                        raise ParseError(_overweight_message(eq, k), line_no, col)
                     equations.append(eq)
             offset += len(chunk) + 1
     if not equations:

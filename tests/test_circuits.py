@@ -1,10 +1,12 @@
 """Minimal-support null vector enumeration against the exhaustive oracle."""
 
 import random
+from math import comb
 
 import pytest
 
 from conftest import oracle_circuits, random_matrix
+from relmag import circuits
 from relmag.circuits import (
     Circuit,
     EnumerationTooLarge,
@@ -70,6 +72,77 @@ def test_matches_oracle_randomized():
         m, n = rng.randint(1, 3), rng.randint(2, 6)
         a = random_matrix(rng, m, n)
         assert enumerate_circuits(a) == oracle_circuits(a)
+
+
+def _edge_matrix(rng, kind):
+    """A random matrix of at most 4x8 with the structure that kind names."""
+    m, n = rng.randint(2, 4), rng.randint(2, 8)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if kind == "zero_columns":
+        for j in rng.sample(range(n), rng.randint(1, min(2, n))):
+            for row in rows:
+                row[j] = 0
+    elif kind == "parallel":
+        i, j = rng.sample(range(n), 2)
+        scale = rng.choice((-2, -1, 1, 2))
+        for row in rows:
+            row[j] = scale * row[i]
+    elif kind == "coloop":
+        # only column j meets row 0, so j is independent of the others
+        j = rng.randrange(n)
+        rows[0] = [rng.choice((-2, -1, 1, 2)) if c == j else 0 for c in range(n)]
+    else:  # rank deficient and wide: a product through r < m dimensions
+        n = rng.randint(m + 1, 8)
+        r = rng.randint(1, m - 1)
+        u = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        v = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(u[i][t] * v[t][c] for t in range(r)) for c in range(n)] for i in range(m)]
+    return IntegerMatrix.from_rows(rows)
+
+
+def test_matches_oracle_on_edge_cases():
+    rng = random.Random(71)
+    seen = {"size_1": 0, "parallel_pair": 0, "coloop": 0, "deficient": 0}
+    for trial in range(320):
+        kind = ("zero_columns", "parallel", "coloop", "low_rank")[trial % 4]
+        a = _edge_matrix(rng, kind)
+        circs = enumerate_circuits(a)
+        assert circs == oracle_circuits(a), (kind, a.entries)
+        if kind == "zero_columns":
+            seen["size_1"] += any(len(c.support) == 1 for c in circs)
+        elif kind == "parallel":
+            seen["parallel_pair"] += any(len(c.support) == 2 for c in circs)
+        elif kind == "coloop":
+            col = a.row(0).index(next(e for e in a.row(0) if e))
+            assert all(col not in c.support for c in circs)
+            seen["coloop"] += bool(circs)
+        else:
+            seen["deficient"] += rank(a) < a.rows
+    # every kind of draw produced what it is there to test
+    assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_walk_eliminates_once(monkeypatch):
+    """One null-space elimination per call and no matrix per candidate support."""
+    # Vandermonde rows on distinct nodes: every 4 columns are independent
+    a = IntegerMatrix.from_rows([[x ** i for x in range(1, 9)] for i in range(4)])
+    calls = {"nullspace_basis": 0, "IntegerMatrix": 0}
+    real_nullspace = circuits.nullspace_basis
+    real_init = IntegerMatrix.__post_init__
+
+    def counted_nullspace(m):
+        calls["nullspace_basis"] += 1
+        return real_nullspace(m)
+
+    def counted_init(self):
+        calls["IntegerMatrix"] += 1
+        real_init(self)
+
+    monkeypatch.setattr(circuits, "nullspace_basis", counted_nullspace)
+    monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
+    circs = enumerate_circuits(a)
+    assert len(circs) == comb(8, 5)  # in general position the circuits are the 5-sets
+    assert calls == {"nullspace_basis": 1, "IntegerMatrix": 0}
 
 
 def test_circuits_are_elementary_and_primitive():

@@ -21,6 +21,18 @@ class TestOmegaVector:
     def test_zero_vector_undefined(self):
         with pytest.raises(ValueError):
             omega_vector([0, 0])
+        with pytest.raises(ValueError):
+            omega_vector([Fraction(0), 0])
+
+    def test_int_and_fraction_inputs_agree(self):
+        rng = random.Random(45)
+        for _ in range(200):
+            x = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+            if not any(x):
+                continue
+            w = omega_vector(x)
+            assert type(w) is Fraction
+            assert w == omega_vector([Fraction(v) for v in x])
 
     def test_invariances(self):
         rng = random.Random(43)

@@ -196,6 +196,16 @@ class TestTextFormat:
             )
             assert parse_matrix(format_matrix(a)) == a
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(st.integers(), min_size=n, max_size=n), min_size=1, max_size=5)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, rows):
+        a = IntegerMatrix.from_rows(rows)
+        assert parse_matrix(format_matrix(a)) == a
+
     def test_bad_input(self):
         for text in ["", "2 2\n1 2\n", "1 2\n1 2 3\n", "1 1\nx\n"]:
             with pytest.raises(MatrixError):

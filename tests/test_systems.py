@@ -12,6 +12,7 @@ from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
 from relmag.matrices import determinant
 from relmag.systems import (
     MAX_VARIABLES,
+    AllHomogeneousError,
     BoundViolationError,
     ChainIntersectionError,
     ParseError,
@@ -99,6 +100,16 @@ class TestParser:
     def test_weight_limit_enforced(self):
         with pytest.raises(ParseError):
             parse_system("k=2; x1+x1+x1+x2=0")  # weight 4 > k+1 = 3
+
+    def test_weight_message_follows_the_text(self):
+        with pytest.raises(ParseError) as exc:
+            parse_system("k=2; 1000000x1 - x2 = 0")
+        message = str(exc.value)
+        assert len(message) < 200
+        assert "1000000x1-x2=0" in message and "1000001 unit terms" in message
+        assert (exc.value.line, exc.value.col) == (1, 5)
+        with pytest.raises(ValueError, match="1000000x1-x2=0 has 1000001 unit terms"):
+            System(k=2, nvars=2, equations=(SumEquation(terms=((1000000, 1), (-1, 2))),))
 
     def test_checks_after_parsing_carry_position(self):
         with pytest.raises(ParseError) as exc:
@@ -260,6 +271,16 @@ class TestReduction:
                 [abs(v) for v in x] or [Fraction(1)]
             )
             done += 1
+
+
+    @given(_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_reconstruct_solves_original_property(self, s):
+        try:
+            _, trace = reduce_system(s)
+        except (AllHomogeneousError, UnsolvableSystemError):
+            return
+        assert check_solution(s, trace.reconstruct())
 
 
 class TestChains:
