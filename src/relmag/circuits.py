@@ -88,7 +88,9 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     is a circuit iff that vector has no zero entry, so each circuit C is
     found once, from C minus its largest column.  Any other later column
     is independent of S: one Bareiss step on it extends the rows, and
-    S + {j} is walked in turn.  A dependent set is never extended.
+    S + {j} is walked in turn.  A dependent set is never extended.  The
+    step scales lazily, so each set also carries, per row, the pivot that
+    row is current at; only zero tests read the rows below the pivots.
     Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
     candidate supports (column sets of the null-space support of at most
     rank(A) + 1 columns), unless allow_large is set.
@@ -112,11 +114,12 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     width = len(cols)
     m = a.rows
     found: list[Circuit] = []
-    # (S, echelon rows pivoted on S, last pivot); an explicit stack, so a
-    # high rank cannot exhaust the recursion limit
-    stack = [((), [[row[c] for c in cols] for row in a.entries], 1)]
+    # (S, echelon rows pivoted on S, the pivot each row is current at, last
+    # pivot); an explicit stack, so a high rank cannot exhaust the
+    # recursion limit
+    stack = [((), [[row[c] for c in cols] for row in a.entries], [1] * m, 1)]
     while stack:
-        sset, rows, prev = stack.pop()
+        sset, rows, lag, prev = stack.pop()
         r = len(sset)
         for j in range(sset[-1] + 1 if sset else 0, width):
             piv = next((i for i in range(r, m) if rows[i][j]), None)
@@ -131,11 +134,14 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
                     support = tuple(cols[s] for s in sset) + (cols[j],)
                     found.append(Circuit(support=support, vector=tuple(vec)))
                 continue
-            # the pivot rows are never written again, so they are shared
+            # the pivot rows are never written again, so they are shared;
+            # the rest, and their lags, are copied for S + {j}
             ext = rows[:r] + [row[:] for row in rows[r:]]
+            ext_lag = lag[:]
             ext[r], ext[piv] = ext[piv], ext[r]
-            _bareiss_step(ext, r, j, prev)
-            stack.append((sset + (j,), ext, ext[r][j]))
+            ext_lag[r], ext_lag[piv] = ext_lag[piv], ext_lag[r]
+            _bareiss_step(ext, ext_lag, r, j, prev)
+            stack.append((sset + (j,), ext, ext_lag, ext[r][j]))
     found.sort(key=lambda c: c.support)
     return found
 

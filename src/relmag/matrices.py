@@ -9,6 +9,13 @@ reduction of unit systems, and the circuit walk takes one step per
 column it adds to an independent set.  ``_solve_augmented`` joins
 ``_echelon`` and the back substitution for A.x = b, shared by the
 reduction and the assembled-system solve.
+The step scales rows lazily.  Each row i below the pivot rows carries
+lag[i], the pivot at which it was last updated, and the dense Bareiss
+row is rows[i] * prev / lag[i], a minor of the input.  A row with a zero
+in the pivot column is not touched at all, so a chain matrix, nearly all
+zeros, is eliminated with O(n^2) row writes instead of O(n^3).  The pivot
+rows, the rank, the sign and so every result equal dense Bareiss
+elimination's.
 Cramer's rule and a zero-skipping cofactor expansion are kept as
 independent cross-check routes.
 """
@@ -123,12 +130,16 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     """Forward fraction-free (Bareiss) row echelon form, in place.
 
     Columns without a pivot are skipped.  After the pass, row r holds the
-    r-th pivot row; every entry below the pivots is zero and every division
-    is exact, so all entries stay integers (each is a minor of the input).
-    Returns the pivot columns and the sign of the row permutation.
+    r-th pivot row, exactly as dense Bareiss elimination leaves it: every
+    entry is a minor of the input and every division is exact.  The rows
+    below the rank are zero.  Rows are scaled lazily (see _bareiss_step),
+    so a row that is never a pivot row may differ from the dense one by a
+    nonzero factor.  Returns the pivot columns and the sign of the row
+    permutation.
     """
     m = len(rows)
     n = len(rows[0]) if rows else 0
+    lag = [1] * m
     pivots: list[int] = []
     sign = 1
     prev = 1
@@ -143,34 +154,47 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            lag[r], lag[piv] = lag[piv], lag[r]
             sign = -sign
-        _bareiss_step(rows, r, c, prev)
+        _bareiss_step(rows, lag, r, c, prev)
         pivots.append(c)
         prev = rows[r][c]
         r += 1
     return pivots, sign
 
 
-def _bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None:
-    """Clear column c below the pivot rows[r][c], in place.
+def _bareiss_step(rows: list[list[int]], lag: list[int], r: int, c: int, prev: int) -> None:
+    """Clear column c below the pivot row rows[r], in place.
 
-    prev is the previous pivot (1 before the first), which divides every
-    update exactly.  Only the columns after c are updated.
+    prev is the previous pivot (1 before the first).  Row i at or below r
+    is current at lag[i]: the dense Bareiss row is rows[i] * prev / lag[i],
+    a minor of the input, so each division below is exact.  The pivot row
+    is first brought current from column c on (its lag is not read
+    again).  A row with a zero in column c would only be scaled by
+    p / prev, so it is left as it is.  A row with f = rows[i][c] nonzero
+    gets the dense update of its current values, (row * p - f * prow) /
+    prev, which after the factor prev / lag[i] cancels is
+    (row * p - f * prow) / lag[i], and is then current at p.  Its column
+    c is set to zero; no column before c changes.
     """
     prow = rows[r]
-    p = prow[c]
     n = len(prow)
+    behind = lag[r]
+    if behind != prev:
+        for j in range(c, n):
+            if prow[j]:
+                prow[j] = prow[j] * prev // behind
+    p = prow[c]
     # element by element in place: faster than rebuilding rows here
     for i in range(r + 1, len(rows)):
         row = rows[i]
         f = row[c]
         if f:
+            behind = lag[i]
             for j in range(c + 1, n):
-                row[j] = (row[j] * p - f * prow[j]) // prev
+                row[j] = (row[j] * p - f * prow[j]) // behind
             row[c] = 0
-        elif p != prev:
-            for j in range(c + 1, n):
-                row[j] = row[j] * p // prev
+            lag[i] = p
 
 
 def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:
@@ -179,12 +203,14 @@ def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> 
     x holds integers; the entries at non-pivot columns are given.  Where a
     pivot does not divide its row's partial sum, all of x is rescaled by an
     integer factor, so x stays integral and is fixed up to scale only.
+    A term with a zero factor is skipped: the rows of a chain are sparse,
+    and in the circuit walk x is zero off S + {j}.
     """
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
         p = row[c]
-        s = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j])
+        s = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j] and x[j])
         if s % p:
             g = gcd(s, p)
             q = p // g

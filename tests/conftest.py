@@ -36,6 +36,53 @@ def oracle_circuits(a: IntegerMatrix) -> list[Circuit]:
     return out
 
 
+def dense_bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None:
+    """Reference Bareiss step: every row below the pivot is updated, also
+    one with a zero in column c, which is rescaled by p / prev.  This is
+    the dense form of matrices._bareiss_step, kept to check the lazy one.
+    """
+    prow = rows[r]
+    p = prow[c]
+    n = len(prow)
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        f = row[c]
+        if f:
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[c] = 0
+        elif p != prev:
+            for j in range(c + 1, n):
+                row[j] = row[j] * p // prev
+
+
+def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Reference fraction-free echelon form, in place, by dense_bareiss_step;
+    same pivot choice and return value as matrices._echelon."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        dense_bareiss_step(rows, r, c, prev)
+        pivots.append(c)
+        prev = rows[r][c]
+        r += 1
+    return pivots, sign
+
+
 def solve_square(a: IntegerMatrix, b) -> tuple[Fraction, ...] | None:
     """Solve A.x = b through matrices._solve_augmented, the kernel that
     systems.solve_assembled and the reduction run.

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import oracle_circuits, random_matrix
+from conftest import dense_bareiss_step, oracle_circuits, random_matrix
 from relmag import circuits
 from relmag.circuits import (
     Circuit,
@@ -15,7 +15,7 @@ from relmag.circuits import (
     is_elementary,
 )
 from relmag.generators import extremal_matrix
-from relmag.matrices import IntegerMatrix, rank
+from relmag.matrices import IntegerMatrix, _bareiss_step, rank
 
 
 def test_all_ones_row():
@@ -120,6 +120,42 @@ def test_matches_oracle_on_edge_cases():
             seen["deficient"] += rank(a) < a.rows
     # every kind of draw produced what it is there to test
     assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_walk_steps_match_dense_reference():
+    """On the edge-case draws, every independent column sequence the walk
+    can step through (increasing, with columns skipped) leaves the dense
+    Bareiss pivot rows from their pivot column on, and the same zero
+    pattern.  Left of its pivot a row holds entries of skipped columns,
+    which neither kernel updates and the walk never reads."""
+    rng = random.Random(71)
+    sets = 0
+    for trial in range(320):
+        a = _edge_matrix(rng, ("zero_columns", "parallel", "coloop", "low_rank")[trial % 4])
+        m, n = a.rows, a.cols
+        rows = [list(row) for row in a.entries]
+        stack = [((), rows, [1] * m, [row[:] for row in rows], 1)]
+        while stack:
+            sset, lazy, lag, dense, prev = stack.pop()
+            r = len(sset)
+            for j in range(sset[-1] + 1 if sset else 0, n):
+                piv = next((i for i in range(r, m) if lazy[i][j]), None)
+                assert piv == next((i for i in range(r, m) if dense[i][j]), None)
+                if piv is None:
+                    continue
+                lz, lg, dn = [row[:] for row in lazy], lag[:], [row[:] for row in dense]
+                lz[r], lz[piv] = lz[piv], lz[r]
+                lg[r], lg[piv] = lg[piv], lg[r]
+                dn[r], dn[piv] = dn[piv], dn[r]
+                _bareiss_step(lz, lg, r, j, prev)
+                dense_bareiss_step(dn, r, j, prev)
+                ext = sset + (j,)
+                for i, c in enumerate(ext):
+                    assert lz[i][c:] == dn[i][c:], (a.entries, ext)
+                assert [[bool(e) for e in row] for row in lz] == [[bool(e) for e in row] for row in dn]
+                sets += 1
+                stack.append((ext, lz, lg, dn, lz[r][j]))
+    assert sets >= 5000, sets
 
 
 def test_walk_eliminates_once(monkeypatch):

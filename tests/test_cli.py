@@ -202,6 +202,15 @@ class TestVerifyLemmas:
     def test_bad_params(self):
         assert invoke("verify-lemmas", "--tmax", "2").exit_code == 2
 
+    def test_size_guard(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(detbounds, "verify_recurrences", lambda tmax, k: ran.append(k))
+        monkeypatch.setattr(detbounds, "verify_coefficient_bounds", lambda k: ran.append(k))
+        for args in (("--tmax", "11"), ("--kmax", "31")):
+            res = invoke("verify-lemmas", *args)
+            assert res.exit_code == 2, args
+        assert ran == []
+
     def test_lemma_falsified(self, monkeypatch):
         def broken(tmax, k):
             raise detbounds.LemmaViolationError("det C_3 != recurrence")

@@ -5,15 +5,18 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import solve_square
+from conftest import dense_echelon, solve_square
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relmag.generators import extremal_system
 from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
     NonSquareError,
     SingularMatrixError,
+    _echelon,
+    _solve_augmented,
     cramer_solve,
     determinant,
     determinant_cofactor,
@@ -25,6 +28,7 @@ from relmag.matrices import (
     primitive_vector,
     rank,
 )
+from relmag.systems import assemble, chain_decompose
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -145,6 +149,68 @@ class TestPrimitiveVector:
         for i in range(len(xs)):
             for j in range(len(xs)):
                 assert Fraction(xs[i]) * p[j] == Fraction(xs[j]) * p[i]
+
+
+def _kernel_draw(rng, kind):
+    """A random matrix of at most 7x9 with the structure that kind names."""
+    m, n = rng.randint(1, 7), rng.randint(1, 9)
+    density = {"sparse": 0.2, "dense": 0.9}.get(kind, 0.5)
+    rows = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+    if kind == "banded":
+        # entries on the diagonal and the one above it only, like a chain block
+        rows = [[rng.randint(-4, 4) if 0 <= j - i <= 1 else 0 for j in range(n)]
+                for i in range(m)]
+    elif kind == "zero_columns":
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[j] = 0
+    elif kind == "deficient" and m > 1:
+        r = rng.randint(1, m - 1)
+        u = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        v = [[rng.randint(-2, 2) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(r)]
+        rows = [[sum(u[i][t] * v[t][c] for t in range(r)) for c in range(n)] for i in range(m)]
+    return rows
+
+
+class TestLazyKernel:
+    def test_matches_dense_reference(self):
+        """The lazy elimination leaves the dense Bareiss pivots, sign and
+        pivot rows, and zero rows below the rank."""
+        rng = random.Random(97)
+        kinds = ("sparse", "dense", "banded", "zero_columns", "deficient")
+        deficient = 0
+        for trial in range(2500):
+            rows = _kernel_draw(rng, kinds[trial % len(kinds)])
+            lazy = [row[:] for row in rows]
+            dense = [row[:] for row in rows]
+            pivots, sign = _echelon(lazy)
+            assert (pivots, sign) == dense_echelon(dense), rows
+            r = len(pivots)
+            assert lazy[:r] == dense[:r], rows
+            assert not any(any(row) for row in lazy[r:]), rows
+            deficient += r < min(len(rows), len(rows[0]))
+        assert deficient >= 500
+
+    def test_chain_solve_cost(self):
+        """Rows with a zero in the pivot column are not written, so the
+        solve of a chain system costs O(n^2) row writes, not O(n^3)."""
+
+        class CountingRow(list):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                CountingRow.writes += 1
+                super().__setitem__(key, value)
+
+        n = 64
+        system = extremal_system(2, n)
+        asm = assemble(system, chain_decompose(system))
+        rows = [CountingRow(list(row) + [int(i == 0)]) for i, row in enumerate(asm.matrix.entries)]
+        pivots, values, _ = _solve_augmented(rows)
+        assert len(pivots) == n and values[n - 1] == 2 ** (n - 1)
+        assert CountingRow.writes <= 4 * n * n
 
 
 class TestSolvers:
