@@ -20,7 +20,7 @@ from relmag.matrices import (
 )
 from relmag.circuits import Circuit, enumerate_circuits, elementary_basis, is_elementary
 from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper, omega_vector
-from relmag.systems import System, parse_system, reduce_system, chain_decompose, solve_and_certify
+from relmag.systems import System, parse_system, reduce_system, solve_and_certify
 from relmag.generators import extremal_matrix, extremal_dsl
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "System",
     "parse_system",
     "reduce_system",
-    "chain_decompose",
     "solve_and_certify",
     "extremal_matrix",
     "extremal_dsl",

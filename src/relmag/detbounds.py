@@ -430,7 +430,7 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
             ),
         )
     else:
-        a = asm.matrix.entries
+        a = asm.rows
         chains = []  # (rows, diag, off) of the chain block of G, per chain
         whole = []  # det B_t per chain, its minor in W_i when i misses it
         cut_by = {}  # column -> (chain index, position p in the chain)

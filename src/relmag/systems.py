@@ -4,9 +4,10 @@ Systems consist of unit equations ``x_i = +-1`` and homogeneous signed
 sums of unit-coefficient terms (at most ``k + 1`` terms per equation).
 A solvable system is reduced, preserving the maximum coordinate
 magnitude, to a square system with a unique all-nonzero solution whose
-coordinates have pairwise distinct absolute values.  The two-variable
-equations ``k x_i = +-x_j`` then split into disjoint maximal chains and
-the assembled matrix is solved exactly, certifying ``|x_i| <= k^(n-1)``.
+coordinates have pairwise distinct absolute values.  One pass then splits
+the two-variable equations ``k x_i = +-x_j`` into disjoint maximal chains
+and writes the square rows (unit row, chain bands, residual rows), which
+are solved exactly, certifying ``|x_i| <= k^(n-1)``.
 """
 
 from __future__ import annotations
@@ -107,17 +108,22 @@ class SumEquation:
 Equation = UnitEquation | SumEquation
 
 
-def _overweight_message(eq: SumEquation, k: int) -> str:
-    """The error for an equation over the weight limit k + 1.
+def _coefficient_text(eq: SumEquation) -> str:
+    """The equation with its coefficients written out, e.g. ``1000000x1-x2=0``.
 
-    It writes the coefficients out, e.g. ``1000000x1-x2=0``, so its length
-    follows the input text; to_text would write one term per unit of weight.
+    Its length follows the input text; to_text writes one term per unit of
+    weight, so messages and records use this form.
     """
-    text = "".join(
+    return "".join(
         "%s%sx%d" % ("-" if c < 0 else "+", abs(c) if abs(c) != 1 else "", v)
         for c, v in eq.terms
-    ).removeprefix("+")
-    return "equation %s=0 has %d unit terms, limit is k+1 = %d" % (text, eq.weight(), k + 1)
+    ).removeprefix("+") + "=0"
+
+
+def _overweight_message(eq: SumEquation, k: int) -> str:
+    """The error for an equation over the weight limit k + 1."""
+    return "equation %s has %d unit terms, limit is k+1 = %d" % (
+        _coefficient_text(eq), eq.weight(), k + 1)
 
 
 @dataclass(frozen=True)
@@ -405,7 +411,7 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     for se in system.sum_equations():
         d = se.combined()
         if sum(abs(c) for c in d.values()) < se.weight():
-            records.append(StepRecord(5, "cancelled opposite terms in %s" % se.to_text()))
+            records.append(StepRecord(5, "cancelled opposite terms in %s" % _coefficient_text(se)))
         if d:
             eqs.append(d)
 
@@ -543,159 +549,89 @@ def _check_reduced(reduced: System, trace: ReductionTrace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# chains and assembly
-
-@dataclass(frozen=True)
-class Chain:
-    """Maximal sequence of k x_next = +-x_prev links, head to tail."""
-
-    variables: tuple[int, ...]  # head first
-    equations: tuple[int, ...]  # indices into system.equations, per link
-
-    @property
-    def length(self) -> int:
-        return len(self.variables)
-
-
-@dataclass(frozen=True)
-class ChainDecomposition:
-    chains: tuple[Chain, ...]
-    type3: tuple[int, ...]
-
-
-def chain_decompose(system: System) -> ChainDecomposition:
-    """Partition the two-variable k-to-1 equations into maximal chains.
-
-    Requires a reduced system.  An equation k x_b = +-x_a is a directed
-    link a -> b; distinct maximal chains cannot share a variable, and a
-    shared variable or a cycle signals a reduction bug.
-    """
-    k = system.k
-    nxt: dict[int, tuple[int, int]] = {}  # a -> (b, equation index)
-    incoming: set[int] = set()
-    type3 = []
-    for i, eq in enumerate(system.equations):
-        if isinstance(eq, UnitEquation):
-            continue
-        mags = sorted(abs(c) for c, _ in eq.terms)
-        if len(eq.terms) == 2 and mags == [1, k]:
-            (c1, v1), (c2, v2) = eq.terms
-            if abs(c1) == k:
-                b, a = v1, v2
-            else:
-                b, a = v2, v1
-            if a in nxt:
-                raise ChainIntersectionError("variable x%d heads two links" % a)
-            if b in incoming:
-                raise ChainIntersectionError("variable x%d tails two links" % b)
-            nxt[a] = (b, i)
-            incoming.add(b)
-        else:
-            type3.append(i)
-    chain_vars = set(nxt) | incoming
-    heads = sorted(v for v in chain_vars if v not in incoming)
-    chains = []
-    visited: set[int] = set()
-    for h in heads:
-        vars_ = [h]
-        eqidx = []
-        v = h
-        while v in nxt:
-            b, i = nxt[v]
-            if b in visited or b in vars_:
-                raise ChainIntersectionError("chain cycle at x%d" % b)
-            vars_.append(b)
-            eqidx.append(i)
-            v = b
-        visited.update(vars_)
-        chains.append(Chain(variables=tuple(vars_), equations=tuple(eqidx)))
-    if visited != chain_vars:
-        raise ChainIntersectionError("cyclic two-variable equations detected")
-    r = len(chains)
-    if r >= 1 and len(type3) < r - 1:
-        raise ReductionError("fewer than r-1 residual equations for %d chains" % r)
-    return ChainDecomposition(
-        chains=tuple(chains),
-        type3=tuple(type3),
-    )
-
+# assembly
 
 @dataclass(frozen=True)
 class Assembled:
-    """Square matrix form A x = e_1 with the block layout on record."""
+    """Square system A x = e_1, as integer rows, with the block layout on record."""
 
-    matrix: IntegerMatrix
+    rows: tuple[tuple[int, ...], ...]
     k: int
     n: int
     column_of: dict[int, int]  # reduced variable -> 0-based column
     chain_cols: tuple[tuple[int, ...], ...]
-    chain_rows: tuple[tuple[int, ...], ...]  # 0-based row indices in matrix
+    chain_rows: tuple[tuple[int, ...], ...]  # 0-based row indices
     type3_rows: tuple[int, ...]
 
 
-def assemble(system: System, decomp: ChainDecomposition) -> Assembled:
-    """Build the n x n matrix: unit row, chain blocks, residual rows.
+def assemble(system: System) -> Assembled:
+    """Split a reduced system into maximal chains and write its n x n rows.
 
-    Variables are reordered so each chain occupies consecutive columns
-    (tail first), making every chain block a t x (t+1) band with k on the
-    diagonal and +-1 beside it.
+    An equation k x_b = +-x_a is a link a -> b.  Distinct maximal chains
+    cannot share a variable; a shared variable or a cycle signals a
+    reduction bug.  Each chain, in ascending order of heads, occupies
+    consecutive columns tail first, so its rows form a t x (t+1) band with
+    k on the diagonal and +-1 beside it; the other variables follow in
+    ascending order.  The rows are the unit row, each chain's links tail
+    first, and the residual equations in system order.
     """
-    k = system.k
-    n = system.nvars
-    pos: dict[int, int] = {}
-    p = 0
-    chain_cols = []
-    for chain in decomp.chains:
-        for v in reversed(chain.variables):
-            pos[v] = p
-            p += 1
-        chain_cols.append(tuple(range(p - chain.length, p)))
+    k, n = system.k, system.nvars
+    links: dict[int, tuple[int, int]] = {}  # a -> (b, entry of x_a in the row k x_b)
+    tails: set[int] = set()
+    residual = []
+    for eq in system.equations:
+        if isinstance(eq, UnitEquation):
+            continue
+        if len(eq.terms) == 2 and sorted(abs(c) for c, _ in eq.terms) == [1, k]:
+            (cb, b), (ca, a) = eq.terms if abs(eq.terms[0][0]) == k else eq.terms[::-1]
+            if a in links:
+                raise ChainIntersectionError("variable x%d heads two links" % a)
+            if b in tails:
+                raise ChainIntersectionError("variable x%d tails two links" % b)
+            links[a] = (b, ca if cb > 0 else -ca)
+            tails.add(b)
+        else:
+            residual.append(eq)
+    column_of: dict[int, int] = {}
+    rows = [()]  # the unit row is written once x_1 has its column
+    chain_cols, chain_rows = [], []
+    visited: set[int] = set()
+    for head in sorted(set(links) - tails):
+        chain = [head]
+        visited.add(head)
+        while chain[-1] in links:
+            b = links[chain[-1]][0]
+            if b in visited:
+                raise ChainIntersectionError("chain cycle at x%d" % b)
+            visited.add(b)
+            chain.append(b)
+        start = len(column_of)
+        column_of.update((v, start + i) for i, v in enumerate(reversed(chain)))
+        chain_cols.append(tuple(range(start, len(column_of))))
+        chain_rows.append(tuple(range(len(rows), len(rows) + len(chain) - 1)))
+        for c, a in enumerate(reversed(chain[:-1]), start=start):
+            rows.append(_row(n, ((c, k), (c + 1, links[a][1]))))
+    if visited != set(links) | tails:
+        raise ChainIntersectionError("cyclic two-variable equations detected")
+    if chain_cols and len(residual) < len(chain_cols) - 1:
+        raise ReductionError("fewer than r-1 residual equations for %d chains" % len(chain_cols))
     for v in range(1, n + 1):
-        if v not in pos:
-            pos[v] = p
-            p += 1
-
-    rows: list[list[int]] = []
-    row0 = [0] * n
-    row0[pos[1]] = 1
-    rows.append(row0)
-    chain_rows = []
-    for chain in decomp.chains:
-        start = len(rows)
-        for eqi in reversed(chain.equations):
-            eq = system.equations[eqi]
-            (c1, v1), (c2, v2) = eq.terms
-            if abs(c1) == k:
-                cb, b, ca, a = c1, v1, c2, v2
-            else:
-                cb, b, ca, a = c2, v2, c1, v1
-            s = 1 if cb > 0 else -1
-            row = [0] * n
-            row[pos[b]] = k
-            row[pos[a]] = s * ca
-            if pos[a] != pos[b] + 1:
-                raise ReductionError("chain columns are not consecutive")
-            rows.append(row)
-        chain_rows.append(tuple(range(start, len(rows))))
-    type3_rows = []
-    for eqi in decomp.type3:
-        eq = system.equations[eqi]
-        row = [0] * n
-        for c, v in eq.terms:
-            row[pos[v]] = c
-        type3_rows.append(len(rows))
-        rows.append(row)
+        column_of.setdefault(v, len(column_of))
+    rows[0] = _row(n, ((column_of[1], 1),))
+    type3_rows = tuple(range(len(rows), len(rows) + len(residual)))
+    rows.extend(_row(n, ((column_of[v], c) for c, v in eq.terms)) for eq in residual)
     if len(rows) != n:
         raise ReductionError("assembled matrix is not square (%d rows, %d cols)" % (len(rows), n))
-    return Assembled(
-        matrix=IntegerMatrix.from_rows(rows),
-        k=k,
-        n=n,
-        column_of=pos,
-        chain_cols=tuple(chain_cols),
-        chain_rows=tuple(chain_rows),
-        type3_rows=tuple(type3_rows),
-    )
+    return Assembled(rows=tuple(rows), k=k, n=n, column_of=column_of, chain_cols=tuple(chain_cols),
+                     chain_rows=tuple(chain_rows), type3_rows=type3_rows)
+
+
+def _row(n: int, entries) -> tuple[int, ...]:
+    """A row of n integers, zero except at the given (column, value) pairs."""
+    row = [0] * n
+    for c, e in entries:
+        row[c] = e
+    return tuple(row)
 
 
 _CRAMER_CROSSCHECK_LIMIT = 10
@@ -710,7 +646,7 @@ def solve_assembled(asm: Assembled):
     """
     n = asm.n
     e1 = [1] + [0] * (n - 1)
-    rows = [list(row) + [b] for row, b in zip(asm.matrix.entries, e1)]
+    rows = [list(row) + [b] for row, b in zip(asm.rows, e1)]
     solved = _solve_augmented(rows)
     if solved is None or len(solved[0]) < n:
         raise ReductionError("assembled matrix is singular")
@@ -718,7 +654,7 @@ def solve_assembled(asm: Assembled):
     x = tuple(values[c] for c in range(n))
     det_a = sign * rows[n - 1][n - 1]
     if n <= _CRAMER_CROSSCHECK_LIMIT:
-        if cramer_solve(asm.matrix, e1) != x:
+        if cramer_solve(IntegerMatrix(asm.rows), e1) != x:
             raise ReductionError("Cramer and elimination solutions disagree")
     det_ai = []
     for xi in x:
@@ -815,8 +751,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
             certification=None,
             trivial=True,
         )
-    decomp = chain_decompose(reduced)
-    asm = assemble(reduced, decomp)
+    asm = assemble(reduced)
     x, det_a, det_ai = solve_assembled(asm)
     n = asm.n
     # assembled solution must agree with the solution tracked by reduction

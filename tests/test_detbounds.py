@@ -24,7 +24,6 @@ from relmag.matrices import IntegerMatrix, determinant, determinant_cofactor
 from relmag.systems import (
     UnsolvableSystemError,
     assemble,
-    chain_decompose,
     parse_system,
     reduce_system,
     solve_assembled,
@@ -148,7 +147,7 @@ MULTI_CHAIN = "k=3; x1=1; 3x2=x1; 3x3=x2; 3x5=x4; 3x6=x5; x4-x1-x2-x3=0; x7-x1-x
 def _certify_args(system):
     """(asm, x, det A): the arguments certify_solution_bound takes."""
     reduced, _ = reduce_system(system)
-    asm = assemble(reduced, chain_decompose(reduced))
+    asm = assemble(reduced)
     x, det_a, _ = solve_assembled(asm)
     return asm, x, det_a
 
@@ -194,13 +193,13 @@ class TestCertification:
 
     def test_chain_structure_enforced(self):
         asm, x, det_a = _certify_args(extremal_system(2, 4))
-        rows = [list(r) for r in asm.matrix.entries]
-        rows[2] = [0, 2, 0, -1]  # the second chain row skips chain column 2
+        rows = list(asm.rows)
+        rows[2] = (0, 2, 0, -1)  # the second chain row skips chain column 2
         with pytest.raises(ValueError, match="not supported on columns 1, 2"):
-            certify_solution_bound(replace(asm, matrix=IntegerMatrix.from_rows(rows)), x, det_a)
-        rows[2] = [0, 2, -2, 0]  # the right support, but no longer a B_3 block
+            certify_solution_bound(replace(asm, rows=tuple(rows)), x, det_a)
+        rows[2] = (0, 2, -2, 0)  # the right support, but no longer a B_3 block
         with pytest.raises(LemmaViolationError, match="closed form det B_3"):
-            certify_solution_bound(replace(asm, matrix=IntegerMatrix.from_rows(rows)), x, det_a)
+            certify_solution_bound(replace(asm, rows=tuple(rows)), x, det_a)
 
     def test_no_gram_or_determinant(self, monkeypatch):
         """Certification eliminates no matrix: it reads det U_i from the solve."""
@@ -245,7 +244,7 @@ class TestCertification:
             blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
             blocks += [[r - 1] for r in asm.type3_rows]
             for i, entry in enumerate(rep.entries):
-                u = asm.matrix.delete_row_col(0, i)
+                u = IntegerMatrix(asm.rows).delete_row_col(0, i)
                 holds, det_w, hf_product, _ = hadamard_fischer_check(u.gram(), blocks)
                 assert entry.det_u == determinant(u)
                 assert entry.det_w == det_w

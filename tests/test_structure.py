@@ -6,6 +6,7 @@ from pathlib import Path
 import relmag
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relmag"
+TESTS = Path(__file__).resolve().parent
 
 
 def _tree(path):
@@ -35,7 +36,8 @@ def test_detbounds_does_not_import_systems():
 
 
 def test_no_unused_imports():
-    for path in sorted(SRC.glob("*.py")):
+    """Every name imported by the package or the tests is read or exported."""
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = _tree(path)
         imported = {}
         exported = set()

@@ -1,27 +1,29 @@
 """Unit-coefficient systems: parsing, reduction, chains, solving."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relmag.systems
 from conftest import random_system
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
-from relmag.matrices import determinant
+from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
     MAX_VARIABLES,
     AllHomogeneousError,
     BoundViolationError,
     ChainIntersectionError,
     ParseError,
+    ReductionError,
     SumEquation,
     System,
     UnitEquation,
     UnsolvableSystemError,
     assemble,
-    chain_decompose,
     check_solution,
     parse_system,
     reduce_system,
@@ -210,6 +212,13 @@ class TestReduction:
         assert x == (1, Fraction(1, 2), Fraction(1, 2), 2)
         assert max(abs(v) for v in x) == max(abs(v) for v in trace.reduced_solution)
 
+    def test_cancellation_record_follows_the_text(self):
+        s = parse_system("k=10000001; x1=1; 5000000x2-5000000x2+x1-x3=0")
+        _, trace = reduce_system(s)
+        (record,) = [r for r in trace.records if r.step == 5]
+        assert record.detail == "cancelled opposite terms in 5000000x2-5000000x2+x1-x3=0"
+        assert len(record.detail) < 100
+
     def test_idempotent(self):
         s = parse_system("k=3; x2=1; 3x2-x1=0; x1+x2-x3=0")
         reduced, trace = reduce_system(s)
@@ -283,34 +292,58 @@ class TestReduction:
         assert check_solution(s, trace.reconstruct())
 
 
+def _sum(*terms):
+    return SumEquation(terms=terms)
+
+
 class TestChains:
     def test_decompose_sharp_system(self):
         s = extremal_system(3, 4)
         reduced, _ = reduce_system(s)
-        d = chain_decompose(reduced)
-        assert len(d.chains) == 1
-        assert d.chains[0].length == 4
-        assert d.type3 == ()
+        asm = assemble(reduced)
+        assert len(asm.chain_cols) == 1
+        assert len(asm.chain_cols[0]) == 4
+        assert asm.type3_rows == ()
 
     def test_two_chains_and_type3(self):
         s = parse_system("k=3; x1=1; 3x2=x1; 3x4=x3; x3-x1-x1=0")
         reduced, _ = reduce_system(s)
-        d = chain_decompose(reduced)
-        assert len(d.chains) == 2
-        assert len(d.type3) == 1
+        asm = assemble(reduced)
+        assert len(asm.chain_cols) == 2
+        assert len(asm.type3_rows) == 1
 
     def test_assembled_band_structure(self):
         s = extremal_system(2, 5)
         reduced, _ = reduce_system(s)
-        asm = assemble(reduced, chain_decompose(reduced))
-        a = asm.matrix
-        assert a.rows == a.cols == 5
+        a = assemble(reduced).rows
+        assert len(a) == len(a[0]) == 5
         # first row is the unit row
-        assert sum(abs(v) for v in a.row(0)) == 1
+        assert sum(abs(v) for v in a[0]) == 1
         # each chain row has +k on the diagonal band and a unit off it
         for i in range(1, 5):
-            vals = sorted(abs(v) for v in a.row(i) if v != 0)
+            vals = sorted(abs(v) for v in a[i] if v != 0)
             assert vals == [1, 2]
+
+    @pytest.mark.parametrize(
+        "nvars, equations, error, message",
+        [
+            (3, [_sum((2, 2), (-1, 1)), _sum((2, 3), (-1, 1))],
+             ChainIntersectionError, "x1 heads two links"),
+            (3, [_sum((2, 3), (-1, 1)), _sum((2, 3), (-1, 2))],
+             ChainIntersectionError, "x3 tails two links"),
+            (2, [_sum((2, 2), (-1, 1)), _sum((2, 1), (-1, 2))],
+             ChainIntersectionError, "cyclic two-variable equations"),
+            (4, [_sum((2, 2), (-1, 1)), _sum((2, 4), (-1, 3))],
+             ReductionError, "fewer than r-1 residual equations for 2 chains"),
+            (3, [_sum((2, 2), (-1, 1))],
+             ReductionError, r"not square \(2 rows, 3 cols\)"),
+        ],
+        ids=["heads_two", "tails_two", "pure_cycle", "no_residual", "too_few_rows"],
+    )
+    def test_assembly_checks(self, nvars, equations, error, message):
+        system = System(k=2, nvars=nvars, equations=(UnitEquation(var=1, sign=1), *equations))
+        with pytest.raises(error, match=message):
+            assemble(system)
 
 
 class TestSolveAndCertify:
@@ -354,9 +387,9 @@ class TestSolveAndCertify:
                 reduced, _ = reduce_system(random_system(rng))
             except UnsolvableSystemError:
                 continue
-            asm = assemble(reduced, chain_decompose(reduced))
+            asm = assemble(reduced)
             _, det_a, det_ai = solve_assembled(asm)
-            a = asm.matrix
+            a = IntegerMatrix(asm.rows)
             e1 = [1] + [0] * (a.rows - 1)
             assert det_a == determinant(a)
             assert det_ai == tuple(determinant(a.replace_column(i, e1)) for i in range(a.cols))
@@ -366,3 +399,28 @@ class TestSolveAndCertify:
         rep = solve_and_certify(parse_system(extremal_dsl(2, 6)), certify=False)
         assert rep.certification is None
         assert rep.max_abs == 32
+
+    def test_failed_certification_raises(self, monkeypatch):
+        real = relmag.systems.certify_solution_bound
+
+        def failing(asm, x, det_a):
+            rep = real(asm, x, det_a)
+            return replace(rep, entries=(replace(rep.entries[0], ok=False),) + rep.entries[1:])
+
+        monkeypatch.setattr(relmag.systems, "certify_solution_bound", failing)
+        with pytest.raises(BoundViolationError, match="determinant certification failed"):
+            solve_and_certify(parse_system(extremal_dsl(2, 4)))
+
+    def test_builds_no_integer_matrix(self, monkeypatch):
+        """Above the Cramer cross-check size, solve and certify work on int rows only."""
+        constructed = []
+        real_init = IntegerMatrix.__post_init__
+
+        def counted_init(self):
+            constructed.append(self)
+            real_init(self)
+
+        monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
+        rep = solve_and_certify(extremal_system(2, 64))
+        assert rep.sharp and rep.certification.all_ok
+        assert constructed == []
