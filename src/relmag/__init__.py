@@ -3,8 +3,12 @@
 Computes the relative magnitude omega of null vectors of integer matrices,
 certifies the per-instance bound omega <= (norm - 1)^rank, and solves
 unit-coefficient constraint systems with full determinant-bound verification.
-All arithmetic is exact (Python ints and fractions.Fraction); nothing is
-ever rounded.
+All arithmetic is exact; nothing is ever rounded.  Matrices, determinants
+and circuits are Python ints.  A system's solution is carried, from the
+elimination to the certificate, as integers y over one common
+denominator t (x = y / t, as in Cramer's rule); fractions.Fraction values
+are built from it only for the reported solution, maximum and
+per-column x.
 """
 
 from relmag.matrices import (

@@ -95,7 +95,11 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     candidate supports (column sets of the null-space support of at most
     rank(A) + 1 columns), unless allow_large is set.
     """
-    basis = nullspace_basis(a)
+    return _walk(a, nullspace_basis(a), allow_large)
+
+
+def _walk(a: IntegerMatrix, basis, allow_large: bool) -> list[Circuit]:
+    """enumerate_circuits on A with its nullspace_basis already computed."""
     d = len(basis)
     if d == 0:
         return []

@@ -8,7 +8,10 @@ certification eliminates no matrix: det U_i = +-x_i det A comes from the
 solve, det W_i = det U_i^2, each chain block minor of W_i comes from the
 continuant recurrence and is checked against its closed form, and each
 residual block minor is a squared row norm.  hadamard_fischer_check is
-the dense route the tests compare against.  All checks are integer-exact.
+the dense route the tests compare against.  All checks are integer-exact:
+the solution arrives as integers y over one denominator t, x = y / t, and
+a Fraction is built only for the x and the maximum that the report
+prints.
 """
 
 from __future__ import annotations
@@ -398,17 +401,19 @@ def _cut_chain_minor(a, rows, diag, off, i: int, p: int, k: int) -> int:
     return minor
 
 
-def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
+def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
     """Run the per-column certification x_i^2 <= det W_i <= k^(2(n-1)).
 
     asm is an assembled square system (unit row first, chain blocks,
-    residual rows), x its exact solution and det_a = det A, both as
-    returned by systems.solve_assembled.  U_i is A without its first row
+    residual rows), x = y / t its exact solution, as integers y over the
+    denominator t > 0, and det_a = det A, all as returned by
+    systems.solve_assembled.  x_i^2 <= det W_i is tested as
+    y_i^2 <= det W_i t^2.  U_i is A without its first row
     and column i, and W_i = U_i U_i^T = G - c_i c_i^T, with G = A' A'^T,
     A' the rows 2..n of A and c_i column i of A'.  No matrix is eliminated:
 
-    - det U_i = (-1)^i x_i det A (0-based i): Cramer's det A_i expanded
-      along its column i, which is e_1;
+    - det U_i = (-1)^i y_i det A / t (0-based i): Cramer's det A_i
+      expanded along its column i, which is e_1; t must divide y_i det A;
     - det W_i = det U_i^2 (Cauchy-Binet, U_i being square);
     - each chain block of W_i is tridiagonal; its minor comes from the
       continuant recurrence and must equal the closed form, det B_t when
@@ -425,8 +430,8 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
         # U_1 is empty; det W_1 = 1 by the empty-product convention
         entries = (
             ColumnCertificate(
-                index=1, case=0, x=x[0], det_w=1, det_u=1, hf_product=1,
-                ok=x[0] * x[0] <= 1 <= bound,
+                index=1, case=0, x=Fraction(y[0], t), det_w=1, det_u=1, hf_product=1,
+                ok=y[0] * y[0] <= t * t and 1 <= bound,
             ),
         )
     else:
@@ -447,11 +452,12 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
             whole.append(minor)
             cut_by.update((c, (ci, p)) for p, c in enumerate(cols))
         residual = [(a[r], sum(e * e for e in a[r])) for r in asm.type3_rows]
+        t2 = t * t
         entries = []
-        for i, xi in enumerate(x):
-            det_ai = xi * det_a  # Cramer: det A_i = x_i det A, an integer
-            ok = det_ai.denominator == 1
-            det_u = -det_ai.numerator if i % 2 else det_ai.numerator
+        for i, yi in enumerate(y):
+            det_ai, rem = divmod(yi * det_a, t)  # Cramer: det A_i = x_i det A, an integer
+            ok = not rem
+            det_u = -det_ai if i % 2 else det_ai
             det_w = det_u * det_u
             minors = whole + [norm - row[i] ** 2 for row, norm in residual]
             case = 2
@@ -468,12 +474,12 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
                     if row[i]:
                         ok = ok and norm - row[i] ** 2 <= (k - 1) ** 2 + 1 <= k * k - 2
             hf_product = prod(minors)
-            ok = ok and xi * xi <= det_w <= hf_product and det_w <= bound
+            ok = ok and yi * yi <= det_w * t2 and det_w <= hf_product and det_w <= bound
             entries.append(
                 ColumnCertificate(
                     index=i + 1,
                     case=case,
-                    x=xi,
+                    x=Fraction(yi, t),
                     det_w=det_w,
                     det_u=det_u,
                     hf_product=hf_product,
@@ -481,7 +487,7 @@ def certify_solution_bound(asm, x, det_a: int) -> CertificationReport:
                 )
             )
         entries = tuple(entries)
-    max_abs = max(abs(v) for v in x)
+    max_abs = Fraction(max(abs(v) for v in y), t)
     return CertificationReport(
         n=n,
         k=k,

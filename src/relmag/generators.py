@@ -42,5 +42,6 @@ def extremal_system(k: int, n: int) -> System:
 
 
 def extremal_dsl(k: int, n: int) -> str:
-    """DSL text of the sharp system, in unit-coefficient sum form."""
+    """DSL text of the sharp system, one term per variable with its
+    coefficient, e.g. ``2x1-x2=0``."""
     return extremal_system(k, n).to_text()

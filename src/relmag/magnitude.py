@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from relmag.circuits import Circuit, enumerate_circuits
-from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, rank
+from relmag.circuits import Circuit, _walk
+from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, nullspace_basis
 
 
 def omega_vector(x) -> Fraction:
@@ -98,11 +98,14 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
 
     Minimizes the vector magnitude over all circuits; ties are broken by
     lexicographic support (the enumeration order).  Exactly the matrix
-    value whenever the null space is a single ray.
+    value whenever the null space is a single ray.  One elimination gives
+    the null-space basis, the rank (columns less its size) and the
+    circuit walk's input.
     """
     norm = infinity_norm(a)
-    rk = rank(a)
-    nullity = a.cols - rk
+    basis = nullspace_basis(a)
+    nullity = len(basis)
+    rk = a.cols - nullity
     if nullity == 0:
         return MagnitudeCertificate(
             omega_upper=Fraction(0),
@@ -117,7 +120,7 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
             sharp=False,
             checks=(("zero_iff_full_rank", True),),
         )
-    circs = enumerate_circuits(a, allow_large=allow_large)
+    circs = _walk(a, basis, allow_large)
     omegas = [omega_vector(c.restricted()) for c in circs]
     best = min(omegas)
     witness = circs[omegas.index(best)]

@@ -1,14 +1,17 @@
 """Exact integer and rational matrix arithmetic.
 
-Everything here operates on arbitrary-precision Python ints and
-fractions.Fraction, so results are always exact.  One fraction-free
+Everything here operates on arbitrary-precision Python ints, and
+fractions.Fraction where a rational is an input or output (Cramer's rule,
+formatting), so results are always exact.  One fraction-free
 (Bareiss) pivot step, ``_bareiss_step``, and one integer back
 substitution, ``_back_substitute``, carry all elimination: ``_echelon``
 repeats the step for rank, determinant and null space here and for the
 reduction of unit systems, and the circuit walk takes one step per
 column it adds to an independent set.  ``_solve_augmented`` joins
 ``_echelon`` and the back substitution for A.x = b, shared by the
-reduction and the assembled-system solve.
+reduction and the assembled-system solve; it returns the solution as
+integers y over one common denominator t, x = y / t, the form of
+Cramer's rule, so its callers never build a Fraction per coordinate.
 The step scales rows lazily.  Each row i below the pivot rows carries
 lag[i], the pivot at which it was last updated, and the dense Bareiss
 row is rows[i] * prev / lag[i], a minor of the input.  A row with a zero
@@ -226,20 +229,25 @@ def _solve_augmented(rows: list[list[int]]):
 
     One fraction-free elimination of [A | b].  Returns None when the
     right-hand side column has a pivot (b is not in the column space of A).
-    Otherwise returns the pivot columns of A, the values of the pivot
-    variables, as a dict column -> Fraction, with every free variable zero,
-    and the sign of the row permutation: for square nonsingular A,
+    Otherwise returns (pivots, y, t, sign): the pivot columns of A; the
+    solution with every free variable zero as integers y over one common
+    denominator t, x = y / t, in canonical form (t > 0 and
+    gcd(t, y_1, ..., y_n) = 1, so equal solutions give equal (y, t)); and
+    the sign of the row permutation: for square nonsingular A,
     det A = sign * rows[-1][-1] after the call.
     """
     n = len(rows[0]) - 1
     pivots, sign = _echelon(rows)
     if n in pivots:
         return None
-    # [A | b] . (y, t) = 0 gives A . (y / -t) = b
+    # [A | b] . (y, -t) = 0 gives A . (y / t) = b
     y = [0] * n + [-1]
     _back_substitute(rows, pivots, y)
-    t = -y[n]
-    return pivots, {c: Fraction(y[c], t) for c in pivots}, sign
+    g = gcd(*y)
+    if y[n] > 0:
+        g = -g
+    t = -y.pop() // g
+    return pivots, [v // g for v in y], t, sign
 
 
 def rank(a: IntegerMatrix) -> int:
@@ -343,11 +351,11 @@ def cramer_solve(a: IntegerMatrix, b) -> tuple[Fraction, ...]:
 
 
 def format_rational(x) -> str:
-    """Render as "p/q" with q > 0 and gcd(p, q) = 1, or "p" when q = 1."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    """Render an int or Fraction as "p/q" with q > 0 and gcd(p, q) = 1, or
+    "p" when q = 1; both types keep their value in lowest terms."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def _position(line_no: int, line: str, index: int) -> str:

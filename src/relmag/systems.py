@@ -8,6 +8,13 @@ coordinates have pairwise distinct absolute values.  One pass then splits
 the two-variable equations ``k x_i = +-x_j`` into disjoint maximal chains
 and writes the square rows (unit row, chain bands, residual rows), which
 are solved exactly, certifying ``|x_i| <= k^(n-1)``.
+
+By Cramer's rule every solution is an integer vector over one common
+denominator, so the reduction, the solve, the solution checks and the
+bound test carry it as integers y and a denominator t > 0 with
+gcd(t, y) = 1, x = y / t.  Fractions are built once, at the end, for the
+public fields that hold them: ``ReductionTrace.reduced_solution``,
+``reconstruct()`` and the ``SolveReport`` solution and maximum.
 """
 
 from __future__ import annotations
@@ -94,36 +101,24 @@ class SumEquation:
         return {v: c for v, c in d.items() if c != 0}
 
     def to_text(self) -> str:
-        """Unit-coefficient sum form, e.g. ``x1+x1-x2=0``."""
-        parts = []
-        for c, v in self.terms:
-            sign = "+" if c > 0 else "-"
-            parts.extend([sign + "x%d" % v] * abs(c))
-        text = "".join(parts)
-        if text.startswith("+"):
-            text = text[1:]
-        return text + "=0"
+        """The terms with their coefficients written out, e.g. ``1000000x1-x2=0``.
+
+        Its length follows the number of terms, not their weight, and
+        parse_system reads it back to the same terms.
+        """
+        return "".join(
+            "%s%sx%d" % ("-" if c < 0 else "+", abs(c) if abs(c) != 1 else "", v)
+            for c, v in self.terms
+        ).removeprefix("+") + "=0"
 
 
 Equation = UnitEquation | SumEquation
 
 
-def _coefficient_text(eq: SumEquation) -> str:
-    """The equation with its coefficients written out, e.g. ``1000000x1-x2=0``.
-
-    Its length follows the input text; to_text writes one term per unit of
-    weight, so messages and records use this form.
-    """
-    return "".join(
-        "%s%sx%d" % ("-" if c < 0 else "+", abs(c) if abs(c) != 1 else "", v)
-        for c, v in eq.terms
-    ).removeprefix("+") + "=0"
-
-
 def _overweight_message(eq: SumEquation, k: int) -> str:
     """The error for an equation over the weight limit k + 1."""
     return "equation %s has %d unit terms, limit is k+1 = %d" % (
-        _coefficient_text(eq), eq.weight(), k + 1)
+        eq.to_text(), eq.weight(), k + 1)
 
 
 @dataclass(frozen=True)
@@ -303,7 +298,11 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Auditable record of the reduction; supports exact reconstruction."""
+    """Auditable record of the reduction; supports exact reconstruction.
+
+    The reduced solution is kept as integers reduced_y over the common
+    denominator den, and as the Fractions reduced_y / den.
+    """
 
     original_nvars: int
     kept_unit: tuple[int, int]
@@ -314,32 +313,41 @@ class ReductionTrace:
     dropped_dependent: int
     unit_sign_flipped: bool
     rename: dict[int, int]  # surviving original variable -> reduced index
+    reduced_y: tuple[int, ...]
+    den: int
     reduced_solution: tuple[Fraction, ...]
     records: tuple[StepRecord, ...]
 
     def reconstruct(self) -> tuple[Fraction, ...]:
         """Map the reduced solution back to a full original solution."""
+        return self._expand(self.reduced_solution, Fraction(0))
+
+    def _expand(self, reduced, zero) -> tuple:
+        """Map a reduced vector (reduced_y or reduced_solution) to the
+        original variables, with zero at the zeroed ones."""
         inverse = {new: old for old, new in self.rename.items()}
-        vals: dict[int, Fraction] = {}
-        for idx, val in enumerate(self.reduced_solution, start=1):
+        vals = {}
+        for idx, val in enumerate(reduced, start=1):
             vals[inverse[idx]] = val
         if self.unit_sign_flipped:
             u = self.kept_unit[0]
             vals[u] = -vals[u]
         for j, sgn, keep in reversed(self.merges):
             vals[j] = sgn * vals[keep]
-        for v in self.zeroed_solved:
-            vals[v] = Fraction(0)
-        for v in self.zeroed_free:
-            vals[v] = Fraction(0)
+        for v in self.zeroed_solved + self.zeroed_free:
+            vals[v] = zero
         return tuple(vals[i] for i in range(1, self.original_nvars + 1))
 
 
-def check_solution(system: System, x) -> bool:
-    """Exact check of a candidate solution (1-based values in x)."""
+def check_solution(system: System, x, den: int = 1) -> bool:
+    """Exact check of the candidate solution x / den (1-based values in x).
+
+    Every equation but the unit ones is homogeneous, so only a unit
+    equation reads den: it holds when x_var = sign * den.
+    """
     for eq in system.equations:
         if isinstance(eq, UnitEquation):
-            if x[eq.var - 1] != eq.sign:
+            if x[eq.var - 1] != eq.sign * den:
                 return False
         else:
             if sum(c * x[v - 1] for c, v in eq.terms) != 0:
@@ -353,8 +361,9 @@ def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: in
     One fraction-free elimination of the augmented matrix [A | b]; a pivot
     in the right-hand side column means the system is unsolvable.  Free
     variables are the non-pivot columns in ascending order (the
-    lexicographically earliest pivot set).  Returns the values of the
-    pivot variables with all free variables set to zero, plus the free
+    lexicographically earliest pivot set).  With all free variables set
+    to zero, returns the values of the pivot variables as integers y over
+    the common denominator t (see _solve_augmented), plus the free
     variable list.
     """
     uvar, usign = unit
@@ -369,10 +378,10 @@ def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: in
     solved = _solve_augmented(rows)
     if solved is None:
         raise UnsolvableSystemError("system is unsolvable")
-    pivots, values, _ = solved
+    pivots, y, t, _ = solved
     pivot_set = set(pivots)
     free = [c + 1 for c in range(nvars) if c not in pivot_set]
-    return {c + 1: v for c, v in values.items()}, free
+    return {c + 1: y[c] for c in pivots}, t, free
 
 
 def reduce_system(system: System) -> tuple[System, ReductionTrace]:
@@ -384,7 +393,9 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     the unit sign.  The reduced system has first equation x_1 = 1, every
     solution coordinate nonzero, pairwise distinct absolute values, and
     every homogeneous equation with at least two variables.  The maximum
-    absolute coordinate value is preserved.
+    absolute coordinate value is preserved.  The steps read the solution
+    as integers y over one denominator t: zero, equal and opposite values
+    of y are those of x = y / t.
     """
     k = system.k
     units = system.unit_equations()
@@ -411,12 +422,12 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     for se in system.sum_equations():
         d = se.combined()
         if sum(abs(c) for c in d.values()) < se.weight():
-            records.append(StepRecord(5, "cancelled opposite terms in %s" % _coefficient_text(se)))
+            records.append(StepRecord(5, "cancelled opposite terms in %s" % se.to_text()))
         if d:
             eqs.append(d)
 
     # step 2: zero out the free variables
-    values, free = _solve_with_free((uvar, usign), eqs, system.nvars)
+    values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
     zeroed_free = tuple(sorted(free))
     if zeroed_free:
         for d in eqs:
@@ -441,7 +452,7 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
 
     # step 4: merge variables equal up to sign (keep the smallest index,
     # preferring the unit variable), cancelling as we substitute (step 5)
-    groups: dict[Fraction, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for v in sorted(active):
         groups.setdefault(abs(values[v]), []).append(v)
     merges: list[tuple[int, int, int]] = []
@@ -494,7 +505,7 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         for d in selected:
             if uvar in d:
                 d[uvar] = -d[uvar]
-        values[uvar] = Fraction(1)
+        values[uvar] = den
         records.append(StepRecord(6, "replaced x%d by -x%d to absorb the unit sign" % (uvar, uvar)))
 
     # final rename: unit variable first, the rest ascending
@@ -502,9 +513,9 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     rename = {uvar: 1}
     for i, v in enumerate(others, start=2):
         rename[v] = i
-    reduced_solution = [Fraction(0)] * n
+    reduced_y = [0] * n
     for v in active:
-        reduced_solution[rename[v] - 1] = values[v]
+        reduced_y[rename[v] - 1] = values[v]
     equations: list[Equation] = [UnitEquation(var=1, sign=1)]
     for d in selected:
         terms = tuple(sorted(((c, rename[v]) for v, c in d.items()), key=lambda t: t[1]))
@@ -520,7 +531,9 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         dropped_dependent=dropped,
         unit_sign_flipped=flipped,
         rename=rename,
-        reduced_solution=tuple(reduced_solution),
+        reduced_y=tuple(reduced_y),
+        den=den,
+        reduced_solution=tuple(Fraction(v, den) for v in reduced_y),
         records=tuple(records),
     )
     _check_reduced(reduced, trace)
@@ -529,12 +542,12 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
 
 def _check_reduced(reduced: System, trace: ReductionTrace) -> None:
     """Machine-check the reduced-system postconditions."""
-    x = trace.reduced_solution
-    if not check_solution(reduced, x):
+    y = trace.reduced_y
+    if not check_solution(reduced, y, trace.den):
         raise ReductionError("reduced solution does not satisfy the reduced system")
-    if any(v == 0 for v in x):
+    if 0 in y:
         raise ReductionError("reduced solution has a zero coordinate")
-    absvals = [abs(v) for v in x]
+    absvals = [abs(v) for v in y]
     if len(set(absvals)) != len(absvals):
         raise ReductionError("reduced solution has coincident absolute values")
     first = reduced.equations[0]
@@ -569,11 +582,13 @@ def assemble(system: System) -> Assembled:
 
     An equation k x_b = +-x_a is a link a -> b.  Distinct maximal chains
     cannot share a variable; a shared variable or a cycle signals a
-    reduction bug.  Each chain, in ascending order of heads, occupies
-    consecutive columns tail first, so its rows form a t x (t+1) band with
-    k on the diagonal and +-1 beside it; the other variables follow in
-    ascending order.  The rows are the unit row, each chain's links tail
-    first, and the residual equations in system order.
+    reduction bug.  A variable tails at most one link and a head tails
+    none, so the walk from a head never meets a visited variable; a cycle
+    leaves its variables unvisited.  Each chain, in ascending order of
+    heads, occupies consecutive columns tail first, so its rows form a
+    t x (t+1) band with k on the diagonal and +-1 beside it; the other
+    variables follow in ascending order.  The rows are the unit row, each
+    chain's links tail first, and the residual equations in system order.
     """
     k, n = system.k, system.nvars
     links: dict[int, tuple[int, int]] = {}  # a -> (b, entry of x_a in the row k x_b)
@@ -601,8 +616,6 @@ def assemble(system: System) -> Assembled:
         visited.add(head)
         while chain[-1] in links:
             b = links[chain[-1]][0]
-            if b in visited:
-                raise ChainIntersectionError("chain cycle at x%d" % b)
             visited.add(b)
             chain.append(b)
         start = len(column_of)
@@ -638,11 +651,14 @@ _CRAMER_CROSSCHECK_LIMIT = 10
 
 
 def solve_assembled(asm: Assembled):
-    """Solve A x = e_1 exactly; returns (x, det A, per-column det A_i).
+    """Solve A x = e_1 exactly; returns (y, t, det A, per-column det A_i).
 
-    One fraction-free elimination of [A | e_1] gives both x and det A.
-    det A_i is the Cramer numerator (column i replaced by e_1); for small
-    systems the explicit Cramer solution is computed and compared.
+    One fraction-free elimination of [A | e_1] gives both the solution, as
+    integers y over the common denominator t in canonical form (x = y / t,
+    see matrices._solve_augmented), and det A.  det A_i, the Cramer
+    numerator (column i replaced by e_1), is y_i det A / t, which t must
+    divide.  For small systems the explicit Cramer solution is computed
+    and compared.
     """
     n = asm.n
     e1 = [1] + [0] * (n - 1)
@@ -650,19 +666,18 @@ def solve_assembled(asm: Assembled):
     solved = _solve_augmented(rows)
     if solved is None or len(solved[0]) < n:
         raise ReductionError("assembled matrix is singular")
-    _, values, sign = solved
-    x = tuple(values[c] for c in range(n))
+    _, y, t, sign = solved
     det_a = sign * rows[n - 1][n - 1]
     if n <= _CRAMER_CROSSCHECK_LIMIT:
-        if cramer_solve(IntegerMatrix(asm.rows), e1) != x:
+        if any(xi * t != yi for xi, yi in zip(cramer_solve(IntegerMatrix(asm.rows), e1), y)):
             raise ReductionError("Cramer and elimination solutions disagree")
     det_ai = []
-    for xi in x:
-        num = xi * det_a
-        if num.denominator != 1:
+    for yi in y:
+        num, rem = divmod(yi * det_a, t)
+        if rem:
             raise ReductionError("non-integer Cramer numerator")
-        det_ai.append(num.numerator)
-    return x, det_a, tuple(det_ai)
+        det_ai.append(num)
+    return tuple(y), t, det_a, tuple(det_ai)
 
 
 # ---------------------------------------------------------------------------
@@ -752,27 +767,30 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
             trivial=True,
         )
     asm = assemble(reduced)
-    x, det_a, det_ai = solve_assembled(asm)
+    y, t, det_a, det_ai = solve_assembled(asm)
     n = asm.n
-    # assembled solution must agree with the solution tracked by reduction
-    for v in range(1, n + 1):
-        if x[asm.column_of[v]] != trace.reduced_solution[v - 1]:
-            raise ReductionError("assembled solution disagrees with the reduction")
-    original = trace.reconstruct()
-    if not check_solution(system, original):
+    # the assembled solution must equal the one tracked by the reduction;
+    # both are in canonical form, so their integers agree
+    if t != trace.den or any(
+        y[asm.column_of[v]] != yv for v, yv in enumerate(trace.reduced_y, start=1)
+    ):
+        raise ReductionError("assembled solution disagrees with the reduction")
+    original_y = trace._expand(trace.reduced_y, 0)
+    if not check_solution(system, original_y, t):
         raise ReductionError("reconstructed solution fails the original system")
-    max_abs = max(abs(v) for v in x)
-    if max_abs != max(abs(v) for v in original):
+    max_y = max(abs(v) for v in y)
+    if max_y != max(abs(v) for v in original_y):
         raise ReductionError("reduction changed the maximum coordinate magnitude")
     bound = k ** (n - 1)
-    bound_ok = all(abs(v) <= bound for v in x)
+    bound_ok = max_y <= bound * t
     if not bound_ok:
         raise BoundViolationError("solution magnitude exceeds k^(n-1) = %d" % bound)
     certification = None
     if certify:
-        certification = certify_solution_bound(asm, x, det_a)
+        certification = certify_solution_bound(asm, y, t, det_a)
         if not certification.all_ok:
             raise BoundViolationError("determinant certification failed")
+    max_abs = Fraction(max_y, t)
     return SolveReport(
         k=k,
         n=n,
@@ -782,7 +800,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         max_abs=max_abs,
         sharp=max_abs == bound,
         bound_ok=bound_ok,
-        solution=original,
+        solution=trace.reconstruct(),
         reduced_solution=trace.reduced_solution,
         trace=trace,
         certification=certification,

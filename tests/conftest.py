@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from relmag.circuits import Circuit
 from relmag.matrices import IntegerMatrix, _solve_augmented, nullspace_basis, primitive_vector
@@ -83,13 +83,15 @@ def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def solve_square(a: IntegerMatrix, b) -> tuple[Fraction, ...] | None:
+def solve_square(a: IntegerMatrix, b) -> tuple[tuple[int, ...], int] | None:
     """Solve A.x = b through matrices._solve_augmented, the kernel that
     systems.solve_assembled and the reduction run.
 
-    A rational b is scaled to integers by its common denominator first.
-    Returns None when A is singular: fewer than n pivots, or b outside
-    the column space.
+    A rational b is scaled to integers by its common denominator den
+    first, so _solve_augmented returns den x = y / t.  Returns x in the
+    same canonical form, (y', t') with x = y' / t', t' > 0 and
+    gcd(t', y') = 1, or None when A is singular: fewer than n pivots, or
+    b outside the column space.
     """
     b = [Fraction(v) for v in b]
     den = lcm(*(v.denominator for v in b))
@@ -97,7 +99,37 @@ def solve_square(a: IntegerMatrix, b) -> tuple[Fraction, ...] | None:
     solved = _solve_augmented(rows)
     if solved is None or len(solved[0]) < a.cols:
         return None
-    return tuple(solved[1][c] / den for c in range(a.cols))
+    _, y, t, _ = solved
+    g = gcd(t * den, *y)
+    return tuple(v // g for v in y), t * den // g
+
+
+def as_fractions(y, t) -> tuple[Fraction, ...]:
+    """The rational vector y / t."""
+    return tuple(Fraction(v, t) for v in y)
+
+
+def gauss_jordan_solve(a, b) -> tuple[Fraction, ...] | None:
+    """Solve the square system A.x = b by Gauss-Jordan elimination over
+    Fractions, or return None when A is singular.
+
+    Independent of the fraction-free kernel in relmag.matrices; used only
+    to cross-check the integer solve.
+    """
+    n = len(a)
+    rows = [[Fraction(e) for e in row] + [Fraction(v)] for row, v in zip(a, b)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        p = rows[c][c]
+        rows[c] = [e / p for e in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [e - f * q for e, q in zip(rows[i], rows[c])]
+    return tuple(row[n] for row in rows)
 
 
 def random_matrix(rng: random.Random, m: int, n: int, lo: int = -3, hi: int = 3) -> IntegerMatrix:

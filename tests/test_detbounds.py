@@ -145,11 +145,11 @@ MULTI_CHAIN = "k=3; x1=1; 3x2=x1; 3x3=x2; 3x5=x4; 3x6=x5; x4-x1-x2-x3=0; x7-x1-x
 
 
 def _certify_args(system):
-    """(asm, x, det A): the arguments certify_solution_bound takes."""
+    """(asm, y, t, det A): the arguments certify_solution_bound takes."""
     reduced, _ = reduce_system(system)
     asm = assemble(reduced)
-    x, det_a, _ = solve_assembled(asm)
-    return asm, x, det_a
+    y, t, det_a, _ = solve_assembled(asm)
+    return asm, y, t, det_a
 
 
 class TestCertification:
@@ -192,14 +192,14 @@ class TestCertification:
         assert "certification: max=4 sharp=yes OK" in rep.to_text()
 
     def test_chain_structure_enforced(self):
-        asm, x, det_a = _certify_args(extremal_system(2, 4))
+        asm, y, t, det_a = _certify_args(extremal_system(2, 4))
         rows = list(asm.rows)
         rows[2] = (0, 2, 0, -1)  # the second chain row skips chain column 2
         with pytest.raises(ValueError, match="not supported on columns 1, 2"):
-            certify_solution_bound(replace(asm, rows=tuple(rows)), x, det_a)
+            certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
         rows[2] = (0, 2, -2, 0)  # the right support, but no longer a B_3 block
         with pytest.raises(LemmaViolationError, match="closed form det B_3"):
-            certify_solution_bound(replace(asm, rows=tuple(rows)), x, det_a)
+            certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
 
     def test_no_gram_or_determinant(self, monkeypatch):
         """Certification eliminates no matrix: it reads det U_i from the solve."""
@@ -235,12 +235,12 @@ class TestCertification:
         cases = set()
         for system in systems:
             try:
-                asm, x, det_a = _certify_args(system)
+                asm, y, t, det_a = _certify_args(system)
             except UnsolvableSystemError:
                 continue
             if asm.n == 1:
                 continue
-            rep = certify_solution_bound(asm, x, det_a)
+            rep = certify_solution_bound(asm, y, t, det_a)
             blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
             blocks += [[r - 1] for r in asm.type3_rows]
             for i, entry in enumerate(rep.entries):

@@ -3,9 +3,10 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from conftest import dense_echelon, solve_square
+from conftest import as_fractions, dense_echelon, solve_square
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,15 +209,15 @@ class TestLazyKernel:
         system = extremal_system(2, n)
         asm = assemble(system)
         rows = [CountingRow(list(row) + [int(i == 0)]) for i, row in enumerate(asm.rows)]
-        pivots, values, _ = _solve_augmented(rows)
-        assert len(pivots) == n and values[n - 1] == 2 ** (n - 1)
+        pivots, y, t, _ = _solve_augmented(rows)
+        assert len(pivots) == n and Fraction(y[n - 1], t) == 2 ** (n - 1)
         assert CountingRow.writes <= 4 * n * n
 
 
 class TestSolvers:
     def test_unique_solution(self):
         a = square([[2, 1], [1, 3]])
-        x = solve_square(a, [5, 10])
+        x = as_fractions(*solve_square(a, [5, 10]))
         assert x == (Fraction(1), Fraction(3))
         assert cramer_solve(a, [5, 10]) == x
 
@@ -229,10 +230,27 @@ class TestSolvers:
             if determinant(a) == 0:
                 continue
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-            x = solve_square(a, b)
+            x = as_fractions(*solve_square(a, b))
             assert cramer_solve(a, b) == x
             assert list(a.apply(x)) == [Fraction(v) for v in b]
             done += 1
+
+    def test_solve_augmented_canonical_form(self):
+        """x = y / t with t > 0, gcd(t, y) = 1 and the free variables zero."""
+        rng = random.Random(29)
+        solved = 0
+        for _ in range(1000):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(m)]
+            out = _solve_augmented([row[:] for row in rows])
+            if out is None:
+                continue
+            pivots, y, t, _ = out
+            assert t > 0 and gcd(t, *y) == 1
+            assert all(y[c] == 0 for c in range(n) if c not in pivots)
+            assert all(sum(a * v for a, v in zip(row, y)) == row[n] * t for row in rows)
+            solved += 1
+        assert solved > 300
 
     def test_singular_rejected(self):
         a = square([[1, 2], [2, 4]])

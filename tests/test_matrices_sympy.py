@@ -9,6 +9,7 @@ rational linear algebra is an outside reference for all four.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from conftest import solve_square
@@ -75,5 +76,8 @@ def test_solve_augmented_matches_sympy():
             continue
         rhs = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
         expected = tuple(to_fraction(q) for q in ref.LUsolve(rhs))
-        assert solve_square(a, b) == expected
+        # the canonical y / t of sympy's solution: t the least common
+        # denominator, which leaves gcd(t, y) = 1
+        t = lcm(*(v.denominator for v in expected))
+        assert solve_square(a, b) == (tuple(int(v * t) for v in expected), t)
     assert singular > 100  # the rank-deficient products are exercised

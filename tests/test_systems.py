@@ -3,13 +3,16 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relmag.detbounds
+import relmag.matrices
 import relmag.systems
-from conftest import random_system
+from conftest import as_fractions, gauss_jordan_solve, random_system
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
 from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
@@ -125,28 +128,22 @@ class TestParser:
         assert (exc.value.line, exc.value.col) == (1, 11)
 
     def test_round_trip(self):
-        # to_text expands coefficients into repeated unit terms, so the
-        # round trip preserves semantics (combined coefficients), not syntax
-        for text in ["k=3; x1=1; 3x1-x2=0", "x1=-1; x1+x2=x3"]:
+        # to_text writes each term once with its coefficient, so the round
+        # trip gives back the same equations, term for term
+        for text in ["k=3; x1=1; 3x1-x2=0", "x1=-1; x1+x2=x3", "k=2; x1+x1-x2=0"]:
             s = parse_system(text)
-            again = parse_system(s.to_text())
-            assert again.k == s.k and again.nvars == s.nvars
-            for e1, e2 in zip(again.equations, s.equations):
-                if isinstance(e1, SumEquation):
-                    assert e1.combined() == e2.combined()
-                else:
-                    assert e1 == e2
+            assert parse_system(s.to_text()) == s
+
+    def test_extremal_text_follows_the_terms(self):
+        text = extremal_dsl(10 ** 6, 3)
+        assert len(text) < 100
+        assert parse_system(text) == extremal_system(10 ** 6, 3)
 
     @given(_systems())
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, s):
         again = parse_system(s.to_text())
-        assert again.k == s.k and len(again.equations) == len(s.equations)
-        for e1, e2 in zip(again.equations, s.equations):
-            if isinstance(e2, SumEquation):
-                assert isinstance(e1, SumEquation) and e1.combined() == e2.combined()
-            else:
-                assert e1 == e2
+        assert again.k == s.k and again.equations == s.equations
         used = [e.var for e in s.unit_equations()]
         used += [v for e in s.sum_equations() for _, v in e.terms]
         assert again.nvars == max(used)
@@ -388,12 +385,64 @@ class TestSolveAndCertify:
             except UnsolvableSystemError:
                 continue
             asm = assemble(reduced)
-            _, det_a, det_ai = solve_assembled(asm)
+            _, _, det_a, det_ai = solve_assembled(asm)
             a = IntegerMatrix(asm.rows)
             e1 = [1] + [0] * (a.rows - 1)
             assert det_a == determinant(a)
             assert det_ai == tuple(determinant(a.replace_column(i, e1)) for i in range(a.cols))
             done += 1
+
+    def test_solution_with_common_denominator(self):
+        """x = (1, 1/2, 1/4) is y / t with t = 4; columns run tail first."""
+        rep = solve_and_certify(parse_system("k=2; x1=1; 2x2-x1=0; 2x3-x2=0"))
+        assert rep.solution == (1, Fraction(1, 2), Fraction(1, 4))
+        assert (rep.trace.reduced_y, rep.trace.den) == ((4, 2, 1), 4)
+        assert rep.max_abs == 1 and not rep.sharp
+        assert (rep.det_a, rep.det_ai) == (4, (1, 2, 4))
+        cert = rep.certification
+        assert cert.all_ok
+        assert [e.x for e in cert.entries] == [Fraction(1, 4), Fraction(1, 2), 1]
+        assert [e.det_u for e in cert.entries] == [1, -2, 4]
+        assert [e.det_w for e in cert.entries] == [1, 4, 16]
+
+    def test_integer_solve_matches_fraction_oracle(self):
+        """solve_assembled's y / t equals a Fraction Gauss-Jordan solve of the
+        assembled rows, and t is the least common denominator."""
+        rng = random.Random(89)
+        done = with_denominator = 0
+        while done < 500:
+            try:
+                reduced, _ = reduce_system(random_system(rng))
+            except UnsolvableSystemError:
+                continue
+            asm = assemble(reduced)
+            y, t, _, _ = solve_assembled(asm)
+            expected = gauss_jordan_solve(asm.rows, [1] + [0] * (asm.n - 1))
+            assert as_fractions(y, t) == expected
+            assert t == lcm(*(v.denominator for v in expected))
+            with_denominator += t > 1
+            done += 1
+        assert with_denominator >= 100
+
+    def test_solve_path_builds_no_fraction_per_step(self, monkeypatch):
+        """The solve returns plain ints, and solve_and_certify builds
+        Fractions only for the report: at most 3n for n variables."""
+        n = 64
+        system = extremal_system(2, n)
+        reduced, _ = reduce_system(system)
+        y, t, det_a, det_ai = solve_assembled(assemble(reduced))
+        assert all(type(v) is int for v in (*y, t, det_a, *det_ai))
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        for module in (relmag.systems, relmag.detbounds, relmag.matrices):
+            monkeypatch.setattr(module, "Fraction", counted)
+        rep = solve_and_certify(system)
+        assert rep.sharp and rep.certification.all_ok
+        assert len(built) <= 3 * n
 
     def test_no_certify_skips_chain(self):
         rep = solve_and_certify(parse_system(extremal_dsl(2, 6)), certify=False)
@@ -403,8 +452,8 @@ class TestSolveAndCertify:
     def test_failed_certification_raises(self, monkeypatch):
         real = relmag.systems.certify_solution_bound
 
-        def failing(asm, x, det_a):
-            rep = real(asm, x, det_a)
+        def failing(asm, y, t, det_a):
+            rep = real(asm, y, t, det_a)
             return replace(rep, entries=(replace(rep.entries[0], ok=False),) + rep.entries[1:])
 
         monkeypatch.setattr(relmag.systems, "certify_solution_bound", failing)
