@@ -16,8 +16,8 @@ from relmag.matrices import (
     IntegerMatrix,
     _bareiss_step,
     _back_substitute,
+    _primitive,
     nullspace_basis,
-    primitive_vector,
     rank,
 )
 
@@ -95,11 +95,7 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     candidate supports (column sets of the null-space support of at most
     rank(A) + 1 columns), unless allow_large is set.
     """
-    return _walk(a, nullspace_basis(a), allow_large)
-
-
-def _walk(a: IntegerMatrix, basis, allow_large: bool) -> list[Circuit]:
-    """enumerate_circuits on A with its nullspace_basis already computed."""
+    basis = nullspace_basis(a)
     d = len(basis)
     if d == 0:
         return []
@@ -133,7 +129,7 @@ def _walk(a: IntegerMatrix, basis, allow_large: bool) -> list[Circuit]:
                 _back_substitute(rows, sset, x)
                 if all(x[s] for s in sset):
                     vec = [0] * a.cols
-                    for c, v in zip(cols, primitive_vector(x)):
+                    for c, v in zip(cols, _primitive(x)):
                         vec[c] = v
                     support = tuple(cols[s] for s in sset) + (cols[j],)
                     found.append(Circuit(support=support, vector=tuple(vec)))

@@ -7,6 +7,11 @@ the null space is trivial.  The certificate records the circuit-based
 upper bound together with the per-clause verdicts of the sharp bound
 (norm - 1)^rank and its min-support refinement t, or, for norm <= 2,
 of the dichotomy omega in {0, 1} (every circuit has ratio 1).
+
+omega_matrix_upper takes the rank and the circuits from the public rank
+and enumerate_circuits.  Each circuit's ratio is kept as the integer
+pair (max |x|, min |x|): the minimum is found and every bound is tested
+by cross-multiplication, and one Fraction is built, for the minimum.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from relmag.circuits import Circuit, _walk
-from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, nullspace_basis
+from relmag.circuits import Circuit, enumerate_circuits
+from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, rank
 
 
 def omega_vector(x) -> Fraction:
@@ -98,14 +103,11 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
 
     Minimizes the vector magnitude over all circuits; ties are broken by
     lexicographic support (the enumeration order).  Exactly the matrix
-    value whenever the null space is a single ray.  One elimination gives
-    the null-space basis, the rank (columns less its size) and the
-    circuit walk's input.
+    value whenever the null space is a single ray.
     """
     norm = infinity_norm(a)
-    basis = nullspace_basis(a)
-    nullity = len(basis)
-    rk = a.cols - nullity
+    rk = rank(a)
+    nullity = a.cols - rk
     if nullity == 0:
         return MagnitudeCertificate(
             omega_upper=Fraction(0),
@@ -120,34 +122,41 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
             sharp=False,
             checks=(("zero_iff_full_rank", True),),
         )
-    circs = _walk(a, basis, allow_large)
-    omegas = [omega_vector(c.restricted()) for c in circs]
-    best = min(omegas)
-    witness = circs[omegas.index(best)]
+    circs = enumerate_circuits(a, allow_large)
+    # (max |x|, min |x|) of each circuit; its ratio is hi / lo
+    ratios = []
+    for c in circs:
+        mags = [abs(v) for v in c.restricted()]
+        ratios.append((max(mags), min(mags)))
+    best = 0
+    for i, (hi, lo) in enumerate(ratios):
+        if hi * ratios[best][1] < ratios[best][0] * lo:
+            best = i
+    best_hi, best_lo = ratios[best]
     t = min(len(c.support) for c in circs)
-    checks = [("omega_ge_1", best >= 1)]
+    checks = [("omega_ge_1", best_hi >= best_lo)]
     theorem_bound = support_bound = None
     if norm >= 3:
         theorem_bound = (norm - 1) ** rk
         support_bound = (norm - 1) ** (t - 1)
-        checks.append(("omega_le_support_bound", best <= support_bound))
+        checks.append(("omega_le_support_bound", best_hi <= support_bound * best_lo))
         checks.append(("support_bound_le_theorem_bound", support_bound <= theorem_bound))
         checks.append(
             (
                 "every_circuit_le_support_power",
                 all(
-                    w <= (norm - 1) ** (len(c.support) - 1)
-                    for c, w in zip(circs, omegas)
+                    hi <= (norm - 1) ** (len(c.support) - 1) * lo
+                    for c, (hi, lo) in zip(circs, ratios)
                 ),
             )
         )
     else:
-        checks.append(("small_norm_all_circuits_unit", all(w == 1 for w in omegas)))
-    sharp = theorem_bound is not None and best == theorem_bound
+        checks.append(("small_norm_all_circuits_unit", all(hi == lo for hi, lo in ratios)))
+    sharp = theorem_bound is not None and best_hi == theorem_bound * best_lo
     return MagnitudeCertificate(
-        omega_upper=best,
+        omega_upper=Fraction(best_hi, best_lo),
         exact=nullity == 1,
-        witness=witness,
+        witness=circs[best],
         norm=norm,
         rank=rk,
         nullity=nullity,

@@ -297,15 +297,18 @@ def primitive_vector(x) -> tuple[int, ...]:
     entry is positive.  Parallel vectors map to the same result.
     """
     den = lcm(*(v.denominator for v in x))
-    ints = [v.numerator * (den // v.denominator) for v in x]
+    return _primitive([v.numerator * (den // v.denominator) for v in x])
+
+
+def _primitive(ints) -> tuple[int, ...]:
+    """primitive_vector of a nonzero integer vector: divide by the gcd,
+    signed so that the first nonzero entry is positive."""
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
@@ -325,7 +328,7 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
             x = [0] * n
             x[f] = 1
             _back_substitute(rows, pivots, x)
-            basis.append(primitive_vector(x))
+            basis.append(_primitive(x))
     return basis
 
 

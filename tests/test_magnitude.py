@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_matrix
+from relmag.circuits import enumerate_circuits
 from relmag.generators import extremal_matrix
-from relmag.magnitude import omega_matrix_upper, omega_vector
-from relmag.matrices import IntegerMatrix, infinity_norm
+from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper, omega_vector
+from relmag.matrices import IntegerMatrix, infinity_norm, rank
 
 
 class TestOmegaVector:
@@ -131,3 +132,61 @@ class TestSmallNorm:
             if cert.nullity:
                 assert dict(cert.checks)["small_norm_all_circuits_unit"]
             checked += 1
+
+
+def _fraction_certificate(a):
+    """The certificate from its definition, in Fractions: omega_vector of
+    every circuit, the first minimum as witness, each bound compared as a
+    rational, and the rank from its own elimination."""
+    norm, rk = infinity_norm(a), rank(a)
+    nullity = a.cols - rk
+    if nullity == 0:
+        return MagnitudeCertificate(
+            Fraction(0), True, None, norm, rk, 0, None,
+            (norm - 1) ** rk if norm >= 3 else None, None, False,
+            (("zero_iff_full_rank", True),),
+        )
+    circs = enumerate_circuits(a)
+    omegas = [omega_vector(c.restricted()) for c in circs]
+    best = min(omegas)
+    t = min(len(c.support) for c in circs)
+    checks = [("omega_ge_1", best >= 1)]
+    theorem_bound = support_bound = None
+    if norm >= 3:
+        theorem_bound = (norm - 1) ** rk
+        support_bound = (norm - 1) ** (t - 1)
+        checks += [
+            ("omega_le_support_bound", best <= support_bound),
+            ("support_bound_le_theorem_bound", support_bound <= theorem_bound),
+            ("every_circuit_le_support_power",
+             all(w <= (norm - 1) ** (len(c.support) - 1) for c, w in zip(circs, omegas))),
+        ]
+    else:
+        checks.append(("small_norm_all_circuits_unit", all(w == 1 for w in omegas)))
+    return MagnitudeCertificate(
+        best, nullity == 1, circs[omegas.index(best)], norm, rk, nullity, t,
+        theorem_bound, support_bound, theorem_bound is not None and best == theorem_bound,
+        tuple(checks),
+    )
+
+
+def test_integer_certificate_matches_fraction_oracle():
+    """omega_matrix_upper's integer cross-multiplication gives the same
+    certificate, witness and verdicts as Fraction arithmetic over
+    omega_vector, on random matrices of at most 4x8."""
+    rng = random.Random(67)
+    seen = {"small_norm": 0, "large_norm": 0, "nullity_ge_2": 0, "tied_minimum": 0, "sharp": 0}
+    for trial in range(600):
+        m, n = rng.randint(1, 4), rng.randint(2, 8)
+        bound = (1, 1, 2, 3)[trial % 4]
+        a = random_matrix(rng, m, n, lo=-bound, hi=bound)
+        cert = omega_matrix_upper(a)
+        assert cert == _fraction_certificate(a), a.entries
+        assert type(cert.omega_upper) is Fraction
+        if cert.nullity:
+            seen["small_norm" if cert.norm <= 2 else "large_norm"] += 1
+            seen["nullity_ge_2"] += cert.nullity >= 2
+            omegas = [omega_vector(c.restricted()) for c in enumerate_circuits(a)]
+            seen["tied_minimum"] += omegas.count(cert.omega_upper) > 1
+            seen["sharp"] += cert.sharp
+    assert all(count >= 5 for count in seen.values()), seen

@@ -17,6 +17,7 @@ from relmag.matrices import (
     NonSquareError,
     SingularMatrixError,
     _echelon,
+    _primitive,
     _solve_augmented,
     cramer_solve,
     determinant,
@@ -132,6 +133,24 @@ class TestPrimitiveVector:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             primitive_vector([0, 0])
+        with pytest.raises(ValueError):
+            _primitive([0, 0])
+
+    def test_integer_route_matches(self):
+        """_primitive, used on the integer vectors of the null space and the
+        circuit walk, agrees with primitive_vector's route through lcm."""
+        rng = random.Random(61)
+        seen = {"zero": 0, "negative_first": 0, "common_factor": 0}
+        for _ in range(600):
+            factor = rng.choice((1, 2, 3, 6, 12))
+            x = [factor * rng.choice((0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 7))]
+            if not any(x):
+                continue
+            assert _primitive(x) == primitive_vector(x) == primitive_vector([Fraction(v) for v in x])
+            seen["zero"] += 0 in x
+            seen["negative_first"] += next(v for v in x if v) < 0
+            seen["common_factor"] += gcd(*x) > 1
+        assert all(count >= 100 for count in seen.values()), seen
 
     @given(st.lists(st.fractions(max_denominator=20), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)

@@ -61,6 +61,15 @@ def test_no_unused_imports():
             )
 
 
+def test_magnitude_imports_no_private_name():
+    """magnitude reaches the rank and the circuits through public functions
+    only, which a per-function trace can see."""
+    for node in ast.walk(_tree(SRC / "magnitude.py")):
+        if isinstance(node, ast.ImportFrom):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, "magnitude.py:%d imports %s" % (node.lineno, private)
+
+
 def test_cli_has_one_try():
     """The exit-code table is applied in one place, not per command."""
     tries = [node.lineno for node in ast.walk(_tree(SRC / "cli.py"))
