@@ -4,14 +4,15 @@ Closed-form determinants of the tridiagonal chain blocks, the
 Hadamard-Fischer product majorization for Gram matrices, coefficient
 norm bounds for residual equations, and the per-column certification
 chain x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems.  The
-certification eliminates no matrix: det U_i = +-x_i det A comes from the
-solve, det W_i = det U_i^2, each chain block minor of W_i comes from the
-continuant recurrence and is checked against its closed form, and each
-residual block minor is a squared row norm.  hadamard_fischer_check is
-the dense route the tests compare against.  All checks are integer-exact:
-the solution arrives as integers y over one denominator t, x = y / t, and
-a Fraction is built only for the x and the maximum that the report
-prints.
+certification eliminates no matrix and reads A through its nonzero
+(column, value) pairs: det U_i = +-x_i det A comes from the solve,
+det W_i = det U_i^2, each chain block minor of W_i is one product of a
+prefix and a suffix continuant, computed once per chain and checked
+against its closed form, and each residual block minor is a squared row
+norm less one square.  hadamard_fischer_check is the dense route the
+tests compare against.  All checks are integer-exact: the solution
+arrives as integers y over one denominator t, x = y / t, and a Fraction
+is built only for the x and the maximum that the report prints.
 """
 
 from __future__ import annotations
@@ -347,58 +348,74 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def _continuant(diag, off) -> int:
-    """Determinant of the symmetric tridiagonal matrix with diagonal diag
-    and off-diagonal off, by the three-term recurrence
-    f_j = d_j f_(j-1) - e_(j-1)^2 f_(j-2) (Muir's continuant)."""
-    prev, cur = 1, diag[0]
-    for d, e in zip(diag[1:], off):
-        prev, cur = cur, d * cur - e * e * prev
-    return cur
-
-
 def _chain_tridiagonal(a, rows, cols):
-    """Diagonal and off-diagonal of the chain block of G = A' A'^T.
+    """Diagonal and off-diagonal of the chain block of G = A' A'^T, and
+    the entries (u_j, v_j) of chain row j at cols[j] and cols[j+1].
 
-    Row j of the chain must be supported on exactly cols[j] and cols[j+1];
-    then rows j and j+1 share only column cols[j+1], rows further apart
-    share none, and the block is tridiagonal.
+    Row j of the chain must hold exactly two nonzero pairs, at cols[j] and
+    cols[j+1]; then rows j and j+1 share only column cols[j+1], rows
+    further apart share none, and the block is tridiagonal.
     """
+    ends = []
     for j, r in enumerate(rows):
-        if [c for c, e in enumerate(a[r]) if e] != [cols[j], cols[j + 1]]:
+        row = a[r]
+        if not (len(row) == 2 and row[0][0] == cols[j] and row[1][0] == cols[j + 1]
+                and row[0][1] and row[1][1]):
             raise ValueError(
                 "chain row %d is not supported on columns %d, %d" % (r, cols[j], cols[j + 1])
             )
-    diag = [a[r][c] ** 2 + a[r][d] ** 2 for r, c, d in zip(rows, cols, cols[1:])]
-    off = [a[r][c] * a[s][c] for r, s, c in zip(rows, rows[1:], cols[1:])]
-    return diag, off
+        ends.append((row[0][1], row[1][1]))
+    diag = [u * u + v * v for u, v in ends]
+    off = [v * u for (_, v), (u, _) in zip(ends, ends[1:])]
+    return diag, off, ends
 
 
-def _cut_chain_minor(a, rows, diag, off, i: int, p: int, k: int) -> int:
-    """The chain block minor of W_i = G - c_i c_i^T, i the chain's column p.
+def _chain_minors(a, rows, cols, k: int):
+    """det B_t of one chain block, and its minor in W_i for i = cols[p],
+    p = 0..t, each checked against its closed form.
 
-    c_i meets the chain in row p-1, which ends at column i, and in row p,
-    which starts there; the downdate touches only those two rows, and the
-    minor must equal det C_p det D_(t-p), else LemmaViolationError.
+    The prefix continuants f_j (leading j x j block) and the suffix
+    continuants g_j (rows j..t-1) follow Muir's three-term recurrence,
+    f_j = d_(j-1) f_(j-1) - e_(j-2)^2 f_(j-2), and both f_t and g_0 must
+    equal det B_t.  c_i meets the chain in row p-1, which ends at column
+    i with entry v_(p-1), and in row p, which starts there with entry
+    u_p.  The downdate W_i = G - c_i c_i^T lowers those two diagonal
+    entries by v_(p-1)^2 and u_p^2 and sets the off-diagonal entry
+    between them to zero, so the block splits, and its minor is L_p R_p
+    with L_p = f_p - v_(p-1)^2 f_(p-1) (L_0 = 1) and
+    R_p = g_p - u_p^2 g_(p+1) (R_t = 1).  It must equal
+    det C_p det D_(t-p) = k^(2p) * 1, else LemmaViolationError.
     """
+    diag, off, ends = _chain_tridiagonal(a, rows, cols)
     t = len(rows)
-    diag, off = list(diag), list(off)
-    if p > 0:
-        diag[p - 1] -= a[rows[p - 1]][i] ** 2
-    if p < t:
-        diag[p] -= a[rows[p]][i] ** 2
-    if 0 < p < t:
-        off[p - 1] -= a[rows[p - 1]][i] * a[rows[p]][i]
-    minor = _continuant(diag, off)
-    expected = det_closed_form(ChainBlockSpec("C", p, k)) * det_closed_form(
-        ChainBlockSpec("D", t - p, k)
-    )
-    if minor != expected:
+    f = [1, diag[0]]
+    for j in range(1, t):
+        f.append(diag[j] * f[j] - off[j - 1] ** 2 * f[j - 1])
+    g = [1, diag[-1]]  # g_t, g_(t-1), ..., g_0: reversed below
+    for j in range(t - 2, -1, -1):
+        g.append(diag[j] * g[-1] - off[j] ** 2 * g[-2])
+    g.reverse()
+    det_b = det_closed_form(ChainBlockSpec("B", t, k))
+    if f[t] != det_b or g[0] != det_b:
         raise LemmaViolationError(
-            "column %d cuts a chain block with det %d, closed form det C_%d det D_%d says %d"
-            % (i + 1, minor, p, t - p, expected)
+            "chain block at rows %d..%d has det %d (prefix) and %d (suffix), "
+            "closed form det B_%d says %d" % (rows[0], rows[-1], f[t], g[0], t, det_b)
         )
-    return minor
+    k2 = k * k
+    expected = 1  # det C_p = k^(2p) and det D_q = 1, by a running product
+    minors = []
+    for p in range(t + 1):
+        left = f[p] - ends[p - 1][1] ** 2 * f[p - 1] if p else 1
+        right = g[p] - ends[p][0] ** 2 * g[p + 1] if p < t else 1
+        minor = left * right
+        if minor != expected:
+            raise LemmaViolationError(
+                "column %d cuts a chain block with det %d, closed form det C_%d det D_%d says %d"
+                % (cols[p] + 1, minor, p, t - p, expected)
+            )
+        minors.append(minor)
+        expected *= k2
+    return det_b, minors
 
 
 def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
@@ -415,14 +432,22 @@ def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
     - det U_i = (-1)^i y_i det A / t (0-based i): Cramer's det A_i
       expanded along its column i, which is e_1; t must divide y_i det A;
     - det W_i = det U_i^2 (Cauchy-Binet, U_i being square);
-    - each chain block of W_i is tridiagonal; its minor comes from the
-      continuant recurrence and must equal the closed form, det B_t when
-      column i misses the chain and det C_p det D_q when i is the chain's
-      column p (tail first), else LemmaViolationError;
+    - each chain block of W_i is tridiagonal.  Per chain, the prefix and
+      suffix continuants are computed once; det B_t, the minor when column
+      i misses the chain, is their last and first term, and the minor
+      when i is the chain's column p (tail first) is the product of one
+      prefix and one suffix term, downdated at the cut (_chain_minors).
+      Each must equal its closed form, det B_t or det C_p det D_q, else
+      LemmaViolationError;
     - each residual block is 1 x 1, the squared row norm less a_ri^2.
 
-    The Hadamard-Fischer product of these minors bounds det W_i.  Case 1
-    columns cut a chain block, case 2 columns cut residual rows only.
+    The Hadamard-Fischer product of these minors bounds det W_i.  It is
+    formed once for a column that cuts nothing and, per column, the
+    factors that column i changes (its chain's det B_t and the norms of
+    the residual rows holding x_i, found through a column index) are
+    divided out and their minors multiplied in.  The work is linear in
+    the nonzeros of A, up to big-integer arithmetic.  Case 1 columns cut
+    a chain block, case 2 columns cut residual rows only.
     """
     n, k = asm.n, asm.k
     bound = k ** (2 * (n - 1))
@@ -436,22 +461,22 @@ def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
         )
     else:
         a = asm.rows
-        chains = []  # (rows, diag, off) of the chain block of G, per chain
-        whole = []  # det B_t per chain, its minor in W_i when i misses it
-        cut_by = {}  # column -> (chain index, position p in the chain)
-        for ci, (rows, cols) in enumerate(zip(asm.chain_rows, asm.chain_cols)):
-            diag, off = _chain_tridiagonal(a, rows, cols)
-            minor = _continuant(diag, off)
-            expected = det_closed_form(ChainBlockSpec("B", len(rows), k))
-            if minor != expected:
-                raise LemmaViolationError(
-                    "chain block %d has det %d, closed form det B_%d says %d"
-                    % (ci, minor, len(rows), expected)
-                )
-            chains.append((rows, diag, off))
-            whole.append(minor)
-            cut_by.update((c, (ci, p)) for p, c in enumerate(cols))
-        residual = [(a[r], sum(e * e for e in a[r])) for r in asm.type3_rows]
+        # base: the Hadamard-Fischer product for a column that cuts nothing,
+        # every chain's det B_t times every residual row's squared norm
+        base = 1
+        cut_by = {}  # column -> (det B_t of its chain, its minor in W_i, k^(2t))
+        for rows, cols in zip(asm.chain_rows, asm.chain_cols):
+            det_b, minors = _chain_minors(a, rows, cols, k)
+            base *= det_b
+            cap = k ** (2 * len(rows))
+            cut_by.update((c, (det_b, m, cap)) for c, m in zip(cols, minors))
+        met_by = {}  # column -> [(a_ri, squared norm of row r)] over residual rows r
+        for r in asm.type3_rows:
+            norm = sum(e * e for _, e in a[r])
+            base *= norm
+            for c, e in a[r]:
+                if e:
+                    met_by.setdefault(c, []).append((e, norm))
         t2 = t * t
         entries = []
         for i, yi in enumerate(y):
@@ -459,21 +484,27 @@ def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
             ok = not rem
             det_u = -det_ai if i % 2 else det_ai
             det_w = det_u * det_u
-            minors = whole + [norm - row[i] ** 2 for row, norm in residual]
-            case = 2
+            # replace the factors of base that W_i changes: every factor is
+            # >= 1 (a chain block equals its closed form, a residual row
+            # has a nonzero entry), so the division is exact
+            removed = replaced = 1
+            met = met_by.get(i, ())
+            for e, norm in met:
+                removed *= norm
+                replaced *= norm - e * e
             if i in cut_by:
                 case = 1
-                ci, p = cut_by[i]
-                rows, diag, off = chains[ci]
-                minors[ci] = _cut_chain_minor(a, rows, diag, off, i, p, k)
+                det_b, minor, cap = cut_by[i]
+                removed *= det_b
+                replaced *= minor
                 # the cut chain's principal minor is det C_p det D_q <= k^(2t)
-                ok = ok and minors[ci] <= k ** (2 * len(rows))
+                ok = ok and minor <= cap
             else:
+                case = 2
                 # every residual row containing x_i has its diagonal entry bounded
-                for row, norm in residual:
-                    if row[i]:
-                        ok = ok and norm - row[i] ** 2 <= (k - 1) ** 2 + 1 <= k * k - 2
-            hf_product = prod(minors)
+                for e, norm in met:
+                    ok = ok and norm - e * e <= (k - 1) ** 2 + 1 <= k * k - 2
+            hf_product = base // removed * replaced
             ok = ok and yi * yi <= det_w * t2 and det_w <= hf_product and det_w <= bound
             entries.append(
                 ColumnCertificate(

@@ -490,8 +490,12 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     # each kept iff independent of the rows before it, i.e. the pivot
     # columns of the transposed matrix [unit row; eqs]^T
     n = len(active)
-    cols = sorted(active)
-    transposed = [[1 if v == uvar else 0] + [d.get(v, 0) for d in eqs] for v in cols]
+    position = {v: r for r, v in enumerate(sorted(active))}
+    transposed = [[0] * (len(eqs) + 1) for _ in range(n)]
+    transposed[position[uvar]][0] = 1
+    for j, d in enumerate(eqs, start=1):
+        for v, c in d.items():
+            transposed[position[v]][j] = c
     pivots, _ = _echelon(transposed)
     selected = [eqs[p - 1] for p in pivots[1:]]
     dropped = len(eqs) - len(selected)
@@ -566,9 +570,14 @@ def _check_reduced(reduced: System, trace: ReductionTrace) -> None:
 
 @dataclass(frozen=True)
 class Assembled:
-    """Square system A x = e_1, as integer rows, with the block layout on record."""
+    """Square system A x = e_1, with the block layout on record.
 
-    rows: tuple[tuple[int, ...], ...]
+    Each row of A is held as its nonzero (column, value) pairs in column
+    order: the unit row has one, a chain row two, a residual row one per
+    term, so the rows take space linear in the nonzeros of A.
+    """
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     k: int
     n: int
     column_of: dict[int, int]  # reduced variable -> 0-based column
@@ -588,7 +597,8 @@ def assemble(system: System) -> Assembled:
     heads, occupies consecutive columns tail first, so its rows form a
     t x (t+1) band with k on the diagonal and +-1 beside it; the other
     variables follow in ascending order.  The rows are the unit row, each
-    chain's links tail first, and the residual equations in system order.
+    chain's links tail first, and the residual equations in system order,
+    each written as its nonzero (column, value) pairs in column order.
     """
     k, n = system.k, system.nvars
     links: dict[int, tuple[int, int]] = {}  # a -> (b, entry of x_a in the row k x_b)
@@ -623,28 +633,20 @@ def assemble(system: System) -> Assembled:
         chain_cols.append(tuple(range(start, len(column_of))))
         chain_rows.append(tuple(range(len(rows), len(rows) + len(chain) - 1)))
         for c, a in enumerate(reversed(chain[:-1]), start=start):
-            rows.append(_row(n, ((c, k), (c + 1, links[a][1]))))
+            rows.append(((c, k), (c + 1, links[a][1])))
     if visited != set(links) | tails:
         raise ChainIntersectionError("cyclic two-variable equations detected")
     if chain_cols and len(residual) < len(chain_cols) - 1:
         raise ReductionError("fewer than r-1 residual equations for %d chains" % len(chain_cols))
     for v in range(1, n + 1):
         column_of.setdefault(v, len(column_of))
-    rows[0] = _row(n, ((column_of[1], 1),))
+    rows[0] = ((column_of[1], 1),)
     type3_rows = tuple(range(len(rows), len(rows) + len(residual)))
-    rows.extend(_row(n, ((column_of[v], c) for c, v in eq.terms)) for eq in residual)
+    rows.extend(tuple(sorted((column_of[v], c) for c, v in eq.terms)) for eq in residual)
     if len(rows) != n:
         raise ReductionError("assembled matrix is not square (%d rows, %d cols)" % (len(rows), n))
     return Assembled(rows=tuple(rows), k=k, n=n, column_of=column_of, chain_cols=tuple(chain_cols),
                      chain_rows=tuple(chain_rows), type3_rows=type3_rows)
-
-
-def _row(n: int, entries) -> tuple[int, ...]:
-    """A row of n integers, zero except at the given (column, value) pairs."""
-    row = [0] * n
-    for c, e in entries:
-        row[c] = e
-    return tuple(row)
 
 
 _CRAMER_CROSSCHECK_LIMIT = 10
@@ -658,18 +660,25 @@ def solve_assembled(asm: Assembled):
     see matrices._solve_augmented), and det A.  det A_i, the Cramer
     numerator (column i replaced by e_1), is y_i det A / t, which t must
     divide.  For small systems the explicit Cramer solution is computed
-    and compared.
+    and compared.  The elimination and the cross-check run on dense rows
+    written from the sparse ones.
     """
     n = asm.n
     e1 = [1] + [0] * (n - 1)
-    rows = [list(row) + [b] for row, b in zip(asm.rows, e1)]
+    rows = [[0] * n + [b] for b in e1]
+    for row, pairs in zip(rows, asm.rows):
+        for c, e in pairs:
+            row[c] = e
+    a = None
+    if n <= _CRAMER_CROSSCHECK_LIMIT:  # the elimination works in place: copy A first
+        a = IntegerMatrix(tuple(tuple(row[:n]) for row in rows))
     solved = _solve_augmented(rows)
     if solved is None or len(solved[0]) < n:
         raise ReductionError("assembled matrix is singular")
     _, y, t, sign = solved
     det_a = sign * rows[n - 1][n - 1]
-    if n <= _CRAMER_CROSSCHECK_LIMIT:
-        if any(xi * t != yi for xi, yi in zip(cramer_solve(IntegerMatrix(asm.rows), e1), y)):
+    if a is not None:
+        if any(xi * t != yi for xi, yi in zip(cramer_solve(a, e1), y)):
             raise ReductionError("Cramer and elimination solutions disagree")
     det_ai = []
     for yi in y:

@@ -165,3 +165,47 @@ def random_system(rng: random.Random, kmax: int = 4, nmax: int = 10) -> System:
                 terms.append((c * rng.choice((1, -1)), v))
             eqs.append(SumEquation(terms=tuple(terms)))
     return System(k=k, nvars=n, equations=tuple(eqs))
+
+
+def dense_rows(asm) -> tuple[tuple[int, ...], ...]:
+    """The rows of an assembled system as dense n-tuples, from its
+    (column, value) pairs."""
+    out = []
+    for pairs in asm.rows:
+        row = [0] * asm.n
+        for c, e in pairs:
+            row[c] = e
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def continuant(diag, off) -> int:
+    """Determinant of the symmetric tridiagonal matrix with diagonal diag
+    and off-diagonal off, by the three-term recurrence
+    f_j = d_j f_(j-1) - e_(j-1)^2 f_(j-2) (Muir's continuant)."""
+    prev, cur = 1, diag[0]
+    for d, e in zip(diag[1:], off):
+        prev, cur = cur, d * cur - e * e * prev
+    return cur
+
+
+def chain_block(a, rows) -> tuple[list[int], list[int]]:
+    """Diagonal and off-diagonal of the chain block of G = A' A'^T, read
+    off the dense rows a as inner products."""
+    diag = [sum(e * e for e in a[r]) for r in rows]
+    off = [sum(e * f for e, f in zip(a[r], a[s])) for r, s in zip(rows, rows[1:])]
+    return diag, off
+
+
+def cut_chain_minor(a, rows, cols, p: int) -> int:
+    """Reference chain block minor of W_i = G - c_i c_i^T, i = cols[p], on
+    the dense rows a: the downdate by column i is applied entry by entry,
+    and the determinant taken by one continuant of the whole downdated
+    block, O(t) per column."""
+    i = cols[p]
+    diag, off = chain_block(a, rows)
+    for j, r in enumerate(rows):
+        diag[j] -= a[r][i] ** 2
+        if j + 1 < len(rows):
+            off[j] -= a[r][i] * a[rows[j + 1]][i]
+    return continuant(diag, off)

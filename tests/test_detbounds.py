@@ -4,13 +4,14 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import random_system
+from conftest import chain_block, continuant, cut_chain_minor, dense_rows, random_system
 
 import relmag.detbounds
 import relmag.matrices
 from relmag.detbounds import (
     ChainBlockSpec,
     LemmaViolationError,
+    _chain_minors,
     build_chain_block,
     certify_solution_bound,
     det_closed_form,
@@ -194,10 +195,15 @@ class TestCertification:
     def test_chain_structure_enforced(self):
         asm, y, t, det_a = _certify_args(extremal_system(2, 4))
         rows = list(asm.rows)
-        rows[2] = (0, 2, 0, -1)  # the second chain row skips chain column 2
-        with pytest.raises(ValueError, match="not supported on columns 1, 2"):
-            certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
-        rows[2] = (0, 2, -2, 0)  # the right support, but no longer a B_3 block
+        for bad in (
+            ((1, 2), (3, -1)),  # the second chain row skips chain column 2
+            ((1, 2), (2, -1), (3, 1)),  # a third pair
+            ((1, 2), (2, 0)),  # a zero-valued pair
+        ):
+            rows[2] = bad
+            with pytest.raises(ValueError, match="not supported on columns 1, 2"):
+                certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
+        rows[2] = ((1, 2), (2, -2))  # the right support, but no longer a B_3 block
         with pytest.raises(LemmaViolationError, match="closed form det B_3"):
             certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
 
@@ -219,6 +225,57 @@ class TestCertification:
             calls.clear()
             rep = certify_solution_bound(*args)
             assert rep.n > 1 and rep.all_ok and calls == []
+
+    def test_chain_minors_match_continuant_reference(self):
+        """Every chain's O(1)-per-column minors equal the old per-column
+        route, one continuant of the downdated block, and both equal
+        det C_p det D_(t-p); det B_t equals the continuant of the whole block."""
+        systems = [extremal_system(k, t + 1) for k in (2, 3, 4) for t in range(1, 41)]
+        systems.append(parse_system(MULTI_CHAIN))
+        rng = random.Random(13)
+        systems += [random_system(rng) for _ in range(400)]
+        chains = positions = 0
+        for system in systems:
+            try:
+                reduced, _ = reduce_system(system)
+            except UnsolvableSystemError:
+                continue
+            asm = assemble(reduced)
+            a = dense_rows(asm)
+            for rows, cols in zip(asm.chain_rows, asm.chain_cols):
+                t = len(rows)
+                det_b, minors = _chain_minors(asm.rows, rows, cols, asm.k)
+                assert det_b == continuant(*chain_block(a, rows))
+                assert det_b == det_closed_form(ChainBlockSpec("B", t, asm.k))
+                assert len(minors) == t + 1
+                for p in range(t + 1):
+                    assert minors[p] == cut_chain_minor(a, rows, cols, p) == (
+                        det_closed_form(ChainBlockSpec("C", p, asm.k))
+                        * det_closed_form(ChainBlockSpec("D", t - p, asm.k))
+                    )
+                    positions += 1
+                chains += 1
+        assert chains > 200 and positions > 2500
+
+    def test_linear_cost(self, monkeypatch):
+        """Certification builds one ChainBlockSpec per chain, not two per
+        column, and the assembled rows hold only the nonzeros of A."""
+        built = []
+
+        class CountingSpec(ChainBlockSpec):
+            def __post_init__(self):
+                built.append(self.family)
+                super().__post_init__()
+
+        monkeypatch.setattr(relmag.detbounds, "ChainBlockSpec", CountingSpec)
+        args = _certify_args(extremal_system(2, 1024))
+        built.clear()
+        rep = certify_solution_bound(*args)
+        assert rep.all_ok and rep.sharp
+        assert len(built) <= len(args[0].chain_rows) == 1
+        n = 4096
+        asm = assemble(extremal_system(2, n))
+        assert sum(len(row) for row in asm.rows) == 2 * n - 1
 
     def test_matches_dense_gram(self):
         """Every column agrees with a dense U_i and W_i = U_i U_i^T.
@@ -244,7 +301,7 @@ class TestCertification:
             blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
             blocks += [[r - 1] for r in asm.type3_rows]
             for i, entry in enumerate(rep.entries):
-                u = IntegerMatrix(asm.rows).delete_row_col(0, i)
+                u = IntegerMatrix(dense_rows(asm)).delete_row_col(0, i)
                 holds, det_w, hf_product, _ = hadamard_fischer_check(u.gram(), blocks)
                 assert entry.det_u == determinant(u)
                 assert entry.det_w == det_w

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import as_fractions, dense_echelon, solve_square
+from conftest import as_fractions, dense_echelon, dense_rows, solve_square
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,7 +227,7 @@ class TestLazyKernel:
         n = 64
         system = extremal_system(2, n)
         asm = assemble(system)
-        rows = [CountingRow(list(row) + [int(i == 0)]) for i, row in enumerate(asm.rows)]
+        rows = [CountingRow(list(row) + [int(i == 0)]) for i, row in enumerate(dense_rows(asm))]
         pivots, y, t, _ = _solve_augmented(rows)
         assert len(pivots) == n and Fraction(y[n - 1], t) == 2 ** (n - 1)
         assert CountingRow.writes <= 4 * n * n

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import relmag.detbounds
 import relmag.matrices
 import relmag.systems
-from conftest import as_fractions, gauss_jordan_solve, random_system
+from conftest import as_fractions, dense_rows, gauss_jordan_solve, random_system
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
 from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
@@ -312,7 +312,7 @@ class TestChains:
     def test_assembled_band_structure(self):
         s = extremal_system(2, 5)
         reduced, _ = reduce_system(s)
-        a = assemble(reduced).rows
+        a = dense_rows(assemble(reduced))
         assert len(a) == len(a[0]) == 5
         # first row is the unit row
         assert sum(abs(v) for v in a[0]) == 1
@@ -386,7 +386,7 @@ class TestSolveAndCertify:
                 continue
             asm = assemble(reduced)
             _, _, det_a, det_ai = solve_assembled(asm)
-            a = IntegerMatrix(asm.rows)
+            a = IntegerMatrix(dense_rows(asm))
             e1 = [1] + [0] * (a.rows - 1)
             assert det_a == determinant(a)
             assert det_ai == tuple(determinant(a.replace_column(i, e1)) for i in range(a.cols))
@@ -417,7 +417,7 @@ class TestSolveAndCertify:
                 continue
             asm = assemble(reduced)
             y, t, _, _ = solve_assembled(asm)
-            expected = gauss_jordan_solve(asm.rows, [1] + [0] * (asm.n - 1))
+            expected = gauss_jordan_solve(dense_rows(asm), [1] + [0] * (asm.n - 1))
             assert as_fractions(y, t) == expected
             assert t == lcm(*(v.denominator for v in expected))
             with_denominator += t > 1
