@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from relmag.matrices import (
-    IntegerMatrix,
-    _bareiss_step,
-    _back_substitute,
-    _primitive,
-    nullspace_basis,
-    rank,
-)
+from relmag.matrices import IntegerMatrix, _primitive, nullspace_basis, rank
 
 # Every matrix of at most 24 columns has fewer candidate supports than this.
 CANDIDATE_LIMIT = 2 ** 24
@@ -76,21 +69,59 @@ def is_elementary(a: IntegerMatrix, x) -> bool:
     return rank(sub) == len(sup) - 1
 
 
+def _extend(
+    rows: list[list[int]], lag: list[int], r: int, piv: int, c: int, prev: int
+) -> tuple[list[list[int]], list[int]]:
+    """The (rows, lag) of S + {c} from those of S, by one Bareiss step.
+
+    Copy on write: no list the parent holds is written.  rows[piv] moves
+    up to row r and becomes the pivot row on column c; if it lags, it is
+    brought current from column c on as a new list.  Each row below with
+    an entry f in column c becomes a new list, current at the pivot p:
+    columns before c are kept, column c is 0, and the columns after it
+    are (e * p - f * g) / lag[i], exact as in matrices._bareiss_step.
+    Every other row is shared with the parent, with its lag.
+    """
+    rows = rows[:]
+    lag = lag[:]
+    rows[r], rows[piv] = rows[piv], rows[r]
+    lag[r], lag[piv] = lag[piv], lag[r]
+    prow = rows[r]
+    behind = lag[r]
+    if behind != prev:
+        prow = rows[r] = prow[:c] + [g * prev // behind if g else 0 for g in prow[c:]]
+    p = prow[c]
+    tail = prow[c + 1 :]
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        f = row[c]
+        if f:
+            behind = lag[i]
+            rows[i] = row[:c] + [0] + [
+                (e * p - f * g) // behind for e, g in zip(row[c + 1 :], tail)
+            ]
+            lag[i] = p
+    return rows, lag
+
+
 def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
     """All circuits of A, canonical form, sorted lexicographically by support.
 
     A circuit is a minimal dependent column set, and every circuit lies in
     the support of the null space.  The walk goes depth first over the
     independent sets S of those columns, each taken in increasing column
-    order and carrying the Bareiss echelon rows of A pivoted on S.  A
-    later column j that has no entry below the pivot rows depends on S:
-    back substitution gives the unique null vector on S + {j}, and S + {j}
-    is a circuit iff that vector has no zero entry, so each circuit C is
-    found once, from C minus its largest column.  Any other later column
-    is independent of S: one Bareiss step on it extends the rows, and
-    S + {j} is walked in turn.  A dependent set is never extended.  The
-    step scales lazily, so each set also carries, per row, the pivot that
-    row is current at; only zero tests read the rows below the pivots.
+    order and carrying the Bareiss echelon rows of A pivoted on S; R is
+    the set of rows of A that became the pivot rows.  A later column j
+    that has no entry below the pivot rows depends on S, and S + {j} is a circuit iff the unique null vector on
+    it has no zero entry, so each circuit C is found once, from C minus
+    its largest column.  That vector is read off the pivot rows by
+    Cramer's rule: with x_j = det A[R, S], the last pivot, each x_s is
+    -det A[R, S with s replaced by j], an integer, so back substitution
+    over the r pivot rows divides exactly.  Any other later column is
+    independent of S: _extend takes one Bareiss step on it, and S + {j}
+    is walked in turn.  A dependent set is never extended.  The step
+    scales lazily, so each set also carries, per row, the pivot that row
+    is current at; only zero tests read the rows below the pivots.
     Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
     candidate supports (column sets of the null-space support of at most
     rank(A) + 1 columns), unless allow_large is set.
@@ -114,34 +145,41 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     width = len(cols)
     m = a.rows
     found: list[Circuit] = []
-    # (S, echelon rows pivoted on S, the pivot each row is current at, last
-    # pivot); an explicit stack, so a high rank cannot exhaust the
-    # recursion limit
-    stack = [((), [[row[c] for c in cols] for row in a.entries], [1] * m, 1)]
+    # (S, the columns of A in S, echelon rows pivoted on S, the pivot each
+    # row is current at, last pivot); an explicit stack, so a high rank
+    # cannot exhaust the recursion limit
+    stack = [((), (), [[row[c] for c in cols] for row in a.entries], [1] * m, 1)]
     while stack:
-        sset, rows, lag, prev = stack.pop()
+        sset, csup, rows, lag, prev = stack.pop()
         r = len(sset)
         for j in range(sset[-1] + 1 if sset else 0, width):
-            piv = next((i for i in range(r, m) if rows[i][j]), None)
-            if piv is None:
-                x = [0] * width
-                x[j] = 1
-                _back_substitute(rows, sset, x)
-                if all(x[s] for s in sset):
+            for piv in range(r, m):
+                if rows[piv][j]:
+                    break
+            else:
+                # x on S + {j}, in support order, with x_j = prev; a
+                # remainder would mean a wrong pivot row or pivot
+                x = [0] * r + [prev]
+                for q in range(r - 1, -1, -1):
+                    row = rows[q]
+                    s = row[j] * prev
+                    for t in range(q + 1, r):
+                        s += row[sset[t]] * x[t]
+                    x[q], rest = divmod(-s, row[sset[q]])
+                    if rest:
+                        raise ArithmeticError(
+                            "circuit vector on columns %r is not integral"
+                            % (csup + (cols[j],),)
+                        )
+                if all(x):
                     vec = [0] * a.cols
-                    for c, v in zip(cols, _primitive(x)):
+                    support = csup + (cols[j],)
+                    for c, v in zip(support, _primitive(x)):
                         vec[c] = v
-                    support = tuple(cols[s] for s in sset) + (cols[j],)
                     found.append(Circuit(support=support, vector=tuple(vec)))
                 continue
-            # the pivot rows are never written again, so they are shared;
-            # the rest, and their lags, are copied for S + {j}
-            ext = rows[:r] + [row[:] for row in rows[r:]]
-            ext_lag = lag[:]
-            ext[r], ext[piv] = ext[piv], ext[r]
-            ext_lag[r], ext_lag[piv] = ext_lag[piv], ext_lag[r]
-            _bareiss_step(ext, ext_lag, r, j, prev)
-            stack.append((sset + (j,), ext, ext_lag, ext[r][j]))
+            ext, ext_lag = _extend(rows, lag, r, piv, j, prev)
+            stack.append((sset + (j,), csup + (cols[j],), ext, ext_lag, ext[r][j]))
     found.sort(key=lambda c: c.support)
     return found
 

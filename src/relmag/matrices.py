@@ -4,10 +4,12 @@ Everything here operates on arbitrary-precision Python ints, and
 fractions.Fraction where a rational is an input or output (Cramer's rule,
 formatting), so results are always exact.  One fraction-free
 (Bareiss) pivot step, ``_bareiss_step``, and one integer back
-substitution, ``_back_substitute``, carry all elimination: ``_echelon``
+substitution, ``_back_substitute``, carry the elimination: ``_echelon``
 repeats the step for rank, determinant and null space here and for the
-reduction of unit systems, and the circuit walk takes one step per
-column it adds to an independent set.  ``_solve_augmented`` joins
+reduction of unit systems.  The circuit walk (relmag.circuits) starts
+from ``nullspace_basis``, then takes its own copy-on-write form of the
+step per column it adds to an independent set and reads each circuit
+vector off the pivot rows by Cramer's rule.  ``_solve_augmented`` joins
 ``_echelon`` and the back substitution for A.x = b, shared by the
 reduction and the assembled-system solve; it returns the solution as
 integers y over one common denominator t, x = y / t, the form of
@@ -207,7 +209,7 @@ def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> 
     pivot does not divide its row's partial sum, all of x is rescaled by an
     integer factor, so x stays integral and is fixed up to scale only.
     A term with a zero factor is skipped: the rows of a chain are sparse,
-    and in the circuit walk x is zero off S + {j}.
+    and x is zero at every free column but one in nullspace_basis.
     """
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]

@@ -6,16 +6,17 @@ from math import comb
 import pytest
 
 from conftest import dense_bareiss_step, oracle_circuits, random_matrix
-from relmag import circuits
+from relmag import circuits, matrices
 from relmag.circuits import (
     Circuit,
     EnumerationTooLarge,
+    _extend,
     elementary_basis,
     enumerate_circuits,
     is_elementary,
 )
 from relmag.generators import extremal_matrix
-from relmag.matrices import IntegerMatrix, _bareiss_step, rank
+from relmag.matrices import IntegerMatrix, rank
 
 
 def test_all_ones_row():
@@ -127,7 +128,8 @@ def test_walk_steps_match_dense_reference():
     can step through (increasing, with columns skipped) leaves the dense
     Bareiss pivot rows from their pivot column on, and the same zero
     pattern.  Left of its pivot a row holds entries of skipped columns,
-    which neither kernel updates and the walk never reads."""
+    which neither kernel updates and the walk never reads.  _extend
+    writes no list its parent holds."""
     rng = random.Random(71)
     sets = 0
     for trial in range(320):
@@ -143,11 +145,11 @@ def test_walk_steps_match_dense_reference():
                 assert piv == next((i for i in range(r, m) if dense[i][j]), None)
                 if piv is None:
                     continue
-                lz, lg, dn = [row[:] for row in lazy], lag[:], [row[:] for row in dense]
-                lz[r], lz[piv] = lz[piv], lz[r]
-                lg[r], lg[piv] = lg[piv], lg[r]
+                snapshot = ([row[:] for row in lazy], lag[:])
+                lz, lg = _extend(lazy, lag, r, piv, j, prev)
+                assert (lazy, lag) == snapshot
+                dn = [row[:] for row in dense]
                 dn[r], dn[piv] = dn[piv], dn[r]
-                _bareiss_step(lz, lg, r, j, prev)
                 dense_bareiss_step(dn, r, j, prev)
                 ext = sset + (j,)
                 for i, c in enumerate(ext):
@@ -159,26 +161,59 @@ def test_walk_steps_match_dense_reference():
 
 
 def test_walk_eliminates_once(monkeypatch):
-    """One null-space elimination per call and no matrix per candidate support."""
+    """One null-space elimination per call, no matrix per candidate support,
+    and no kernel call from the walk itself: a circuit vector costs no back
+    substitution and a child set no _bareiss_step."""
     # Vandermonde rows on distinct nodes: every 4 columns are independent
     a = IntegerMatrix.from_rows([[x ** i for x in range(1, 9)] for i in range(4)])
-    calls = {"nullspace_basis": 0, "IntegerMatrix": 0}
+    calls = {
+        "nullspace_basis": 0,
+        "IntegerMatrix": 0,
+        "_back_substitute": 0,
+        "_bareiss_step": 0,
+        "kernel calls outside nullspace_basis": 0,
+    }
+    inside = []
     real_nullspace = circuits.nullspace_basis
     real_init = IntegerMatrix.__post_init__
 
     def counted_nullspace(m):
         calls["nullspace_basis"] += 1
-        return real_nullspace(m)
+        inside.append(True)
+        try:
+            return real_nullspace(m)
+        finally:
+            inside.pop()
 
     def counted_init(self):
         calls["IntegerMatrix"] += 1
         real_init(self)
 
+    def counted(name):
+        real = getattr(matrices, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            calls["kernel calls outside nullspace_basis"] += not inside
+            return real(*args)
+
+        # the walk may reach a kernel routine through either module
+        monkeypatch.setattr(matrices, name, wrapper)
+        monkeypatch.setattr(circuits, name, wrapper, raising=False)
+
     monkeypatch.setattr(circuits, "nullspace_basis", counted_nullspace)
     monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
+    counted("_back_substitute")
+    counted("_bareiss_step")
     circs = enumerate_circuits(a)
     assert len(circs) == comb(8, 5)  # in general position the circuits are the 5-sets
-    assert calls == {"nullspace_basis": 1, "IntegerMatrix": 0}
+    assert calls == {
+        "nullspace_basis": 1,
+        "IntegerMatrix": 0,
+        "_back_substitute": 4,  # the nullity: one per nullspace_basis ray
+        "_bareiss_step": 4,  # the rank: _echelon inside nullspace_basis
+        "kernel calls outside nullspace_basis": 0,
+    }
 
 
 def test_circuits_are_elementary_and_primitive():

@@ -3,8 +3,9 @@
 rank, determinant, nullspace_basis and _solve_augmented (the solver behind
 systems.solve_assembled and the reduction) all run on the one
 fraction-free echelon routine in relmag.matrices, and so does the brute
-force circuit oracle in conftest (through nullspace_basis).  sympy's exact
-rational linear algebra is an outside reference for all four.
+force circuit oracle in conftest (through nullspace_basis), which is also
+where the circuit walk starts.  sympy's exact rational linear algebra is
+an outside reference for all four and for every circuit vector.
 """
 
 import random
@@ -12,8 +13,9 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import solve_square
+from conftest import oracle_circuits, solve_square
 
+from relmag.circuits import enumerate_circuits
 from relmag.matrices import (
     IntegerMatrix,
     determinant,
@@ -81,3 +83,57 @@ def test_solve_augmented_matches_sympy():
         t = lcm(*(v.denominator for v in expected))
         assert solve_square(a, b) == (tuple(int(v * t) for v in expected), t)
     assert singular > 100  # the rank-deficient products are exercised
+
+
+
+def circuit_rows(rng: random.Random) -> list[list[int]]:
+    """Random rows of at most 4x8 with entries up to 10^6 in size: three in
+    ten rank-deficient, and a third of all with a zero column, a third
+    with a repeated (scaled) column."""
+    m, n = rng.randint(1, 4), rng.randint(2, 8)
+    hi = rng.choice((3, 1000, 10 ** 6))
+    if rng.random() < 0.3:
+        inner = rng.randint(1, max(1, min(m, n) - 1))
+        b = [[rng.randint(-hi, hi) for _ in range(inner)] for _ in range(m)]
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)]
+        rows = [[sum(b[i][l] * c[l][j] for l in range(inner)) for j in range(n)] for i in range(m)]
+    else:
+        rows = [[rng.randint(-hi, hi) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(m)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    elif kind == 2:
+        i, j = rng.sample(range(n), 2)
+        scale = rng.choice((-2, -1, 1, 3))
+        for row in rows:
+            row[j] = scale * row[i]
+    return rows
+
+
+def test_circuits_match_sympy():
+    """Every circuit vector is the primitive form of sympy's null space of
+    its support columns, a single ray; the supports are the oracle's."""
+    rng = random.Random(20261021)
+    seen = {"deficient": 0, "size_1": 0, "parallel_pair": 0, "big": 0}
+    for _ in range(300):
+        rows = circuit_rows(rng)
+        a = IntegerMatrix.from_rows(rows)
+        circs = enumerate_circuits(a)
+        assert [c.support for c in circs] == [c.support for c in oracle_circuits(a)], rows
+        ref = sympy.Matrix(rows)
+        for c in circs:
+            ray = ref.extract(list(range(a.rows)), list(c.support)).nullspace()
+            assert len(ray) == 1, (rows, c.support)
+            restricted = primitive_vector([to_fraction(q) for q in ray[0]])
+            vec = [0] * a.cols
+            for j, v in zip(c.support, restricted):
+                vec[j] = v
+            assert c.vector == tuple(vec), (rows, c.support)
+        seen["deficient"] += rank(a) < min(a.rows, a.cols)
+        seen["size_1"] += any(len(c.support) == 1 for c in circs)
+        seen["parallel_pair"] += any(len(c.support) == 2 for c in circs)
+        seen["big"] += max(abs(e) for row in rows for e in row) > 10 ** 5
+    # every kind of draw is exercised
+    assert all(count >= 40 for count in seen.values()), seen
