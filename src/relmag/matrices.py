@@ -21,8 +21,11 @@ in the pivot column is not touched at all, so a chain matrix, nearly all
 zeros, is eliminated with O(n^2) row writes instead of O(n^3).  The pivot
 rows, the rank, the sign and so every result equal dense Bareiss
 elimination's.
-Cramer's rule and a zero-skipping cofactor expansion are kept as
-independent cross-check routes.
+``_signed_maximal_minors`` takes every Cramer numerator of a square
+system whose first row is a unit row from one more elimination, the
+check the assembled-system solve runs on small systems.  ``cramer_solve``,
+n + 1 separate determinants, and a zero-skipping cofactor expansion are
+kept as independent audit routes for the tests.
 """
 
 from __future__ import annotations
@@ -64,13 +67,7 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
-        def to_int(e):
-            i = int(e)
-            if i != e:
-                raise MatrixError("entries must be integers, got %r" % (e,))
-            return i
-
-        return cls(tuple(tuple(to_int(e) for e in row) for row in rows))
+        return cls(tuple(tuple(_to_int(e) for e in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -100,7 +97,7 @@ class IntegerMatrix:
         )
 
     def replace_column(self, j: int, col) -> "IntegerMatrix":
-        col = tuple(int(c) for c in col)
+        col = tuple(_to_int(c) for c in col)
         if len(col) != self.rows:
             raise MatrixError("column length mismatch")
         return IntegerMatrix(
@@ -124,6 +121,14 @@ class IntegerMatrix:
                 for r1 in self.entries
             )
         )
+
+
+def _to_int(e) -> int:
+    """e as an int; an entry of another value, such as 1/2 or 2.7, raises."""
+    i = int(e)
+    if i != e:
+        raise MatrixError("entries must be integers, got %r" % (e,))
+    return i
 
 
 def infinity_norm(a: IntegerMatrix) -> int:
@@ -250,6 +255,35 @@ def _solve_augmented(rows: list[list[int]]):
         g = -g
     t = -y.pop() // g
     return pivots, [v // g for v in y], t, sign
+
+
+def _signed_maximal_minors(rows: list[list[int]], n: int) -> list[int]:
+    """All d_i = (-1)^i det B_-i of the (n-1) x n rows B, in place.
+
+    B_-i is B without column i (0-based).  If A is a square matrix whose
+    first row is a unit row and whose other rows are B, A_i (column i
+    replaced by e_1) has one nonzero in column i, the 1 in its first row,
+    so the Cramer numerator det A_i is d_i.  d is a null vector of B, so one
+    elimination gives all n: when B has rank n-1 it leaves one free column
+    f, and dense Bareiss makes the last pivot, times the sign of the row
+    permutation, det B_-f.  Back substitution from z_f = det B_-f gives
+    z = (-1)^f d; every division is exact, and a remainder raises
+    ArithmeticError.  d is zero when B is rank-deficient.
+    """
+    pivots, sign = _echelon(rows)
+    if len(pivots) < n - 1:
+        return [0] * n
+    f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
+    z = [0] * n
+    z[f] = sign * rows[-1][pivots[-1]] if pivots else 1
+    for r in range(n - 2, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        s = sum(row[j] * z[j] for j in range(c + 1, n) if row[j])
+        z[c], rest = divmod(-s, row[c])
+        if rest:
+            raise ArithmeticError("maximal minor of column %d is not integral" % c)
+    return [-v for v in z] if f % 2 else z
 
 
 def rank(a: IntegerMatrix) -> int:

@@ -25,10 +25,9 @@ from fractions import Fraction
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
-    IntegerMatrix,
     _echelon,
+    _signed_maximal_minors,
     _solve_augmented,
-    cramer_solve,
     format_rational,
 )
 
@@ -659,9 +658,11 @@ def solve_assembled(asm: Assembled):
     integers y over the common denominator t in canonical form (x = y / t,
     see matrices._solve_augmented), and det A.  det A_i, the Cramer
     numerator (column i replaced by e_1), is y_i det A / t, which t must
-    divide.  For small systems the explicit Cramer solution is computed
-    and compared.  The elimination and the cross-check run on dense rows
-    written from the sparse ones.
+    divide.  For small systems Cramer's rule is checked on its own route:
+    the first row of A is the unit row e_u, so every det A_i is a signed
+    maximal minor of the other rows, all taken from one more elimination
+    (matrices._signed_maximal_minors), and det A is det A_u.  Both
+    eliminations run on dense int rows written from the sparse ones.
     """
     n = asm.n
     e1 = [1] + [0] * (n - 1)
@@ -669,23 +670,23 @@ def solve_assembled(asm: Assembled):
     for row, pairs in zip(rows, asm.rows):
         for c, e in pairs:
             row[c] = e
-    a = None
-    if n <= _CRAMER_CROSSCHECK_LIMIT:  # the elimination works in place: copy A first
-        a = IntegerMatrix(tuple(tuple(row[:n]) for row in rows))
+    # the elimination works in place: copy rows 2..n first
+    rest = [row[:n] for row in rows[1:]] if n <= _CRAMER_CROSSCHECK_LIMIT else None
     solved = _solve_augmented(rows)
     if solved is None or len(solved[0]) < n:
         raise ReductionError("assembled matrix is singular")
     _, y, t, sign = solved
     det_a = sign * rows[n - 1][n - 1]
-    if a is not None:
-        if any(xi * t != yi for xi, yi in zip(cramer_solve(a, e1), y)):
-            raise ReductionError("Cramer and elimination solutions disagree")
     det_ai = []
     for yi in y:
         num, rem = divmod(yi * det_a, t)
         if rem:
             raise ReductionError("non-integer Cramer numerator")
         det_ai.append(num)
+    if rest is not None:
+        minors = _signed_maximal_minors(rest, n)
+        if minors != det_ai or minors[asm.column_of[1]] != det_a:
+            raise ReductionError("Cramer and elimination solutions disagree")
     return tuple(y), t, det_a, tuple(det_ai)
 
 

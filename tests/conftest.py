@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+import relmag.systems
 from relmag.circuits import Circuit
 from relmag.matrices import IntegerMatrix, _solve_augmented, nullspace_basis, primitive_vector
 from relmag.systems import SumEquation, System, UnitEquation
@@ -209,3 +210,36 @@ def cut_chain_minor(a, rows, cols, p: int) -> int:
         if j + 1 < len(rows):
             off[j] -= a[r][i] * a[rows[j + 1]][i]
     return continuant(diag, off)
+
+
+def corrupt_cramer_check(monkeypatch, kind: str) -> None:
+    """Feed systems.solve_assembled's Cramer cross-check a wrong result.
+
+    "numerator": the last signed maximal minor is off by one.
+    "det_a": once the system is assembled, its solve returns -y with the
+    opposite row permutation sign, so det A comes out negated while every
+    numerator det A_i = y_i det A / t stays right.  The minors then match
+    the numerators, but minor u, the true det A_u = det A, differs from
+    the negated det A.
+    """
+    real_minors = relmag.systems._signed_maximal_minors
+    real_solve = relmag.systems._solve_augmented
+    real_assemble = relmag.systems.assemble
+
+    def minors(rows, n):
+        d = real_minors(rows, n)
+        d[-1] += 1
+        return d
+
+    def flipped_solve(rows):
+        pivots, y, t, sign = real_solve(rows)
+        return pivots, [-v for v in y], t, -sign
+
+    def assemble(system):
+        monkeypatch.setattr(relmag.systems, "_solve_augmented", flipped_solve)
+        return real_assemble(system)
+
+    if kind == "numerator":
+        monkeypatch.setattr(relmag.systems, "_signed_maximal_minors", minors)
+    else:
+        monkeypatch.setattr(relmag.systems, "assemble", assemble)

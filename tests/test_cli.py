@@ -2,7 +2,9 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
+from conftest import corrupt_cramer_check
 
 from relmag import circuits, cli, detbounds
 from relmag.cli import main
@@ -154,6 +156,13 @@ class TestSolve:
         res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
         assert res.exit_code == 3
         assert "internal error: assembled matrix is singular" in res.output
+
+    @pytest.mark.parametrize("kind", ["numerator", "det_a"])
+    def test_cramer_disagreement(self, tmp_path, monkeypatch, kind):
+        corrupt_cramer_check(monkeypatch, kind)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
+        assert res.exit_code == 3
+        assert "internal error: Cramer and elimination solutions disagree" in res.output
 
     def test_bound_violated(self, tmp_path, monkeypatch):
         def broken(system, certify=True):

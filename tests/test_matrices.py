@@ -18,6 +18,7 @@ from relmag.matrices import (
     SingularMatrixError,
     _echelon,
     _primitive,
+    _signed_maximal_minors,
     _solve_augmented,
     cramer_solve,
     determinant,
@@ -279,6 +280,56 @@ class TestSolvers:
             cramer_solve(a, [1, 1])
 
 
+def unit_first_rows(rng, n):
+    """A unit row e_u over n - 1 random rows: one draw in four of those
+    rows is a product of inner size below n - 1, so rank-deficient."""
+    u = rng.randrange(n)
+    rest = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(n)]
+            for _ in range(n - 1)]
+    if n > 2 and rng.random() < 0.25:
+        inner = rng.randint(1, n - 2)
+        b = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(n - 1)]
+        c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(inner)]
+        rest = [[sum(b[i][l] * c[l][j] for l in range(inner)) for j in range(n)]
+                for i in range(n - 1)]
+    return [[int(j == u) for j in range(n)]] + rest
+
+
+class TestSignedMaximalMinors:
+    def test_small_cases(self):
+        assert _signed_maximal_minors([], 1) == [1]
+        # A = [[0, 1], [3, 5]]: det A_0 = det [[1, 1], [0, 5]] = 5,
+        # det A_1 = det [[0, 1], [3, 0]] = -3 = det A
+        assert _signed_maximal_minors([[3, 5]], 2) == [5, -3]
+        assert _signed_maximal_minors([[0, 0]], 2) == [0, 0]
+
+    def test_matches_cramer_determinants(self):
+        """Entry i is det A_i, A with column i replaced by e_1, taken by a
+        Bareiss determinant of its own; zero when rows 2..n are
+        rank-deficient."""
+        rng = random.Random(31)
+        seen = {"swap": 0, "odd_f": 0, "even_f": 0, "n_1": 0, "n_2": 0, "deficient": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 7)
+            rows = unit_first_rows(rng, n)
+            a = square(rows)
+            e1 = [1] + [0] * (n - 1)
+            expected = [determinant(a.replace_column(i, e1)) for i in range(n)]
+            assert _signed_maximal_minors([row[:] for row in rows[1:]], n) == expected, rows
+            pivots, sign = _echelon([row[:] for row in rows[1:]])
+            if len(pivots) < n - 1:
+                assert expected == [0] * n
+                seen["deficient"] += 1
+            else:
+                f = min(set(range(n)) - set(pivots))
+                seen["odd_f" if f % 2 else "even_f"] += 1
+                seen["swap"] += sign < 0
+            seen["n_1"] += n == 1
+            seen["n_2"] += n == 2
+        # every case of the elimination is drawn
+        assert all(count >= 40 for count in seen.values()), seen
+
+
 class TestTextFormat:
     def test_parse_basic(self):
         a = parse_matrix("2 3\n1 -2 3\n0 5 -6\n")
@@ -339,6 +390,14 @@ class TestMatrixOps:
     def test_replace_column(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
         assert a.replace_column(1, [9, 8]).entries == ((1, 9), (3, 8))
+        assert a.replace_column(0, [Fraction(4, 2), 3.0]).entries == ((2, 2), (3, 4))
+
+    def test_replace_column_rejects_non_integers(self):
+        a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(MatrixError, match="entries must be integers, got Fraction"):
+            a.replace_column(0, [Fraction(1, 2), 2])
+        with pytest.raises(MatrixError, match="entries must be integers, got 2.7"):
+            a.replace_column(0, [1, 2.7])
 
     def test_infinity_norm(self):
         assert infinity_norm(IntegerMatrix.from_rows([[1, -2], [3, 1]])) == 4

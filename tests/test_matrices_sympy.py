@@ -1,11 +1,12 @@
 """Differential tests of the elimination kernel against sympy.
 
-rank, determinant, nullspace_basis and _solve_augmented (the solver behind
-systems.solve_assembled and the reduction) all run on the one
-fraction-free echelon routine in relmag.matrices, and so does the brute
-force circuit oracle in conftest (through nullspace_basis), which is also
-where the circuit walk starts.  sympy's exact rational linear algebra is
-an outside reference for all four and for every circuit vector.
+rank, determinant, nullspace_basis, _solve_augmented (the solver behind
+systems.solve_assembled and the reduction) and _signed_maximal_minors
+(its Cramer cross-check) all run on the one fraction-free echelon routine
+in relmag.matrices, and so does the brute force circuit oracle in
+conftest (through nullspace_basis), which is also where the circuit walk
+starts.  sympy's exact rational linear algebra is an outside reference
+for all five and for every circuit vector.
 """
 
 import random
@@ -18,6 +19,7 @@ from conftest import oracle_circuits, solve_square
 from relmag.circuits import enumerate_circuits
 from relmag.matrices import (
     IntegerMatrix,
+    _signed_maximal_minors,
     determinant,
     nullspace_basis,
     primitive_vector,
@@ -84,6 +86,21 @@ def test_solve_augmented_matches_sympy():
         assert solve_square(a, b) == (tuple(int(v * t) for v in expected), t)
     assert singular > 100  # the rank-deficient products are exercised
 
+
+def test_signed_maximal_minors_match_sympy_cofactors():
+    """With a unit first row, the Cramer numerator det A_i (column i
+    replaced by e_1) is sympy's cofactor (0, i) of A."""
+    rng = random.Random(20261022)
+    deficient = 0
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        u = rng.randrange(n)
+        rows = [[int(j == u) for j in range(n)]] + random_rows(rng, n - 1, n)
+        ref = sympy.Matrix(rows)
+        expected = [ref.cofactor(0, i) for i in range(n)]
+        assert _signed_maximal_minors([row[:] for row in rows[1:]], n) == expected, rows
+        deficient += not any(expected)
+    assert deficient > 50
 
 
 def circuit_rows(rng: random.Random) -> list[list[int]]:

@@ -23,16 +23,30 @@ def test_no_imports_inside_functions():
                     )
 
 
-def test_detbounds_does_not_import_systems():
-    for node in ast.walk(_tree(SRC / "detbounds.py")):
+def _imports(path):
+    """(line, names) per import statement: the modules and, for a from
+    import, each name qualified by its module."""
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield node.lineno, [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             module = ".".join(filter(None, ["relmag" if node.level else "", node.module]))
-            names = [module] + ["%s.%s" % (module, alias.name) for alias in node.names]
-        else:
-            continue
-        assert "relmag.systems" not in names, "detbounds.py:%d" % node.lineno
+            yield node.lineno, [module] + ["%s.%s" % (module, alias.name) for alias in node.names]
+
+
+def test_detbounds_does_not_import_systems():
+    for lineno, names in _imports(SRC / "detbounds.py"):
+        assert "relmag.systems" not in names, "detbounds.py:%d" % lineno
+
+
+def test_systems_solves_on_int_rows():
+    """The solve path builds no IntegerMatrix and no Fraction-valued
+    Cramer solution: systems imports neither."""
+    for lineno, names in _imports(SRC / "systems.py"):
+        for name in names:
+            assert name.rsplit(".", 1)[-1] not in ("IntegerMatrix", "cramer_solve"), (
+                "systems.py:%d imports %s" % (lineno, name)
+            )
 
 
 def test_no_unused_imports():

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import relmag.detbounds
 import relmag.matrices
 import relmag.systems
-from conftest import as_fractions, dense_rows, gauss_jordan_solve, random_system
+from conftest import (
+    as_fractions,
+    corrupt_cramer_check,
+    dense_rows,
+    gauss_jordan_solve,
+    random_system,
+)
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
 from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
@@ -461,7 +467,8 @@ class TestSolveAndCertify:
             solve_and_certify(parse_system(extremal_dsl(2, 4)))
 
     def test_builds_no_integer_matrix(self, monkeypatch):
-        """Above the Cramer cross-check size, solve and certify work on int rows only."""
+        """Solve and certify work on int rows only, also at the sizes the
+        Cramer cross-check runs at."""
         constructed = []
         real_init = IntegerMatrix.__post_init__
 
@@ -470,6 +477,39 @@ class TestSolveAndCertify:
             real_init(self)
 
         monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
-        rep = solve_and_certify(extremal_system(2, 64))
-        assert rep.sharp and rep.certification.all_ok
+        for system in (extremal_system(2, 64), extremal_system(3, 6)):
+            rep = solve_and_certify(system)
+            assert rep.sharp and rep.certification.all_ok
+        rng = random.Random(101)
+        checked = 0
+        while checked < 50:
+            try:
+                rep = solve_and_certify(random_system(rng))
+            except UnsolvableSystemError:
+                continue
+            checked += not rep.trivial
         assert constructed == []
+
+    def test_eliminations_per_solve(self, monkeypatch):
+        """Two eliminations in the reduction, one for the solve and one for
+        the Cramer cross-check, whatever the size."""
+        calls = []
+        real_echelon = relmag.matrices._echelon
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real_echelon(rows)
+
+        for module in (relmag.matrices, relmag.systems):
+            monkeypatch.setattr(module, "_echelon", counted)
+        for n in (5, 10):
+            calls.clear()
+            rep = solve_and_certify(extremal_system(2, n))
+            assert rep.n == n and rep.certification.all_ok
+            assert len(calls) == 4, (n, calls)
+
+    @pytest.mark.parametrize("kind", ["numerator", "det_a"])
+    def test_cramer_disagreement_raises(self, monkeypatch, kind):
+        corrupt_cramer_check(monkeypatch, kind)
+        with pytest.raises(ReductionError, match="Cramer and elimination solutions disagree"):
+            solve_and_certify(extremal_system(2, 6))
