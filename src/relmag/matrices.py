@@ -2,30 +2,31 @@
 
 Everything here operates on arbitrary-precision Python ints, and
 fractions.Fraction where a rational is an input or output (Cramer's rule,
-formatting), so results are always exact.  One fraction-free
-(Bareiss) pivot step, ``_bareiss_step``, and one integer back
-substitution, ``_back_substitute``, carry the elimination: ``_echelon``
-repeats the step for rank, determinant and null space here and for the
-reduction of unit systems.  The circuit walk (relmag.circuits) starts
-from ``nullspace_basis``, then takes its own copy-on-write form of the
-step per column it adds to an independent set and reads each circuit
-vector off the pivot rows by Cramer's rule.  ``_solve_augmented`` joins
-``_echelon`` and the back substitution for A.x = b, shared by the
-reduction and the assembled-system solve; it returns the solution as
-integers y over one common denominator t, x = y / t, the form of
-Cramer's rule, so its callers never build a Fraction per coordinate.
-The step scales rows lazily.  Each row i below the pivot rows carries
-lag[i], the pivot at which it was last updated, and the dense Bareiss
-row is rows[i] * prev / lag[i], a minor of the input.  A row with a zero
-in the pivot column is not touched at all, so a chain matrix, nearly all
-zeros, is eliminated with O(n^2) row writes instead of O(n^3).  The pivot
-rows, the rank, the sign and so every result equal dense Bareiss
-elimination's.
+formatting), so results are always exact.  The fraction-free (Bareiss)
+elimination comes in two forms with one pivot rule.  On dense int rows,
+``_echelon`` repeats the pivot step ``_bareiss_step`` for rank,
+determinant and null space, with the integer back substitution
+``_back_substitute``; the circuit walk (relmag.circuits) starts from
+``nullspace_basis``, then takes its own copy-on-write form of the step
+per column it adds to an independent set and reads each circuit vector
+off the pivot rows by Cramer's rule.  On {column: value} rows, which
+hold only the nonzeros, ``_sparse_echelon`` carries the solves of unit
+systems: ``_solve_augmented`` solves A.x = b for the reduction and the
+assembled-system solve, and returns the solution as integers y over one
+common denominator t, x = y / t, the form of Cramer's rule, so its
+callers never build a Fraction per coordinate.  Both forms scale rows
+lazily.  Each row i below the pivot rows carries lag[i], the pivot at
+which it was last updated, and the dense Bareiss row is
+rows[i] * prev / lag[i], a minor of the input.  A row with a zero in the
+pivot column is not touched at all.  The pivot rows, the rank, the sign
+and so every result equal dense Bareiss elimination's.  The dict rows
+also skip the zeros of an updated row, so a chain system, nearly all
+zeros, is solved with O(n) row writes instead of O(n^2).
 ``_signed_maximal_minors`` takes every Cramer numerator of a square
-system whose first row is a unit row from one more elimination, the
-check the assembled-system solve runs on small systems.  ``cramer_solve``,
-n + 1 separate determinants, and a zero-skipping cofactor expansion are
-kept as independent audit routes for the tests.
+system whose first row is a unit row from one more elimination on dict
+rows, the check the assembled-system solve runs on small systems.
+``cramer_solve``, n + 1 separate determinants, and a zero-skipping
+cofactor expansion are kept as independent audit routes for the tests.
 """
 
 from __future__ import annotations
@@ -231,25 +232,109 @@ def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> 
             x[c] = -s // p
 
 
-def _solve_augmented(rows: list[list[int]]):
-    """Solve A.x = b from the augmented integer matrix [A | b], in place.
+def _sparse_echelon(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of {column: value} rows over
+    the columns 0..n-1, in place.
 
-    One fraction-free elimination of [A | b].  Returns None when the
-    right-hand side column has a pivot (b is not in the column space of A).
-    Otherwise returns (pivots, y, t, sign): the pivot columns of A; the
-    solution with every free variable zero as integers y over one common
-    denominator t, x = y / t, in canonical form (t > 0 and
-    gcd(t, y_1, ..., y_n) = 1, so equal solutions give equal (y, t)); and
-    the sign of the row permutation: for square nonsingular A,
-    det A = sign * rows[-1][-1] after the call.
+    The elimination of _echelon on the nonzeros only.  Columns are taken in
+    ascending order, the pivot of column c is the first row at or below r
+    with an entry in c, and rows are scaled lazily with the same lag, so
+    the pivots, the sign and every pivot row (as its nonzeros) equal
+    _echelon's.  A row with an entry in c is updated over the union of its
+    own nonzeros and the pivot row's, an entry that cancels is deleted, so
+    `c in row` finds exactly the rows to update, and the rows below the
+    rank end empty.  Each column still tests every row below the pivot,
+    but only nonzeros are written: a chain, two nonzeros per row, is
+    eliminated with O(n) dict writes.
     """
-    n = len(rows[0]) - 1
-    pivots, sign = _echelon(rows)
-    if n in pivots:
+    m = len(rows)
+    lag = [1] * m
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for piv in range(r, m):
+            if c in rows[piv]:
+                break
+        else:
+            continue
+        prow = rows[piv]
+        if piv != r:
+            rows[r], rows[piv] = prow, rows[r]
+            lag[r], lag[piv] = lag[piv], lag[r]
+            sign = -sign
+        # every entry of the pivot row is at c or after it
+        behind = lag[r]
+        if behind != prev:
+            for j in prow:
+                prow[j] = prow[j] * prev // behind
+        p = prow[c]
+        # rows r + 1 .. piv - 1 have no entry in c, nor has row piv, now
+        # the old row r
+        for i in range(piv + 1, m):
+            row = rows[i]
+            if c in row:
+                f = row.pop(c)
+                behind = lag[i]
+                if p != behind:
+                    for j in row:
+                        if j not in prow:
+                            row[j] = row[j] * p // behind
+                for j, e in prow.items():
+                    if j == c:
+                        continue
+                    if j in row:
+                        v = (row[j] * p - f * e) // behind
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+                    else:
+                        row[j] = -f * e // behind
+                lag[i] = p
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, sign
+
+
+def _solve_augmented(rows: list[dict[int, int]], n: int):
+    """Solve A.x = b from the augmented {column: value} rows [A | b], in place.
+
+    A has columns 0..n-1 and b is column n.  One fraction-free elimination
+    (_sparse_echelon).  Returns None when the right-hand side column has a
+    pivot (b is not in the column space of A).  Otherwise returns (pivots,
+    y, t, sign): the pivot columns of A; the solution with every free
+    variable zero as integers y over one common denominator t, x = y / t,
+    in canonical form (t > 0 and gcd(t, y_1, ..., y_n) = 1, so equal
+    solutions give equal (y, t)); and the sign of the row permutation: for
+    square nonsingular A, det A = sign * rows[n - 1][n - 1] after the call.
+    """
+    pivots, sign = _sparse_echelon(rows, n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    # [A | b] . (y, -t) = 0 gives A . (y / t) = b
+    # back substitution: [A | b] . (y, -t) = 0 gives A . (y / t) = b.  y is
+    # zero at a row's pivot until it is filled in, so the row's own items
+    # give the partial sum.  Where a pivot does not divide it, all of y is
+    # rescaled, so y stays integral.
     y = [0] * n + [-1]
-    _back_substitute(rows, pivots, y)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        p = row[c]
+        s = 0
+        for j, v in row.items():
+            s += v * y[j]
+        if s % p:
+            g = gcd(s, p)
+            q = p // g
+            y = [v * q for v in y]
+            y[c] = -s // g
+        else:
+            y[c] = -s // p
     g = gcd(*y)
     if y[n] > 0:
         g = -g
@@ -257,20 +342,20 @@ def _solve_augmented(rows: list[list[int]]):
     return pivots, [v // g for v in y], t, sign
 
 
-def _signed_maximal_minors(rows: list[list[int]], n: int) -> list[int]:
-    """All d_i = (-1)^i det B_-i of the (n-1) x n rows B, in place.
+def _signed_maximal_minors(rows: list[dict[int, int]], n: int) -> list[int]:
+    """All d_i = (-1)^i det B_-i of the (n-1) x n {column: value} rows B, in place.
 
     B_-i is B without column i (0-based).  If A is a square matrix whose
     first row is a unit row and whose other rows are B, A_i (column i
     replaced by e_1) has one nonzero in column i, the 1 in its first row,
     so the Cramer numerator det A_i is d_i.  d is a null vector of B, so one
     elimination gives all n: when B has rank n-1 it leaves one free column
-    f, and dense Bareiss makes the last pivot, times the sign of the row
+    f, and Bareiss makes the last pivot, times the sign of the row
     permutation, det B_-f.  Back substitution from z_f = det B_-f gives
     z = (-1)^f d; every division is exact, and a remainder raises
     ArithmeticError.  d is zero when B is rank-deficient.
     """
-    pivots, sign = _echelon(rows)
+    pivots, sign = _sparse_echelon(rows, n)
     if len(pivots) < n - 1:
         return [0] * n
     f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
@@ -279,7 +364,9 @@ def _signed_maximal_minors(rows: list[list[int]], n: int) -> list[int]:
     for r in range(n - 2, -1, -1):
         c = pivots[r]
         row = rows[r]
-        s = sum(row[j] * z[j] for j in range(c + 1, n) if row[j])
+        s = 0  # z is zero at c until it is filled in
+        for j, v in row.items():
+            s += v * z[j]
         z[c], rest = divmod(-s, row[c])
         if rest:
             raise ArithmeticError("maximal minor of column %d is not integral" % c)

@@ -25,15 +25,16 @@ from fractions import Fraction
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
-    _echelon,
     _signed_maximal_minors,
     _solve_augmented,
+    _sparse_echelon,
     format_rational,
 )
 
 
-# Largest variable index a system may use: every reduction row is dense in
-# the variables, so the index, not the equation count, sets the cost.
+# Largest variable index a system may use.  The eliminations hold only the
+# nonzeros of their rows, but each step still tests every row below its
+# pivot, so the cost grows with the square of the variable count.
 MAX_VARIABLES = 4096
 
 
@@ -357,30 +358,25 @@ def check_solution(system: System, x, den: int = 1) -> bool:
 def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: int):
     """Solve unit + homogeneous equations over variables 1..nvars.
 
-    One fraction-free elimination of the augmented matrix [A | b]; a pivot
-    in the right-hand side column means the system is unsolvable.  Free
-    variables are the non-pivot columns in ascending order (the
-    lexicographically earliest pivot set).  With all free variables set
-    to zero, returns the values of the pivot variables as integers y over
-    the common denominator t (see _solve_augmented), plus the free
-    variable list.
+    One fraction-free elimination of the augmented rows [A | b], copies of
+    the equation dicts: column v is x_v, column 0 stays empty and column
+    nvars + 1 is b.  A pivot in the right-hand side column means the
+    system is unsolvable.  Free variables are the non-pivot columns in
+    ascending order (the lexicographically earliest pivot set).  With all
+    free variables set to zero, returns the values of the pivot variables
+    as integers y over the common denominator t (see _solve_augmented),
+    plus the free variable list.
     """
     uvar, usign = unit
-    rows = [[0] * (nvars + 1)]
-    rows[0][uvar - 1] = 1
-    rows[0][nvars] = usign
-    for d in eqs:
-        row = [0] * (nvars + 1)
-        for v, c in d.items():
-            row[v - 1] = c
-        rows.append(row)
-    solved = _solve_augmented(rows)
+    rows = [{uvar: 1, nvars + 1: usign}]
+    rows.extend(d.copy() for d in eqs)
+    solved = _solve_augmented(rows, nvars + 1)
     if solved is None:
         raise UnsolvableSystemError("system is unsolvable")
     pivots, y, t, _ = solved
     pivot_set = set(pivots)
-    free = [c + 1 for c in range(nvars) if c not in pivot_set]
-    return {c + 1: y[c] for c in pivots}, t, free
+    free = [v for v in range(1, nvars + 1) if v not in pivot_set]
+    return {v: y[v] for v in pivots}, t, free
 
 
 def reduce_system(system: System) -> tuple[System, ReductionTrace]:
@@ -485,20 +481,11 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         if sum(abs(c) for c in d.values()) > k + 1:
             raise ReductionError("coefficient weight exceeded k+1 after merging")
 
-    # select an independent equation set: unit row + n-1 homogeneous rows,
-    # each kept iff independent of the rows before it, i.e. the pivot
-    # columns of the transposed matrix [unit row; eqs]^T
+    # select an independent equation set: unit row + n-1 homogeneous rows
     n = len(active)
-    position = {v: r for r, v in enumerate(sorted(active))}
-    transposed = [[0] * (len(eqs) + 1) for _ in range(n)]
-    transposed[position[uvar]][0] = 1
-    for j, d in enumerate(eqs, start=1):
-        for v, c in d.items():
-            transposed[position[v]][j] = c
-    pivots, _ = _echelon(transposed)
-    selected = [eqs[p - 1] for p in pivots[1:]]
+    selected = _select_equations(uvar, eqs, active)
     dropped = len(eqs) - len(selected)
-    if pivots[:1] != [0] or len(selected) != n - 1:
+    if len(selected) != n - 1:
         raise ReductionError("could not select %d independent equations" % (n - 1))
     if dropped:
         records.append(StepRecord(2, "dropped %d dependent equations" % dropped))
@@ -541,6 +528,37 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     )
     _check_reduced(reduced, trace)
     return reduced, trace
+
+
+def _select_equations(uvar: int, eqs: list[dict[int, int]], active: set[int]):
+    """The equations of an independent set [unit row; n-1 of eqs].
+
+    The matrix [unit row; eqs] over the n active variables has full column
+    rank n: step 2's pivot columns are independent, and steps 3 and 4 only
+    drop such columns or merge them injectively.  So when there are n-1
+    equations they are all independent, and no elimination is run; should
+    that ever fail, solve_assembled finds the assembled matrix singular.
+    Otherwise see _independent_equations.
+    """
+    if len(eqs) == len(active) - 1:
+        return eqs
+    return _independent_equations(uvar, eqs, active)
+
+
+def _independent_equations(uvar: int, eqs: list[dict[int, int]], active: set[int]):
+    """The equations each kept iff independent of the unit row and the
+    equations before it: the pivot columns after the first of the
+    transposed matrix [unit row; eqs]^T, one {column: value} row per active
+    variable, written from the equation dicts."""
+    transposed = {v: {} for v in sorted(active)}
+    transposed[uvar][0] = 1
+    for j, d in enumerate(eqs, start=1):
+        for v, c in d.items():
+            transposed[v][j] = c
+    pivots, _ = _sparse_echelon(list(transposed.values()), len(eqs) + 1)
+    if pivots[:1] != [0]:
+        raise ReductionError("could not select %d independent equations" % (len(active) - 1))
+    return [eqs[p - 1] for p in pivots[1:]]
 
 
 def _check_reduced(reduced: System, trace: ReductionTrace) -> None:
@@ -662,17 +680,15 @@ def solve_assembled(asm: Assembled):
     the first row of A is the unit row e_u, so every det A_i is a signed
     maximal minor of the other rows, all taken from one more elimination
     (matrices._signed_maximal_minors), and det A is det A_u.  Both
-    eliminations run on dense int rows written from the sparse ones.
+    eliminations run on {column: value} rows made from the (column, value)
+    pairs of Assembled.rows.
     """
     n = asm.n
-    e1 = [1] + [0] * (n - 1)
-    rows = [[0] * n + [b] for b in e1]
-    for row, pairs in zip(rows, asm.rows):
-        for c, e in pairs:
-            row[c] = e
+    rows = [dict(pairs) for pairs in asm.rows]
     # the elimination works in place: copy rows 2..n first
-    rest = [row[:n] for row in rows[1:]] if n <= _CRAMER_CROSSCHECK_LIMIT else None
-    solved = _solve_augmented(rows)
+    rest = [row.copy() for row in rows[1:]] if n <= _CRAMER_CROSSCHECK_LIMIT else None
+    rows[0][n] = 1  # the right-hand side e_1
+    solved = _solve_augmented(rows, n)
     if solved is None or len(solved[0]) < n:
         raise ReductionError("assembled matrix is singular")
     _, y, t, sign = solved

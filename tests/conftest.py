@@ -9,7 +9,14 @@ from math import gcd, lcm
 
 import relmag.systems
 from relmag.circuits import Circuit
-from relmag.matrices import IntegerMatrix, _solve_augmented, nullspace_basis, primitive_vector
+from relmag.matrices import (
+    IntegerMatrix,
+    _back_substitute,
+    _echelon,
+    _solve_augmented,
+    nullspace_basis,
+    primitive_vector,
+)
 from relmag.systems import SumEquation, System, UnitEquation
 
 
@@ -84,6 +91,48 @@ def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def dict_rows(rows) -> list[dict[int, int]]:
+    """Dense rows as the {column: value} rows of their nonzeros."""
+    return [{j: e for j, e in enumerate(row) if e} for row in rows]
+
+
+def dense_solve_augmented(rows: list[list[int]]):
+    """Reference for matrices._solve_augmented on the dense augmented rows
+    [A | b], in place: the lazy dense _echelon and _back_substitute, with
+    the same return value."""
+    n = len(rows[0]) - 1
+    pivots, sign = _echelon(rows)
+    if n in pivots:
+        return None
+    # [A | b] . (y, -t) = 0 gives A . (y / t) = b
+    y = [0] * n + [-1]
+    _back_substitute(rows, pivots, y)
+    g = gcd(*y)
+    if y[n] > 0:
+        g = -g
+    t = -y.pop() // g
+    return pivots, [v // g for v in y], t, sign
+
+
+def dense_signed_maximal_minors(rows: list[list[int]], n: int) -> list[int]:
+    """Reference for matrices._signed_maximal_minors on the dense
+    (n-1) x n rows B, in place, on the lazy dense _echelon."""
+    pivots, sign = _echelon(rows)
+    if len(pivots) < n - 1:
+        return [0] * n
+    f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
+    z = [0] * n
+    z[f] = sign * rows[-1][pivots[-1]] if pivots else 1
+    for r in range(n - 2, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        s = sum(row[j] * z[j] for j in range(c + 1, n) if row[j])
+        z[c], rest = divmod(-s, row[c])
+        if rest:
+            raise ArithmeticError("maximal minor of column %d is not integral" % c)
+    return [-v for v in z] if f % 2 else z
+
+
 def solve_square(a: IntegerMatrix, b) -> tuple[tuple[int, ...], int] | None:
     """Solve A.x = b through matrices._solve_augmented, the kernel that
     systems.solve_assembled and the reduction run.
@@ -96,8 +145,8 @@ def solve_square(a: IntegerMatrix, b) -> tuple[tuple[int, ...], int] | None:
     """
     b = [Fraction(v) for v in b]
     den = lcm(*(v.denominator for v in b))
-    rows = [list(row) + [int(v * den)] for row, v in zip(a.entries, b)]
-    solved = _solve_augmented(rows)
+    rows = dict_rows(list(row) + [int(v * den)] for row, v in zip(a.entries, b))
+    solved = _solve_augmented(rows, a.cols)
     if solved is None or len(solved[0]) < a.cols:
         return None
     _, y, t, _ = solved
@@ -231,8 +280,8 @@ def corrupt_cramer_check(monkeypatch, kind: str) -> None:
         d[-1] += 1
         return d
 
-    def flipped_solve(rows):
-        pivots, y, t, sign = real_solve(rows)
+    def flipped_solve(rows, n):
+        pivots, y, t, sign = real_solve(rows, n)
         return pivots, [-v for v in y], t, -sign
 
     def assemble(system):

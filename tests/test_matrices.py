@@ -6,7 +6,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import as_fractions, dense_echelon, dense_rows, solve_square
+from conftest import (
+    as_fractions,
+    dense_echelon,
+    dense_signed_maximal_minors,
+    dense_solve_augmented,
+    dict_rows,
+    solve_square,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +27,7 @@ from relmag.matrices import (
     _primitive,
     _signed_maximal_minors,
     _solve_augmented,
+    _sparse_echelon,
     cramer_solve,
     determinant,
     determinant_cofactor,
@@ -214,24 +222,90 @@ class TestLazyKernel:
             deficient += r < min(len(rows), len(rows[0]))
         assert deficient >= 500
 
+
+
+class RecordingRow(dict):
+    """A {column: value} row that counts the kernel's writes to it: new
+    entries (fill-in), overwritten ones, deleted ones (the kernel deletes
+    an entry that cancels) and popped ones (the pivot column taken out of
+    an updated row)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.filled = self.overwritten = self.deleted = self.popped = 0
+
+    def __setitem__(self, key, value):
+        if key in self:
+            self.overwritten += 1
+        else:
+            self.filled += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.deleted += 1
+        super().__delitem__(key)
+
+    def pop(self, key, *default):
+        self.popped += 1
+        return super().pop(key, *default)
+
+    def writes(self) -> int:
+        return self.filled + self.overwritten + self.deleted + self.popped
+
+
+class TestSparseKernel:
+    def test_hand_cases(self):
+        # column 1 cancels in the second row, which then pivots in column 2
+        rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 2}]
+        assert _sparse_echelon(rows, 3) == ([0, 2], 1)
+        assert rows == [{0: 1, 1: 1, 2: 1}, {2: 1}]
+        # the pivot of column 0 is the second row, and the third row fills
+        # in column 2; the first row is brought up to date, 2 * 3 / 1, only
+        # when it becomes the pivot row of column 1
+        rows = [{1: 2}, {0: 3, 2: 1}, {0: 1, 1: 1}]
+        assert _sparse_echelon(rows, 3) == ([0, 1, 2], -1)
+        assert rows == [{0: 3, 2: 1}, {1: 6}, {2: -2}]
+        assert _sparse_echelon([], 0) == ([], 1)
+        assert _sparse_echelon([{}, {}], 2) == ([], 1)
+
+    def test_matches_dense_kernels(self):
+        """On the five draw kinds as dict rows, the pivots, the sign and
+        every pivot row (as its nonzeros) equal the lazy dense _echelon's
+        and the dense reference's, and the rows below the rank are empty.
+        Draws with an entry that cancels mid-elimination and draws with
+        fill-in both occur."""
+        rng = random.Random(101)
+        kinds = ("sparse", "dense", "banded", "zero_columns", "deficient")
+        seen = {"cancel": 0, "fill_in": 0, "deficient": 0, "swap": 0}
+        for trial in range(2500):
+            rows = _kernel_draw(rng, kinds[trial % len(kinds)])
+            sparse = [RecordingRow(row) for row in dict_rows(rows)]
+            filled_before = sum(len(row) for row in sparse)
+            lazy = [row[:] for row in rows]
+            dense = [row[:] for row in rows]
+            pivots, sign = _sparse_echelon(sparse, len(rows[0]))
+            assert (pivots, sign) == _echelon(lazy) == dense_echelon(dense), rows
+            r = len(pivots)
+            assert sparse[:r] == dict_rows(lazy[:r]) == dict_rows(dense[:r]), rows
+            assert sparse[r:] == [{}] * (len(rows) - r), rows
+            seen["cancel"] += sum(row.deleted for row in sparse) > 0
+            seen["fill_in"] += sum(row.filled for row in sparse) > 0
+            seen["deficient"] += r < min(len(rows), len(rows[0]))
+            seen["swap"] += sign < 0
+            assert filled_before == sum(len(row) for row in dict_rows(rows))
+        assert all(count >= 300 for count in seen.values()), seen
+
     def test_chain_solve_cost(self):
-        """Rows with a zero in the pivot column are not written, so the
-        solve of a chain system costs O(n^2) row writes, not O(n^3)."""
-
-        class CountingRow(list):
-            writes = 0
-
-            def __setitem__(self, key, value):
-                CountingRow.writes += 1
-                super().__setitem__(key, value)
-
-        n = 64
-        system = extremal_system(2, n)
-        asm = assemble(system)
-        rows = [CountingRow(list(row) + [int(i == 0)]) for i, row in enumerate(dense_rows(asm))]
-        pivots, y, t, _ = _solve_augmented(rows)
+        """A chain row has two nonzeros and the kernel writes only
+        nonzeros, so the solve of the extremal system makes O(n) dict
+        writes; the dense kernel made up to 4n^2 row writes."""
+        n = 1024
+        asm = assemble(extremal_system(2, n))
+        rows = [RecordingRow(pairs) for pairs in asm.rows]
+        rows[0][n] = 1
+        pivots, y, t, _ = _solve_augmented(rows, n)
         assert len(pivots) == n and Fraction(y[n - 1], t) == 2 ** (n - 1)
-        assert CountingRow.writes <= 4 * n * n
+        assert sum(row.writes() for row in rows) <= 8 * n
 
 
 class TestSolvers:
@@ -262,7 +336,8 @@ class TestSolvers:
         for _ in range(1000):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(m)]
-            out = _solve_augmented([row[:] for row in rows])
+            out = _solve_augmented(dict_rows(rows), n)
+            assert out == dense_solve_augmented([row[:] for row in rows]), rows
             if out is None:
                 continue
             pivots, y, t, _ = out
@@ -300,8 +375,8 @@ class TestSignedMaximalMinors:
         assert _signed_maximal_minors([], 1) == [1]
         # A = [[0, 1], [3, 5]]: det A_0 = det [[1, 1], [0, 5]] = 5,
         # det A_1 = det [[0, 1], [3, 0]] = -3 = det A
-        assert _signed_maximal_minors([[3, 5]], 2) == [5, -3]
-        assert _signed_maximal_minors([[0, 0]], 2) == [0, 0]
+        assert _signed_maximal_minors([{0: 3, 1: 5}], 2) == [5, -3]
+        assert _signed_maximal_minors([{}], 2) == [0, 0]
 
     def test_matches_cramer_determinants(self):
         """Entry i is det A_i, A with column i replaced by e_1, taken by a
@@ -315,7 +390,8 @@ class TestSignedMaximalMinors:
             a = square(rows)
             e1 = [1] + [0] * (n - 1)
             expected = [determinant(a.replace_column(i, e1)) for i in range(n)]
-            assert _signed_maximal_minors([row[:] for row in rows[1:]], n) == expected, rows
+            assert _signed_maximal_minors(dict_rows(rows[1:]), n) == expected, rows
+            assert dense_signed_maximal_minors([row[:] for row in rows[1:]], n) == expected, rows
             pivots, sign = _echelon([row[:] for row in rows[1:]])
             if len(pivots) < n - 1:
                 assert expected == [0] * n

@@ -1,12 +1,13 @@
-"""Differential tests of the elimination kernel against sympy.
+"""Differential tests of the elimination kernels against sympy.
 
-rank, determinant, nullspace_basis, _solve_augmented (the solver behind
+rank, determinant and nullspace_basis run on the dense fraction-free
+echelon routine in relmag.matrices, and so does the brute force circuit
+oracle in conftest (through nullspace_basis), which is also where the
+circuit walk starts.  _solve_augmented (the solver behind
 systems.solve_assembled and the reduction) and _signed_maximal_minors
-(its Cramer cross-check) all run on the one fraction-free echelon routine
-in relmag.matrices, and so does the brute force circuit oracle in
-conftest (through nullspace_basis), which is also where the circuit walk
-starts.  sympy's exact rational linear algebra is an outside reference
-for all five and for every circuit vector.
+(its Cramer cross-check) run on the same elimination over {column:
+value} rows.  sympy's exact rational linear algebra is an outside
+reference for all five and for every circuit vector.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import oracle_circuits, solve_square
+from conftest import dict_rows, oracle_circuits, solve_square
 
 from relmag.circuits import enumerate_circuits
 from relmag.matrices import (
@@ -98,7 +99,7 @@ def test_signed_maximal_minors_match_sympy_cofactors():
         rows = [[int(j == u) for j in range(n)]] + random_rows(rng, n - 1, n)
         ref = sympy.Matrix(rows)
         expected = [ref.cofactor(0, i) for i in range(n)]
-        assert _signed_maximal_minors([row[:] for row in rows[1:]], n) == expected, rows
+        assert _signed_maximal_minors(dict_rows(rows[1:]), n) == expected, rows
         deficient += not any(expected)
     assert deficient > 50
 

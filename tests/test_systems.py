@@ -24,12 +24,14 @@ from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
     MAX_VARIABLES,
     AllHomogeneousError,
+    Assembled,
     BoundViolationError,
     ChainIntersectionError,
     ParseError,
     ReductionError,
     SumEquation,
     System,
+    SystemError_,
     UnitEquation,
     UnsolvableSystemError,
     assemble,
@@ -295,6 +297,58 @@ class TestReduction:
         assert check_solution(s, trace.reconstruct())
 
 
+def _reduce(system, select=None):
+    """reduce_system(system), with the equation selection replaced by
+    select when one is given: its result, or its error's type and message."""
+    real = relmag.systems._select_equations
+    if select is not None:
+        relmag.systems._select_equations = select
+    try:
+        return reduce_system(system)
+    except SystemError_ as exc:
+        return type(exc), str(exc)
+    finally:
+        relmag.systems._select_equations = real
+
+
+class TestSquareShortcut:
+    """A square reduced system takes all its equations with no elimination;
+    the elimination route selects the same ones."""
+
+    @staticmethod
+    def _by_elimination(seen):
+        def select(uvar, eqs, active):
+            seen.append(len(eqs) == len(active) - 1)
+            return relmag.systems._independent_equations(uvar, eqs, active)
+
+        return select
+
+    def test_matches_elimination_route(self):
+        rng = random.Random(67)
+        seen = []
+        for _ in range(400):
+            s = random_system(rng)
+            assert _reduce(s) == _reduce(s, self._by_elimination(seen)), s.to_text()
+        # both the square case and the one with dependent equations occur
+        assert seen.count(True) >= 100 and seen.count(False) >= 20, seen
+
+    @given(_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_elimination_route_property(self, s):
+        assert _reduce(s) == _reduce(s, self._by_elimination([]))
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_singular_square_assembled_raises(self, n):
+        """A singular square matrix is caught by the solve, also above the
+        size of the Cramer cross-check: row n - 1 repeats row n - 2."""
+        rows = [((0, 1),)] + [((i, 2), (i + 1, -1)) for i in range(n - 2)]
+        rows.append(rows[-1])
+        asm = Assembled(rows=tuple(rows), k=2, n=n, column_of={v: v - 1 for v in range(1, n + 1)},
+                        chain_cols=(), chain_rows=(), type3_rows=tuple(range(1, n)))
+        with pytest.raises(ReductionError, match="assembled matrix is singular"):
+            solve_assembled(asm)
+
+
 def _sum(*terms):
     return SumEquation(terms=terms)
 
@@ -491,22 +545,32 @@ class TestSolveAndCertify:
         assert constructed == []
 
     def test_eliminations_per_solve(self, monkeypatch):
-        """Two eliminations in the reduction, one for the solve and one for
-        the Cramer cross-check, whatever the size."""
+        """One elimination in the reduction when the reduced system is
+        square, two when an equation is dependent; then one for the solve
+        and one for the Cramer cross-check, whatever the size.  None runs
+        on dense rows."""
         calls = []
-        real_echelon = relmag.matrices._echelon
+        real_echelon = relmag.matrices._sparse_echelon
 
-        def counted(rows):
+        def counted(rows, n):
             calls.append(len(rows))
-            return real_echelon(rows)
+            return real_echelon(rows, n)
 
+        monkeypatch.setattr(relmag.matrices, "_echelon", None)
         for module in (relmag.matrices, relmag.systems):
-            monkeypatch.setattr(module, "_echelon", counted)
+            monkeypatch.setattr(module, "_sparse_echelon", counted)
         for n in (5, 10):
+            system = extremal_system(2, n)
             calls.clear()
-            rep = solve_and_certify(extremal_system(2, n))
+            rep = solve_and_certify(system)
             assert rep.n == n and rep.certification.all_ok
-            assert len(calls) == 4, (n, calls)
+            assert rep.trace.dropped_dependent == 0 and len(calls) == 3, (n, calls)
+            # the first chain equation once more
+            repeated = replace(system, equations=system.equations + system.equations[1:2])
+            calls.clear()
+            rep = solve_and_certify(repeated)
+            assert rep.n == n and rep.certification.all_ok
+            assert rep.trace.dropped_dependent == 1 and len(calls) == 4, (n, calls)
 
     @pytest.mark.parametrize("kind", ["numerator", "det_a"])
     def test_cramer_disagreement_raises(self, monkeypatch, kind):
