@@ -79,7 +79,8 @@ def _extend(
     brought current from column c on as a new list.  Each row below with
     an entry f in column c becomes a new list, current at the pivot p:
     columns before c are kept, column c is 0, and the columns after it
-    are (e * p - f * g) / lag[i], exact as in matrices._bareiss_step.
+    are (e * p - f * g) / lag[i]: the lazy form of the tests' dense step
+    conftest.dense_bareiss_step, exact as in matrices._sparse_echelon.
     Every other row is shared with the parent, with its lag.
     """
     rows = rows[:]

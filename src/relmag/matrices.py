@@ -2,31 +2,26 @@
 
 Everything here operates on arbitrary-precision Python ints, and
 fractions.Fraction where a rational is an input or output (Cramer's rule,
-formatting), so results are always exact.  The fraction-free (Bareiss)
-elimination comes in two forms with one pivot rule.  On dense int rows,
-``_echelon`` repeats the pivot step ``_bareiss_step`` for rank,
-determinant and null space, with the integer back substitution
-``_back_substitute``; the circuit walk (relmag.circuits) starts from
-``nullspace_basis``, then takes its own copy-on-write form of the step
-per column it adds to an independent set and reads each circuit vector
-off the pivot rows by Cramer's rule.  On {column: value} rows, which
-hold only the nonzeros, ``_sparse_echelon`` carries the solves of unit
-systems: ``_solve_augmented`` solves A.x = b for the reduction and the
-assembled-system solve, and returns the solution as integers y over one
-common denominator t, x = y / t, the form of Cramer's rule, so its
-callers never build a Fraction per coordinate.  Both forms scale rows
-lazily.  Each row i below the pivot rows carries lag[i], the pivot at
-which it was last updated, and the dense Bareiss row is
-rows[i] * prev / lag[i], a minor of the input.  A row with a zero in the
-pivot column is not touched at all.  The pivot rows, the rank, the sign
-and so every result equal dense Bareiss elimination's.  The dict rows
-also skip the zeros of an updated row, so a chain system, nearly all
-zeros, is solved with O(n) row writes instead of O(n^2).
-``_signed_maximal_minors`` takes every Cramer numerator of a square
-system whose first row is a unit row from one more elimination on dict
-rows, the check the assembled-system solve runs on small systems.
-``cramer_solve``, n + 1 separate determinants, and a zero-skipping
-cofactor expansion are kept as independent audit routes for the tests.
+formatting), so results are always exact.  There is one fraction-free
+(Bareiss) elimination, ``_sparse_echelon``, on {column: value} rows that
+hold only the nonzeros, and one integer back substitution,
+``_back_substitute``.  ``rank``, ``determinant`` and ``nullspace_basis``
+run them on the rows of an IntegerMatrix; ``_solve_augmented`` solves
+A.x = b for the reduction and the assembled-system solve, and returns
+the solution as integers y over one common denominator t, x = y / t, the
+form of Cramer's rule, so its callers never build a Fraction per
+coordinate; ``_signed_maximal_minors`` takes every Cramer numerator of a
+square system whose first row is a unit row from one elimination, the
+check the assembled-system solve runs on small systems.  The circuit
+walk (relmag.circuits) starts from ``nullspace_basis``, then takes its
+own copy-on-write form of the Bareiss step on dense rows per column it
+adds to an independent set.  Rows are scaled lazily and a row with a
+zero in the pivot column is not touched, yet the pivot rows, the rank,
+the sign and so every result equal dense Bareiss elimination's; a chain
+system, nearly all zeros, is solved with O(n) row writes instead of
+O(n^2).  ``cramer_solve``, n + 1 separate determinants, and a
+zero-skipping cofactor expansion are kept as independent audit routes
+for the tests.
 """
 
 from __future__ import annotations
@@ -137,115 +132,31 @@ def infinity_norm(a: IntegerMatrix) -> int:
     return max(sum(abs(e) for e in row) for row in a.entries)
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Forward fraction-free (Bareiss) row echelon form, in place.
-
-    Columns without a pivot are skipped.  After the pass, row r holds the
-    r-th pivot row, exactly as dense Bareiss elimination leaves it: every
-    entry is a minor of the input and every division is exact.  The rows
-    below the rank are zero.  Rows are scaled lazily (see _bareiss_step),
-    so a row that is never a pivot row may differ from the dense one by a
-    nonzero factor.  Returns the pivot columns and the sign of the row
-    permutation.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    lag = [1] * m
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        for piv in range(r, m):
-            if rows[piv][c]:
-                break
-        else:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            lag[r], lag[piv] = lag[piv], lag[r]
-            sign = -sign
-        _bareiss_step(rows, lag, r, c, prev)
-        pivots.append(c)
-        prev = rows[r][c]
-        r += 1
-    return pivots, sign
-
-
-def _bareiss_step(rows: list[list[int]], lag: list[int], r: int, c: int, prev: int) -> None:
-    """Clear column c below the pivot row rows[r], in place.
-
-    prev is the previous pivot (1 before the first).  Row i at or below r
-    is current at lag[i]: the dense Bareiss row is rows[i] * prev / lag[i],
-    a minor of the input, so each division below is exact.  The pivot row
-    is first brought current from column c on (its lag is not read
-    again).  A row with a zero in column c would only be scaled by
-    p / prev, so it is left as it is.  A row with f = rows[i][c] nonzero
-    gets the dense update of its current values, (row * p - f * prow) /
-    prev, which after the factor prev / lag[i] cancels is
-    (row * p - f * prow) / lag[i], and is then current at p.  Its column
-    c is set to zero; no column before c changes.
-    """
-    prow = rows[r]
-    n = len(prow)
-    behind = lag[r]
-    if behind != prev:
-        for j in range(c, n):
-            if prow[j]:
-                prow[j] = prow[j] * prev // behind
-    p = prow[c]
-    # element by element in place: faster than rebuilding rows here
-    for i in range(r + 1, len(rows)):
-        row = rows[i]
-        f = row[c]
-        if f:
-            behind = lag[i]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * p - f * prow[j]) // behind
-            row[c] = 0
-            lag[i] = p
-
-
-def _back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:
-    """Fill in x at the pivot columns so that every echelon row annihilates x.
-
-    x holds integers; the entries at non-pivot columns are given.  Where a
-    pivot does not divide its row's partial sum, all of x is rescaled by an
-    integer factor, so x stays integral and is fixed up to scale only.
-    A term with a zero factor is skipped: the rows of a chain are sparse,
-    and x is zero at every free column but one in nullspace_basis.
-    """
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        row = rows[r]
-        p = row[c]
-        s = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j] and x[j])
-        if s % p:
-            g = gcd(s, p)
-            q = p // g
-            for j in range(len(x)):
-                x[j] *= q
-            x[c] = -s // g
-        else:
-            x[c] = -s // p
+def _dict_rows(a: IntegerMatrix) -> list[dict[int, int]]:
+    """The rows of a as the {column: value} rows of their nonzeros."""
+    return [{j: e for j, e in enumerate(row) if e} for row in a.entries]
 
 
 def _sparse_echelon(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon form of {column: value} rows over
     the columns 0..n-1, in place.
 
-    The elimination of _echelon on the nonzeros only.  Columns are taken in
-    ascending order, the pivot of column c is the first row at or below r
-    with an entry in c, and rows are scaled lazily with the same lag, so
-    the pivots, the sign and every pivot row (as its nonzeros) equal
-    _echelon's.  A row with an entry in c is updated over the union of its
-    own nonzeros and the pivot row's, an entry that cancels is deleted, so
-    `c in row` finds exactly the rows to update, and the rows below the
+    Columns are taken in ascending order; columns without a pivot are
+    skipped, and the pivot of column c is the first row at or below r with
+    an entry in c.  Rows are scaled lazily: row i carries lag[i], the pivot
+    at which it was last updated, and the dense Bareiss row is
+    rows[i] * prev / lag[i], a minor of the input, so every division is
+    exact.  A row without an entry in c would only be scaled by p / prev,
+    so it is not touched; a pivot row is brought current when it becomes
+    one.  So the pivots, the sign and every pivot row (as its nonzeros)
+    equal dense Bareiss elimination's, and every pivot row entry is a minor
+    of the input.  A row with an entry in c is updated over the union of
+    its own nonzeros and the pivot row's, an entry that cancels is deleted,
+    so `c in row` finds exactly the rows to update, and the rows below the
     rank end empty.  Each column still tests every row below the pivot,
     but only nonzeros are written: a chain, two nonzeros per row, is
-    eliminated with O(n) dict writes.
+    eliminated with O(n) dict writes.  Returns the pivot columns and the
+    sign of the row permutation.
     """
     m = len(rows)
     lag = [1] * m
@@ -301,6 +212,31 @@ def _sparse_echelon(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]
     return pivots, sign
 
 
+def _back_substitute(rows: list[dict[int, int]], pivots: list[int], x: list[int]) -> None:
+    """Fill in x at the pivot columns so that every pivot row annihilates x.
+
+    x holds integers, given at the non-pivot columns and zero at the pivot
+    columns until they are filled in, so a row's own items give its
+    partial sum.  Where a pivot does not divide it, all of x is rescaled
+    by an integer factor, so x stays integral and is fixed up to scale
+    only.
+    """
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        p = row[c]
+        s = 0
+        for j, v in row.items():
+            s += v * x[j]
+        if s % p:
+            g = gcd(s, p)
+            q = p // g
+            x[:] = [v * q for v in x]
+            x[c] = -s // g
+        else:
+            x[c] = -s // p
+
+
 def _solve_augmented(rows: list[dict[int, int]], n: int):
     """Solve A.x = b from the augmented {column: value} rows [A | b], in place.
 
@@ -316,25 +252,9 @@ def _solve_augmented(rows: list[dict[int, int]], n: int):
     pivots, sign = _sparse_echelon(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
-    # back substitution: [A | b] . (y, -t) = 0 gives A . (y / t) = b.  y is
-    # zero at a row's pivot until it is filled in, so the row's own items
-    # give the partial sum.  Where a pivot does not divide it, all of y is
-    # rescaled, so y stays integral.
+    # [A | b] . (y, -t) = 0 gives A . (y / t) = b
     y = [0] * n + [-1]
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        row = rows[r]
-        p = row[c]
-        s = 0
-        for j, v in row.items():
-            s += v * y[j]
-        if s % p:
-            g = gcd(s, p)
-            q = p // g
-            y = [v * q for v in y]
-            y[c] = -s // g
-        else:
-            y[c] = -s // p
+    _back_substitute(rows, pivots, y)
     g = gcd(*y)
     if y[n] > 0:
         g = -g
@@ -352,39 +272,34 @@ def _signed_maximal_minors(rows: list[dict[int, int]], n: int) -> list[int]:
     elimination gives all n: when B has rank n-1 it leaves one free column
     f, and Bareiss makes the last pivot, times the sign of the row
     permutation, det B_-f.  Back substitution from z_f = det B_-f gives
-    z = (-1)^f d; every division is exact, and a remainder raises
-    ArithmeticError.  d is zero when B is rank-deficient.
+    z = (-1)^f d; every division is exact, and a remainder, which would
+    make the back substitution rescale z, raises ArithmeticError.  d is
+    zero when B is rank-deficient.
     """
     pivots, sign = _sparse_echelon(rows, n)
     if len(pivots) < n - 1:
         return [0] * n
     f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
     z = [0] * n
-    z[f] = sign * rows[-1][pivots[-1]] if pivots else 1
-    for r in range(n - 2, -1, -1):
-        c = pivots[r]
-        row = rows[r]
-        s = 0  # z is zero at c until it is filled in
-        for j, v in row.items():
-            s += v * z[j]
-        z[c], rest = divmod(-s, row[c])
-        if rest:
-            raise ArithmeticError("maximal minor of column %d is not integral" % c)
+    z[f] = det_f = sign * rows[-1][pivots[-1]] if pivots else 1
+    _back_substitute(rows, pivots, z)
+    if z[f] != det_f:
+        raise ArithmeticError("a maximal minor is not integral")
     return [-v for v in z] if f % 2 else z
 
 
 def rank(a: IntegerMatrix) -> int:
     """Exact rank: the number of pivots of the fraction-free echelon form."""
-    return len(_echelon([list(r) for r in a.entries])[0])
+    return len(_sparse_echelon(_dict_rows(a), a.cols)[0])
 
 
 def determinant(m: IntegerMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise NonSquareError("determinant requires a square matrix")
-    rows = [list(r) for r in m.entries]
-    pivots, sign = _echelon(rows)
-    return sign * rows[-1][-1] if len(pivots) == m.rows else 0
+    rows = _dict_rows(m)
+    pivots, sign = _sparse_echelon(rows, m.cols)
+    return sign * rows[-1][m.cols - 1] if len(pivots) == m.rows else 0
 
 
 def determinant_cofactor(m: IntegerMatrix) -> int:
@@ -442,8 +357,8 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
     f and 0 at the other free columns.
     """
     n = a.cols
-    rows = [list(r) for r in a.entries]
-    pivots, _ = _echelon(rows)
+    rows = _dict_rows(a)
+    pivots, _ = _sparse_echelon(rows, n)
     pivot_set = set(pivots)
     basis = []
     for f in range(n):

@@ -175,8 +175,10 @@ _NUM = re.compile(r"(\d+)")
 
 
 def _parse_side(s: str, line_no: int, col_base: int):
-    """Parse one side of an equation into (constant, [(coeff, var), ...])."""
+    """Parse one side of an equation into (constant, [(coeff, var), ...],
+    column of its first constant term or None)."""
     const = 0
+    const_col = None
     terms: list[tuple[int, int]] = []
     pos = 0
     pending: int | None = None
@@ -215,6 +217,7 @@ def _parse_side(s: str, line_no: int, col_base: int):
             if not m:
                 raise ParseError("expected term", line_no, col_base + pos)
             const += sign * int(m.group(1))
+            const_col = col_base + pos if const_col is None else const_col
         pos = m.end()
         pending = None
         seen_term = True
@@ -222,7 +225,7 @@ def _parse_side(s: str, line_no: int, col_base: int):
         raise ParseError("dangling sign", line_no, col_base + len(s))
     if not seen_term:
         raise ParseError("empty expression", line_no, col_base)
-    return const, terms
+    return const, terms, const_col
 
 
 def parse_system(text: str) -> System:
@@ -271,8 +274,8 @@ def _parse_equation(s: str, line_no: int, col_base: int) -> Equation:
     sides = s.split("=")
     if len(sides) != 2:
         raise ParseError("equation needs exactly one '='", line_no, col_base)
-    lconst, lterms = _parse_side(sides[0], line_no, col_base)
-    rconst, rterms = _parse_side(sides[1], line_no, col_base + len(sides[0]) + 1)
+    lconst, lterms, lcol = _parse_side(sides[0], line_no, col_base)
+    rconst, rterms, rcol = _parse_side(sides[1], line_no, col_base + len(sides[0]) + 1)
     const = lconst - rconst
     terms = lterms + [(-c, v) for c, v in rterms]
     if not terms:
@@ -283,7 +286,8 @@ def _parse_equation(s: str, line_no: int, col_base: int) -> Equation:
         coeff, var = terms[0]
         return UnitEquation(var=var, sign=-const * coeff)
     if abs(const) > 1:
-        raise ParseError("right-hand side must be 0, 1 or -1", line_no, col_base)
+        col = rcol if lcol is None else lcol
+        raise ParseError("right-hand side must be 0, 1 or -1", line_no, col)
     raise ParseError("a right-hand side of +-1 needs a single term +-xI", line_no, col_base)
 
 

@@ -11,8 +11,6 @@ import relmag.systems
 from relmag.circuits import Circuit
 from relmag.matrices import (
     IntegerMatrix,
-    _back_substitute,
-    _echelon,
     _solve_augmented,
     nullspace_basis,
     primitive_vector,
@@ -47,7 +45,8 @@ def oracle_circuits(a: IntegerMatrix) -> list[Circuit]:
 def dense_bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None:
     """Reference Bareiss step: every row below the pivot is updated, also
     one with a zero in column c, which is rescaled by p / prev.  This is
-    the dense form of matrices._bareiss_step, kept to check the lazy one.
+    the dense form of the lazy step in matrices._sparse_echelon and
+    circuits._extend, kept to check them.
     """
     prow = rows[r]
     p = prow[c]
@@ -66,7 +65,7 @@ def dense_bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None
 
 def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     """Reference fraction-free echelon form, in place, by dense_bareiss_step;
-    same pivot choice and return value as matrices._echelon."""
+    same pivot choice and return value as matrices._sparse_echelon."""
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -91,6 +90,26 @@ def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def dense_back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:
+    """Reference for matrices._back_substitute on dense echelon rows, in
+    place: fill in x at the pivot columns so that every echelon row
+    annihilates x, rescaling all of x by an integer factor where a pivot
+    does not divide its row's partial sum."""
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        p = row[c]
+        s = sum(row[j] * x[j] for j in range(c + 1, len(x)) if row[j] and x[j])
+        if s % p:
+            g = gcd(s, p)
+            q = p // g
+            for j in range(len(x)):
+                x[j] *= q
+            x[c] = -s // g
+        else:
+            x[c] = -s // p
+
+
 def dict_rows(rows) -> list[dict[int, int]]:
     """Dense rows as the {column: value} rows of their nonzeros."""
     return [{j: e for j, e in enumerate(row) if e} for row in rows]
@@ -98,15 +117,15 @@ def dict_rows(rows) -> list[dict[int, int]]:
 
 def dense_solve_augmented(rows: list[list[int]]):
     """Reference for matrices._solve_augmented on the dense augmented rows
-    [A | b], in place: the lazy dense _echelon and _back_substitute, with
-    the same return value."""
+    [A | b], in place: dense_echelon and dense_back_substitute, with the
+    same return value."""
     n = len(rows[0]) - 1
-    pivots, sign = _echelon(rows)
+    pivots, sign = dense_echelon(rows)
     if n in pivots:
         return None
     # [A | b] . (y, -t) = 0 gives A . (y / t) = b
     y = [0] * n + [-1]
-    _back_substitute(rows, pivots, y)
+    dense_back_substitute(rows, pivots, y)
     g = gcd(*y)
     if y[n] > 0:
         g = -g
@@ -116,8 +135,9 @@ def dense_solve_augmented(rows: list[list[int]]):
 
 def dense_signed_maximal_minors(rows: list[list[int]], n: int) -> list[int]:
     """Reference for matrices._signed_maximal_minors on the dense
-    (n-1) x n rows B, in place, on the lazy dense _echelon."""
-    pivots, sign = _echelon(rows)
+    (n-1) x n rows B, in place, on dense_echelon, with its own exact
+    division in place of dense_back_substitute's rescaling."""
+    pivots, sign = dense_echelon(rows)
     if len(pivots) < n - 1:
         return [0] * n
     f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot

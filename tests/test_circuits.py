@@ -163,14 +163,14 @@ def test_walk_steps_match_dense_reference():
 def test_walk_eliminates_once(monkeypatch):
     """One null-space elimination per call, no matrix per candidate support,
     and no kernel call from the walk itself: a circuit vector costs no back
-    substitution and a child set no _bareiss_step."""
+    substitution and a child set no elimination."""
     # Vandermonde rows on distinct nodes: every 4 columns are independent
     a = IntegerMatrix.from_rows([[x ** i for x in range(1, 9)] for i in range(4)])
     calls = {
         "nullspace_basis": 0,
         "IntegerMatrix": 0,
         "_back_substitute": 0,
-        "_bareiss_step": 0,
+        "_sparse_echelon": 0,
         "kernel calls outside nullspace_basis": 0,
     }
     inside = []
@@ -204,14 +204,14 @@ def test_walk_eliminates_once(monkeypatch):
     monkeypatch.setattr(circuits, "nullspace_basis", counted_nullspace)
     monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
     counted("_back_substitute")
-    counted("_bareiss_step")
+    counted("_sparse_echelon")
     circs = enumerate_circuits(a)
     assert len(circs) == comb(8, 5)  # in general position the circuits are the 5-sets
     assert calls == {
         "nullspace_basis": 1,
         "IntegerMatrix": 0,
         "_back_substitute": 4,  # the nullity: one per nullspace_basis ray
-        "_bareiss_step": 4,  # the rank: _echelon inside nullspace_basis
+        "_sparse_echelon": 1,  # the one elimination inside nullspace_basis
         "kernel calls outside nullspace_basis": 0,
     }
 

@@ -17,13 +17,13 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relmag.matrices
 from relmag.generators import extremal_system
 from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
     NonSquareError,
     SingularMatrixError,
-    _echelon,
     _primitive,
     _signed_maximal_minors,
     _solve_augmented,
@@ -203,27 +203,6 @@ def _kernel_draw(rng, kind):
     return rows
 
 
-class TestLazyKernel:
-    def test_matches_dense_reference(self):
-        """The lazy elimination leaves the dense Bareiss pivots, sign and
-        pivot rows, and zero rows below the rank."""
-        rng = random.Random(97)
-        kinds = ("sparse", "dense", "banded", "zero_columns", "deficient")
-        deficient = 0
-        for trial in range(2500):
-            rows = _kernel_draw(rng, kinds[trial % len(kinds)])
-            lazy = [row[:] for row in rows]
-            dense = [row[:] for row in rows]
-            pivots, sign = _echelon(lazy)
-            assert (pivots, sign) == dense_echelon(dense), rows
-            r = len(pivots)
-            assert lazy[:r] == dense[:r], rows
-            assert not any(any(row) for row in lazy[r:]), rows
-            deficient += r < min(len(rows), len(rows[0]))
-        assert deficient >= 500
-
-
-
 class RecordingRow(dict):
     """A {column: value} row that counts the kernel's writes to it: new
     entries (fill-in), overwritten ones, deleted ones (the kernel deletes
@@ -270,8 +249,8 @@ class TestSparseKernel:
 
     def test_matches_dense_kernels(self):
         """On the five draw kinds as dict rows, the pivots, the sign and
-        every pivot row (as its nonzeros) equal the lazy dense _echelon's
-        and the dense reference's, and the rows below the rank are empty.
+        every pivot row (as its nonzeros) equal the dense reference's, and
+        the rows below the rank are empty.
         Draws with an entry that cancels mid-elimination and draws with
         fill-in both occur."""
         rng = random.Random(101)
@@ -281,12 +260,11 @@ class TestSparseKernel:
             rows = _kernel_draw(rng, kinds[trial % len(kinds)])
             sparse = [RecordingRow(row) for row in dict_rows(rows)]
             filled_before = sum(len(row) for row in sparse)
-            lazy = [row[:] for row in rows]
             dense = [row[:] for row in rows]
             pivots, sign = _sparse_echelon(sparse, len(rows[0]))
-            assert (pivots, sign) == _echelon(lazy) == dense_echelon(dense), rows
+            assert (pivots, sign) == dense_echelon(dense), rows
             r = len(pivots)
-            assert sparse[:r] == dict_rows(lazy[:r]) == dict_rows(dense[:r]), rows
+            assert sparse[:r] == dict_rows(dense[:r]), rows
             assert sparse[r:] == [{}] * (len(rows) - r), rows
             seen["cancel"] += sum(row.deleted for row in sparse) > 0
             seen["fill_in"] += sum(row.filled for row in sparse) > 0
@@ -294,6 +272,33 @@ class TestSparseKernel:
             seen["swap"] += sign < 0
             assert filled_before == sum(len(row) for row in dict_rows(rows))
         assert all(count >= 300 for count in seen.values()), seen
+
+    def test_one_elimination_per_call(self, monkeypatch):
+        """rank, determinant, nullspace_basis and both solvers each run the
+        one kernel, _sparse_echelon, exactly once per call."""
+        calls = []
+        real = relmag.matrices._sparse_echelon
+
+        def counted(rows, n):
+            calls.append(n)
+            return real(rows, n)
+
+        monkeypatch.setattr(relmag.matrices, "_sparse_echelon", counted)
+        a = square([[1, 2, 3], [2, 4, 7], [0, 1, 5]])
+        wide = square([[1, 2, 3, 4], [2, 4, 6, 9]])  # rank 2, nullity 2
+        routes = {
+            "rank": lambda: rank(wide),
+            "determinant": lambda: determinant(a),
+            "nullspace_basis": lambda: nullspace_basis(wide),
+            "_solve_augmented": lambda: _solve_augmented(dict_rows([[1, 2, 5], [3, 4, 6]]), 2),
+            "_signed_maximal_minors": lambda: _signed_maximal_minors(dict_rows(a.entries[1:]), 3),
+        }
+        counts = {}
+        for name, route in routes.items():
+            calls.clear()
+            route()
+            counts[name] = len(calls)
+        assert counts == dict.fromkeys(routes, 1)
 
     def test_chain_solve_cost(self):
         """A chain row has two nonzeros and the kernel writes only
@@ -392,7 +397,7 @@ class TestSignedMaximalMinors:
             expected = [determinant(a.replace_column(i, e1)) for i in range(n)]
             assert _signed_maximal_minors(dict_rows(rows[1:]), n) == expected, rows
             assert dense_signed_maximal_minors([row[:] for row in rows[1:]], n) == expected, rows
-            pivots, sign = _echelon([row[:] for row in rows[1:]])
+            pivots, sign = dense_echelon([row[:] for row in rows[1:]])
             if len(pivots) < n - 1:
                 assert expected == [0] * n
                 seen["deficient"] += 1
@@ -404,6 +409,23 @@ class TestSignedMaximalMinors:
             seen["n_2"] += n == 2
         # every case of the elimination is drawn
         assert all(count >= 40 for count in seen.values()), seen
+
+    def test_non_integral_minor_raises(self, monkeypatch):
+        """A pivot row whose back substitution leaves a remainder, here one
+        corrupted after the elimination, raises instead of rescaling the
+        minors."""
+        rows = [[2, 1, 1], [1, 3, 2]]
+        assert _signed_maximal_minors(dict_rows(rows), 3) == [-1, -3, 5]
+        real = relmag.matrices._sparse_echelon
+
+        def corrupted(rows, n):
+            out = real(rows, n)
+            rows[0][n - 1] += 1  # {0: 2, 1: 1, 2: 1} -> {0: 2, 1: 1, 2: 2}
+            return out
+
+        monkeypatch.setattr(relmag.matrices, "_sparse_echelon", corrupted)
+        with pytest.raises(ArithmeticError, match="not integral"):
+            _signed_maximal_minors(dict_rows(rows), 3)
 
 
 class TestTextFormat:

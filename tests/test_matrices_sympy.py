@@ -1,13 +1,13 @@
-"""Differential tests of the elimination kernels against sympy.
+"""Differential tests of the elimination kernel against sympy.
 
-rank, determinant and nullspace_basis run on the dense fraction-free
-echelon routine in relmag.matrices, and so does the brute force circuit
-oracle in conftest (through nullspace_basis), which is also where the
-circuit walk starts.  _solve_augmented (the solver behind
+rank, determinant, nullspace_basis, _solve_augmented (the solver behind
 systems.solve_assembled and the reduction) and _signed_maximal_minors
-(its Cramer cross-check) run on the same elimination over {column:
-value} rows.  sympy's exact rational linear algebra is an outside
-reference for all five and for every circuit vector.
+(its Cramer cross-check) all run on the one fraction-free elimination
+over {column: value} rows in relmag.matrices and its one back
+substitution.  So does the brute force circuit oracle in conftest
+(through nullspace_basis), which is also where the circuit walk starts.
+sympy's exact rational linear algebra is an outside reference for all
+five and for every circuit vector.
 """
 
 import random

@@ -49,16 +49,6 @@ def test_systems_solves_on_int_rows():
             )
 
 
-def test_systems_solves_on_dict_rows():
-    """The reduction and the solve eliminate {column: value} rows only:
-    systems does not import the dense kernel."""
-    for lineno, names in _imports(SRC / "systems.py"):
-        for name in names:
-            assert name.rsplit(".", 1)[-1] not in ("_echelon", "_bareiss_step", "_back_substitute"), (
-                "systems.py:%d imports %s" % (lineno, name)
-            )
-
-
 def test_no_unused_imports():
     """Every name imported by the package or the tests is read or exported."""
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):

@@ -109,6 +109,11 @@ class TestParser:
         assert (exc.value.line, exc.value.col) == (1, 0)
         with pytest.raises(ParseError, match="right-hand side must be 0, 1 or -1"):
             parse_system("x1 + x2 = 2")
+        # the error points at the first constant term
+        for text, pos in (("x1=1\nx1 + x2 = 5", (2, 10)), ("x1 = 2", (1, 5))):
+            with pytest.raises(ParseError, match="right-hand side must be 0, 1 or -1") as exc:
+                parse_system(text)
+            assert (exc.value.line, exc.value.col) == pos, text
 
     def test_weight_limit_enforced(self):
         with pytest.raises(ParseError):
@@ -547,8 +552,7 @@ class TestSolveAndCertify:
     def test_eliminations_per_solve(self, monkeypatch):
         """One elimination in the reduction when the reduced system is
         square, two when an equation is dependent; then one for the solve
-        and one for the Cramer cross-check, whatever the size.  None runs
-        on dense rows."""
+        and one for the Cramer cross-check, whatever the size."""
         calls = []
         real_echelon = relmag.matrices._sparse_echelon
 
@@ -556,7 +560,6 @@ class TestSolveAndCertify:
             calls.append(len(rows))
             return real_echelon(rows, n)
 
-        monkeypatch.setattr(relmag.matrices, "_echelon", None)
         for module in (relmag.matrices, relmag.systems):
             monkeypatch.setattr(module, "_sparse_echelon", counted)
         for n in (5, 10):
