@@ -16,7 +16,6 @@ from relmag.matrices import (
     MatrixError,
     NonSquareError,
     SingularMatrixError,
-    cramer_solve,
     determinant,
     infinity_norm,
     nullspace_basis,
@@ -32,7 +31,6 @@ __all__ = [
     "MatrixError",
     "NonSquareError",
     "SingularMatrixError",
-    "cramer_solve",
     "determinant",
     "infinity_norm",
     "nullspace_basis",

@@ -9,8 +9,7 @@ certification eliminates no matrix and reads A through its nonzero
 det W_i = det U_i^2, each chain block minor of W_i is one product of a
 prefix and a suffix continuant, computed once per chain and checked
 against its closed form, and each residual block minor is a squared row
-norm less one square.  hadamard_fischer_check is the dense route the
-tests compare against.  All checks are integer-exact: the solution
+norm less one square.  All checks are integer-exact: the solution
 arrives as integers y over one denominator t, x = y / t, and a Fraction
 is built only for the x and the maximum that the report prints.
 """
@@ -20,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 
 from relmag.matrices import (
     IntegerMatrix,
-    determinant,
     determinant_cofactor,
     format_rational,
 )
@@ -168,27 +165,6 @@ def verify_recurrences(t_max: int, k: int) -> RecurrenceReport:
     return RecurrenceReport(
         t_max=t_max, k=k, matrices_checked=matrices, recurrences_checked=recurrences
     )
-
-
-def hadamard_fischer_check(w: IntegerMatrix, blocks):
-    """det W <= product of the principal block minors, all sides exact.
-
-    w is a Gram matrix U U^T, hence positive semidefinite, so the inequality
-    is a theorem and a False result indicates a bug.  blocks must partition
-    range(w.rows), else ValueError.  Returns (holds, det W, product,
-    minors), minors in block order.
-    """
-    if sorted(i for block in blocks for i in block) != list(range(w.rows)):
-        raise ValueError("blocks do not partition the indices of W")
-    lhs = determinant(w)
-    minors = tuple(
-        determinant(
-            IntegerMatrix.from_rows([[w.entries[i][j] for j in block] for i in block])
-        )
-        for block in blocks
-    )
-    rhs = prod(minors)
-    return lhs <= rhs, lhs, rhs, minors
 
 
 def enumerate_residual_multisets(k: int) -> list[tuple[int, ...]]:

@@ -1,35 +1,33 @@
 """Exact integer and rational matrix arithmetic.
 
 Everything here operates on arbitrary-precision Python ints, and
-fractions.Fraction where a rational is an input or output (Cramer's rule,
-formatting), so results are always exact.  There is one fraction-free
-(Bareiss) elimination, ``_sparse_echelon``, on {column: value} rows that
-hold only the nonzeros, and one integer back substitution,
-``_back_substitute``.  ``rank``, ``determinant`` and ``nullspace_basis``
-run them on the rows of an IntegerMatrix; ``_solve_augmented`` solves
-A.x = b for the reduction and the assembled-system solve, and returns
-the solution as integers y over one common denominator t, x = y / t, the
-form of Cramer's rule, so its callers never build a Fraction per
-coordinate; ``_signed_maximal_minors`` takes every Cramer numerator of a
-square system whose first row is a unit row from one elimination, the
-check the assembled-system solve runs on small systems.  The circuit
-walk (relmag.circuits) starts from ``nullspace_basis``, then takes its
-own copy-on-write form of the Bareiss step on dense rows per column it
-adds to an independent set.  Rows are scaled lazily and a row with a
-zero in the pivot column is not touched, yet the pivot rows, the rank,
-the sign and so every result equal dense Bareiss elimination's; a chain
-system, nearly all zeros, is solved with O(n) row writes instead of
-O(n^2).  ``cramer_solve``, n + 1 separate determinants, and a
-zero-skipping cofactor expansion are kept as independent audit routes
-for the tests.
+fractions.Fraction where a rational is an output (formatting), so
+results are always exact.  There is one fraction-free (Bareiss)
+elimination, ``_sparse_echelon``, on {column: value} rows that hold only
+the nonzeros, and one integer back substitution, ``_back_substitute``.
+``rank``, ``determinant`` and ``nullspace_basis`` run them on the rows of
+an IntegerMatrix; ``_solve_augmented`` solves A.x = b for the reduction
+and the assembled-system solve, and returns the solution as integers y
+over one common denominator t, x = y / t, the form of Cramer's rule, so
+its callers never build a Fraction per coordinate;
+``_signed_maximal_minors`` takes every Cramer numerator of a square
+system whose first row is a unit row from one elimination, the check the
+assembled-system solve runs on small systems.  The circuit walk
+(relmag.circuits) starts from ``nullspace_basis``, then takes its own
+copy-on-write form of the Bareiss step on dense rows per column it adds
+to an independent set.  Rows are scaled lazily and a row with a zero in
+the pivot column is not touched, yet the pivot rows, the rank, the sign
+and so every result equal dense Bareiss elimination's; a chain system,
+nearly all zeros, is solved with O(n) row writes instead of O(n^2).  A
+zero-skipping cofactor expansion is kept as an independent route for the
+chain-block determinant identities.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class MatrixError(ValueError):
@@ -73,35 +71,9 @@ class IntegerMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(zip(*self.entries)))
-
     def column_submatrix(self, cols) -> "IntegerMatrix":
         cols = tuple(cols)
         return IntegerMatrix(tuple(tuple(row[j] for j in cols) for row in self.entries))
-
-    def delete_row_col(self, i: int, j: int) -> "IntegerMatrix":
-        return IntegerMatrix(
-            tuple(
-                tuple(e for c, e in enumerate(row) if c != j)
-                for r, row in enumerate(self.entries)
-                if r != i
-            )
-        )
-
-    def replace_column(self, j: int, col) -> "IntegerMatrix":
-        col = tuple(_to_int(c) for c in col)
-        if len(col) != self.rows:
-            raise MatrixError("column length mismatch")
-        return IntegerMatrix(
-            tuple(
-                tuple(col[r] if c == j else e for c, e in enumerate(row))
-                for r, row in enumerate(self.entries)
-            )
-        )
 
     def apply(self, x):
         """Return A.x as a tuple (entries of x may be int or Fraction)."""
@@ -328,19 +300,10 @@ def determinant_cofactor(m: IntegerMatrix) -> int:
     return expand(0, tuple(range(m.cols)))
 
 
-def primitive_vector(x) -> tuple[int, ...]:
-    """Canonical primitive integer form of a nonzero rational vector.
-
-    Scales so that entries are integers with gcd 1 and the first nonzero
-    entry is positive.  Parallel vectors map to the same result.
-    """
-    den = lcm(*(v.denominator for v in x))
-    return _primitive([v.numerator * (den // v.denominator) for v in x])
-
-
 def _primitive(ints) -> tuple[int, ...]:
-    """primitive_vector of a nonzero integer vector: divide by the gcd,
-    signed so that the first nonzero entry is positive."""
+    """Canonical primitive form of a nonzero integer vector: divide by the
+    gcd, signed so that the first nonzero entry is positive.  Parallel
+    vectors map to the same result."""
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -368,27 +331,6 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
             _back_substitute(rows, pivots, x)
             basis.append(_primitive(x))
     return basis
-
-
-def cramer_solve(a: IntegerMatrix, b) -> tuple[Fraction, ...]:
-    """Solve A.x = b for square nonsingular A via Cramer's rule.
-
-    x_i = det(A_i) / det(A) where A_i has column i replaced by b.
-    The right-hand side may be rational; it is cleared to integers first.
-    """
-    if a.rows != a.cols:
-        raise NonSquareError("Cramer's rule requires a square matrix")
-    det_a = determinant(a)
-    if det_a == 0:
-        raise SingularMatrixError("matrix is singular")
-    bf = [Fraction(v) for v in b]
-    den = lcm(*(v.denominator for v in bf)) if bf else 1
-    bint = [int(v * den) for v in bf]
-    out = []
-    for i in range(a.cols):
-        det_i = determinant(a.replace_column(i, bint))
-        out.append(Fraction(det_i, den * det_a))
-    return tuple(out)
 
 
 def format_rational(x) -> str:

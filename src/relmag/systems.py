@@ -425,65 +425,57 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         if d:
             eqs.append(d)
 
-    # step 2: zero out the free variables
+    # steps 2-4 collect one substitution `target`: a free (step 2) or
+    # zero-valued (step 3) variable maps to None, one equal up to sign to
+    # a kept variable (step 4: keep the smallest index, preferring the unit
+    # variable) to (kept, sign)
     values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
-    zeroed_free = tuple(sorted(free))
+    zeroed_free = tuple(free)
+    target: dict[int, tuple[int, int] | None] = dict.fromkeys(zeroed_free)
     if zeroed_free:
-        for d in eqs:
-            for v in zeroed_free:
-                d.pop(v, None)
         records.append(StepRecord(2, "fixed free variables %s to zero" % list(zeroed_free)))
-    active = set(values)
-
-    # step 3: drop variables whose unique value is zero
-    zeroed_solved = tuple(sorted(v for v in active if values[v] == 0))
+    zeroed_solved = tuple(sorted(v for v in values if values[v] == 0))
+    for v in zeroed_solved:
+        target[v] = None
+        del values[v]
     if zeroed_solved:
-        for d in eqs:
-            for v in zeroed_solved:
-                d.pop(v, None)
-        for v in zeroed_solved:
-            active.discard(v)
-            del values[v]
         records.append(StepRecord(3, "removed zero-valued variables %s" % list(zeroed_solved)))
-    eqs = [d for d in eqs if d]
-    if any(len(d) == 1 for d in eqs):
-        raise ReductionError("single-variable homogeneous equation survived step 3")
-
-    # step 4: merge variables equal up to sign (keep the smallest index,
-    # preferring the unit variable), cancelling as we substitute (step 5)
     groups: dict[int, list[int]] = {}
-    for v in sorted(active):
+    for v in sorted(values):
         groups.setdefault(abs(values[v]), []).append(v)
     merges: list[tuple[int, int, int]] = []
     for key in sorted(groups):
         grp = groups[key]
-        if len(grp) < 2:
-            continue
-        keep = uvar if uvar in grp else min(grp)
+        keep = uvar if uvar in grp else grp[0]
         for j in grp:
-            if j == keep:
-                continue
-            sgn = 1 if values[j] == values[keep] else -1
-            merges.append((j, sgn, keep))
-            for d in eqs:
-                if j in d:
-                    c = d.pop(j)
-                    nc = d.get(keep, 0) + sgn * c
-                    if nc == 0:
-                        d.pop(keep, None)
-                    else:
-                        d[keep] = nc
-            active.discard(j)
-            del values[j]
+            if j != keep:
+                sgn = 1 if values[j] == values[keep] else -1
+                merges.append((j, sgn, keep))
+                target[j] = (keep, sgn)
+    for j, _, _ in merges:
+        del values[j]
     if merges:
         records.append(StepRecord(4, "merged sign-equal variables: %s"
                                   % ["x%d=%+dx%d" % (j, s, i) for j, s, i in merges]))
+    # apply it once, cancelling opposite terms as it goes (step 5); a kept
+    # variable is never a target
+    for d in eqs:
+        for v in [v for v in d if v in target]:
+            c = d.pop(v)
+            if target[v] is not None:
+                keep, sgn = target[v]
+                nc = d.get(keep, 0) + sgn * c
+                if nc:
+                    d[keep] = nc
+                else:
+                    del d[keep]
     eqs = [d for d in eqs if d]
     if any(len(d) == 1 for d in eqs):
-        raise ReductionError("single-variable homogeneous equation survived step 4")
+        raise ReductionError("single-variable homogeneous equation survived steps 2-4")
     for d in eqs:
         if sum(abs(c) for c in d.values()) > k + 1:
             raise ReductionError("coefficient weight exceeded k+1 after merging")
+    active = set(values)
 
     # select an independent equation set: unit row + n-1 homogeneous rows
     n = len(active)

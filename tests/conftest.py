@@ -5,15 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import relmag.systems
 from relmag.circuits import Circuit
 from relmag.matrices import (
     IntegerMatrix,
+    SingularMatrixError,
     _solve_augmented,
+    determinant,
     nullspace_basis,
-    primitive_vector,
 )
 from relmag.systems import SumEquation, System, UnitEquation
 
@@ -153,6 +154,56 @@ def dense_signed_maximal_minors(rows: list[list[int]], n: int) -> list[int]:
     return [-v for v in z] if f % 2 else z
 
 
+def transpose(a: IntegerMatrix) -> IntegerMatrix:
+    return IntegerMatrix(tuple(zip(*a.entries)))
+
+
+def delete_row_col(a: IntegerMatrix, i: int, j: int) -> IntegerMatrix:
+    """a without its row i and its column j."""
+    return IntegerMatrix(tuple(
+        tuple(e for c, e in enumerate(row) if c != j)
+        for r, row in enumerate(a.entries) if r != i
+    ))
+
+
+def replace_column(a: IntegerMatrix, j: int, col) -> IntegerMatrix:
+    """a with its column j replaced by the integer column col."""
+    return IntegerMatrix.from_rows(
+        row[:j] + (v,) + row[j + 1:] for row, v in zip(a.entries, col, strict=True)
+    )
+
+
+def primitive_vector(x) -> tuple[int, ...]:
+    """Canonical primitive integer form of a nonzero rational vector: scaled
+    by the lcm of the denominators, divided by the gcd, and signed so that
+    the first nonzero entry is positive.  Independent of
+    matrices._primitive, the integer-only form the package uses."""
+    x = [Fraction(v) for v in x]
+    den = lcm(*(v.denominator for v in x))
+    ints = [int(v * den) for v in x]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def cramer_solve(a: IntegerMatrix, b) -> tuple[Fraction, ...]:
+    """Solve the square system A.x = b by Cramer's rule, n + 1 separate
+    determinants: x_i = det A_i / det A, A_i being A with column i
+    replaced by b, after a rational b is scaled to integers."""
+    det_a = determinant(a)
+    if det_a == 0:
+        raise SingularMatrixError("matrix is singular")
+    b = [Fraction(v) for v in b]
+    den = lcm(*(v.denominator for v in b))
+    col = [int(v * den) for v in b]
+    return tuple(
+        Fraction(determinant(replace_column(a, i, col)), den * det_a) for i in range(a.cols)
+    )
+
+
 def solve_square(a: IntegerMatrix, b) -> tuple[tuple[int, ...], int] | None:
     """Solve A.x = b through matrices._solve_augmented, the kernel that
     systems.solve_assembled and the reduction run.
@@ -279,6 +330,25 @@ def cut_chain_minor(a, rows, cols, p: int) -> int:
         if j + 1 < len(rows):
             off[j] -= a[r][i] * a[rows[j + 1]][i]
     return continuant(diag, off)
+
+
+def hadamard_fischer_check(w: IntegerMatrix, blocks):
+    """Dense check that det W <= the product of its principal block minors.
+
+    w is a Gram matrix U U^T, hence positive semidefinite, so the inequality
+    is a theorem and a False result indicates a bug.  blocks must partition
+    range(w.rows), else ValueError.  Returns (holds, det W, product,
+    minors), minors in block order, every determinant by Bareiss.
+    """
+    if sorted(i for block in blocks for i in block) != list(range(w.rows)):
+        raise ValueError("blocks do not partition the indices of W")
+    lhs = determinant(w)
+    minors = tuple(
+        determinant(IntegerMatrix.from_rows([[w.entries[i][j] for j in block] for i in block]))
+        for block in blocks
+    )
+    rhs = prod(minors)
+    return lhs <= rhs, lhs, rhs, minors
 
 
 def corrupt_cramer_check(monkeypatch, kind: str) -> None:

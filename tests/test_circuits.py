@@ -114,7 +114,7 @@ def test_matches_oracle_on_edge_cases():
         elif kind == "parallel":
             seen["parallel_pair"] += any(len(c.support) == 2 for c in circs)
         elif kind == "coloop":
-            col = a.row(0).index(next(e for e in a.row(0) if e))
+            col = a.entries[0].index(next(e for e in a.entries[0] if e))
             assert all(col not in c.support for c in circs)
             seen["coloop"] += bool(circs)
         else:

@@ -4,7 +4,15 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import chain_block, continuant, cut_chain_minor, dense_rows, random_system
+from conftest import (
+    chain_block,
+    continuant,
+    cut_chain_minor,
+    delete_row_col,
+    dense_rows,
+    hadamard_fischer_check,
+    random_system,
+)
 
 import relmag.detbounds
 import relmag.matrices
@@ -16,7 +24,6 @@ from relmag.detbounds import (
     certify_solution_bound,
     det_closed_form,
     enumerate_residual_multisets,
-    hadamard_fischer_check,
     verify_coefficient_bounds,
     verify_recurrences,
 )
@@ -87,6 +94,8 @@ class TestChainBlocks:
 
 
 class TestHadamardFischer:
+    """The dense check in conftest that certification is compared against."""
+
     def test_simple_partition(self):
         # U = [[1,1,0],[0,1,1]] gives W = [[2,1],[1,2]], det 3 <= 2*2
         u = IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
@@ -212,10 +221,9 @@ class TestCertification:
         calls = []
         real_gram = IntegerMatrix.gram
         monkeypatch.setattr(IntegerMatrix, "gram", lambda m: calls.append("gram") or real_gram(m))
-        for module in (relmag.detbounds, relmag.matrices):
-            monkeypatch.setattr(
-                module, "determinant", lambda m: calls.append("determinant") or determinant(m)
-            )
+        monkeypatch.setattr(
+            relmag.matrices, "determinant", lambda m: calls.append("determinant") or determinant(m)
+        )
         real_echelon = relmag.matrices._sparse_echelon
         monkeypatch.setattr(
             relmag.matrices, "_sparse_echelon",
@@ -302,7 +310,7 @@ class TestCertification:
             blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
             blocks += [[r - 1] for r in asm.type3_rows]
             for i, entry in enumerate(rep.entries):
-                u = IntegerMatrix(dense_rows(asm)).delete_row_col(0, i)
+                u = delete_row_col(IntegerMatrix(dense_rows(asm)), 0, i)
                 holds, det_w, hf_product, _ = hadamard_fischer_check(u.gram(), blocks)
                 assert entry.det_u == determinant(u)
                 assert entry.det_w == det_w

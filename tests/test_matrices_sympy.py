@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import dict_rows, oracle_circuits, solve_square
+from conftest import dict_rows, oracle_circuits, primitive_vector, solve_square
 
 from relmag.circuits import enumerate_circuits
 from relmag.matrices import (
@@ -23,7 +23,6 @@ from relmag.matrices import (
     _signed_maximal_minors,
     determinant,
     nullspace_basis,
-    primitive_vector,
     rank,
 )
 

@@ -40,11 +40,10 @@ def test_detbounds_does_not_import_systems():
 
 
 def test_systems_solves_on_int_rows():
-    """The solve path builds no IntegerMatrix and no Fraction-valued
-    Cramer solution: systems imports neither."""
+    """The solve path builds no IntegerMatrix: systems does not import it."""
     for lineno, names in _imports(SRC / "systems.py"):
         for name in names:
-            assert name.rsplit(".", 1)[-1] not in ("IntegerMatrix", "cramer_solve"), (
+            assert name.rsplit(".", 1)[-1] != "IntegerMatrix", (
                 "systems.py:%d imports %s" % (lineno, name)
             )
 
@@ -73,6 +72,54 @@ def test_no_unused_imports():
             assert name in read or name in exported, (
                 "%s:%d imports %s but never reads it" % (path.name, lineno, name)
             )
+
+
+def _is_click_command(fn):
+    """fn is decorated by a click group's .command() or by click.group()."""
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def test_no_test_only_routes():
+    """Every function and method the package defines has a caller in the
+    package, is exported, or is a CLI command: a route only the tests call
+    belongs in tests/conftest.py, apart from the code it checks."""
+    # perfbench/tracing.py patches IntegerMatrix.gram by name, so it moves
+    # with the benchmark
+    allowed = {"IntegerMatrix.gram"}
+    names, attributes = set(), set()
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.name, node.lineno, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defined.append((path.name, item.lineno,
+                                        "%s.%s" % (node.name, item.name), item))
+    # a method is reached as an attribute, a function by its name or as a
+    # module attribute
+    anywhere = names | attributes
+    unused = [
+        "%s:%d %s" % (fname, lineno, qualname)
+        for fname, lineno, qualname, fn in defined
+        if fn.name not in (attributes if "." in qualname else anywhere)
+        and fn.name not in relmag.__all__ and not _is_click_command(fn)
+        and qualname not in allowed
+    ]
+    assert not unused, "defined but never called in the package: %s" % unused
 
 
 def test_magnitude_imports_no_private_name():
