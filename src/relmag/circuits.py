@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-from relmag.matrices import IntegerMatrix, _primitive, nullspace_basis, rank
+from relmag.matrices import IntegerMatrix, nullspace_basis, rank
 
 # Every matrix of at most 24 columns has fewer candidate supports than this.
 CANDIDATE_LIMIT = 2 ** 24
@@ -113,14 +113,19 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     independent sets S of those columns, each taken in increasing column
     order and carrying the Bareiss echelon rows of A pivoted on S; R is
     the set of rows of A that became the pivot rows.  A later column j
-    that has no entry below the pivot rows depends on S, and S + {j} is a circuit iff the unique null vector on
-    it has no zero entry, so each circuit C is found once, from C minus
-    its largest column.  That vector is read off the pivot rows by
-    Cramer's rule: with x_j = det A[R, S], the last pivot, each x_s is
+    that has no entry below the pivot rows depends on S, and S + {j} is a
+    circuit iff the unique null vector on it has no zero entry, so each
+    circuit C is found once, from C minus its largest column.  That
+    vector is read off the pivot rows by Cramer's rule: with
+    x_j = det A[R, S], the last pivot, each x_s is
     -det A[R, S with s replaced by j], an integer, so back substitution
-    over the r pivot rows divides exactly.  Any other later column is
-    independent of S: _extend takes one Bareiss step on it, and S + {j}
-    is walked in turn.  A dependent set is never extended.  The step
+    over the r pivot rows divides exactly.  Every entry of a circuit
+    vector is nonzero, so its primitive form is x divided by gcd(x),
+    negated when x is negative at the smallest column.  Any other later
+    column is independent of S: _extend takes one Bareiss step on it, and
+    S + {j} is walked in turn, unless j is the last support column, which
+    leaves S + {j} no later column to test.  A dependent set is never
+    extended.  The step
     scales lazily, so each set also carries, per row, the pivot that row
     is current at; only zero tests read the rows below the pivots.
     Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
@@ -144,7 +149,7 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
         )
     # the walk runs on A restricted to cols, in local column indices
     width = len(cols)
-    m = a.rows
+    m, n = a.rows, a.cols
     found: list[Circuit] = []
     # (S, the columns of A in S, echelon rows pivoted on S, the pivot each
     # row is current at, last pivot); an explicit stack, so a high rank
@@ -173,11 +178,16 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
                             % (csup + (cols[j],),)
                         )
                 if all(x):
-                    vec = [0] * a.cols
+                    g = gcd(*x)
+                    if x[0] < 0:
+                        g = -g
+                    vec = [0] * n
                     support = csup + (cols[j],)
-                    for c, v in zip(support, _primitive(x)):
-                        vec[c] = v
-                    found.append(Circuit(support=support, vector=tuple(vec)))
+                    for c, v in zip(support, x):
+                        vec[c] = v // g
+                    found.append(Circuit(support, tuple(vec)))
+                continue
+            if j == width - 1:
                 continue
             ext, ext_lag = _extend(rows, lag, r, piv, j, prev)
             stack.append((sset + (j,), csup + (cols[j],), ext, ext_lag, ext[r][j]))

@@ -1,7 +1,7 @@
 """Minimal-support null vector enumeration against the exhaustive oracle."""
 
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -121,6 +121,18 @@ def test_matches_oracle_on_edge_cases():
             seen["deficient"] += rank(a) < a.rows
     # every kind of draw produced what it is there to test
     assert all(count >= 40 for count in seen.values()), seen
+    # a dependent last support column still closes its circuits: only an
+    # independent last column is left unextended
+    base = [[1, 2, -1, 3], [0, 1, 2, -2], [2, -1, 1, 1]]
+    for last in (
+        [0, 0, 0],  # zero
+        [-2 * row[0] for row in base],  # -2 x column 0
+        [row[0] + row[1] for row in base],  # sum of the first two
+    ):
+        a = IntegerMatrix.from_rows([row + [v] for row, v in zip(base, last)])
+        circs = enumerate_circuits(a)
+        assert circs == oracle_circuits(a), a.entries
+        assert any(c.support[-1] == 4 for c in circs), a.entries
 
 
 def test_walk_steps_match_dense_reference():
@@ -171,6 +183,7 @@ def test_walk_eliminates_once(monkeypatch):
         "IntegerMatrix": 0,
         "_back_substitute": 0,
         "_sparse_echelon": 0,
+        "_extend": 0,
         "kernel calls outside nullspace_basis": 0,
     }
     inside = []
@@ -205,6 +218,13 @@ def test_walk_eliminates_once(monkeypatch):
     monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
     counted("_back_substitute")
     counted("_sparse_echelon")
+    real_extend = circuits._extend
+
+    def counted_extend(*args):
+        calls["_extend"] += 1
+        return real_extend(*args)
+
+    monkeypatch.setattr(circuits, "_extend", counted_extend)
     circs = enumerate_circuits(a)
     assert len(circs) == comb(8, 5)  # in general position the circuits are the 5-sets
     assert calls == {
@@ -212,6 +232,9 @@ def test_walk_eliminates_once(monkeypatch):
         "IntegerMatrix": 0,
         "_back_substitute": 4,  # the nullity: one per nullspace_basis ray
         "_sparse_echelon": 1,  # the one elimination inside nullspace_basis
+        # the independent sets of 1 to 4 columns without the last column,
+        # sum of C(7, s): a set that ends on it has no column left to test
+        "_extend": 98,
         "kernel calls outside nullspace_basis": 0,
     }
 
@@ -223,6 +246,8 @@ def test_circuits_are_elementary_and_primitive():
         for c in enumerate_circuits(a):
             assert is_elementary(a, c.vector)
             assert tuple(j for j, v in enumerate(c.vector) if v != 0) == c.support
+            assert gcd(*c.vector) == 1
+            assert c.vector[c.support[0]] > 0
 
 
 def test_elementary_basis_spans():

@@ -148,8 +148,8 @@ class TestPrimitiveVector:
             _primitive([0, 0])
 
     def test_integer_route_matches(self):
-        """_primitive, used on the integer vectors of the null space and the
-        circuit walk, agrees with primitive_vector's route through lcm."""
+        """_primitive, used on the integer vectors of the null space, agrees
+        with primitive_vector's route through lcm."""
         rng = random.Random(61)
         seen = {"zero": 0, "negative_first": 0, "common_factor": 0}
         for _ in range(600):
