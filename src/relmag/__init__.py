@@ -15,7 +15,6 @@ from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
     NonSquareError,
-    SingularMatrixError,
     determinant,
     infinity_norm,
     nullspace_basis,
@@ -30,7 +29,6 @@ __all__ = [
     "IntegerMatrix",
     "MatrixError",
     "NonSquareError",
-    "SingularMatrixError",
     "determinant",
     "infinity_norm",
     "nullspace_basis",

@@ -1,17 +1,20 @@
 """Determinant bounds backing the magnitude certification.
 
-Closed-form determinants of the tridiagonal chain blocks, the
-Hadamard-Fischer product majorization for Gram matrices, coefficient
-norm bounds for residual equations, and the per-column certification
-chain x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems.  The
-certification eliminates no matrix and reads A through its nonzero
-(column, value) pairs: det U_i = +-x_i det A comes from the solve,
+Closed-form determinants of the tridiagonal chain blocks, as plain
+functions of the family (B, C or D), the size t and k, checked by
+verify_recurrences against explicit blocks; the coefficient norm bounds
+for residual equations; and the per-column certification chain
+x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems, one loop for every
+column, the single column of n = 1 included.  The certification
+eliminates no matrix and reads A through its nonzero (column, value)
+pairs: det U_i = +-det A_i, the Cramer numerator from the solve,
 det W_i = det U_i^2, each chain block minor of W_i is one product of a
 prefix and a suffix continuant, computed once per chain and checked
 against its closed form, and each residual block minor is a squared row
-norm less one square.  All checks are integer-exact: the solution
-arrives as integers y over one denominator t, x = y / t, and a Fraction
-is built only for the x and the maximum that the report prints.
+norm less one square; their Hadamard-Fischer product bounds det W_i.
+All checks are integer-exact: the solution arrives as integers y over
+one denominator t, x = y / t, and a Fraction is built only for the x
+and the maximum that the report prints.
 """
 
 from __future__ import annotations
@@ -34,41 +37,17 @@ class LemmaViolationError(AssertionError):
 FAMILIES = ("B", "C", "D")
 
 
-@dataclass(frozen=True)
-class ChainBlockSpec:
-    """Tridiagonal symmetric block: diagonal k^2+1 with family tweaks.
-
-    Family B is the plain block, C has last diagonal entry k^2, D has
-    first diagonal entry 1.  signs are the off-diagonal sign choices
-    (length t-1); the determinant does not depend on them.
-    """
-
-    family: str
-    t: int
-    k: int
-    signs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("family must be one of %s" % (FAMILIES,))
-        if self.t < 0:
-            raise ValueError("size must be >= 0")
-        if self.signs and len(self.signs) != self.t - 1:
-            raise ValueError("need %d off-diagonal signs" % (self.t - 1))
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-
-
-def build_chain_block(spec: ChainBlockSpec) -> IntegerMatrix:
-    """The explicit t x t matrix for the spec (t >= 1)."""
-    t, k = spec.t, spec.k
+def build_chain_block(family: str, t: int, k: int, signs=None) -> IntegerMatrix:
+    """The explicit t x t tridiagonal block (t >= 1): diagonal k^2+1,
+    except the last entry k^2 in family C and the first entry 1 in
+    family D; off-diagonal entries signs[i] * k (all +k by default)."""
     if t < 1:
         raise ValueError("cannot build a 0 x 0 matrix; det is 1 by convention")
-    signs = spec.signs or (1,) * (t - 1)
+    signs = signs or (1,) * (t - 1)
     diag = [k * k + 1] * t
-    if spec.family == "C":
+    if family == "C":
         diag[-1] = k * k
-    elif spec.family == "D":
+    elif family == "D":
         diag[0] = 1
     rows = [[0] * t for _ in range(t)]
     for i in range(t):
@@ -79,21 +58,21 @@ def build_chain_block(spec: ChainBlockSpec) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows)
 
 
-def det_closed_form(spec: ChainBlockSpec) -> int:
-    """Closed-form determinant, independent of the sign pattern.
+def det_closed_form(family: str, t: int, k: int) -> int:
+    """Closed-form determinant of a t x t block of the family, the same
+    for every off-diagonal sign pattern.
 
     B: ((k^2)^(t+1) - 1)/(k^2 - 1), or t+1 when k^2 = 1.
     C: k^(2t).  D: 1.  Size 0 has determinant 1 by convention.
     """
-    t, k = spec.t, spec.k
     if t == 0:
         return 1
-    if spec.family == "B":
+    if family == "B":
         k2 = k * k
         if k2 == 1:
             return t + 1
         return ((k2 ** (t + 1)) - 1) // (k2 - 1)
-    if spec.family == "C":
+    if family == "C":
         return k ** (2 * t)
     return 1
 
@@ -126,22 +105,11 @@ def verify_recurrences(t_max: int, k: int) -> RecurrenceReport:
         raise ValueError("t_max must be >= 3 to exercise the recurrences")
     matrices = 0
     recurrences = 0
-
-    def det_b(t):
-        return det_closed_form(ChainBlockSpec("B", t, k))
-
-    def det_c(t):
-        return det_closed_form(ChainBlockSpec("C", t, k))
-
-    def det_d(t):
-        return det_closed_form(ChainBlockSpec("D", t, k))
-
     for t in range(1, t_max + 1):
         for signs in product((1, -1), repeat=t - 1):
             for family in FAMILIES:
-                spec = ChainBlockSpec(family, t, k, signs)
-                expected = det_closed_form(spec)
-                actual = determinant_cofactor(build_chain_block(spec))
+                expected = det_closed_form(family, t, k)
+                actual = determinant_cofactor(build_chain_block(family, t, k, signs))
                 if actual != expected:
                     raise LemmaViolationError(
                         "det %s_%d (k=%d, signs=%s) is %d, closed form says %d"
@@ -150,12 +118,10 @@ def verify_recurrences(t_max: int, k: int) -> RecurrenceReport:
                 matrices += 1
     k2 = k * k
     for t in range(3, t_max + 1):
-        checks = (
-            ("B", det_b(t), (k2 + 1) * det_b(t - 1) - k2 * det_b(t - 2)),
-            ("C", det_c(t), k2 * det_b(t - 1) - k2 * det_b(t - 2)),
-            ("D", det_d(t), det_b(t - 1) - k2 * det_b(t - 2)),
-        )
-        for family, lhs, rhs in checks:
+        b1, b2 = det_closed_form("B", t - 1, k), det_closed_form("B", t - 2, k)
+        for family, rhs in (("B", (k2 + 1) * b1 - k2 * b2), ("C", k2 * b1 - k2 * b2),
+                            ("D", b1 - k2 * b2)):
+            lhs = det_closed_form(family, t, k)
             if lhs != rhs:
                 raise LemmaViolationError(
                     "recurrence for det %s_%d (k=%d) fails: %d != %d"
@@ -196,8 +162,6 @@ class CoefficientBoundReport:
     multisets_checked: int
     bound: int
     deletion_bound: int
-    equality_attained: bool
-    deletion_equality_attained: bool
 
 
 def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
@@ -205,8 +169,9 @@ def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
 
     Every admissible multiset must satisfy sum c^2 <= min(k^2-1,
     (k-1)^2+4), and with any one coefficient deleted the rest must
-    satisfy sum c^2 <= (k-1)^2+1.  The stated equality cases must be
-    attained.  Violations raise LemmaViolationError.
+    satisfy sum c^2 <= (k-1)^2+1.  Both bounds must be attained, the
+    first by the stated extremal multiset.  Violations raise
+    LemmaViolationError, so a returned report has every check passed.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -238,11 +203,6 @@ def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
         raise LemmaViolationError("extremal multiset %s missing (k=%d)" % (witness, k))
     if sum(c * c for c in witness) != bound:
         raise LemmaViolationError("extremal multiset %s not tight (k=%d)" % (witness, k))
-    deletion_witness = (k - 1, 1, 1)
-    if sum(c * c for c in deletion_witness[:-1]) != deletion_bound:
-        raise LemmaViolationError(
-            "deletion witness %s not tight (k=%d)" % (deletion_witness, k)
-        )
     if not equality or not deletion_equality:
         raise LemmaViolationError("equality cases not attained (k=%d)" % k)
     return CoefficientBoundReport(
@@ -250,15 +210,13 @@ def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
         multisets_checked=len(multisets),
         bound=bound,
         deletion_bound=deletion_bound,
-        equality_attained=equality,
-        deletion_equality_attained=deletion_equality,
     )
 
 
 @dataclass(frozen=True)
 class ColumnCertificate:
     index: int  # 1-based column
-    case: int  # 1 = cuts a chain, 2 = cuts residual rows only, 0 = trivial
+    case: int  # 1 = cuts a chain, 2 = meets residual rows only, 0 = neither (n = 1)
     x: Fraction
     det_w: int
     det_u: int
@@ -371,7 +329,7 @@ def _chain_minors(a, rows, cols, k: int):
     for j in range(t - 2, -1, -1):
         g.append(diag[j] * g[-1] - off[j] ** 2 * g[-2])
     g.reverse()
-    det_b = det_closed_form(ChainBlockSpec("B", t, k))
+    det_b = det_closed_form("B", t, k)
     if f[t] != det_b or g[0] != det_b:
         raise LemmaViolationError(
             "chain block at rows %d..%d has det %d (prefix) and %d (suffix), "
@@ -394,19 +352,19 @@ def _chain_minors(a, rows, cols, k: int):
     return det_b, minors
 
 
-def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
+def certify_solution_bound(asm, y, t: int, det_ai) -> CertificationReport:
     """Run the per-column certification x_i^2 <= det W_i <= k^(2(n-1)).
 
     asm is an assembled square system (unit row first, chain blocks,
     residual rows), x = y / t its exact solution, as integers y over the
-    denominator t > 0, and det_a = det A, all as returned by
-    systems.solve_assembled.  x_i^2 <= det W_i is tested as
-    y_i^2 <= det W_i t^2.  U_i is A without its first row
+    denominator t > 0, and det_ai the Cramer numerators det A_i = x_i
+    det A, all as returned by systems.solve_assembled.  x_i^2 <= det W_i
+    is tested as y_i^2 <= det W_i t^2.  U_i is A without its first row
     and column i, and W_i = U_i U_i^T = G - c_i c_i^T, with G = A' A'^T,
     A' the rows 2..n of A and c_i column i of A'.  No matrix is eliminated:
 
-    - det U_i = (-1)^i y_i det A / t (0-based i): Cramer's det A_i
-      expanded along its column i, which is e_1; t must divide y_i det A;
+    - det U_i = (-1)^i det A_i (0-based i): det A_i expanded along its
+      column i, which is e_1;
     - det W_i = det U_i^2 (Cauchy-Binet, U_i being square);
     - each chain block of W_i is tridiagonal.  Per chain, the prefix and
       suffix continuants are computed once; det B_t, the minor when column
@@ -423,83 +381,72 @@ def certify_solution_bound(asm, y, t: int, det_a: int) -> CertificationReport:
     the residual rows holding x_i, found through a column index) are
     divided out and their minors multiplied in.  The work is linear in
     the nonzeros of A, up to big-integer arithmetic.  Case 1 columns cut
-    a chain block, case 2 columns cut residual rows only.
+    a chain block, case 2 columns meet residual rows only, and case 0
+    columns meet neither, which only the single column of n = 1 does: its
+    U_1 is empty and det U_1 = det W_1 = 1 by the empty-product convention.
     """
     n, k = asm.n, asm.k
     bound = k ** (2 * (n - 1))
-    if n == 1:
-        # U_1 is empty; det W_1 = 1 by the empty-product convention
-        entries = (
+    a = asm.rows
+    # base: the Hadamard-Fischer product for a column that cuts nothing,
+    # every chain's det B_t times every residual row's squared norm
+    base = 1
+    cut_by = {}  # column -> (det B_t of its chain, its minor in W_i, k^(2t))
+    for rows, cols in zip(asm.chain_rows, asm.chain_cols):
+        det_b, minors = _chain_minors(a, rows, cols, k)
+        base *= det_b
+        cap = k ** (2 * len(rows))
+        cut_by.update((c, (det_b, m, cap)) for c, m in zip(cols, minors))
+    met_by = {}  # column -> [(a_ri, squared norm of row r)] over residual rows r
+    for r in asm.type3_rows:
+        norm = sum(e * e for _, e in a[r])
+        base *= norm
+        for c, e in a[r]:
+            if e:
+                met_by.setdefault(c, []).append((e, norm))
+    t2 = t * t
+    entries = []
+    for i, yi in enumerate(y):
+        det_u = -det_ai[i] if i % 2 else det_ai[i]
+        det_w = det_u * det_u
+        # replace the factors of base that W_i changes: every factor is
+        # >= 1 (a chain block equals its closed form, a residual row
+        # has a nonzero entry), so the division is exact
+        removed = replaced = 1
+        met = met_by.get(i, ())
+        for e, norm in met:
+            removed *= norm
+            replaced *= norm - e * e
+        if i in cut_by:
+            case = 1
+            det_b, minor, cap = cut_by[i]
+            removed *= det_b
+            replaced *= minor
+            # the cut chain's principal minor is det C_p det D_q <= k^(2t)
+            ok = minor <= cap
+        else:
+            case = 2 if met else 0
+            # every residual row containing x_i has its diagonal entry bounded
+            ok = all(norm - e * e <= (k - 1) ** 2 + 1 <= k * k - 2 for e, norm in met)
+        hf_product = base // removed * replaced
+        ok = ok and yi * yi <= det_w * t2 and det_w <= hf_product and det_w <= bound
+        entries.append(
             ColumnCertificate(
-                index=1, case=0, x=Fraction(y[0], t), det_w=1, det_u=1, hf_product=1,
-                ok=y[0] * y[0] <= t * t and 1 <= bound,
-            ),
-        )
-    else:
-        a = asm.rows
-        # base: the Hadamard-Fischer product for a column that cuts nothing,
-        # every chain's det B_t times every residual row's squared norm
-        base = 1
-        cut_by = {}  # column -> (det B_t of its chain, its minor in W_i, k^(2t))
-        for rows, cols in zip(asm.chain_rows, asm.chain_cols):
-            det_b, minors = _chain_minors(a, rows, cols, k)
-            base *= det_b
-            cap = k ** (2 * len(rows))
-            cut_by.update((c, (det_b, m, cap)) for c, m in zip(cols, minors))
-        met_by = {}  # column -> [(a_ri, squared norm of row r)] over residual rows r
-        for r in asm.type3_rows:
-            norm = sum(e * e for _, e in a[r])
-            base *= norm
-            for c, e in a[r]:
-                if e:
-                    met_by.setdefault(c, []).append((e, norm))
-        t2 = t * t
-        entries = []
-        for i, yi in enumerate(y):
-            det_ai, rem = divmod(yi * det_a, t)  # Cramer: det A_i = x_i det A, an integer
-            ok = not rem
-            det_u = -det_ai if i % 2 else det_ai
-            det_w = det_u * det_u
-            # replace the factors of base that W_i changes: every factor is
-            # >= 1 (a chain block equals its closed form, a residual row
-            # has a nonzero entry), so the division is exact
-            removed = replaced = 1
-            met = met_by.get(i, ())
-            for e, norm in met:
-                removed *= norm
-                replaced *= norm - e * e
-            if i in cut_by:
-                case = 1
-                det_b, minor, cap = cut_by[i]
-                removed *= det_b
-                replaced *= minor
-                # the cut chain's principal minor is det C_p det D_q <= k^(2t)
-                ok = ok and minor <= cap
-            else:
-                case = 2
-                # every residual row containing x_i has its diagonal entry bounded
-                for e, norm in met:
-                    ok = ok and norm - e * e <= (k - 1) ** 2 + 1 <= k * k - 2
-            hf_product = base // removed * replaced
-            ok = ok and yi * yi <= det_w * t2 and det_w <= hf_product and det_w <= bound
-            entries.append(
-                ColumnCertificate(
-                    index=i + 1,
-                    case=case,
-                    x=Fraction(yi, t),
-                    det_w=det_w,
-                    det_u=det_u,
-                    hf_product=hf_product,
-                    ok=ok,
-                )
+                index=i + 1,
+                case=case,
+                x=Fraction(yi, t),
+                det_w=det_w,
+                det_u=det_u,
+                hf_product=hf_product,
+                ok=ok,
             )
-        entries = tuple(entries)
+        )
     max_abs = Fraction(max(abs(v) for v in y), t)
     return CertificationReport(
         n=n,
         k=k,
         bound=bound,
-        entries=entries,
+        entries=tuple(entries),
         max_abs=max_abs,
         sharp=max_abs == k ** (n - 1),
     )

@@ -38,10 +38,6 @@ class NonSquareError(MatrixError):
     """Operation requires a square matrix."""
 
 
-class SingularMatrixError(MatrixError):
-    """Operation requires a nonsingular matrix."""
-
-
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Immutable m x n matrix with integer entries, row-major."""

@@ -809,7 +809,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         raise BoundViolationError("solution magnitude exceeds k^(n-1) = %d" % bound)
     certification = None
     if certify:
-        certification = certify_solution_bound(asm, y, t, det_a)
+        certification = certify_solution_bound(asm, y, t, det_ai)
         if not certification.all_ok:
             raise BoundViolationError("determinant certification failed")
     max_abs = Fraction(max_y, t)

@@ -11,7 +11,7 @@ import relmag.systems
 from relmag.circuits import Circuit
 from relmag.matrices import (
     IntegerMatrix,
-    SingularMatrixError,
+    MatrixError,
     _solve_augmented,
     determinant,
     nullspace_basis,
@@ -187,6 +187,10 @@ def primitive_vector(x) -> tuple[int, ...]:
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
+
+
+class SingularMatrixError(MatrixError):
+    """cramer_solve was given a singular matrix."""
 
 
 def cramer_solve(a: IntegerMatrix, b) -> tuple[Fraction, ...]:

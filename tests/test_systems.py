@@ -518,8 +518,8 @@ class TestSolveAndCertify:
     def test_failed_certification_raises(self, monkeypatch):
         real = relmag.systems.certify_solution_bound
 
-        def failing(asm, y, t, det_a):
-            rep = real(asm, y, t, det_a)
+        def failing(asm, y, t, det_ai):
+            rep = real(asm, y, t, det_ai)
             return replace(rep, entries=(replace(rep.entries[0], ok=False),) + rep.entries[1:])
 
         monkeypatch.setattr(relmag.systems, "certify_solution_bound", failing)
