@@ -106,7 +106,17 @@ def _extend(
 
 
 def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
-    """All circuits of A, canonical form, sorted lexicographically by support.
+    """All circuits of A, canonical form, sorted lexicographically by support;
+    circuits_from_basis on the nullspace_basis of A."""
+    return circuits_from_basis(a, nullspace_basis(a), allow_large)
+
+
+def circuits_from_basis(
+    a: IntegerMatrix, basis: list[tuple[int, ...]], allow_large: bool = False
+) -> list[Circuit]:
+    """All circuits of A, canonical form, sorted lexicographically by support,
+    where basis is nullspace_basis(a), so a caller that needs the basis too
+    eliminates A once.
 
     A circuit is a minimal dependent column set, and every circuit lies in
     the support of the null space.  The walk goes depth first over the
@@ -132,7 +142,6 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     candidate supports (column sets of the null-space support of at most
     rank(A) + 1 columns), unless allow_large is set.
     """
-    basis = nullspace_basis(a)
     d = len(basis)
     if d == 0:
         return []

@@ -8,10 +8,12 @@ upper bound together with the per-clause verdicts of the sharp bound
 (norm - 1)^rank and its min-support refinement t, or, for norm <= 2,
 of the dichotomy omega in {0, 1} (every circuit has ratio 1).
 
-omega_matrix_upper takes the rank and the circuits from the public rank
-and enumerate_circuits.  Each circuit's ratio is kept as the integer
-pair (max |x|, min |x|): the minimum is found and every bound is tested
-by cross-multiplication, and one Fraction is built, for the minimum.
+omega_matrix_upper eliminates A once, in the public nullspace_basis: the
+rank is the column count minus the basis length, and circuits_from_basis
+walks the circuits from that basis.  Each circuit's ratio is kept as the
+integer pair (max |x|, min |x|): the minimum is found and every bound is
+tested by cross-multiplication, and one Fraction is built, for the
+minimum.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from relmag.circuits import Circuit, enumerate_circuits
-from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, rank
+from relmag.circuits import Circuit, circuits_from_basis
+from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, nullspace_basis
 
 
 def omega_vector(x) -> Fraction:
@@ -106,8 +108,9 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
     value whenever the null space is a single ray.
     """
     norm = infinity_norm(a)
-    rk = rank(a)
-    nullity = a.cols - rk
+    basis = nullspace_basis(a)
+    nullity = len(basis)
+    rk = a.cols - nullity
     if nullity == 0:
         return MagnitudeCertificate(
             omega_upper=Fraction(0),
@@ -122,7 +125,7 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
             sharp=False,
             checks=(("zero_iff_full_rank", True),),
         )
-    circs = enumerate_circuits(a, allow_large)
+    circs = circuits_from_basis(a, basis, allow_large)
     # (max |x|, min |x|) of each circuit; its ratio is hi / lo
     ratios = []
     for c in circs:

@@ -26,6 +26,7 @@ chain-block determinant identities.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -348,7 +349,9 @@ def parse_matrix(text: str) -> IntegerMatrix:
 
     `#` starts a comment that runs to the end of its line.  A row with the
     wrong number of entries or a non-integer entry is reported at its
-    line, counting comment and blank lines, and 0-based column.
+    line, counting comment and blank lines, and 0-based column, and so is
+    an integer entry of more digits than int() converts
+    (sys.get_int_max_str_digits()).
     """
     # tolerate unicode minus in hand-written files
     lines = [
@@ -377,16 +380,29 @@ def parse_matrix(text: str) -> IntegerMatrix:
                 "%s: expected %d entries per row, got %d"
                 % (_position(line_no, ln, min(n, len(parts))), n, len(parts))
             )
-        row = []
-        for index, p in enumerate(parts):
-            try:
-                row.append(int(p))
-            except ValueError as exc:
-                raise MatrixError(
-                    "%s: non-integer entry %r" % (_position(line_no, ln, index), p)
-                ) from exc
-        rows.append(row)
-    return IntegerMatrix.from_rows(rows)
+        try:
+            rows.append(tuple(map(int, parts)))
+        except ValueError as exc:
+            raise _entry_error(line_no, ln, parts) from exc
+    return IntegerMatrix(tuple(rows))
+
+
+def _entry_error(line_no: int, line: str, parts: list[str]) -> MatrixError:
+    """The error for the first of the entries parts of line that int()
+    rejects: not an integer, or more digits than int() converts."""
+    for index, p in enumerate(parts):
+        try:
+            int(p)
+        except ValueError:
+            where = _position(line_no, line, index)
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", p):
+                return MatrixError(
+                    "%s: entry of %d digits is too long, limit is %d"
+                    % (where, len(p.lstrip("+-").replace("_", "")),
+                       sys.get_int_max_str_digits())
+                )
+            return MatrixError("%s: non-integer entry %r" % (where, p))
+    raise ValueError("every entry of line %d converts" % line_no)
 
 
 def format_matrix(a: IntegerMatrix) -> str:

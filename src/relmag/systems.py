@@ -20,6 +20,7 @@ public fields that hold them: ``ReductionTrace.reduced_solution``,
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,8 +118,17 @@ Equation = UnitEquation | SumEquation
 
 def _overweight_message(eq: SumEquation, k: int) -> str:
     """The error for an equation over the weight limit k + 1."""
-    return "equation %s has %d unit terms, limit is k+1 = %d" % (
-        eq.to_text(), eq.weight(), k + 1)
+    return "equation %s has %s unit terms, limit is k+1 = %s" % (
+        eq.to_text(), _decimal(eq.weight()), _decimal(k + 1))
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or a lower bound where n has more digits than
+    int-to-str conversion allows (sys.get_int_max_str_digits())."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return "10^%d or more" % sys.get_int_max_str_digits()
 
 
 @dataclass(frozen=True)
@@ -168,10 +178,149 @@ class System:
 # ---------------------------------------------------------------------------
 # parsing
 
+# The scan reads blanks, line breaks and '-' in ASCII.  A text with other
+# characters is first translated: a str.isspace() character is a blank
+# ' ' unless str.splitlines() breaks lines at it, when it is '\n', and '−'
+# is '-'.  Digits stay Unicode: \d matches what int() converts.
+_TO_ASCII = str.maketrans(
+    "\x85\u2028\u2029"
+    "\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u202f\u205f\u3000"
+    "−",
+    "\n" * 3 + " " * 16 + "-",
+)
+_BLANKS = r"[\t\x1f ]*"
+# '=' or a statement end: ';', a line break or a comment to the end of the line
+_TAIL = r"=|[;\n\r\x0b\x0c\x1c-\x1e]|#[^\n\r\x0b\x0c\x1c-\x1e]*"
+# One token per match, after its leading blanks, in the groups (sign, coeff,
+# index, constant, tail, k, other): a signed term or constant, with the
+# _TAIL after it in tail; the k= header; or in other a _TAIL or any other
+# single character.  Every character of a text but its trailing blanks
+# falls in some token.
+_TOKEN = re.compile(
+    r"{b}(?:([+-]?){b}(?:(?:(\d+){b}\*?{b})?x{b}(\d+)|(\d+)){b}({tail})?"
+    r"|k{b}={b}(\d+)|({tail}|\S))".format(b=_BLANKS, tail=_TAIL)
+)
+_STATEMENT_ENDS = "#;\n\r\x0b\x0c\x1c\x1d\x1e"
+
 _K_HEADER = re.compile(r"k\s*=\s*(\d+)\s*$")
 _COEFVAR = re.compile(r"(\d+)\s*\*?\s*x\s*(\d+)")
 _VAR = re.compile(r"x\s*(\d+)")
 _NUM = re.compile(r"(\d+)")
+
+
+def _literal(m: re.Match, group: int, line_no: int, col_base: int) -> int:
+    """The int of the digits in group of m, a match on the text that starts
+    at column col_base; one too long for int() is a ParseError there."""
+    try:
+        return int(m.group(group))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(
+            "literal of %d digits is too long, limit is %d"
+            % (len(m.group(group)), sys.get_int_max_str_digits()),
+            line_no,
+            col_base + m.start(group),
+        ) from None
+
+
+def parse_system(text: str) -> System:
+    """Parse the system DSL.
+
+    Grammar: optional ``k=<int>`` header (default 2); statements separated
+    by ';' or line breaks, ``#`` comments to the end of the line;
+    equations ``xI = 1``, ``xI = -1``, ``+-xI +- xJ ... = 0`` and the sugar
+    ``xI + xJ = xK``.  Coefficients like ``3x1`` or ``3*x1`` abbreviate
+    repeated unit terms.  Variable indices run from 1 to MAX_VARIABLES.
+    One token scan reads a well-formed text; any other text goes to the
+    statement parser, which raises the ParseError with its position.
+    """
+    system = _scan(text)
+    if system is None:
+        _parse_statements(text)
+        raise RuntimeError("the statement parser accepts a text that the token scan declines")
+    return system
+
+
+def _scan(text: str) -> System | None:
+    """The System of a well-formed text, from one _TOKEN scan; None for any
+    other text, which _parse_statements then reports.
+
+    The scan accepts exactly what the statement parser accepts: a statement
+    ends at ';', a line break or a comment; a header is alone in the first
+    statement; each side of the one '=' is nonempty and every token after
+    its first is signed; terms have a nonzero coefficient and an index in
+    1..MAX_VARIABLES.
+    """
+    k = 2
+    first = True  # no statement yet, so a k= header may come
+    equations: list[Equation] = []
+    nvars = 0
+    terms: list[tuple[int, int]] = []
+    # side is 0 left of '=', 1 right of it and 2 in a header; count is the
+    # number of terms and constants on this side
+    const = weight = count = side = 0
+    if not text.isascii():
+        text = text.translate(_TO_ASCII)
+    try:
+        for sign, coeff, var, num, tail, hdr, other in _TOKEN.findall(text + "\n"):
+            if var:
+                c = int(coeff) if coeff else 1
+                v = int(var)
+                if count and not sign or not c or not 0 < v <= MAX_VARIABLES:
+                    return None
+                weight += c
+                if v > nvars:
+                    nvars = v
+                terms.append((-c if (sign == "-") != side else c, v))
+                count += 1
+            elif num:
+                if count and not sign:
+                    return None
+                n = int(num)
+                const += -n if (sign == "-") != side else n
+                count += 1
+            elif hdr:
+                if not first or side or count:
+                    return None
+                k = int(hdr)
+                if k < 2:
+                    return None
+                side = 2
+                continue
+            else:
+                tail = other
+            if not tail:
+                continue
+            if tail == "=":
+                if side or not count:
+                    return None
+                side = 1
+                count = 0
+            elif tail[0] not in _STATEMENT_ENDS:
+                return None
+            elif side == 1:
+                if not count or not terms:
+                    return None
+                if not const and weight <= k + 1:
+                    equations.append(SumEquation(tuple(terms)))
+                elif weight == 1 and (const == 1 or const == -1):  # the one term +-xI
+                    c, v = terms[0]
+                    equations.append(UnitEquation(v, -const * c))
+                else:
+                    return None
+                first = False
+                terms = []
+                const = weight = count = side = 0
+            elif count:
+                return None
+            elif side:  # the header statement
+                first = False
+                side = 0
+    except ValueError:  # a literal too long for int()
+        return None
+    if not equations:
+        return None
+    return System(k=k, nvars=nvars, equations=tuple(equations))
 
 
 def _parse_side(s: str, line_no: int, col_base: int):
@@ -199,8 +348,8 @@ def _parse_side(s: str, line_no: int, col_base: int):
         sign = pending if pending is not None else 1
         m = _COEFVAR.match(s, pos) or _VAR.match(s, pos)
         if m:
-            coeff = int(m.group(1)) if m.lastindex == 2 else 1
-            var = int(m.group(m.lastindex))
+            coeff = _literal(m, 1, line_no, col_base) if m.lastindex == 2 else 1
+            var = _literal(m, m.lastindex, line_no, col_base)
             if coeff == 0:
                 raise ParseError("zero coefficient", line_no, col_base + pos)
             if var < 1:
@@ -216,7 +365,7 @@ def _parse_side(s: str, line_no: int, col_base: int):
             m = _NUM.match(s, pos)
             if not m:
                 raise ParseError("expected term", line_no, col_base + pos)
-            const += sign * int(m.group(1))
+            const += sign * _literal(m, 1, line_no, col_base)
             const_col = col_base + pos if const_col is None else const_col
         pos = m.end()
         pending = None
@@ -228,14 +377,14 @@ def _parse_side(s: str, line_no: int, col_base: int):
     return const, terms, const_col
 
 
-def parse_system(text: str) -> System:
-    """Parse the system DSL.
+def _parse_statements(text: str) -> System:
+    """The statement parser: the ParseError of a text that _scan declines.
 
-    Grammar: optional ``k=<int>`` header (default 2); statements separated
-    by ';' or newlines; equations ``xI = 1``, ``xI = -1``,
-    ``+-xI +- xJ ... = 0`` and the sugar ``xI + xJ = xK``.  Coefficients
-    like ``3x1`` abbreviate repeated unit terms.  Variable indices run
-    from 1 to MAX_VARIABLES.
+    It splits the text into lines and statements and parses each side of
+    an equation character by character, so an error carries the line and
+    column where it is found.  It also accepts every well-formed text, to
+    the same System as _scan, but parse_system calls it only after _scan
+    declined.
     """
     text = text.replace("−", "-")
     k = 2
@@ -252,7 +401,7 @@ def parse_system(text: str) -> System:
                 if m:
                     if statement_no != 1:
                         raise ParseError("k header must be the first statement", line_no, col)
-                    k = int(m.group(1))
+                    k = _literal(m, 1, line_no, col)
                     if k < 2:
                         raise ParseError("k must be >= 2", line_no, col)
                 else:

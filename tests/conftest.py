@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -16,7 +17,15 @@ from relmag.matrices import (
     determinant,
     nullspace_basis,
 )
-from relmag.systems import SumEquation, System, UnitEquation
+from relmag.systems import (
+    MAX_VARIABLES,
+    Equation,
+    ParseError,
+    SumEquation,
+    System,
+    UnitEquation,
+    _overweight_message,
+)
 
 
 def oracle_circuits(a: IntegerMatrix) -> list[Circuit]:
@@ -386,3 +395,130 @@ def corrupt_cramer_check(monkeypatch, kind: str) -> None:
         monkeypatch.setattr(relmag.systems, "_signed_maximal_minors", minors)
     else:
         monkeypatch.setattr(relmag.systems, "assemble", assemble)
+
+
+# ---------------------------------------------------------------------------
+# the statement parser that parse_system was before its token scan
+
+_K_HEADER = re.compile(r"k\s*=\s*(\d+)\s*$")
+_COEFVAR = re.compile(r"(\d+)\s*\*?\s*x\s*(\d+)")
+_VAR = re.compile(r"x\s*(\d+)")
+_NUM = re.compile(r"(\d+)")
+
+
+def _reference_parse_side(s: str, line_no: int, col_base: int):
+    """Parse one side of an equation into (constant, [(coeff, var), ...],
+    column of its first constant term or None)."""
+    const = 0
+    const_col = None
+    terms: list[tuple[int, int]] = []
+    pos = 0
+    pending: int | None = None
+    seen_term = False
+    while pos < len(s):
+        if s[pos].isspace():
+            pos += 1
+            continue
+        ch = s[pos]
+        if ch in "+-":
+            if pending is not None:
+                raise ParseError("unexpected sign", line_no, col_base + pos)
+            pending = 1 if ch == "+" else -1
+            pos += 1
+            continue
+        if seen_term and pending is None:
+            raise ParseError("expected '+' or '-'", line_no, col_base + pos)
+        sign = pending if pending is not None else 1
+        m = _COEFVAR.match(s, pos) or _VAR.match(s, pos)
+        if m:
+            coeff = int(m.group(1)) if m.lastindex == 2 else 1
+            var = int(m.group(m.lastindex))
+            if coeff == 0:
+                raise ParseError("zero coefficient", line_no, col_base + pos)
+            if var < 1:
+                raise ParseError("variable indices start at 1", line_no, col_base + pos)
+            if var > MAX_VARIABLES:
+                raise ParseError(
+                    "variable index %d exceeds the limit %d" % (var, MAX_VARIABLES),
+                    line_no,
+                    col_base + pos,
+                )
+            terms.append((sign * coeff, var))
+        else:
+            m = _NUM.match(s, pos)
+            if not m:
+                raise ParseError("expected term", line_no, col_base + pos)
+            const += sign * int(m.group(1))
+            const_col = col_base + pos if const_col is None else const_col
+        pos = m.end()
+        pending = None
+        seen_term = True
+    if pending is not None:
+        raise ParseError("dangling sign", line_no, col_base + len(s))
+    if not seen_term:
+        raise ParseError("empty expression", line_no, col_base)
+    return const, terms, const_col
+
+
+def reference_parse_system(text: str) -> System:
+    """The system DSL parser as it was before the token scan, kept verbatim
+    as the reference that test_systems.TestScan compares parse_system with.
+
+    Grammar: optional ``k=<int>`` header (default 2); statements separated
+    by ';' or newlines; equations ``xI = 1``, ``xI = -1``,
+    ``+-xI +- xJ ... = 0`` and the sugar ``xI + xJ = xK``.  Coefficients
+    like ``3x1`` abbreviate repeated unit terms.  Variable indices run
+    from 1 to MAX_VARIABLES.
+    """
+    text = text.replace("−", "-")
+    k = 2
+    equations: list[Equation] = []
+    statement_no = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        offset = 0
+        for chunk in line.split("#", 1)[0].split(";"):
+            stripped = chunk.strip()
+            if stripped:
+                statement_no += 1
+                col = offset + chunk.index(stripped[0])
+                m = _K_HEADER.match(stripped)
+                if m:
+                    if statement_no != 1:
+                        raise ParseError("k header must be the first statement", line_no, col)
+                    k = int(m.group(1))
+                    if k < 2:
+                        raise ParseError("k must be >= 2", line_no, col)
+                else:
+                    eq = _reference_parse_equation(stripped, line_no, col)
+                    if isinstance(eq, SumEquation) and eq.weight() > k + 1:
+                        raise ParseError(_overweight_message(eq, k), line_no, col)
+                    equations.append(eq)
+            offset += len(chunk) + 1
+    if not equations:
+        raise ParseError("no equations", 1, 0)
+    maxvar = max(
+        (e.var if isinstance(e, UnitEquation) else max(v for _, v in e.terms))
+        for e in equations
+    )
+    return System(k=k, nvars=maxvar, equations=tuple(equations))
+
+
+def _reference_parse_equation(s: str, line_no: int, col_base: int) -> Equation:
+    sides = s.split("=")
+    if len(sides) != 2:
+        raise ParseError("equation needs exactly one '='", line_no, col_base)
+    lconst, lterms, lcol = _reference_parse_side(sides[0], line_no, col_base)
+    rconst, rterms, rcol = _reference_parse_side(sides[1], line_no, col_base + len(sides[0]) + 1)
+    const = lconst - rconst
+    terms = lterms + [(-c, v) for c, v in rterms]
+    if not terms:
+        raise ParseError("equation has no variables", line_no, col_base)
+    if const == 0:
+        return SumEquation(terms=tuple(terms))
+    if len(terms) == 1 and abs(terms[0][0]) == 1 and abs(const) == 1:
+        coeff, var = terms[0]
+        return UnitEquation(var=var, sign=-const * coeff)
+    if abs(const) > 1:
+        col = rcol if lcol is None else lcol
+        raise ParseError("right-hand side must be 0, 1 or -1", line_no, col)
+    raise ParseError("a right-hand side of +-1 needs a single term +-xI", line_no, col_base)

@@ -1,6 +1,7 @@
 """Command-line interface end-to-end behaviour."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -147,6 +148,17 @@ class TestSolve:
     def test_parse_error(self, tmp_path):
         res = invoke("solve", "--system", write(tmp_path, "s.txt", "x1=7"))
         assert res.exit_code == 2
+
+    def test_long_literal(self, tmp_path):
+        """A literal too long for int() is bad input, at its position."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not 0 < limit < 5000:
+            pytest.skip("int() converts a literal of 5000 digits")
+        text = "x1=1\nx1 - %sx2 = 0\n" % ("9" * 5000)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", text))
+        assert res.exit_code == 2
+        assert res.output == (
+            "error: line 2, col 5: literal of 5000 digits is too long, limit is %d\n" % limit)
 
     def test_internal_error(self, tmp_path, monkeypatch):
         def broken(system, certify=True):

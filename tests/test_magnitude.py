@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_matrix
+from relmag import matrices
 from relmag.circuits import enumerate_circuits
 from relmag.generators import extremal_matrix
 from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper, omega_vector
@@ -190,3 +191,30 @@ def test_integer_certificate_matches_fraction_oracle():
             seen["tied_minimum"] += omegas.count(cert.omega_upper) > 1
             seen["sharp"] += cert.sharp
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_one_elimination_per_matrix(monkeypatch):
+    """omega_matrix_upper eliminates A once: the rank is the column count
+    minus the length of the null-space basis that the circuit walk starts
+    from."""
+    rng = random.Random(47)
+    cases = [
+        IntegerMatrix.from_rows([[x ** i for x in range(1, 9)] for i in range(4)]),
+        IntegerMatrix.from_rows([[1, 0], [0, 1]]),
+        extremal_matrix(3, 4),
+    ] + [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6)) for _ in range(20)]
+    ranks = [rank(a) for a in cases]
+    calls = 0
+    real = matrices._sparse_echelon
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "_sparse_echelon", counted)
+    for a, rk in zip(cases, ranks):
+        calls = 0
+        cert = omega_matrix_upper(a)
+        assert calls == 1
+        assert (cert.rank, cert.nullity) == (rk, a.cols - rk)

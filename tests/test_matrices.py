@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -473,6 +474,20 @@ class TestTextFormat:
         ]:
             with pytest.raises(MatrixError, match="^" + re.escape(where)):
                 parse_matrix(text)
+
+    def test_long_entry(self):
+        """An entry of more digits than int() converts is reported as too
+        long, at its position; one at the limit parses."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() converts entries of any length")
+        for entry in ("9" * limit, "-" + "0" * (limit - 1) + "7"):
+            assert parse_matrix("1 2\n1 %s\n" % entry).entries == ((1, int(entry)),)
+        for entry in ("9" * (limit + 1), "-" + "1_" * limit + "1"):
+            with pytest.raises(MatrixError) as exc:
+                parse_matrix("1 2\n1  %s  # long\n" % entry)
+            assert str(exc.value) == "line 2, col 3: entry of %d digits is too long, limit is %d" % (
+                limit + 1, limit)
 
     def test_format_rational(self):
         assert format_rational(Fraction(3, 2)) == "3/2"

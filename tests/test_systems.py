@@ -1,6 +1,7 @@
 """Unit-coefficient systems: parsing, reduction, chains, solving."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -18,6 +19,7 @@ from conftest import (
     dense_rows,
     gauss_jordan_solve,
     random_system,
+    reference_parse_system,
     replace_column,
 )
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
@@ -161,6 +163,219 @@ class TestParser:
         used = [e.var for e in s.unit_equations()]
         used += [v for e in s.sum_equations() for _, v in e.terms]
         assert again.nvars == max(used)
+
+
+# Every str.isspace() character that str.splitlines() does not break at,
+# and every line break it does
+_BLANK_CHARS = " \t\x1f\xa0\u1680\u2003\u202f\u3000"
+_LINE_BREAK_CHARS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                     "\x85", "\u2028", "\u2029")
+# code points of the digit 0 in scripts other than ASCII: Arabic-Indic,
+# Devanagari and fullwidth
+_DIGIT_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+@st.composite
+def _written_systems(draw):
+    """The text of a random system, written with random blanks, every kind
+    of line break, ';', comments, '*', '−' and non-ASCII digits.
+
+    Each equation is a list of items (value, variable), a term, or
+    (value, None), a constant, whose sum is 0; each item goes to either
+    side of '=' (negated on the right), and an empty side is written 0.
+    Unit equations have one term and the constant -+1; sum equations have
+    a weight of at most k + 2 for the drawn k, which the header may omit,
+    so some are over the limit k + 1.
+    """
+    blank = st.text(st.sampled_from(_BLANK_CHARS), max_size=2)
+
+    def number(n):
+        digits = str(n)
+        zero = draw(st.sampled_from((None, None) + _DIGIT_ZEROS))
+        if zero is None:
+            return digits
+        at = draw(st.integers(0, len(digits) - 1))
+        return digits[:at] + chr(zero + int(digits[at])) + digits[at + 1:]
+
+    def item(value, var, first):
+        if value < 0:
+            sign = draw(st.sampled_from("-−"))
+        else:
+            sign = "" if first and draw(st.booleans()) else "+"
+        out = sign + draw(blank)
+        if var is None:
+            return out + number(abs(value))
+        if abs(value) != 1 or draw(st.booleans()):
+            out += number(abs(value)) + draw(blank) + draw(st.sampled_from(("", "*"))) + draw(blank)
+        return out + "x" + draw(blank) + number(var)
+
+    def side(items):
+        if not items:
+            return draw(blank) + "0" + draw(blank)
+        return "".join(draw(blank) + item(v, x, i == 0) + draw(blank)
+                       for i, (v, x) in enumerate(items))
+
+    k = draw(st.integers(2, 5))
+    var = st.integers(1, 12)
+    statements = []
+    if k != 2 or draw(st.booleans()):
+        statements.append(draw(blank) + "k" + draw(blank) + "=" + draw(blank) + number(k) + draw(blank))
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from((1, -1)))
+            items = [(c, draw(var)), (-draw(st.sampled_from((1, -1))) * c, None)]
+        else:
+            budget, items = k + 1 + draw(st.integers(0, 1)), []
+            while budget and (not items or draw(st.booleans())):
+                c = draw(st.integers(1, budget))
+                items.append((draw(st.sampled_from((c, -c))), draw(var)))
+                budget -= c
+            if draw(st.booleans()):
+                items.append((0, None))
+        items = draw(st.permutations(items))
+        right = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+        left = side([it for it, r in zip(items, right) if not r])
+        statements.append(left + "=" + side([(-v, x) for (v, x), r in zip(items, right) if r]))
+    text = ""
+    for statement in statements:
+        text += statement
+        if draw(st.booleans()):
+            text += ";"
+        else:
+            if draw(st.booleans()):
+                text += "#" + draw(st.text(st.sampled_from("x1=;# k−"), max_size=6))
+            text += draw(st.sampled_from(_LINE_BREAK_CHARS))
+        if not draw(st.integers(0, 3)):
+            text += draw(blank) + draw(st.sampled_from((";", "\n", "# note\n")))
+    return text
+
+
+@st.composite
+def _mutated_systems(draw):
+    """A written system with one character inserted, deleted or replaced."""
+    text = draw(_written_systems())
+    # anywhere, or just before a variable, a sign or '='
+    at = draw(st.integers(0, len(text)) | st.sampled_from(
+        [i for i, ch in enumerate(text) if ch in "x+-−="]))
+    char = draw(st.sampled_from("*=+-−;#kxy.") | st.sampled_from("0123456789٣")
+                | st.sampled_from(_BLANK_CHARS + "".join(_LINE_BREAK_CHARS[3:])))
+    op = draw(st.sampled_from(("insert", "delete", "replace")))
+    if op == "insert" or at == len(text):
+        return text[:at] + char + text[at:]
+    return text[:at] + ("" if op == "delete" else char) + text[at + 1:]
+
+
+def _outcome(parse, text):
+    """The System that parse returns, or the type, message, line and
+    column of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None))
+
+
+def _assert_parsers_agree(text):
+    """parse_system, its token scan and its statement parser all agree with
+    the parser parse_system was before the scan, reference_parse_system:
+    the scan returns a System exactly for the texts the reference accepts,
+    and the statement parser raises on every text the scan declines."""
+    expected = _outcome(reference_parse_system, text)
+    assert _outcome(parse_system, text) == expected, repr(text)
+    assert _outcome(relmag.systems._parse_statements, text) == expected, repr(text)
+    scanned = relmag.systems._scan(text)
+    if isinstance(expected, System):
+        assert scanned == expected, repr(text)
+    else:
+        assert scanned is None, repr(text)
+        assert expected[0] is ParseError, repr(text)
+
+
+class TestScan:
+    """The token scan against the statement parser it replaced."""
+
+    @given(_written_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_written_systems(self, text):
+        _assert_parsers_agree(text)
+
+    @given(_mutated_systems())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_systems(self, text):
+        _assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("text", [
+        "1=*x2", "x1=1;2=*x1", "x1=1\x0cx1-x2=0", "x1=1\x0c-x2=0", "x1=1\x1fx1 -\x1fx2=0",
+        "k = 3\nx١=1\n3 * x1 − x٢ = 0", "x1=1\r\nx1+x2=x3 # c; x4=1\r\n",
+        "x1=1;k=3", "k=3 x1=1", "k=1;x1=1", "k=3=x1", "x1=1 1", "x1 x2=0", "x1=+-1",
+        "x1=-1-1+1", "x1=0;x1=1", "x0=1", "0x1+x2=0", "x4097=1", "x1+x2=1", "=x1", "x1==0",
+        "", "\n;# only a comment\n", "x1=1 k=2", "x1=1\n+", "3x1-x2=0;x1=1", "k=2;k=3;x1=1",
+    ])
+    def test_edge_cases(self, text):
+        _assert_parsers_agree(text)
+
+    def test_ascii_forms(self):
+        """The scan's translation table maps every non-ASCII str.isspace()
+        character: to '\\n' where str.splitlines() breaks lines, else to ' '."""
+        spaces = [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isspace()]
+        table = relmag.systems._TO_ASCII
+        assert sorted(table) == sorted(map(ord, spaces + ["−"]))
+        for c in spaces:
+            breaks = len(("a" + c + "b").splitlines()) == 2
+            assert chr(table[ord(c)]) == ("\n" if breaks else " "), hex(ord(c))
+
+    def test_statement_parser_never_returns(self, monkeypatch):
+        """A text the scan declines and the statement parser accepts is an
+        internal error, not a System."""
+        monkeypatch.setattr(relmag.systems, "_scan", lambda text: None)
+        with pytest.raises(RuntimeError, match="token scan declines"):
+            parse_system("x1=1")
+
+
+# 0 where int() converts literals of any length (Python before 3.10.7)
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_LIMIT == 0, reason="int() converts literals of any length")
+class TestLiteralLength:
+    """Literals of more digits than int() converts are parse errors."""
+
+    @staticmethod
+    def _texts(n):
+        """(text, line and column of its long literal) for literals of n
+        digits in each place one may stand."""
+        nines, one = "9" * n, "0" * (n - 1) + "1"
+        return [
+            ("x1=1\nx1 - %sx2 = 0" % nines, (2, 5)),
+            ("x1=1\nx1 - %s2x2 = 0" % one[:-1], (2, 5)),
+            ("x1=1\nx1 - x%s = 0" % nines, (2, 6)),
+            ("x1=1\nx1 - x %s = 0" % one, (2, 7)),
+            ("x1 = %s" % nines, (1, 5)),
+            ("x1 = %s" % one, (1, 5)),
+            ("k=%s\nx1=1\nx1 - x2 = 0" % nines, (1, 2)),
+            ("k = %s; x1 = 1; %sx1 + %sx2 - x3 = 0" % (nines, nines, nines), (1, 4)),
+        ]
+
+    def test_at_the_limit(self):
+        outcomes = [_outcome(parse_system, text) for text, _ in self._texts(_LIMIT)]
+        for outcome in outcomes:
+            assert isinstance(outcome, System) or outcome[0] is ParseError
+        # a long literal that is small: the coefficient 2, the index 1, the constant 1
+        assert outcomes[1].equations[1] == SumEquation(terms=((1, 1), (-2, 2)))
+        assert outcomes[3].nvars == 1
+        assert outcomes[5].equations == (UnitEquation(var=1, sign=1),)
+        assert outcomes[6].k == 10 ** _LIMIT - 1
+        # the weight 2 (10^L - 1) + 1 and the limit k + 1 = 10^L are too
+        # long to write
+        assert outcomes[7][1].endswith(
+            "has 10^%d or more unit terms, limit is k+1 = 10^%d or more" % (_LIMIT, _LIMIT))
+
+    def test_over_the_limit(self):
+        for text, position in self._texts(_LIMIT + 1):
+            with pytest.raises(ParseError) as exc:
+                parse_system(text)
+            message = "literal of %d digits is too long, limit is %d" % (_LIMIT + 1, _LIMIT)
+            assert str(exc.value).endswith(message), text[:40]
+            assert (exc.value.line, exc.value.col) == position, text[:40]
 
 
 class TestSystemValidation:
