@@ -10,6 +10,7 @@ Reports go to stdout; --format json switches to a structured document.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -70,13 +71,22 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _echo_report(fmt, as_dict, as_text):
+    """Write the report as_dict() in JSON or as_text().  Exact results may
+    have more digits than int-to-str conversion allows, so the limit
+    (sys.get_int_max_str_digits(); the parsers keep it) is lifted while
+    the report is written."""
+    with contextlib.ExitStack() as restore:
+        if hasattr(sys, "set_int_max_str_digits"):
+            restore.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
+            sys.set_int_max_str_digits(0)
+        click.echo(json.dumps(as_dict(), indent=2) if fmt == "json" else as_text())
+
+
 def _report_omega(matrix_path, fmt, allow_large, render):
     """Shared body of omega and certify: they differ in the text report."""
     cert = omega_matrix_upper(parse_matrix(_read(matrix_path)), allow_large=allow_large)
-    if fmt == "json":
-        click.echo(json.dumps(cert.to_dict(), indent=2))
-    else:
-        click.echo(render(cert))
+    _echo_report(fmt, cert.to_dict, lambda: render(cert))
     if not cert.verdict:
         raise click.exceptions.Exit(EXIT_VIOLATION)
 
@@ -118,12 +128,8 @@ def omega(matrix_path, fmt, allow_large):
 def circuits(matrix_path, fmt, allow_large):
     """List all minimal-support null vectors of a matrix."""
     circs = enumerate_circuits(parse_matrix(_read(matrix_path)), allow_large=allow_large)
-    if fmt == "json":
-        click.echo(json.dumps([c.to_dict() for c in circs], indent=2))
-    else:
-        for c in circs:
-            click.echo(c.to_line())
-        click.echo("count=%d" % len(circs))
+    _echo_report(fmt, lambda: [c.to_dict() for c in circs],
+                 lambda: "\n".join([c.to_line() for c in circs] + ["count=%d" % len(circs)]))
 
 
 @main.command()
@@ -142,10 +148,7 @@ def certify(matrix_path, fmt, allow_large):
 def solve(system_path, fmt, no_certify):
     """Solve a unit-coefficient system and certify the k^(n-1) bound."""
     report = solve_and_certify(parse_system(_read(system_path)), certify=not no_certify)
-    if fmt == "json":
-        click.echo(json.dumps(report.to_dict(), indent=2))
-    else:
-        click.echo(report.to_text())
+    _echo_report(fmt, report.to_dict, report.to_text)
 
 
 @main.command("gen-extremal")

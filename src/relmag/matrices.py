@@ -344,14 +344,22 @@ def _position(line_no: int, line: str, index: int) -> str:
     return "line %d, col %d" % (line_no, starts[index])
 
 
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and 0-based column of position pos of text, where
+    lines break as str.splitlines() breaks them ('\\r\\n' is one break)."""
+    lines = (text[:pos] + ".").splitlines()  # "." keeps a line after a final break
+    return len(lines), len(lines[-1]) - 1
+
+
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse the text format: first line "m n", then m rows of n integers.
 
-    `#` starts a comment that runs to the end of its line.  A row with the
-    wrong number of entries or a non-integer entry is reported at its
-    line, counting comment and blank lines, and 0-based column, and so is
-    an integer entry of more digits than int() converts
-    (sys.get_int_max_str_digits()).
+    `#` starts a comment that runs to the end of its line.  An error is
+    reported at its line, counting comment and blank lines, and 0-based
+    column: a bad header at the header, a row with the wrong number of
+    entries, a non-integer entry or an integer entry of more digits than
+    int() converts (sys.get_int_max_str_digits()) where it is found, and a
+    wrong number of rows at the first extra row or the end of the input.
     """
     # tolerate unicode minus in hand-written files
     lines = [
@@ -361,17 +369,17 @@ def parse_matrix(text: str) -> IntegerMatrix:
     lines = [(line_no, ln) for line_no, ln in lines if ln.strip()]
     if not lines:
         raise MatrixError("empty matrix input")
-    header = lines[0][1].split()
-    if len(header) != 2:
-        raise MatrixError("first line must be 'm n'")
+    line_no, header = lines[0]
     try:
-        m, n = int(header[0]), int(header[1])
+        m, n = map(int, header.split())
     except ValueError as exc:
-        raise MatrixError("first line must be 'm n'") from exc
+        raise MatrixError("%s: first line must be 'm n'" % _position(line_no, header, 0)) from exc
     if m < 1 or n < 1:
-        raise MatrixError("matrix dimensions must be positive")
+        raise MatrixError("%s: matrix dimensions must be positive" % _position(line_no, header, 0))
     if len(lines) != m + 1:
-        raise MatrixError("expected %d data rows, got %d" % (m, len(lines) - 1))
+        where = (_position(*lines[m + 1], 0) if len(lines) > m + 1
+                 else "line %d, col %d" % _line_col(text, len(text)))
+        raise MatrixError("%s: expected %d data rows, got %d" % (where, m, len(lines) - 1))
     rows = []
     for line_no, ln in lines[1:]:
         parts = ln.split()

@@ -7,7 +7,9 @@ magnitude, to a square system with a unique all-nonzero solution whose
 coordinates have pairwise distinct absolute values.  One pass then splits
 the two-variable equations ``k x_i = +-x_j`` into disjoint maximal chains
 and writes the square rows (unit row, chain bands, residual rows), which
-are solved exactly, certifying ``|x_i| <= k^(n-1)``.
+are solved exactly, certifying ``|x_i| <= k^(n-1)``.  parse_system reads
+a system from its DSL text in one token scan, which also finds the line
+and column of the first error in a bad text.
 
 By Cramer's rule every solution is an integer vector over one common
 denominator, so the reduction, the solve, the solution checks and the
@@ -23,9 +25,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
+    _line_col,
     _signed_maximal_minors,
     _solve_augmented,
     _sparse_echelon,
@@ -202,25 +206,7 @@ _TOKEN = re.compile(
     r"|k{b}={b}(\d+)|({tail}|\S))".format(b=_BLANKS, tail=_TAIL)
 )
 _STATEMENT_ENDS = "#;\n\r\x0b\x0c\x1c\x1d\x1e"
-
-_K_HEADER = re.compile(r"k\s*=\s*(\d+)\s*$")
-_COEFVAR = re.compile(r"(\d+)\s*\*?\s*x\s*(\d+)")
-_VAR = re.compile(r"x\s*(\d+)")
-_NUM = re.compile(r"(\d+)")
-
-
-def _literal(m: re.Match, group: int, line_no: int, col_base: int) -> int:
-    """The int of the digits in group of m, a match on the text that starts
-    at column col_base; one too long for int() is a ParseError there."""
-    try:
-        return int(m.group(group))
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(
-            "literal of %d digits is too long, limit is %d"
-            % (len(m.group(group)), sys.get_int_max_str_digits()),
-            line_no,
-            col_base + m.start(group),
-        ) from None
+_BLANK_RUN = re.compile(_BLANKS)
 
 
 def parse_system(text: str) -> System:
@@ -231,25 +217,9 @@ def parse_system(text: str) -> System:
     equations ``xI = 1``, ``xI = -1``, ``+-xI +- xJ ... = 0`` and the sugar
     ``xI + xJ = xK``.  Coefficients like ``3x1`` or ``3*x1`` abbreviate
     repeated unit terms.  Variable indices run from 1 to MAX_VARIABLES.
-    One token scan reads a well-formed text; any other text goes to the
-    statement parser, which raises the ParseError with its position.
-    """
-    system = _scan(text)
-    if system is None:
-        _parse_statements(text)
-        raise RuntimeError("the statement parser accepts a text that the token scan declines")
-    return system
 
-
-def _scan(text: str) -> System | None:
-    """The System of a well-formed text, from one _TOKEN scan; None for any
-    other text, which _parse_statements then reports.
-
-    The scan accepts exactly what the statement parser accepts: a statement
-    ends at ';', a line break or a comment; a header is alone in the first
-    statement; each side of the one '=' is nonempty and every token after
-    its first is signed; terms have a nonzero coefficient and an index in
-    1..MAX_VARIABLES.
+    One _TOKEN scan reads the text.  The first token that breaks a rule
+    raises the ParseError, with its line and column, that _scan_error finds.
     """
     k = 2
     first = True  # no statement yet, so a k= header may come
@@ -259,15 +229,19 @@ def _scan(text: str) -> System | None:
     # side is 0 left of '=', 1 right of it and 2 in a header; count is the
     # number of terms and constants on this side
     const = weight = count = side = 0
-    if not text.isascii():
-        text = text.translate(_TO_ASCII)
+    tokens = _TOKEN.findall((text if text.isascii() else text.translate(_TO_ASCII)) + "\n")
+    unread = iter(tokens)  # _scan_error finds the bad token from what is left
     try:
-        for sign, coeff, var, num, tail, hdr, other in _TOKEN.findall(text + "\n"):
+        for sign, coeff, var, num, tail, hdr, other in unread:
             if var:
+                if count and not sign:
+                    raise _scan_error(text, tokens, unread, "expected '+' or '-'")
                 c = int(coeff) if coeff else 1
                 v = int(var)
-                if count and not sign or not c or not 0 < v <= MAX_VARIABLES:
-                    return None
+                if not c or not 0 < v <= MAX_VARIABLES:
+                    raise _scan_error(text, tokens, unread, "zero coefficient" if not c else
+                                      "variable indices start at 1" if not v else
+                                      "variable index %d exceeds the limit %d" % (v, MAX_VARIABLES))
                 weight += c
                 if v > nvars:
                     nvars = v
@@ -275,16 +249,17 @@ def _scan(text: str) -> System | None:
                 count += 1
             elif num:
                 if count and not sign:
-                    return None
+                    raise _scan_error(text, tokens, unread, "expected '+' or '-'")
                 n = int(num)
                 const += -n if (sign == "-") != side else n
                 count += 1
             elif hdr:
                 if not first or side or count:
-                    return None
+                    raise _scan_error(text, tokens, unread, "expected '+' or '-'" if count else
+                                      "k header must be the first statement")
                 k = int(hdr)
                 if k < 2:
-                    return None
+                    raise _scan_error(text, tokens, unread, "k must be >= 2")
                 side = 2
                 continue
             else:
@@ -292,152 +267,117 @@ def _scan(text: str) -> System | None:
             if not tail:
                 continue
             if tail == "=":
-                if side or not count:
-                    return None
+                if side or not count:  # a second '=' is _scan_error's rule 1
+                    raise _scan_error(text, tokens, unread, "empty expression")
                 side = 1
                 count = 0
             elif tail[0] not in _STATEMENT_ENDS:
-                return None
+                raise _scan_error(text, tokens, unread, "expected '+' or '-'" if count else "expected term")
             elif side == 1:
-                if not count or not terms:
-                    return None
+                if not count:
+                    raise _scan_error(text, tokens, unread, "empty expression", "end")
+                if not terms:
+                    raise _scan_error(text, tokens, unread, "equation has no variables", "statement")
                 if not const and weight <= k + 1:
                     equations.append(SumEquation(tuple(terms)))
                 elif weight == 1 and (const == 1 or const == -1):  # the one term +-xI
                     c, v = terms[0]
                     equations.append(UnitEquation(v, -const * c))
+                elif not const:
+                    raise _scan_error(text, tokens, unread,
+                                      _overweight_message(SumEquation(tuple(terms)), k), "statement")
+                elif const == 1 or const == -1:
+                    raise _scan_error(text, tokens, unread,
+                                      "a right-hand side of +-1 needs a single term +-xI", "statement")
                 else:
-                    return None
+                    raise _scan_error(text, tokens, unread, "right-hand side must be 0, 1 or -1", "constant")
                 first = False
                 terms = []
                 const = weight = count = side = 0
-            elif count:
-                return None
+            elif count:  # no '=' in the statement, or a header with more after it
+                raise _scan_error(text, tokens, unread, "equation needs exactly one '='", "statement")
             elif side:  # the header statement
                 first = False
                 side = 0
-    except ValueError:  # a literal too long for int()
-        return None
+    except ParseError:
+        raise
+    except ValueError:  # a literal of tok too long for int()
+        raise _scan_error(text, tokens, unread, None) from None
     if not equations:
-        return None
+        raise ParseError("no equations", 1, 0)
     return System(k=k, nvars=nvars, equations=tuple(equations))
 
 
-def _parse_side(s: str, line_no: int, col_base: int):
-    """Parse one side of an equation into (constant, [(coeff, var), ...],
-    column of its first constant term or None)."""
-    const = 0
-    const_col = None
-    terms: list[tuple[int, int]] = []
-    pos = 0
-    pending: int | None = None
-    seen_term = False
-    while pos < len(s):
-        if s[pos].isspace():
-            pos += 1
-            continue
-        ch = s[pos]
-        if ch in "+-":
-            if pending is not None:
-                raise ParseError("unexpected sign", line_no, col_base + pos)
-            pending = 1 if ch == "+" else -1
-            pos += 1
-            continue
-        if seen_term and pending is None:
-            raise ParseError("expected '+' or '-'", line_no, col_base + pos)
-        sign = pending if pending is not None else 1
-        m = _COEFVAR.match(s, pos) or _VAR.match(s, pos)
-        if m:
-            coeff = _literal(m, 1, line_no, col_base) if m.lastindex == 2 else 1
-            var = _literal(m, m.lastindex, line_no, col_base)
-            if coeff == 0:
-                raise ParseError("zero coefficient", line_no, col_base + pos)
-            if var < 1:
-                raise ParseError("variable indices start at 1", line_no, col_base + pos)
-            if var > MAX_VARIABLES:
-                raise ParseError(
-                    "variable index %d exceeds the limit %d" % (var, MAX_VARIABLES),
-                    line_no,
-                    col_base + pos,
-                )
-            terms.append((sign * coeff, var))
-        else:
-            m = _NUM.match(s, pos)
-            if not m:
-                raise ParseError("expected term", line_no, col_base + pos)
-            const += sign * _literal(m, 1, line_no, col_base)
-            const_col = col_base + pos if const_col is None else const_col
-        pos = m.end()
-        pending = None
-        seen_term = True
-    if pending is not None:
-        raise ParseError("dangling sign", line_no, col_base + len(s))
-    if not seen_term:
-        raise ParseError("empty expression", line_no, col_base)
-    return const, terms, const_col
+def _ends(field: str) -> bool:
+    """Whether a tail or other group of a token ends a statement."""
+    return field != "" and field[0] in _STATEMENT_ENDS
 
 
-def _parse_statements(text: str) -> System:
-    """The statement parser: the ParseError of a text that _scan declines.
+def _scan_error(text: str, tokens: list, unread, message: str | None,
+                at: str = "token") -> ParseError:
+    """The ParseError of a text whose scan stopped at tok, the token of
+    tokens before those that the iterator unread still holds.
 
-    It splits the text into lines and statements and parses each side of
-    an equation character by character, so an error carries the line and
-    column where it is found.  It also accepts every well-formed text, to
-    the same System as _scan, but parse_system calls it only after _scan
-    declined.
+    Only a bad text gets here, so the scan keeps no positions: they come
+    from a second _TOKEN scan up to tok.  Lines are counted in the text as
+    written, where '\\r' before U+2028 is two breaks, not the '\\r\\n' of
+    _TO_ASCII.  The error is the first that holds:
+      1. a statement without exactly one '=' (a k= token has one), at its
+         start;
+      2. a statement that starts with a k= token and goes on, "expected
+         term" at the k;
+      3. tok a sign that starts no term: "unexpected sign" at a sign after
+         it, "dangling sign" at an '=' after it or just after it at the
+         end of the statement, else "expected term" at what follows;
+      4. message, or with message None the first literal of tok too long
+         for int(), at the position at names: "token", the first character
+         of tok after its sign; "statement", the start of the statement;
+         "end", the start of tok's match, which is the column after '=';
+         "constant", the first constant of the statement.
     """
-    text = text.replace("−", "-")
-    k = 2
-    equations: list[Equation] = []
-    statement_no = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        offset = 0
-        for chunk in line.split("#", 1)[0].split(";"):
-            stripped = chunk.strip()
-            if stripped:
-                statement_no += 1
-                col = offset + chunk.index(stripped[0])
-                m = _K_HEADER.match(stripped)
-                if m:
-                    if statement_no != 1:
-                        raise ParseError("k header must be the first statement", line_no, col)
-                    k = _literal(m, 1, line_no, col)
-                    if k < 2:
-                        raise ParseError("k must be >= 2", line_no, col)
-                else:
-                    eq = _parse_equation(stripped, line_no, col)
-                    if isinstance(eq, SumEquation) and eq.weight() > k + 1:
-                        raise ParseError(_overweight_message(eq, k), line_no, col)
-                    equations.append(eq)
-            offset += len(chunk) + 1
-    if not equations:
-        raise ParseError("no equations", 1, 0)
-    maxvar = max(
-        (e.var if isinstance(e, UnitEquation) else max(v for _, v in e.terms))
-        for e in equations
-    )
-    return System(k=k, nvars=maxvar, equations=tuple(equations))
+    i = start = end = len(tokens) - 1 - sum(1 for _ in unread)
+    tok = tokens[i]
+    while start and not _ends(tokens[start - 1][4] or tokens[start - 1][6]):
+        start -= 1
+    while not _ends(tokens[end][4] or tokens[end][6]):
+        end += 1
+    scanned = text.translate(_TO_ASCII)
+    matches = list(islice(_TOKEN.finditer(scanned + "\n"), i + 2))
 
+    def lead(j: int) -> int:  # the first character of token j
+        return _BLANK_RUN.match(scanned, matches[j].start()).end()
 
-def _parse_equation(s: str, line_no: int, col_base: int) -> Equation:
-    sides = s.split("=")
-    if len(sides) != 2:
-        raise ParseError("equation needs exactly one '='", line_no, col_base)
-    lconst, lterms, lcol = _parse_side(sides[0], line_no, col_base)
-    rconst, rterms, rcol = _parse_side(sides[1], line_no, col_base + len(sides[0]) + 1)
-    const = lconst - rconst
-    terms = lterms + [(-c, v) for c, v in rterms]
-    if not terms:
-        raise ParseError("equation has no variables", line_no, col_base)
-    if const == 0:
-        return SumEquation(terms=tuple(terms))
-    if len(terms) == 1 and abs(terms[0][0]) == 1 and abs(const) == 1:
-        coeff, var = terms[0]
-        return UnitEquation(var=var, sign=-const * coeff)
-    if abs(const) > 1:
-        col = rcol if lcol is None else lcol
-        raise ParseError("right-hand side must be 0, 1 or -1", line_no, col)
-    raise ParseError("a right-hand side of +-1 needs a single term +-xI", line_no, col_base)
+    if sum(t[4] == "=" or t[6] == "=" or t[5] != "" for t in tokens[start:end + 1]) != 1:
+        message, pos = "equation needs exactly one '='", lead(start)
+    elif tokens[start][5] and not _ends(tokens[start + 1][6]):
+        message, pos = "expected term", lead(start)
+    elif tok[6] in ("+", "-"):
+        after = tokens[i + 1]
+        if after[0] or after[6] in ("+", "-"):
+            message, pos = "unexpected sign", lead(i + 1)
+        elif after[6] == "=":
+            message, pos = "dangling sign", lead(i + 1)
+        elif _ends(after[6]):
+            message, pos = "dangling sign", lead(i) + 1
+        else:
+            message, pos = "expected term", lead(i + 1)
+    elif message is None:
+        m = matches[i]
+        limit = sys.get_int_max_str_digits()
+        group = next(g for g in (2, 3, 4, 6) if len(m.group(g) or "") > limit)
+        message = "literal of %d digits is too long, limit is %d" % (len(m.group(group)), limit)
+        pos = m.start(group)
+    elif at == "statement":
+        pos = lead(start)
+    elif at == "end":
+        pos = matches[i].start()
+    elif at == "constant":
+        pos = matches[next(j for j in range(start, i + 1) if tokens[j][3])].start(4)
+    elif tok[2] or tok[3]:  # a term or constant: after its sign, group 1
+        pos = _BLANK_RUN.match(scanned, matches[i].end(1)).end()
+    else:
+        pos = lead(i)
+    return ParseError(message, *_line_col(text, pos))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,26 @@
 """Command-line interface end-to-end behaviour."""
 
 import json
+import random
 import sys
 
 import pytest
 from click.testing import CliRunner
 from conftest import corrupt_cramer_check
 
-from relmag import circuits, cli, detbounds
+from relmag import circuits, cli, detbounds, generators
 from relmag.cli import main
-from relmag.systems import MAX_VARIABLES, BoundViolationError, ReductionError
+from relmag.systems import MAX_VARIABLES, BoundViolationError, ReductionError, SolveReport
 
 runner = CliRunner()
+
+
+def _int_digits_limit():
+    """sys.get_int_max_str_digits(), or None where int() has no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+_LIMIT = _int_digits_limit()
 
 
 def invoke(*args, **kwargs):
@@ -100,6 +109,19 @@ class TestCircuits:
         assert "pass --allow-large to force it" in res.stderr
         assert invoke("circuits", "--matrix", path, "--allow-large").exit_code == 0
 
+    @pytest.mark.parametrize("command", ["circuits", "omega", "certify"])
+    def test_big_integer_report(self, command):
+        """Circuit entries of more digits than int-to-str conversion allows
+        (minors of 3,000-digit entries) are written out, and the limit is
+        back in place afterwards."""
+        rng = random.Random(3)
+        rows = [" ".join(str(rng.randrange(10 ** 2999, 10 ** 3000)) for _ in range(3))
+                for _ in range(2)]
+        res = invoke(command, "--matrix", "-", input="2 3\n%s\n" % "\n".join(rows))
+        assert res.exit_code == 0, res.output
+        assert len(max(res.output.split(), key=len)) > 5000
+        assert _int_digits_limit() == _LIMIT
+
 
 class TestCertify:
     def test_sharp_line(self, tmp_path):
@@ -159,6 +181,32 @@ class TestSolve:
         assert res.exit_code == 2
         assert res.output == (
             "error: line 2, col 5: literal of 5000 digits is too long, limit is %d\n" % limit)
+
+    @pytest.mark.parametrize("args", [(), ("--no-certify",), ("--format", "json"),
+                                      ("--format", "json", "--no-certify")])
+    def test_big_integer_report(self, args):
+        """A solution of more digits than int-to-str conversion allows is
+        written out, x800 = 10^4794, and the limit is back in place
+        afterwards."""
+        text = generators.extremal_dsl(10 ** 6, 800)
+        res = invoke("solve", "--system", "-", *args, input=text)
+        assert res.exit_code == 0, res.output
+        x800 = "1" + "0" * 4794
+        if "json" in args:
+            assert json.loads(res.output, parse_int=str)["solution"]["x800"] == x800
+        else:
+            assert res.output.startswith("solution: x1=1, x2=1000000, ")
+            assert ", x800=%s\n" % x800 in res.output
+        assert _int_digits_limit() == _LIMIT
+
+    def test_report_error_restores_the_limit(self, tmp_path, monkeypatch):
+        def broken(report):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SolveReport, "to_text", broken)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
+        assert res.exit_code == 3 and "RuntimeError: boom" in res.output
+        assert _int_digits_limit() == _LIMIT
 
     def test_internal_error(self, tmp_path, monkeypatch):
         def broken(system, certify=True):

@@ -465,8 +465,16 @@ class TestTextFormat:
         for text in ["", "2 2\n1 2\n", "1 2\n1 2 3\n", "1 1\nx\n"]:
             with pytest.raises(MatrixError):
                 parse_matrix(text)
-        # rows are reported at their real line, comment and blank lines included
+        # errors are reported at their real line, comment and blank lines
+        # included: a header error at the header, a row-count error at the
+        # first extra row or at the end of the input
         for text, where in [
+            ("# m n\n\n  2 x\n1 2\n", "line 3, col 2: first line must be 'm n'"),
+            ("1 2 3\n1 2\n", "line 1, col 0: first line must be 'm n'"),
+            ("\n 0 2  # none\n", "line 2, col 1: matrix dimensions must be positive"),
+            ("1 2\n1 2\n# extra\n 3 4\n", "line 4, col 1: expected 1 data rows, got 2"),
+            ("2 2\n1 2\n", "line 3, col 0: expected 2 data rows, got 1"),
+            ("2 2\n1 2  # end", "line 2, col 10: expected 2 data rows, got 1"),
             ("1 2\n1 2 3\n", "line 2, col 4: expected 2 entries per row, got 3"),
             ("1 1\nx\n", "line 2, col 0: non-integer entry 'x'"),
             ("# m n\n\n2 3\n1 2 3\n# next\n4 5\n", "line 6, col 3: expected 3 entries"),

@@ -22,6 +22,7 @@ from conftest import (
     reference_parse_system,
     replace_column,
 )
+from test_detbounds import MULTI_CHAIN
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
 from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
@@ -275,18 +276,12 @@ def _outcome(parse, text):
 
 
 def _assert_parsers_agree(text):
-    """parse_system, its token scan and its statement parser all agree with
-    the parser parse_system was before the scan, reference_parse_system:
-    the scan returns a System exactly for the texts the reference accepts,
-    and the statement parser raises on every text the scan declines."""
+    """parse_system agrees with the parser it was before its token scan,
+    reference_parse_system: an equal System, or an equal error, message,
+    line and column, which is a ParseError."""
     expected = _outcome(reference_parse_system, text)
     assert _outcome(parse_system, text) == expected, repr(text)
-    assert _outcome(relmag.systems._parse_statements, text) == expected, repr(text)
-    scanned = relmag.systems._scan(text)
-    if isinstance(expected, System):
-        assert scanned == expected, repr(text)
-    else:
-        assert scanned is None, repr(text)
+    if not isinstance(expected, System):
         assert expected[0] is ParseError, repr(text)
 
 
@@ -309,6 +304,8 @@ class TestScan:
         "x1=1;k=3", "k=3 x1=1", "k=1;x1=1", "k=3=x1", "x1=1 1", "x1 x2=0", "x1=+-1",
         "x1=-1-1+1", "x1=0;x1=1", "x0=1", "0x1+x2=0", "x4097=1", "x1+x2=1", "=x1", "x1==0",
         "", "\n;# only a comment\n", "x1=1 k=2", "x1=1\n+", "3x1-x2=0;x1=1", "k=2;k=3;x1=1",
+        "k\xa0=0\xa03\n;+x1=0\n;", "k=3 0x1", "k=3 +", "x1=1;+ k=2",
+        "x1=1\nx2 = \n", "x1 = - ;x1=1", "x1=1\r\n\r\n  k=3 x2", "x1=1\r\u2028x1 x2=0",
     ])
     def test_edge_cases(self, text):
         _assert_parsers_agree(text)
@@ -323,12 +320,26 @@ class TestScan:
             breaks = len(("a" + c + "b").splitlines()) == 2
             assert chr(table[ord(c)]) == ("\n" if breaks else " "), hex(ord(c))
 
-    def test_statement_parser_never_returns(self, monkeypatch):
-        """A text the scan declines and the statement parser accepts is an
-        internal error, not a System."""
-        monkeypatch.setattr(relmag.systems, "_scan", lambda text: None)
-        with pytest.raises(RuntimeError, match="token scan declines"):
-            parse_system("x1=1")
+    def test_valid_text_never_builds_an_error(self, monkeypatch):
+        """A well-formed text never enters the error path, so the scan keeps
+        no positions of its own: with _scan_error failing, parse_system
+        still reads the longest extremal chain, a multi-chain system and
+        every written system that the reference accepts."""
+        def fail(*args):
+            raise AssertionError("_scan_error called on a valid text")
+
+        monkeypatch.setattr(relmag.systems, "_scan_error", fail)
+        for text in (extremal_dsl(2, MAX_VARIABLES), MULTI_CHAIN):
+            assert parse_system(text) == reference_parse_system(text)
+
+        @given(_written_systems())
+        @settings(max_examples=300, deadline=None)
+        def written(text):
+            expected = _outcome(reference_parse_system, text)
+            if isinstance(expected, System):
+                assert parse_system(text) == expected, repr(text)
+
+        written()
 
 
 # 0 where int() converts literals of any length (Python before 3.10.7)
@@ -376,6 +387,19 @@ class TestLiteralLength:
             message = "literal of %d digits is too long, limit is %d" % (_LIMIT + 1, _LIMIT)
             assert str(exc.value).endswith(message), text[:40]
             assert (exc.value.line, exc.value.col) == position, text[:40]
+
+    def test_statement_errors_come_first(self):
+        """An error the reference finds before it converts the long literal
+        is the one reported, as the reference reports it."""
+        nines = "9" * (_LIMIT + 1)
+        for text, error in [
+            ("x1=1\nx1 - %sx2 = 0 = 0" % nines, (2, 0, "equation needs exactly one '='")),
+            ("x1=1\nx1 %sx2 = 0" % nines, (2, 3, "expected '+' or '-'")),
+        ]:
+            outcome = _outcome(parse_system, text)
+            assert outcome == _outcome(reference_parse_system, text)
+            assert outcome[0] is ParseError and outcome[2:] == error[:2]
+            assert outcome[1].endswith(error[2])
 
 
 class TestSystemValidation:
