@@ -9,7 +9,9 @@ the two-variable equations ``k x_i = +-x_j`` into disjoint maximal chains
 and writes the square rows (unit row, chain bands, residual rows), which
 are solved exactly, certifying ``|x_i| <= k^(n-1)``.  parse_system reads
 a system from its DSL text in one token scan, which also finds the line
-and column of the first error in a bad text.
+and column of the first error in a bad text.  The validation of a System,
+each stage of the reduction and the solution checks read each equation
+once, in a plain loop over its terms.
 
 By Cramer's rule every solution is an integer vector over one common
 denominator, so the reduction, the solve, the solution checks and the
@@ -26,6 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
@@ -96,14 +99,11 @@ class SumEquation:
     terms: tuple[tuple[int, int], ...]
 
     def weight(self) -> int:
-        """Total number of unit terms (sum of absolute coefficients)."""
-        return sum(abs(c) for c, _ in self.terms)
+        """Total number of unit terms (sum of absolute coefficients).
 
-    def combined(self) -> dict[int, int]:
-        d: dict[int, int] = {}
-        for c, v in self.terms:
-            d[v] = d.get(v, 0) + c
-        return {v: c for v, c in d.items() if c != 0}
+        Only error messages call it: System validation and the reduction
+        sum the weight in the loop that reads the terms."""
+        return sum(abs(c) for c, _ in self.terms)
 
     def to_text(self) -> str:
         """The terms with their coefficients written out, e.g. ``1000000x1-x2=0``.
@@ -137,41 +137,47 @@ def _decimal(n: int) -> str:
 
 @dataclass(frozen=True)
 class System:
+    """A system of unit and sum equations over x_1..x_nvars, for k >= 2.
+
+    Construction validates it in one loop over the equations: a unit
+    equation's sign is +-1 and its variable in range; a sum equation has
+    terms, each with a nonzero coefficient and a variable in range, and
+    its weight, summed as the terms are read, is at most k + 1.  The
+    first check that fails raises SystemError_.
+    """
+
     k: int
     nvars: int
     equations: tuple[Equation, ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise SystemError_("k must be >= 2, got %d" % self.k)
-        if self.nvars < 1:
+        k, nvars = self.k, self.nvars
+        if k < 2:
+            raise SystemError_("k must be >= 2, got %d" % k)
+        if nvars < 1:
             raise SystemError_("system needs at least one variable")
-        if self.nvars > MAX_VARIABLES:
+        if nvars > MAX_VARIABLES:
             raise SystemError_(
-                "system has %d variables, limit is %d" % (self.nvars, MAX_VARIABLES)
+                "system has %d variables, limit is %d" % (nvars, MAX_VARIABLES)
             )
         for eq in self.equations:
             if isinstance(eq, UnitEquation):
                 if eq.sign not in (1, -1):
                     raise SystemError_("unit equation sign must be +-1")
-                if not 1 <= eq.var <= self.nvars:
+                if not 1 <= eq.var <= nvars:
                     raise SystemError_("variable x%d out of range" % eq.var)
-            else:
-                if not eq.terms:
-                    raise SystemError_("empty homogeneous equation")
-                for c, v in eq.terms:
-                    if c == 0:
-                        raise SystemError_("zero coefficient")
-                    if not 1 <= v <= self.nvars:
-                        raise SystemError_("variable x%d out of range" % v)
-                if eq.weight() > self.k + 1:
-                    raise SystemError_(_overweight_message(eq, self.k))
-
-    def unit_equations(self) -> list[UnitEquation]:
-        return [e for e in self.equations if isinstance(e, UnitEquation)]
-
-    def sum_equations(self) -> list[SumEquation]:
-        return [e for e in self.equations if isinstance(e, SumEquation)]
+                continue
+            if not eq.terms:
+                raise SystemError_("empty homogeneous equation")
+            weight = 0
+            for c, v in eq.terms:
+                if c == 0:
+                    raise SystemError_("zero coefficient")
+                if not 1 <= v <= nvars:
+                    raise SystemError_("variable x%d out of range" % v)
+                weight += abs(c)
+            if weight > k + 1:
+                raise SystemError_(_overweight_message(eq, k))
 
     def to_text(self) -> str:
         lines = ["k=%d" % self.k]
@@ -383,6 +389,10 @@ def _scan_error(text: str, tokens: list, unread, message: str | None,
 # ---------------------------------------------------------------------------
 # reduction
 
+# the sort key of a (coefficient, variable) term
+_BY_VARIABLE = itemgetter(1)
+
+
 @dataclass(frozen=True)
 class StepRecord:
     step: int
@@ -442,9 +452,12 @@ def check_solution(system: System, x, den: int = 1) -> bool:
         if isinstance(eq, UnitEquation):
             if x[eq.var - 1] != eq.sign * den:
                 return False
-        else:
-            if sum(c * x[v - 1] for c, v in eq.terms) != 0:
-                return False
+            continue
+        total = 0
+        for c, v in eq.terms:
+            total += c * x[v - 1]
+        if total != 0:
+            return False
     return True
 
 
@@ -484,35 +497,63 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     absolute coordinate value is preserved.  The steps read the solution
     as integers y over one denominator t: zero, equal and opposite values
     of y are those of x = y / t.
+
+    Each stage reads each equation once: step 1 splits the equations into
+    the kept unit, differences and combined sums, noting opposite terms
+    as it adds them up; one loop applies the substitution of steps 2-4,
+    when there is one, and checks each equation's variable count and
+    weight; one loop writes the reduced equations.
     """
     k = system.k
-    units = system.unit_equations()
-    if not units:
-        raise AllHomogeneousError("no unit equation; the zero vector solves the system")
-    records: list[StepRecord] = []
-
-    # step 1: keep one unit equation, turn the others into differences
-    uvar, usign = units[0].var, units[0].sign
+    # step 1: keep the first unit equation, turn the others into
+    # differences; combine repeated variables of the sum equations, and
+    # record those with opposite terms, whose sums cancel (step 5)
+    uvar = usign = 0
     converted: list[tuple[int, int]] = []
     eqs: list[dict[int, int]] = []
-    for ue in units[1:]:
-        if ue.var == uvar:
-            if ue.sign != usign:
-                raise UnsolvableSystemError("system is unsolvable")
+    sums: list[dict[int, int]] = []
+    cancelled: list[SumEquation] = []
+    for eq in system.equations:
+        if isinstance(eq, UnitEquation):
+            if not uvar:
+                uvar, usign = eq.var, eq.sign
+            elif eq.var == uvar:
+                if eq.sign != usign:
+                    raise UnsolvableSystemError("system is unsolvable")
+            else:
+                eqs.append({eq.var: 1, uvar: -eq.sign * usign})
+                converted.append((eq.var, eq.sign))
             continue
-        eqs.append({ue.var: 1, uvar: -ue.sign * usign})
-        converted.append((ue.var, ue.sign))
+        # a variable's terms add up to less than their weight just when
+        # their signs differ, which the first term against the sign of the
+        # sum before it shows
+        d: dict[int, int] = {}
+        opposite = False
+        for c, v in eq.terms:
+            if v in d:
+                old = d[v]
+                if (old < 0) != (c < 0):
+                    opposite = True
+                d[v] = old + c
+            else:
+                d[v] = c
+        if opposite:
+            cancelled.append(eq)
+            d = {v: c for v, c in d.items() if c}
+            if not d:
+                continue
+        sums.append(d)
+    if not uvar:
+        raise AllHomogeneousError("no unit equation; the zero vector solves the system")
+    records: list[StepRecord] = []
     if converted:
         records.append(
             StepRecord(1, "converted unit equations on %s to differences with x%d"
                        % (sorted(v for v, _ in converted), uvar))
         )
-    for se in system.sum_equations():
-        d = se.combined()
-        if sum(abs(c) for c in d.values()) < se.weight():
-            records.append(StepRecord(5, "cancelled opposite terms in %s" % se.to_text()))
-        if d:
-            eqs.append(d)
+    for eq in cancelled:
+        records.append(StepRecord(5, "cancelled opposite terms in %s" % eq.to_text()))
+    eqs.extend(sums)
 
     # steps 2-4 collect one substitution `target`: a free (step 2) or
     # zero-valued (step 3) variable maps to None, one equal up to sign to
@@ -547,23 +588,35 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         records.append(StepRecord(4, "merged sign-equal variables: %s"
                                   % ["x%d=%+dx%d" % (j, s, i) for j, s, i in merges]))
     # apply it once, cancelling opposite terms as it goes (step 5); a kept
-    # variable is never a target
+    # variable is never a target.  A single-variable equation fails at
+    # once, an overweight one after every equation has been read.
+    kept: list[dict[int, int]] = []
+    overweight = False
     for d in eqs:
-        for v in [v for v in d if v in target]:
-            c = d.pop(v)
-            if target[v] is not None:
-                keep, sgn = target[v]
-                nc = d.get(keep, 0) + sgn * c
-                if nc:
-                    d[keep] = nc
-                else:
-                    del d[keep]
-    eqs = [d for d in eqs if d]
-    if any(len(d) == 1 for d in eqs):
-        raise ReductionError("single-variable homogeneous equation survived steps 2-4")
-    for d in eqs:
-        if sum(abs(c) for c in d.values()) > k + 1:
-            raise ReductionError("coefficient weight exceeded k+1 after merging")
+        if target:
+            for v in tuple(d):
+                if v in target:
+                    c = d.pop(v)
+                    if target[v] is not None:
+                        keep, sgn = target[v]
+                        nc = d.get(keep, 0) + sgn * c
+                        if nc:
+                            d[keep] = nc
+                        else:
+                            del d[keep]
+            if not d:
+                continue
+        if len(d) == 1:
+            raise ReductionError("single-variable homogeneous equation survived steps 2-4")
+        weight = 0
+        for c in d.values():
+            weight += abs(c)
+        if weight > k + 1:
+            overweight = True
+        kept.append(d)
+    if overweight:
+        raise ReductionError("coefficient weight exceeded k+1 after merging")
+    eqs = kept
     active = set(values)
 
     # select an independent equation set: unit row + n-1 homogeneous rows
@@ -593,8 +646,11 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         reduced_y[rename[v] - 1] = values[v]
     equations: list[Equation] = [UnitEquation(var=1, sign=1)]
     for d in selected:
-        terms = tuple(sorted(((c, rename[v]) for v, c in d.items()), key=lambda t: t[1]))
-        equations.append(SumEquation(terms=terms))
+        terms = []
+        for v, c in d.items():
+            terms.append((c, rename[v]))
+        terms.sort(key=_BY_VARIABLE)
+        equations.append(SumEquation(terms=tuple(terms)))
     reduced = System(k=k, nvars=n, equations=tuple(equations))
     trace = ReductionTrace(
         original_nvars=system.nvars,
@@ -653,8 +709,7 @@ def _check_reduced(reduced: System, trace: ReductionTrace) -> None:
         raise ReductionError("reduced solution does not satisfy the reduced system")
     if 0 in y:
         raise ReductionError("reduced solution has a zero coordinate")
-    absvals = [abs(v) for v in y]
-    if len(set(absvals)) != len(absvals):
+    if len(set(map(abs, y))) != len(y):
         raise ReductionError("reduced solution has coincident absolute values")
     first = reduced.equations[0]
     if not (isinstance(first, UnitEquation) and first.var == 1 and first.sign == 1):
@@ -662,9 +717,11 @@ def _check_reduced(reduced: System, trace: ReductionTrace) -> None:
     for eq in reduced.equations[1:]:
         if not isinstance(eq, SumEquation) or len(eq.terms) < 2:
             raise ReductionError("reduced homogeneous equation with fewer than 2 variables")
-        vars_ = [v for _, v in eq.terms]
-        if len(set(vars_)) != len(vars_):
-            raise ReductionError("duplicate variable in reduced equation")
+        seen = set()
+        for _, v in eq.terms:
+            if v in seen:
+                raise ReductionError("duplicate variable in reduced equation")
+            seen.add(v)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +766,19 @@ def assemble(system: System) -> Assembled:
     for eq in system.equations:
         if isinstance(eq, UnitEquation):
             continue
-        if len(eq.terms) == 2 and sorted(abs(c) for c, _ in eq.terms) == [1, k]:
-            (cb, b), (ca, a) = eq.terms if abs(eq.terms[0][0]) == k else eq.terms[::-1]
-            if a in links:
-                raise ChainIntersectionError("variable x%d heads two links" % a)
-            if b in tails:
-                raise ChainIntersectionError("variable x%d tails two links" % b)
-            links[a] = (b, ca if cb > 0 else -ca)
-            tails.add(b)
-        else:
-            residual.append(eq)
+        if len(eq.terms) == 2:
+            (cb, b), (ca, a) = eq.terms
+            if abs(cb) == 1:
+                (ca, a), (cb, b) = eq.terms
+            if abs(cb) == k and abs(ca) == 1:
+                if a in links:
+                    raise ChainIntersectionError("variable x%d heads two links" % a)
+                if b in tails:
+                    raise ChainIntersectionError("variable x%d tails two links" % b)
+                links[a] = (b, ca if cb > 0 else -ca)
+                tails.add(b)
+                continue
+        residual.append(eq)
     column_of: dict[int, int] = {}
     rows = [()]  # the unit row is written once x_1 has its column
     chain_cols, chain_rows = [], []

@@ -19,12 +19,20 @@ from relmag.matrices import (
 )
 from relmag.systems import (
     MAX_VARIABLES,
+    AllHomogeneousError,
     Equation,
     ParseError,
+    ReductionError,
+    ReductionTrace,
+    StepRecord,
     SumEquation,
     System,
+    SystemError_,
     UnitEquation,
+    UnsolvableSystemError,
     _overweight_message,
+    _select_equations,
+    _solve_with_free,
 )
 
 
@@ -522,3 +530,237 @@ def _reference_parse_equation(s: str, line_no: int, col_base: int) -> Equation:
         col = rcol if lcol is None else lcol
         raise ParseError("right-hand side must be 0, 1 or -1", line_no, col)
     raise ParseError("a right-hand side of +-1 needs a single term +-xI", line_no, col_base)
+
+
+# ---------------------------------------------------------------------------
+# System validation, the reduction and its solution checks as they were
+# before each of them read every equation in one plain loop, kept as the
+# reference that test_systems.TestReductionOracle compares them with
+
+
+def unit_equations(system: System) -> list[UnitEquation]:
+    return [e for e in system.equations if isinstance(e, UnitEquation)]
+
+
+def sum_equations(system: System) -> list[SumEquation]:
+    return [e for e in system.equations if isinstance(e, SumEquation)]
+
+
+def combined(eq: SumEquation) -> dict[int, int]:
+    """The terms of eq with each variable's coefficients added up, those
+    that add up to zero left out."""
+    d: dict[int, int] = {}
+    for c, v in eq.terms:
+        d[v] = d.get(v, 0) + c
+    return {v: c for v, c in d.items() if c != 0}
+
+
+def reference_validate(k: int, nvars: int, equations) -> None:
+    """The checks of System.__post_init__, kept verbatim on the fields of a
+    System, which they raise SystemError_ on."""
+    if k < 2:
+        raise SystemError_("k must be >= 2, got %d" % k)
+    if nvars < 1:
+        raise SystemError_("system needs at least one variable")
+    if nvars > MAX_VARIABLES:
+        raise SystemError_(
+            "system has %d variables, limit is %d" % (nvars, MAX_VARIABLES)
+        )
+    for eq in equations:
+        if isinstance(eq, UnitEquation):
+            if eq.sign not in (1, -1):
+                raise SystemError_("unit equation sign must be +-1")
+            if not 1 <= eq.var <= nvars:
+                raise SystemError_("variable x%d out of range" % eq.var)
+        else:
+            if not eq.terms:
+                raise SystemError_("empty homogeneous equation")
+            for c, v in eq.terms:
+                if c == 0:
+                    raise SystemError_("zero coefficient")
+                if not 1 <= v <= nvars:
+                    raise SystemError_("variable x%d out of range" % v)
+            if eq.weight() > k + 1:
+                raise SystemError_(_overweight_message(eq, k))
+
+
+def reference_check_solution(system: System, x, den: int = 1) -> bool:
+    """Exact check of the candidate solution x / den (1-based values in x).
+
+    Every equation but the unit ones is homogeneous, so only a unit
+    equation reads den: it holds when x_var = sign * den.
+    """
+    for eq in system.equations:
+        if isinstance(eq, UnitEquation):
+            if x[eq.var - 1] != eq.sign * den:
+                return False
+        else:
+            if sum(c * x[v - 1] for c, v in eq.terms) != 0:
+                return False
+    return True
+
+
+def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
+    """systems.reduce_system as it was, verbatim but for the helpers
+    above: reduce to an equivalent square system with unique nonzero
+    solution.
+
+    Steps: fold extra unit equations into differences; zero out free
+    variables; drop zero-valued variables; merge variables equal up to
+    sign; cancel opposite terms; keep an independent equation set; absorb
+    the unit sign.  The reduced system has first equation x_1 = 1, every
+    solution coordinate nonzero, pairwise distinct absolute values, and
+    every homogeneous equation with at least two variables.  The maximum
+    absolute coordinate value is preserved.  The steps read the solution
+    as integers y over one denominator t: zero, equal and opposite values
+    of y are those of x = y / t.
+    """
+    k = system.k
+    units = unit_equations(system)
+    if not units:
+        raise AllHomogeneousError("no unit equation; the zero vector solves the system")
+    records: list[StepRecord] = []
+
+    # step 1: keep one unit equation, turn the others into differences
+    uvar, usign = units[0].var, units[0].sign
+    converted: list[tuple[int, int]] = []
+    eqs: list[dict[int, int]] = []
+    for ue in units[1:]:
+        if ue.var == uvar:
+            if ue.sign != usign:
+                raise UnsolvableSystemError("system is unsolvable")
+            continue
+        eqs.append({ue.var: 1, uvar: -ue.sign * usign})
+        converted.append((ue.var, ue.sign))
+    if converted:
+        records.append(
+            StepRecord(1, "converted unit equations on %s to differences with x%d"
+                       % (sorted(v for v, _ in converted), uvar))
+        )
+    for se in sum_equations(system):
+        d = combined(se)
+        if sum(abs(c) for c in d.values()) < se.weight():
+            records.append(StepRecord(5, "cancelled opposite terms in %s" % se.to_text()))
+        if d:
+            eqs.append(d)
+
+    # steps 2-4 collect one substitution `target`: a free (step 2) or
+    # zero-valued (step 3) variable maps to None, one equal up to sign to
+    # a kept variable (step 4: keep the smallest index, preferring the unit
+    # variable) to (kept, sign)
+    values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
+    zeroed_free = tuple(free)
+    target: dict[int, tuple[int, int] | None] = dict.fromkeys(zeroed_free)
+    if zeroed_free:
+        records.append(StepRecord(2, "fixed free variables %s to zero" % list(zeroed_free)))
+    zeroed_solved = tuple(sorted(v for v in values if values[v] == 0))
+    for v in zeroed_solved:
+        target[v] = None
+        del values[v]
+    if zeroed_solved:
+        records.append(StepRecord(3, "removed zero-valued variables %s" % list(zeroed_solved)))
+    groups: dict[int, list[int]] = {}
+    for v in sorted(values):
+        groups.setdefault(abs(values[v]), []).append(v)
+    merges: list[tuple[int, int, int]] = []
+    for key in sorted(groups):
+        grp = groups[key]
+        keep = uvar if uvar in grp else grp[0]
+        for j in grp:
+            if j != keep:
+                sgn = 1 if values[j] == values[keep] else -1
+                merges.append((j, sgn, keep))
+                target[j] = (keep, sgn)
+    for j, _, _ in merges:
+        del values[j]
+    if merges:
+        records.append(StepRecord(4, "merged sign-equal variables: %s"
+                                  % ["x%d=%+dx%d" % (j, s, i) for j, s, i in merges]))
+    # apply it once, cancelling opposite terms as it goes (step 5); a kept
+    # variable is never a target
+    for d in eqs:
+        for v in [v for v in d if v in target]:
+            c = d.pop(v)
+            if target[v] is not None:
+                keep, sgn = target[v]
+                nc = d.get(keep, 0) + sgn * c
+                if nc:
+                    d[keep] = nc
+                else:
+                    del d[keep]
+    eqs = [d for d in eqs if d]
+    if any(len(d) == 1 for d in eqs):
+        raise ReductionError("single-variable homogeneous equation survived steps 2-4")
+    for d in eqs:
+        if sum(abs(c) for c in d.values()) > k + 1:
+            raise ReductionError("coefficient weight exceeded k+1 after merging")
+    active = set(values)
+
+    # select an independent equation set: unit row + n-1 homogeneous rows
+    n = len(active)
+    selected = _select_equations(uvar, eqs, active)
+    dropped = len(eqs) - len(selected)
+    if len(selected) != n - 1:
+        raise ReductionError("could not select %d independent equations" % (n - 1))
+    if dropped:
+        records.append(StepRecord(2, "dropped %d dependent equations" % dropped))
+    # step 6 (sign absorption): make the unit equation x = +1
+    flipped = usign == -1
+    if flipped:
+        for d in selected:
+            if uvar in d:
+                d[uvar] = -d[uvar]
+        values[uvar] = den
+        records.append(StepRecord(6, "replaced x%d by -x%d to absorb the unit sign" % (uvar, uvar)))
+
+    # final rename: unit variable first, the rest ascending
+    others = sorted(v for v in active if v != uvar)
+    rename = {uvar: 1}
+    for i, v in enumerate(others, start=2):
+        rename[v] = i
+    reduced_y = [0] * n
+    for v in active:
+        reduced_y[rename[v] - 1] = values[v]
+    equations: list[Equation] = [UnitEquation(var=1, sign=1)]
+    for d in selected:
+        terms = tuple(sorted(((c, rename[v]) for v, c in d.items()), key=lambda t: t[1]))
+        equations.append(SumEquation(terms=terms))
+    reduced = System(k=k, nvars=n, equations=tuple(equations))
+    trace = ReductionTrace(
+        original_nvars=system.nvars,
+        kept_unit=(uvar, usign),
+        converted_units=tuple(converted),
+        zeroed_free=zeroed_free,
+        zeroed_solved=zeroed_solved,
+        merges=tuple(merges),
+        dropped_dependent=dropped,
+        unit_sign_flipped=flipped,
+        rename=rename,
+        reduced_y=tuple(reduced_y),
+        den=den,
+        reduced_solution=tuple(Fraction(v, den) for v in reduced_y),
+        records=tuple(records),
+    )
+    reference_check_reduced(reduced, trace)
+    return reduced, trace
+
+
+def reference_check_reduced(reduced: System, trace: ReductionTrace) -> None:
+    """Machine-check the reduced-system postconditions."""
+    y = trace.reduced_y
+    if not reference_check_solution(reduced, y, trace.den):
+        raise ReductionError("reduced solution does not satisfy the reduced system")
+    if 0 in y:
+        raise ReductionError("reduced solution has a zero coordinate")
+    absvals = [abs(v) for v in y]
+    if len(set(absvals)) != len(absvals):
+        raise ReductionError("reduced solution has coincident absolute values")
+    first = reduced.equations[0]
+    if not (isinstance(first, UnitEquation) and first.var == 1 and first.sign == 1):
+        raise ReductionError("reduced system does not start with x1 = 1")
+    for eq in reduced.equations[1:]:
+        if not isinstance(eq, SumEquation) or len(eq.terms) < 2:
+            raise ReductionError("reduced homogeneous equation with fewer than 2 variables")
+        vars_ = [v for _, v in eq.terms]
+        if len(set(vars_)) != len(vars_):
+            raise ReductionError("duplicate variable in reduced equation")

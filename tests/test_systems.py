@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relmag.detbounds
@@ -15,12 +15,19 @@ import relmag.matrices
 import relmag.systems
 from conftest import (
     as_fractions,
+    combined,
     corrupt_cramer_check,
     dense_rows,
     gauss_jordan_solve,
     random_system,
+    reference_check_reduced,
+    reference_check_solution,
     reference_parse_system,
+    reference_reduce_system,
+    reference_validate,
     replace_column,
+    sum_equations,
+    unit_equations,
 )
 from test_detbounds import MULTI_CHAIN
 from relmag.generators import extremal_dsl, extremal_matrix, extremal_system
@@ -33,6 +40,7 @@ from relmag.systems import (
     ChainIntersectionError,
     ParseError,
     ReductionError,
+    ReductionTrace,
     SumEquation,
     System,
     SystemError_,
@@ -89,7 +97,7 @@ class TestParser:
 
     def test_repeated_unit_terms(self):
         s = parse_system("k=2; x1 + x1 - x2 = 0")
-        assert s.equations[0].combined() == {1: 2, 2: -1}
+        assert combined(s.equations[0]) == {1: 2, 2: -1}
 
     def test_comments_and_blank_lines(self):
         s = parse_system("# header\nk=2\n\nx1=1  # unit\n")
@@ -161,8 +169,8 @@ class TestParser:
     def test_round_trip_property(self, s):
         again = parse_system(s.to_text())
         assert again.k == s.k and again.equations == s.equations
-        used = [e.var for e in s.unit_equations()]
-        used += [v for e in s.sum_equations() for _, v in e.terms]
+        used = [e.var for e in unit_equations(s)]
+        used += [v for e in sum_equations(s) for _, v in e.terms]
         assert again.nvars == max(used)
 
 
@@ -542,6 +550,205 @@ class TestReduction:
         assert check_solution(s, trace.reconstruct())
 
 
+@st.composite
+def _reducible_systems(draw):
+    """A valid System that takes every step of the reduction: extra and
+    opposite unit equations, equations k x_a = +-x_b and x_a = +-x_b that
+    make zero-valued and merged variables, sums with repeated and
+    cancelling terms, repeats of earlier sums, which are dependent, and
+    variables no equation reads, which are free.  The first unit equation,
+    the kept one, is negative about half of the time; about one system in
+    ten has none."""
+    k = draw(st.integers(2, 4))
+    nvars = draw(st.integers(1, 7))
+    var = st.integers(1, nvars)
+    sign = st.sampled_from([1, -1])
+    equations = []
+    if draw(st.integers(0, 9)):
+        equations.append(UnitEquation(var=draw(var), sign=draw(sign)))
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["unit", "pair", "pair", "sum", "cancel", "repeat"]))
+        if kind == "unit":
+            equations.append(UnitEquation(var=draw(var), sign=draw(sign)))
+        elif kind == "pair":
+            c = draw(st.sampled_from([1, k])) * draw(sign)
+            equations.append(SumEquation(terms=((c, draw(var)), (draw(sign), draw(var)))))
+        elif kind == "repeat":
+            sums = [eq for eq in equations if isinstance(eq, SumEquation)]
+            if sums:
+                equations.append(draw(st.sampled_from(sums)))
+        else:
+            budget, terms = k + 1, []
+            if kind == "cancel":
+                c, v = draw(st.integers(1, (k + 1) // 2)), draw(var)
+                terms += [(c, v), (-c, v)]
+                budget -= 2 * c
+            while budget and (not terms or draw(st.booleans())):
+                c = draw(st.integers(1, budget))
+                terms.append((draw(st.sampled_from([c, -c])), draw(var)))
+                budget -= c
+            equations.append(SumEquation(terms=tuple(draw(st.permutations(terms)))))
+    if not equations:
+        equations.append(UnitEquation(var=draw(var), sign=draw(sign)))
+    return System(k=k, nvars=nvars, equations=tuple(draw(st.permutations(equations))))
+
+
+def _result(fn, *args):
+    """What fn returns, or the type and message of the SystemError_ it
+    raises."""
+    try:
+        return fn(*args)
+    except SystemError_ as exc:
+        return type(exc), str(exc)
+
+
+# The kinds of StepRecord a reduction writes, told apart by the first word
+# of the detail after the step number: step 2 both fixes free variables and
+# drops dependent equations.
+_RECORD_KINDS = {(1, "converted"), (2, "fixed"), (2, "dropped"), (3, "removed"),
+                 (4, "merged"), (5, "cancelled"), (6, "replaced")}
+# A system whose reduction writes every kind: the negative kept unit x2 = -1,
+# an extra unit equation, cancelling terms, the free x3 and x6, the
+# zero-valued x5 and x7, the merge of x4 into x2 and a dependent equation.
+# The CI's reduction smoke step solves it too.
+_EVERY_STEP = "k=3\nx2=-1\nx4=-1\n3x2-x1=0\nx1-3x2=0\nx1-x1+x3-x3=0\nx5+x6=0\nx2-x4=0\nx7+x2-x4=0\n"
+
+
+class TestReductionOracle:
+    """reduce_system, the System checks and the solution checks against
+    their references in conftest, as they were before each of them read
+    every equation in one plain loop."""
+
+    def test_reduction_matches_reference(self):
+        kinds, outcomes = set(), set()
+
+        @given(_reducible_systems())
+        @example(parse_system(_EVERY_STEP))
+        @example(parse_system("x1=1; x1=-1"))
+        @example(parse_system("x1+x2=0"))
+        @settings(max_examples=400, deadline=None)
+        def same(s):
+            expected = _result(reference_reduce_system, s)
+            assert _result(reduce_system, s) == expected, s.to_text()
+            if isinstance(expected[0], type):
+                outcomes.add(expected[0])
+            else:
+                outcomes.add(System)
+                kinds.update((r.step, r.detail.split()[0]) for r in expected[1].records)
+
+        same()
+        assert kinds == _RECORD_KINDS
+        assert outcomes == {System, UnsolvableSystemError, AllHomogeneousError}
+
+    @pytest.mark.parametrize("text", [
+        "x1=1; x2-x2=0", "x2-x2+x1=0", "x1=1; x2=1; x2=-1", "x1=1; x1=1; x1=-1",
+        "k=3; x1=1; x2+x2-x2-x2=0", "k=3; x1=1; x2-x2+x2-x1=0",
+    ])
+    def test_written_reductions(self, text):
+        s = parse_system(text)
+        assert _result(reduce_system, s) == _result(reference_reduce_system, s)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_validation_matches_reference(self, data):
+        """System raises what the checks of System.__post_init__ raised, on
+        fields that break them one at a time or several at once."""
+        k = data.draw(st.sampled_from([1, 2, 2, 3, 3]))
+        nvars = data.draw(st.sampled_from([0, MAX_VARIABLES + 1, 4, 4, 4, 4, 4]))
+        var = st.integers(0, 5)
+        coeff = st.sampled_from([0, 1, -1, 1, -1, 2, -2])
+        equations = tuple(data.draw(st.lists(
+            st.builds(UnitEquation, var=var, sign=st.sampled_from([0, 2, 1, -1, 1, -1]))
+            | st.builds(SumEquation, terms=st.lists(st.tuples(coeff, var), max_size=4).map(tuple)),
+            max_size=4)))
+        expected = _result(reference_validate, k, nvars, equations)
+        got = _result(System, k, nvars, equations)
+        if expected is None:
+            assert got == System(k=k, nvars=nvars, equations=equations)
+        else:
+            assert got == expected and expected[0] is SystemError_
+
+    @given(_reducible_systems(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_solution_check_matches_reference(self, s, data):
+        """check_solution agrees with its reference on integer candidates
+        over a denominator, and both accept the reconstructed solution."""
+        x = data.draw(st.lists(st.integers(-2, 2), min_size=s.nvars, max_size=s.nvars))
+        den = data.draw(st.integers(1, 2))
+        assert check_solution(s, x, den) == reference_check_solution(s, x, den)
+        try:
+            _, trace = reduce_system(s)
+        except (AllHomogeneousError, UnsolvableSystemError):
+            return
+        full = trace.reconstruct()
+        assert check_solution(s, full) is reference_check_solution(s, full) is True
+
+    def test_reduced_checks_match_reference(self):
+        """_check_reduced raises what its reference raises, each of its
+        errors included, on reduced systems and solutions that break its
+        postconditions one at a time or several at once."""
+        messages = set()
+
+        @given(_checked_reductions())
+        @settings(max_examples=400, deadline=None)
+        def same(pair):
+            reduced, trace = pair
+            y, t = trace.reduced_y, trace.den
+            assert check_solution(reduced, y, t) == reference_check_solution(reduced, y, t)
+            expected = _result(reference_check_reduced, reduced, trace)
+            assert _result(relmag.systems._check_reduced, reduced, trace) == expected
+            messages.add(expected and expected[1])
+
+        same()
+        assert messages == {None, "reduced solution does not satisfy the reduced system",
+                            "reduced solution has a zero coordinate",
+                            "reduced solution has coincident absolute values",
+                            "reduced system does not start with x1 = 1",
+                            "reduced homogeneous equation with fewer than 2 variables",
+                            "duplicate variable in reduced equation"}
+
+
+@st.composite
+def _checked_reductions(draw):
+    """A reduced system and a trace whose solution y / den is drawn with
+    zero and coincident coordinates.  The first equation is most often
+    x1 = 1, and y_1 = den so that it holds; the others are mostly sums
+    that y solves, written as y_b x_a - y_a x_b with a repeated variable
+    at times, or single terms and unit equations, which break the shape
+    of a reduced system."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.integers(1, 2))
+    y = draw(st.lists(st.sampled_from([-3, -2, -1, 0, 1, 2, 3]), min_size=n, max_size=n))
+    var = st.integers(1, n)
+    sign = st.sampled_from([1, -1])
+    first = UnitEquation(var=1, sign=1)
+    if not draw(st.integers(0, 3)):
+        first = UnitEquation(var=draw(var), sign=draw(sign))
+    if draw(st.integers(0, 7)):
+        y[first.var - 1] = first.sign * den
+    equations = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(var), draw(var)
+        kind = draw(st.sampled_from(["sum", "sum", "repeat", "single", "unit"]))
+        if kind == "unit":  # one that holds when |y_a| = den, as y_1 often is
+            a = draw(st.sampled_from([1, a]))
+            equations.append(UnitEquation(var=a, sign=1 if y[a - 1] >= 0 else -1))
+            continue
+        terms = [(y[b - 1], a), (-y[a - 1], b)]
+        if kind == "repeat":
+            terms += [(1, a), (-1, a)]
+        terms = [(c, v) for c, v in terms if c]
+        if kind == "single" or not terms:
+            terms = [(draw(st.sampled_from([1, -1])), a)]
+        equations.append(SumEquation(terms=tuple(terms)))
+    trace = ReductionTrace(
+        original_nvars=n, kept_unit=(1, 1), converted_units=(), zeroed_free=(),
+        zeroed_solved=(), merges=(), dropped_dependent=0, unit_sign_flipped=False,
+        rename={v: v for v in range(1, n + 1)}, reduced_y=tuple(y), den=den,
+        reduced_solution=as_fractions(y, den), records=())
+    return System(k=7, nvars=n, equations=tuple(equations)), trace
+
+
 def _reduce(system, select=None):
     """reduce_system(system), with the equation selection replaced by
     select when one is given: its result, or its error's type and message."""
@@ -549,9 +756,7 @@ def _reduce(system, select=None):
     if select is not None:
         relmag.systems._select_equations = select
     try:
-        return reduce_system(system)
-    except SystemError_ as exc:
-        return type(exc), str(exc)
+        return _result(reduce_system, system)
     finally:
         relmag.systems._select_equations = real
 
@@ -814,6 +1019,21 @@ class TestSolveAndCertify:
             rep = solve_and_certify(repeated)
             assert rep.n == n and rep.certification.all_ok
             assert rep.trace.dropped_dependent == 1 and len(calls) == 4, (n, calls)
+
+    def test_valid_systems_never_sum_a_weight(self, monkeypatch):
+        """System validation and the reduction sum each equation's weight in
+        the loop that reads its terms: with SumEquation.weight failing, the
+        longest extremal chain, the multi-chain system and a system with
+        cancelling terms such as x1-x1 still build, solve and certify."""
+        def fail(self):
+            raise AssertionError("SumEquation.weight called on a valid system")
+
+        monkeypatch.setattr(SumEquation, "weight", fail)
+        for system in (extremal_system(2, 512), parse_system(MULTI_CHAIN),
+                       parse_system(_EVERY_STEP), parse_system("k=4; x1=1; x2-x2+2x1-x3=0")):
+            rep = solve_and_certify(system)
+            assert rep.bound_ok and rep.certification.all_ok
+        assert rep.solution == (1, 0, 2) and rep.trace.records[0].step == 5
 
     @pytest.mark.parametrize("kind", ["numerator", "det_a"])
     def test_cramer_disagreement_raises(self, monkeypatch, kind):
