@@ -6,21 +6,21 @@ results are always exact.  There is one fraction-free (Bareiss)
 elimination, ``_sparse_echelon``, on {column: value} rows that hold only
 the nonzeros, and one integer back substitution, ``_back_substitute``.
 ``rank``, ``determinant`` and ``nullspace_basis`` run them on the rows of
-an IntegerMatrix; ``_solve_augmented`` solves A.x = b for the reduction
-and the assembled-system solve, and returns the solution as integers y
-over one common denominator t, x = y / t, the form of Cramer's rule, so
-its callers never build a Fraction per coordinate;
-``_signed_maximal_minors`` takes every Cramer numerator of a square
-system whose first row is a unit row from one elimination, the check the
-assembled-system solve runs on small systems.  The circuit walk
-(relmag.circuits) starts from ``nullspace_basis``, then takes its own
-copy-on-write form of the Bareiss step on dense rows per column it adds
-to an independent set.  Rows are scaled lazily and a row with a zero in
-the pivot column is not touched, yet the pivot rows, the rank, the sign
-and so every result equal dense Bareiss elimination's; a chain system,
-nearly all zeros, is solved with O(n) row writes instead of O(n^2).  A
-zero-skipping cofactor expansion is kept as an independent route for the
-chain-block determinant identities.
+an IntegerMatrix; ``_solve_augmented`` solves A.x = b for the reduction,
+and returns the solution as integers y over one common denominator t,
+x = y / t, the form of Cramer's rule, so its callers never build a
+Fraction per coordinate; ``_signed_maximal_minors`` takes every Cramer
+numerator of a square system whose first row is a unit row from one
+elimination, the cross-check that the check of an assembled system's
+solution runs on small systems.  The circuit walk (relmag.circuits)
+starts from ``nullspace_basis``, then takes its own copy-on-write form
+of the Bareiss step on dense rows per column it adds to an independent
+set.  Rows are scaled lazily and a row with a zero in the pivot column
+is not touched, yet the pivot rows, the rank, the sign and so every
+result equal dense Bareiss elimination's; a chain system, nearly all
+zeros, is solved with O(n) row writes instead of O(n^2).  A zero-skipping
+cofactor expansion is kept as an independent route for the chain-block
+determinant identities.
 """
 
 from __future__ import annotations
@@ -212,13 +212,12 @@ def _solve_augmented(rows: list[dict[int, int]], n: int):
     A has columns 0..n-1 and b is column n.  One fraction-free elimination
     (_sparse_echelon).  Returns None when the right-hand side column has a
     pivot (b is not in the column space of A).  Otherwise returns (pivots,
-    y, t, sign): the pivot columns of A; the solution with every free
+    y, t): the pivot columns of A and the solution with every free
     variable zero as integers y over one common denominator t, x = y / t,
     in canonical form (t > 0 and gcd(t, y_1, ..., y_n) = 1, so equal
-    solutions give equal (y, t)); and the sign of the row permutation: for
-    square nonsingular A, det A = sign * rows[n - 1][n - 1] after the call.
+    solutions give equal (y, t)).
     """
-    pivots, sign = _sparse_echelon(rows, n + 1)
+    pivots, _ = _sparse_echelon(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
     # [A | b] . (y, -t) = 0 gives A . (y / t) = b
@@ -228,7 +227,7 @@ def _solve_augmented(rows: list[dict[int, int]], n: int):
     if y[n] > 0:
         g = -g
     t = -y.pop() // g
-    return pivots, [v // g for v in y], t, sign
+    return pivots, [v // g for v in y], t
 
 
 def _signed_maximal_minors(rows: list[dict[int, int]], n: int) -> list[int]:

@@ -16,9 +16,9 @@ once, in a plain loop over its terms.
 By Cramer's rule every solution is an integer vector over one common
 denominator, so the reduction, the solve, the solution checks and the
 bound test carry it as integers y and a denominator t > 0 with
-gcd(t, y) = 1, x = y / t.  Fractions are built once, at the end, for the
-public fields that hold them: ``ReductionTrace.reduced_solution``,
-``reconstruct()`` and the ``SolveReport`` solution and maximum.
+gcd(t, y) = 1, x = y / t.  The reduction finds the solution once; the
+assembled matrix checks it and gives det A, and Fractions are built once,
+at the end, for the ``SolveReport`` solution and maximum.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ class ReductionTrace:
     """Auditable record of the reduction; supports exact reconstruction.
 
     The reduced solution is kept as integers reduced_y over the common
-    denominator den, and as the Fractions reduced_y / den.
+    denominator den, x = reduced_y / den.
     """
 
     original_nvars: int
@@ -418,27 +418,20 @@ class ReductionTrace:
     rename: dict[int, int]  # surviving original variable -> reduced index
     reduced_y: tuple[int, ...]
     den: int
-    reduced_solution: tuple[Fraction, ...]
     records: tuple[StepRecord, ...]
 
-    def reconstruct(self) -> tuple[Fraction, ...]:
-        """Map the reduced solution back to a full original solution."""
-        return self._expand(self.reduced_solution, Fraction(0))
-
-    def _expand(self, reduced, zero) -> tuple:
-        """Map a reduced vector (reduced_y or reduced_solution) to the
-        original variables, with zero at the zeroed ones."""
-        inverse = {new: old for old, new in self.rename.items()}
-        vals = {}
-        for idx, val in enumerate(reduced, start=1):
-            vals[inverse[idx]] = val
+    def _expand(self) -> tuple[int, ...]:
+        """reduced_y mapped back to the original variables, a full original
+        solution over the same denominator den, 0 at the zeroed ones."""
+        y = self.reduced_y
+        vals = {old: y[new - 1] for old, new in self.rename.items()}
         if self.unit_sign_flipped:
             u = self.kept_unit[0]
             vals[u] = -vals[u]
         for j, sgn, keep in reversed(self.merges):
             vals[j] = sgn * vals[keep]
         for v in self.zeroed_solved + self.zeroed_free:
-            vals[v] = zero
+            vals[v] = 0
         return tuple(vals[i] for i in range(1, self.original_nvars + 1))
 
 
@@ -479,7 +472,7 @@ def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: in
     solved = _solve_augmented(rows, nvars + 1)
     if solved is None:
         raise UnsolvableSystemError("system is unsolvable")
-    pivots, y, t, _ = solved
+    pivots, y, t = solved
     pivot_set = set(pivots)
     free = [v for v in range(1, nvars + 1) if v not in pivot_set]
     return {v: y[v] for v in pivots}, t, free
@@ -664,7 +657,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         rename=rename,
         reduced_y=tuple(reduced_y),
         den=den,
-        reduced_solution=tuple(Fraction(v, den) for v in reduced_y),
         records=tuple(records),
     )
     _check_reduced(reduced, trace)
@@ -814,41 +806,48 @@ def assemble(system: System) -> Assembled:
 _CRAMER_CROSSCHECK_LIMIT = 10
 
 
-def solve_assembled(asm: Assembled):
-    """Solve A x = e_1 exactly; returns (y, t, det A, per-column det A_i).
+def solve_assembled(asm: Assembled, reduced_y, den: int):
+    """Check the reduction's solution of A x = e_1; returns (y, t, det A,
+    per-column det A_i).
 
-    One fraction-free elimination of [A | e_1] gives both the solution, as
-    integers y over the common denominator t in canonical form (x = y / t,
-    see matrices._solve_augmented), and det A.  det A_i, the Cramer
-    numerator (column i replaced by e_1), is y_i det A / t, which t must
-    divide.  For small systems Cramer's rule is checked on its own route:
-    the first row of A is the unit row e_u, so every det A_i is a signed
-    maximal minor of the other rows, all taken from one more elimination
+    The solution reduced_y / den, put in column order as y over t = den,
+    must satisfy A y = t e_1: one dot product per row, on the (column,
+    value) pairs of Assembled.rows, checks what a second solve would find
+    again.  One fraction-free elimination of A (_sparse_echelon) proves A
+    nonsingular and gives det A.  det A_i, the Cramer numerator (column i
+    replaced by e_1), is y_i det A / t, which t must divide.  For small
+    systems Cramer's rule is checked on its own route: the first row of A
+    is the unit row e_u, so every det A_i is a signed maximal minor of the
+    other rows, all taken from one more elimination
     (matrices._signed_maximal_minors), and det A is det A_u.  Both
-    eliminations run on {column: value} rows made from the (column, value)
-    pairs of Assembled.rows.
+    eliminations run on {column: value} rows made from the pairs.
     """
     n = asm.n
     rows = [dict(pairs) for pairs in asm.rows]
-    # the elimination works in place: copy rows 2..n first
-    rest = [row.copy() for row in rows[1:]] if n <= _CRAMER_CROSSCHECK_LIMIT else None
-    rows[0][n] = 1  # the right-hand side e_1
-    solved = _solve_augmented(rows, n)
-    if solved is None or len(solved[0]) < n:
+    pivots, sign = _sparse_echelon(rows, n)
+    if len(pivots) < n:
         raise ReductionError("assembled matrix is singular")
-    _, y, t, sign = solved
     det_a = sign * rows[n - 1][n - 1]
+    y = [0] * n
+    for v, yv in enumerate(reduced_y, start=1):
+        y[asm.column_of[v]] = yv
+    for i, pairs in enumerate(asm.rows):
+        total = 0
+        for c, a in pairs:
+            total += a * y[c]
+        if total != (den if i == 0 else 0):
+            raise ReductionError("assembled solution disagrees with the reduction")
     det_ai = []
     for yi in y:
-        num, rem = divmod(yi * det_a, t)
+        num, rem = divmod(yi * det_a, den)
         if rem:
             raise ReductionError("non-integer Cramer numerator")
         det_ai.append(num)
-    if rest is not None:
-        minors = _signed_maximal_minors(rest, n)
+    if n <= _CRAMER_CROSSCHECK_LIMIT:
+        minors = _signed_maximal_minors([dict(pairs) for pairs in asm.rows[1:]], n)
         if minors != det_ai or minors[asm.column_of[1]] != det_a:
             raise ReductionError("Cramer and elimination solutions disagree")
-    return tuple(y), t, det_a, tuple(det_ai)
+    return tuple(y), den, det_a, tuple(det_ai)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +864,6 @@ class SolveReport:
     sharp: bool
     bound_ok: bool
     solution: tuple[Fraction, ...]  # original variables, 1-based order
-    reduced_solution: tuple[Fraction, ...]
     trace: ReductionTrace | None
     certification: CertificationReport | None
     trivial: bool = False
@@ -909,7 +907,8 @@ class SolveReport:
 def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> SolveReport:
     """Solve a unit-coefficient system and certify the magnitude bound.
 
-    Reduces, assembles, solves exactly, reconstructs a solution of the
+    Reduces, which solves the system exactly, assembles and checks the
+    solution on the assembled matrix, maps it back to a solution of the
     original system, and checks |x_i| <= k^(n-1) with n the reduced size.
     With certify=True the full determinant certification chain
     x_i^2 <= det W_i <= k^(2(n-1)) is run per column.  Certification is
@@ -932,21 +931,14 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
             sharp=False,
             bound_ok=True,
             solution=zero,
-            reduced_solution=(),
             trace=None,
             certification=None,
             trivial=True,
         )
     asm = assemble(reduced)
-    y, t, det_a, det_ai = solve_assembled(asm)
+    y, t, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
     n = asm.n
-    # the assembled solution must equal the one tracked by the reduction;
-    # both are in canonical form, so their integers agree
-    if t != trace.den or any(
-        y[asm.column_of[v]] != yv for v, yv in enumerate(trace.reduced_y, start=1)
-    ):
-        raise ReductionError("assembled solution disagrees with the reduction")
-    original_y = trace._expand(trace.reduced_y, 0)
+    original_y = trace._expand()
     if not check_solution(system, original_y, t):
         raise ReductionError("reconstructed solution fails the original system")
     max_y = max(abs(v) for v in y)
@@ -971,8 +963,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         max_abs=max_abs,
         sharp=max_abs == bound,
         bound_ok=bound_ok,
-        solution=trace.reconstruct(),
-        reduced_solution=trace.reduced_solution,
+        solution=tuple(Fraction(v, t) for v in original_y),
         trace=trace,
         certification=certification,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -13,13 +14,18 @@ from relmag.circuits import Circuit
 from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
+    _back_substitute,
+    _signed_maximal_minors,
     _solve_augmented,
+    _sparse_echelon,
     determinant,
     nullspace_basis,
 )
 from relmag.systems import (
+    _CRAMER_CROSSCHECK_LIMIT,
     MAX_VARIABLES,
     AllHomogeneousError,
+    Assembled,
     Equation,
     ParseError,
     ReductionError,
@@ -241,7 +247,7 @@ def solve_square(a: IntegerMatrix, b) -> tuple[tuple[int, ...], int] | None:
     solved = _solve_augmented(rows, a.cols)
     if solved is None or len(solved[0]) < a.cols:
         return None
-    _, y, t, _ = solved
+    _, y, t = solved
     g = gcd(t * den, *y)
     return tuple(v // g for v in y), t * den // g
 
@@ -249,6 +255,74 @@ def solve_square(a: IntegerMatrix, b) -> tuple[tuple[int, ...], int] | None:
 def as_fractions(y, t) -> tuple[Fraction, ...]:
     """The rational vector y / t."""
     return tuple(Fraction(v, t) for v in y)
+
+
+def reduced_solution(trace: ReductionTrace) -> tuple[Fraction, ...]:
+    """The reduced solution reduced_y / den as Fractions."""
+    return as_fractions(trace.reduced_y, trace.den)
+
+
+def reconstruct(trace: ReductionTrace) -> tuple[Fraction, ...]:
+    """The reduced solution mapped back to a full original solution, over
+    Fractions: the route the package took before ReductionTrace._expand
+    read integers only."""
+    inverse = {new: old for old, new in trace.rename.items()}
+    vals = {}
+    for idx, val in enumerate(reduced_solution(trace), start=1):
+        vals[inverse[idx]] = val
+    if trace.unit_sign_flipped:
+        u = trace.kept_unit[0]
+        vals[u] = -vals[u]
+    for j, sgn, keep in reversed(trace.merges):
+        vals[j] = sgn * vals[keep]
+    for v in trace.zeroed_solved + trace.zeroed_free:
+        vals[v] = Fraction(0)
+    return tuple(vals[i] for i in range(1, trace.original_nvars + 1))
+
+
+def reference_solve_augmented(rows: list[dict[int, int]], n: int):
+    """matrices._solve_augmented as it was when it also returned the sign
+    of the row permutation: (pivots, y, t, sign), and for square
+    nonsingular A, det A = sign * rows[n - 1][n - 1] after the call."""
+    pivots, sign = _sparse_echelon(rows, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    # [A | b] . (y, -t) = 0 gives A . (y / t) = b
+    y = [0] * n + [-1]
+    _back_substitute(rows, pivots, y)
+    g = gcd(*y)
+    if y[n] > 0:
+        g = -g
+    t = -y.pop() // g
+    return pivots, [v // g for v in y], t, sign
+
+
+def reference_solve_assembled(asm: Assembled):
+    """systems.solve_assembled as it was before it checked the reduction's
+    solution: it solves A x = e_1 again, from one elimination of [A | e_1],
+    and returns (y, t, det A, per-column det A_i) with y / t in canonical
+    form, so the check and this solve must return the same integers."""
+    n = asm.n
+    rows = [dict(pairs) for pairs in asm.rows]
+    # the elimination works in place: copy rows 2..n first
+    rest = [row.copy() for row in rows[1:]] if n <= _CRAMER_CROSSCHECK_LIMIT else None
+    rows[0][n] = 1  # the right-hand side e_1
+    solved = reference_solve_augmented(rows, n)
+    if solved is None or len(solved[0]) < n:
+        raise ReductionError("assembled matrix is singular")
+    _, y, t, sign = solved
+    det_a = sign * rows[n - 1][n - 1]
+    det_ai = []
+    for yi in y:
+        num, rem = divmod(yi * det_a, t)
+        if rem:
+            raise ReductionError("non-integer Cramer numerator")
+        det_ai.append(num)
+    if rest is not None:
+        minors = _signed_maximal_minors(rest, n)
+        if minors != det_ai or minors[asm.column_of[1]] != det_a:
+            raise ReductionError("Cramer and elimination solutions disagree")
+    return tuple(y), t, det_a, tuple(det_ai)
 
 
 def gauss_jordan_solve(a, b) -> tuple[Fraction, ...] | None:
@@ -376,14 +450,13 @@ def corrupt_cramer_check(monkeypatch, kind: str) -> None:
     """Feed systems.solve_assembled's Cramer cross-check a wrong result.
 
     "numerator": the last signed maximal minor is off by one.
-    "det_a": once the system is assembled, its solve returns -y with the
-    opposite row permutation sign, so det A comes out negated while every
-    numerator det A_i = y_i det A / t stays right.  The minors then match
-    the numerators, but minor u, the true det A_u = det A, differs from
-    the negated det A.
+    "det_a": once the system is assembled, the elimination of A returns
+    the opposite row permutation sign, so det A comes out negated, and
+    with it every numerator det A_i = y_i det A / t.  The minors, from an
+    elimination of their own, then differ from the numerators.
     """
     real_minors = relmag.systems._signed_maximal_minors
-    real_solve = relmag.systems._solve_augmented
+    real_echelon = relmag.systems._sparse_echelon
     real_assemble = relmag.systems.assemble
 
     def minors(rows, n):
@@ -391,18 +464,38 @@ def corrupt_cramer_check(monkeypatch, kind: str) -> None:
         d[-1] += 1
         return d
 
-    def flipped_solve(rows, n):
-        pivots, y, t, sign = real_solve(rows, n)
-        return pivots, [-v for v in y], t, -sign
+    def flipped_echelon(rows, n):
+        pivots, sign = real_echelon(rows, n)
+        return pivots, -sign
 
     def assemble(system):
-        monkeypatch.setattr(relmag.systems, "_solve_augmented", flipped_solve)
+        monkeypatch.setattr(relmag.systems, "_sparse_echelon", flipped_echelon)
         return real_assemble(system)
 
     if kind == "numerator":
         monkeypatch.setattr(relmag.systems, "_signed_maximal_minors", minors)
     else:
         monkeypatch.setattr(relmag.systems, "assemble", assemble)
+
+
+def halving_dsl(n: int) -> str:
+    """The chain x_1 = 1, 2 x_(i+1) = x_i of n variables: x_i = 1 / 2^(i-1),
+    so the solution is y / t with t = 2^(n-1)."""
+    return "k=2; x1=1; " + "; ".join("2x%d-x%d=0" % (i + 1, i) for i in range(1, n))
+
+
+def corrupt_reduced_solution(monkeypatch, index: int) -> None:
+    """Make systems.reduce_system return a trace whose reduced_y[index] is
+    off by one, after the reduction's own checks have passed it."""
+    real = relmag.systems.reduce_system
+
+    def reduce_system(system):
+        reduced, trace = real(system)
+        y = list(trace.reduced_y)
+        y[index] += 1
+        return reduced, replace(trace, reduced_y=tuple(y))
+
+    monkeypatch.setattr(relmag.systems, "reduce_system", reduce_system)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +831,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
         rename=rename,
         reduced_y=tuple(reduced_y),
         den=den,
-        reduced_solution=tuple(Fraction(v, den) for v in reduced_y),
         records=tuple(records),
     )
     reference_check_reduced(reduced, trace)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
-from conftest import corrupt_cramer_check
+from conftest import corrupt_cramer_check, corrupt_reduced_solution, halving_dsl
 
 from relmag import circuits, cli, detbounds, generators
 from relmag.cli import main
@@ -223,6 +223,12 @@ class TestSolve:
         res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
         assert res.exit_code == 3
         assert "internal error: Cramer and elimination solutions disagree" in res.output
+
+    def test_assembled_solution_disagreement(self, tmp_path, monkeypatch):
+        corrupt_reduced_solution(monkeypatch, 11)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", halving_dsl(12)))
+        assert res.exit_code == 3
+        assert "internal error: assembled solution disagrees with the reduction" in res.output
 
     def test_bound_violated(self, tmp_path, monkeypatch):
         def broken(system, certify=True):

@@ -161,9 +161,9 @@ MULTI_CHAIN = "k=3; x1=1; 3x2=x1; 3x3=x2; 3x5=x4; 3x6=x5; x4-x1-x2-x3=0; x7-x1-x
 
 def _certify_args(system):
     """(asm, y, t, det A_i): the arguments certify_solution_bound takes."""
-    reduced, _ = reduce_system(system)
+    reduced, trace = reduce_system(system)
     asm = assemble(reduced)
-    y, t, _, det_ai = solve_assembled(asm)
+    y, t, _, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
     return asm, y, t, det_ai
 
 

@@ -311,7 +311,7 @@ class TestSparseKernel:
         asm = assemble(extremal_system(2, n))
         rows = [RecordingRow(pairs) for pairs in asm.rows]
         rows[0][n] = 1
-        pivots, y, t, _ = _solve_augmented(rows, n)
+        pivots, y, t = _solve_augmented(rows, n)
         assert len(pivots) == n and Fraction(y[n - 1], t) == 2 ** (n - 1)
         assert sum(row.writes() for row in rows) <= 8 * n
 
@@ -345,10 +345,11 @@ class TestSolvers:
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(m)]
             out = _solve_augmented(dict_rows(rows), n)
-            assert out == dense_solve_augmented([row[:] for row in rows]), rows
+            expected = dense_solve_augmented([row[:] for row in rows])
+            assert out == (expected and expected[:3]), rows
             if out is None:
                 continue
-            pivots, y, t, _ = out
+            pivots, y, t = out
             assert t > 0 and gcd(t, *y) == 1
             assert all(y[c] == 0 for c in range(n) if c not in pivots)
             assert all(sum(a * v for a, v in zip(row, y)) == row[n] * t for row in rows)

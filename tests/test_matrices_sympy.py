@@ -1,8 +1,8 @@
 """Differential tests of the elimination kernel against sympy.
 
-rank, determinant, nullspace_basis, _solve_augmented (the solver behind
-systems.solve_assembled and the reduction) and _signed_maximal_minors
-(its Cramer cross-check) all run on the one fraction-free elimination
+rank, determinant, nullspace_basis, _solve_augmented (the solver of the
+reduction) and _signed_maximal_minors (the Cramer cross-check of
+systems.solve_assembled) all run on the one fraction-free elimination
 over {column: value} rows in relmag.matrices and its one back
 substitution.  So does the brute force circuit oracle in conftest
 (through nullspace_basis), which is also where the circuit walk starts.

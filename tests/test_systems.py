@@ -17,13 +17,18 @@ from conftest import (
     as_fractions,
     combined,
     corrupt_cramer_check,
+    corrupt_reduced_solution,
     dense_rows,
     gauss_jordan_solve,
+    halving_dsl,
     random_system,
+    reconstruct,
+    reduced_solution,
     reference_check_reduced,
     reference_check_solution,
     reference_parse_system,
     reference_reduce_system,
+    reference_solve_assembled,
     reference_validate,
     replace_column,
     sum_equations,
@@ -446,12 +451,12 @@ class TestReduction:
         s = parse_system("k=2; x1=1; x2=1")
         reduced, trace = reduce_system(s)
         assert reduced.nvars == 1
-        assert trace.reconstruct() == (Fraction(1), Fraction(1))
+        assert reconstruct(trace) == (Fraction(1), Fraction(1))
 
     def test_free_variable_zeroed(self):
         s = parse_system("k=2\nx1=1\nx1+x1-x2=0\nx3-x3=0")
         reduced, trace = reduce_system(s)
-        x = trace.reconstruct()
+        x = reconstruct(trace)
         assert x == (1, 2, 0)
         assert check_solution(s, x)
 
@@ -460,15 +465,15 @@ class TestReduction:
         reduced, trace = reduce_system(s)
         assert trace.unit_sign_flipped
         assert reduced.equations[0] == UnitEquation(var=1, sign=1)
-        assert trace.reconstruct() == (-1, -3)
+        assert reconstruct(trace) == (-1, -3)
 
     def test_merge_preserves_max(self):
         s = parse_system("k=2; x1=1; 2x2-x1=0; 2x3-x1=0; 2x1-x4=0")
         reduced, trace = reduce_system(s)
-        x = trace.reconstruct()
+        x = reconstruct(trace)
         assert check_solution(s, x)
         assert x == (1, Fraction(1, 2), Fraction(1, 2), 2)
-        assert max(abs(v) for v in x) == max(abs(v) for v in trace.reduced_solution)
+        assert max(abs(v) for v in x) == max(abs(v) for v in reduced_solution(trace))
 
     def test_cancellation_record_follows_the_text(self):
         s = parse_system("k=10000001; x1=1; 5000000x2-5000000x2+x1-x3=0")
@@ -482,7 +487,7 @@ class TestReduction:
         reduced, trace = reduce_system(s)
         again, trace2 = reduce_system(reduced)
         assert again == reduced
-        assert trace2.reduced_solution == trace.reduced_solution
+        assert reduced_solution(trace2) == reduced_solution(trace)
 
     def test_unsolvable(self):
         for text in [
@@ -529,9 +534,9 @@ class TestReduction:
                 reduced, trace = reduce_system(s)
             except UnsolvableSystemError:
                 continue
-            x = trace.reconstruct()
+            x = reconstruct(trace)
             assert check_solution(s, x)
-            absvals = [abs(v) for v in trace.reduced_solution]
+            absvals = [abs(v) for v in reduced_solution(trace)]
             assert 0 not in absvals
             assert len(set(absvals)) == len(absvals)
             assert max(absvals, default=Fraction(1)) == max(
@@ -547,7 +552,7 @@ class TestReduction:
             _, trace = reduce_system(s)
         except (AllHomogeneousError, UnsolvableSystemError):
             return
-        assert check_solution(s, trace.reconstruct())
+        assert check_solution(s, reconstruct(trace))
 
 
 @st.composite
@@ -680,7 +685,7 @@ class TestReductionOracle:
             _, trace = reduce_system(s)
         except (AllHomogeneousError, UnsolvableSystemError):
             return
-        full = trace.reconstruct()
+        full = reconstruct(trace)
         assert check_solution(s, full) is reference_check_solution(s, full) is True
 
     def test_reduced_checks_match_reference(self):
@@ -744,8 +749,7 @@ def _checked_reductions(draw):
     trace = ReductionTrace(
         original_nvars=n, kept_unit=(1, 1), converted_units=(), zeroed_free=(),
         zeroed_solved=(), merges=(), dropped_dependent=0, unit_sign_flipped=False,
-        rename={v: v for v in range(1, n + 1)}, reduced_y=tuple(y), den=den,
-        reduced_solution=as_fractions(y, den), records=())
+        rename={v: v for v in range(1, n + 1)}, reduced_y=tuple(y), den=den, records=())
     return System(k=7, nvars=n, equations=tuple(equations)), trace
 
 
@@ -790,13 +794,14 @@ class TestSquareShortcut:
     @pytest.mark.parametrize("n", [3, 12])
     def test_singular_square_assembled_raises(self, n):
         """A singular square matrix is caught by the solve, also above the
-        size of the Cramer cross-check: row n - 1 repeats row n - 2."""
+        size of the Cramer cross-check: row n - 1 repeats row n - 2.  The
+        solution it is given, y_i = 2^(i-1) over t = 1, satisfies every row."""
         rows = [((0, 1),)] + [((i, 2), (i + 1, -1)) for i in range(n - 2)]
         rows.append(rows[-1])
         asm = Assembled(rows=tuple(rows), k=2, n=n, column_of={v: v - 1 for v in range(1, n + 1)},
                         chain_cols=(), chain_rows=(), type3_rows=tuple(range(1, n)))
         with pytest.raises(ReductionError, match="assembled matrix is singular"):
-            solve_assembled(asm)
+            solve_assembled(asm, tuple(2 ** i for i in range(n)), 1)
 
 
 def _sum(*terms):
@@ -891,11 +896,11 @@ class TestSolveAndCertify:
         done = 0
         while done < 200:
             try:
-                reduced, _ = reduce_system(random_system(rng))
+                reduced, trace = reduce_system(random_system(rng))
             except UnsolvableSystemError:
                 continue
             asm = assemble(reduced)
-            _, _, det_a, det_ai = solve_assembled(asm)
+            _, _, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
             a = IntegerMatrix(dense_rows(asm))
             e1 = [1] + [0] * (a.rows - 1)
             assert det_a == determinant(a)
@@ -922,11 +927,11 @@ class TestSolveAndCertify:
         done = with_denominator = 0
         while done < 500:
             try:
-                reduced, _ = reduce_system(random_system(rng))
+                reduced, trace = reduce_system(random_system(rng))
             except UnsolvableSystemError:
                 continue
             asm = assemble(reduced)
-            y, t, _, _ = solve_assembled(asm)
+            y, t, _, _ = solve_assembled(asm, trace.reduced_y, trace.den)
             expected = gauss_jordan_solve(dense_rows(asm), [1] + [0] * (asm.n - 1))
             assert as_fractions(y, t) == expected
             assert t == lcm(*(v.denominator for v in expected))
@@ -939,8 +944,8 @@ class TestSolveAndCertify:
         Fractions only for the report: at most 3n for n variables."""
         n = 64
         system = extremal_system(2, n)
-        reduced, _ = reduce_system(system)
-        y, t, det_a, det_ai = solve_assembled(assemble(reduced))
+        reduced, trace = reduce_system(system)
+        y, t, det_a, det_ai = solve_assembled(assemble(reduced), trace.reduced_y, trace.den)
         assert all(type(v) is int for v in (*y, t, det_a, *det_ai))
         built = []
 
@@ -996,29 +1001,106 @@ class TestSolveAndCertify:
 
     def test_eliminations_per_solve(self, monkeypatch):
         """One elimination in the reduction when the reduced system is
-        square, two when an equation is dependent; then one for the solve
-        and one for the Cramer cross-check, whatever the size."""
+        square, two when an equation is dependent; then one of A for det A
+        and, for n <= 10, one for the Cramer cross-check.  The solution is
+        found once, by the one back substitution of the reduction's solve;
+        the cross-check takes one more."""
         calls = []
+        back = []
         real_echelon = relmag.matrices._sparse_echelon
+        real_back = relmag.matrices._back_substitute
 
         def counted(rows, n):
             calls.append(len(rows))
             return real_echelon(rows, n)
 
+        def counted_back(rows, pivots, x):
+            back.append(len(x))
+            return real_back(rows, pivots, x)
+
         for module in (relmag.matrices, relmag.systems):
             monkeypatch.setattr(module, "_sparse_echelon", counted)
-        for n in (5, 10):
+        monkeypatch.setattr(relmag.matrices, "_back_substitute", counted_back)
+        for n in (5, 10, 12):
+            cross = n <= 10
             system = extremal_system(2, n)
             calls.clear()
+            back.clear()
             rep = solve_and_certify(system)
             assert rep.n == n and rep.certification.all_ok
-            assert rep.trace.dropped_dependent == 0 and len(calls) == 3, (n, calls)
+            assert rep.trace.dropped_dependent == 0 and len(calls) == 2 + cross, (n, calls)
+            assert len(back) == 1 + cross, (n, back)
             # the first chain equation once more
             repeated = replace(system, equations=system.equations + system.equations[1:2])
             calls.clear()
+            back.clear()
             rep = solve_and_certify(repeated)
             assert rep.n == n and rep.certification.all_ok
-            assert rep.trace.dropped_dependent == 1 and len(calls) == 4, (n, calls)
+            assert rep.trace.dropped_dependent == 1 and len(calls) == 3 + cross, (n, calls)
+            assert len(back) == 1 + cross, (n, back)
+
+    def test_matches_reference_solve(self):
+        """The check of the reduction's solution returns what the former
+        second solve of A x = e_1 returned: the same y, t, det A and
+        Cramer numerators.  The two chains of 64 and 12 variables are
+        above the cross-check size, and the second has t = 2^11."""
+        rng = random.Random(107)
+        systems = [extremal_system(2, 64), parse_system(MULTI_CHAIN), parse_system(halving_dsl(12))]
+        done = with_denominator = 0
+        while done < 200:
+            system = random_system(rng)
+            try:
+                reduce_system(system)
+            except UnsolvableSystemError:
+                continue
+            systems.append(system)
+            done += 1
+        for system in systems:
+            reduced, trace = reduce_system(system)
+            asm = assemble(reduced)
+            got = solve_assembled(asm, trace.reduced_y, trace.den)
+            assert got == reference_solve_assembled(asm), system.to_text()
+            with_denominator += trace.den > 1
+        assert with_denominator >= 50
+
+    def test_reduction_builds_no_fraction(self, monkeypatch):
+        """The reduction keeps its solution as integers over one
+        denominator only."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(relmag.systems, "Fraction", counted)
+        reduced, trace = reduce_system(extremal_system(2, 64))
+        assert reduced.nvars == 64 and built == []
+
+    def test_expand_once_per_solve(self, monkeypatch):
+        """One expansion of the reduced solution feeds both the check
+        against the original system and the reported solution."""
+        calls = []
+        real = ReductionTrace._expand
+
+        def counted(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(ReductionTrace, "_expand", counted)
+        for text in (_EVERY_STEP, MULTI_CHAIN, halving_dsl(12)):
+            calls.clear()
+            rep = solve_and_certify(parse_system(text))
+            assert calls == [rep.trace]
+            assert rep.solution == reconstruct(rep.trace)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_assembled_solution_disagreement_raises(self, monkeypatch, index):
+        """A reduced solution that passed the reduction's checks but is
+        wrong fails A y = t e_1, also above the Cramer cross-check size,
+        here on a chain whose solution has t = 2^11."""
+        corrupt_reduced_solution(monkeypatch, index)
+        with pytest.raises(ReductionError, match="assembled solution disagrees with the reduction"):
+            solve_and_certify(parse_system(halving_dsl(12)))
 
     def test_valid_systems_never_sum_a_weight(self, monkeypatch):
         """System validation and the reduction sum each equation's weight in
