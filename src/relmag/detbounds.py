@@ -357,8 +357,9 @@ def certify_solution_bound(asm, y, t: int, det_ai) -> CertificationReport:
 
     asm is an assembled square system (unit row first, chain blocks,
     residual rows), x = y / t its exact solution, as integers y over the
-    denominator t > 0, and det_ai the Cramer numerators det A_i = x_i
-    det A, all as returned by systems.solve_assembled.  x_i^2 <= det W_i
+    denominator t > 0 of the reduction, and det_ai the Cramer numerators
+    det A_i = x_i det A; y and det_ai are as returned by
+    systems.solve_assembled.  x_i^2 <= det W_i
     is tested as y_i^2 <= det W_i t^2.  U_i is A without its first row
     and column i, and W_i = U_i U_i^T = G - c_i c_i^T, with G = A' A'^T,
     A' the rows 2..n of A and c_i column i of A'.  No matrix is eliminated:

@@ -11,8 +11,8 @@ and returns the solution as integers y over one common denominator t,
 x = y / t, the form of Cramer's rule, so its callers never build a
 Fraction per coordinate; ``_signed_maximal_minors`` takes every Cramer
 numerator of a square system whose first row is a unit row from one
-elimination, the cross-check that the check of an assembled system's
-solution runs on small systems.  The circuit walk (relmag.circuits)
+elimination, the route by which an assembled system gets det A and the
+numerators that check its solution.  The circuit walk (relmag.circuits)
 starts from ``nullspace_basis``, then takes its own copy-on-write form
 of the Bareiss step on dense rows per column it adds to an independent
 set.  Rows are scaled lazily and a row with a zero in the pivot column
@@ -236,7 +236,9 @@ def _signed_maximal_minors(rows: list[dict[int, int]], n: int) -> list[int]:
     B_-i is B without column i (0-based).  If A is a square matrix whose
     first row is a unit row and whose other rows are B, A_i (column i
     replaced by e_1) has one nonzero in column i, the 1 in its first row,
-    so the Cramer numerator det A_i is d_i.  d is a null vector of B, so one
+    so the Cramer numerator det A_i is d_i; with the unit row e_u, det A
+    is d_u, so one call gives det A and every numerator of Cramer's rule
+    (systems.solve_assembled takes them so).  d is a null vector of B, so one
     elimination gives all n: when B has rank n-1 it leaves one free column
     f, and Bareiss makes the last pivot, times the sign of the row
     permutation, det B_-f.  Back substitution from z_f = det B_-f gives

@@ -16,8 +16,9 @@ once, in a plain loop over its terms.
 By Cramer's rule every solution is an integer vector over one common
 denominator, so the reduction, the solve, the solution checks and the
 bound test carry it as integers y and a denominator t > 0 with
-gcd(t, y) = 1, x = y / t.  The reduction finds the solution once; the
-assembled matrix checks it and gives det A, and Fractions are built once,
+gcd(t, y) = 1, x = y / t.  The reduction finds the solution once; one
+elimination of the assembled matrix gives det A and every Cramer
+numerator, which check it at every size, and Fractions are built once,
 at the end, for the ``SolveReport`` solution and maximum.
 """
 
@@ -803,31 +804,24 @@ def assemble(system: System) -> Assembled:
                      chain_rows=tuple(chain_rows), type3_rows=type3_rows)
 
 
-_CRAMER_CROSSCHECK_LIMIT = 10
-
-
 def solve_assembled(asm: Assembled, reduced_y, den: int):
-    """Check the reduction's solution of A x = e_1; returns (y, t, det A,
-    per-column det A_i).
+    """Check the reduction's solution of A x = e_1 by Cramer's rule; returns
+    (y, det A, per-column det A_i).
 
-    The solution reduced_y / den, put in column order as y over t = den,
-    must satisfy A y = t e_1: one dot product per row, on the (column,
-    value) pairs of Assembled.rows, checks what a second solve would find
-    again.  One fraction-free elimination of A (_sparse_echelon) proves A
-    nonsingular and gives det A.  det A_i, the Cramer numerator (column i
-    replaced by e_1), is y_i det A / t, which t must divide.  For small
-    systems Cramer's rule is checked on its own route: the first row of A
-    is the unit row e_u, so every det A_i is a signed maximal minor of the
-    other rows, all taken from one more elimination
-    (matrices._signed_maximal_minors), and det A is det A_u.  Both
-    eliminations run on {column: value} rows made from the pairs.
+    The first row of A is the unit row e_u, so every Cramer numerator det
+    A_i (column i replaced by e_1) is a signed maximal minor of the other
+    rows, all taken from one elimination of them
+    (matrices._signed_maximal_minors) on {column: value} rows made from
+    the (column, value) pairs of Assembled.rows, and det A is det A_u.  The
+    solution reduced_y / den, put in column order as y over t = den, must
+    satisfy A y = t e_1, one dot product per row, and Cramer's rule
+    det A_i t = y_i det A at every i.
     """
     n = asm.n
-    rows = [dict(pairs) for pairs in asm.rows]
-    pivots, sign = _sparse_echelon(rows, n)
-    if len(pivots) < n:
+    det_ai = _signed_maximal_minors([dict(pairs) for pairs in asm.rows[1:]], n)
+    det_a = det_ai[asm.column_of[1]]
+    if not det_a:
         raise ReductionError("assembled matrix is singular")
-    det_a = sign * rows[n - 1][n - 1]
     y = [0] * n
     for v, yv in enumerate(reduced_y, start=1):
         y[asm.column_of[v]] = yv
@@ -837,17 +831,10 @@ def solve_assembled(asm: Assembled, reduced_y, den: int):
             total += a * y[c]
         if total != (den if i == 0 else 0):
             raise ReductionError("assembled solution disagrees with the reduction")
-    det_ai = []
-    for yi in y:
-        num, rem = divmod(yi * det_a, den)
-        if rem:
-            raise ReductionError("non-integer Cramer numerator")
-        det_ai.append(num)
-    if n <= _CRAMER_CROSSCHECK_LIMIT:
-        minors = _signed_maximal_minors([dict(pairs) for pairs in asm.rows[1:]], n)
-        if minors != det_ai or minors[asm.column_of[1]] != det_a:
+    for yi, num in zip(y, det_ai):
+        if num * den != yi * det_a:
             raise ReductionError("Cramer and elimination solutions disagree")
-    return tuple(y), den, det_a, tuple(det_ai)
+    return tuple(y), det_a, tuple(det_ai)
 
 
 # ---------------------------------------------------------------------------
@@ -936,8 +923,8 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
             trivial=True,
         )
     asm = assemble(reduced)
-    y, t, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
-    n = asm.n
+    y, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
+    n, t = asm.n, trace.den
     original_y = trace._expand()
     if not check_solution(system, original_y, t):
         raise ReductionError("reconstructed solution fails the original system")

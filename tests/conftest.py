@@ -22,7 +22,6 @@ from relmag.matrices import (
     nullspace_basis,
 )
 from relmag.systems import (
-    _CRAMER_CROSSCHECK_LIMIT,
     MAX_VARIABLES,
     AllHomogeneousError,
     Assembled,
@@ -297,11 +296,20 @@ def reference_solve_augmented(rows: list[dict[int, int]], n: int):
     return pivots, [v // g for v in y], t, sign
 
 
+# the largest n at which reference_solve_assembled also takes the signed
+# maximal minors
+_CRAMER_CROSSCHECK_LIMIT = 10
+
+
 def reference_solve_assembled(asm: Assembled):
     """systems.solve_assembled as it was before it checked the reduction's
     solution: it solves A x = e_1 again, from one elimination of [A | e_1],
     and returns (y, t, det A, per-column det A_i) with y / t in canonical
-    form, so the check and this solve must return the same integers."""
+    form, so the check and this solve must return the same integers.  Its
+    det A comes from that elimination, and for n <= 10 it compares the
+    numerators with the signed maximal minors, so a sign or scale error
+    common to all the minors, which the single route of solve_assembled
+    cannot see, shows here."""
     n = asm.n
     rows = [dict(pairs) for pairs in asm.rows]
     # the elimination works in place: copy rows 2..n first
@@ -447,35 +455,33 @@ def hadamard_fischer_check(w: IntegerMatrix, blocks):
 
 
 def corrupt_cramer_check(monkeypatch, kind: str) -> None:
-    """Feed systems.solve_assembled's Cramer cross-check a wrong result.
+    """Make the one elimination of systems.solve_assembled return one wrong
+    Cramer numerator, moved one away from zero (so a det A of -1 does not
+    become the 0 of a singular matrix).
 
-    "numerator": the last signed maximal minor is off by one.
-    "det_a": once the system is assembled, the elimination of A returns
-    the opposite row permutation sign, so det A comes out negated, and
-    with it every numerator det A_i = y_i det A / t.  The minors, from an
-    elimination of their own, then differ from the numerators.
+    "numerator": det A_i at the column after the unit column u (mod n), so
+    Cramer's identity det A_i t = y_i det A fails at that column alone.
+    "det_a": det A_u, which is det A, so the identity fails at every
+    column but u.
     """
     real_minors = relmag.systems._signed_maximal_minors
-    real_echelon = relmag.systems._sparse_echelon
     real_assemble = relmag.systems.assemble
+    unit_column = []
+
+    def assemble(system):
+        asm = real_assemble(system)
+        unit_column.append(asm.column_of[1])
+        return asm
 
     def minors(rows, n):
         d = real_minors(rows, n)
-        d[-1] += 1
+        u = unit_column[-1]
+        i = u if kind == "det_a" else (u + 1) % n
+        d[i] += 1 if d[i] >= 0 else -1
         return d
 
-    def flipped_echelon(rows, n):
-        pivots, sign = real_echelon(rows, n)
-        return pivots, -sign
-
-    def assemble(system):
-        monkeypatch.setattr(relmag.systems, "_sparse_echelon", flipped_echelon)
-        return real_assemble(system)
-
-    if kind == "numerator":
-        monkeypatch.setattr(relmag.systems, "_signed_maximal_minors", minors)
-    else:
-        monkeypatch.setattr(relmag.systems, "assemble", assemble)
+    monkeypatch.setattr(relmag.systems, "assemble", assemble)
+    monkeypatch.setattr(relmag.systems, "_signed_maximal_minors", minors)
 
 
 def halving_dsl(n: int) -> str:

@@ -220,9 +220,10 @@ class TestSolve:
     @pytest.mark.parametrize("kind", ["numerator", "det_a"])
     def test_cramer_disagreement(self, tmp_path, monkeypatch, kind):
         corrupt_cramer_check(monkeypatch, kind)
-        res = invoke("solve", "--system", write(tmp_path, "s.txt", CHAIN_SYSTEM))
-        assert res.exit_code == 3
-        assert "internal error: Cramer and elimination solutions disagree" in res.output
+        for text in (generators.extremal_dsl(2, 6), halving_dsl(12)):
+            res = invoke("solve", "--system", write(tmp_path, "s.txt", text))
+            assert res.exit_code == 3, text
+            assert "internal error: Cramer and elimination solutions disagree" in res.output
 
     def test_assembled_solution_disagreement(self, tmp_path, monkeypatch):
         corrupt_reduced_solution(monkeypatch, 11)

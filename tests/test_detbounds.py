@@ -163,8 +163,8 @@ def _certify_args(system):
     """(asm, y, t, det A_i): the arguments certify_solution_bound takes."""
     reduced, trace = reduce_system(system)
     asm = assemble(reduced)
-    y, t, _, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
-    return asm, y, t, det_ai
+    y, _, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
+    return asm, y, trace.den, det_ai
 
 
 class TestCertification:

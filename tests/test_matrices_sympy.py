@@ -1,13 +1,16 @@
 """Differential tests of the elimination kernel against sympy.
 
 rank, determinant, nullspace_basis, _solve_augmented (the solver of the
-reduction) and _signed_maximal_minors (the Cramer cross-check of
-systems.solve_assembled) all run on the one fraction-free elimination
-over {column: value} rows in relmag.matrices and its one back
-substitution.  So does the brute force circuit oracle in conftest
-(through nullspace_basis), which is also where the circuit walk starts.
-sympy's exact rational linear algebra is an outside reference for all
-five and for every circuit vector.
+reduction) and _signed_maximal_minors (the one route by which
+systems.solve_assembled takes det A and every Cramer numerator) all run
+on the one fraction-free elimination over {column: value} rows in
+relmag.matrices and its one back substitution.  So does the brute force
+circuit oracle in conftest (through nullspace_basis), which is also where
+the circuit walk starts.  sympy's exact rational linear algebra is an
+outside reference for all five, for every circuit vector, and for the
+det A and numerators of assembled systems, where it would show a sign or
+scale error common to all the minors that the solve's own checks cannot
+see.
 """
 
 import random
@@ -15,15 +18,32 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import dict_rows, oracle_circuits, primitive_vector, solve_square
+from conftest import (
+    dense_rows,
+    dict_rows,
+    halving_dsl,
+    oracle_circuits,
+    primitive_vector,
+    random_system,
+    solve_square,
+)
+from test_detbounds import MULTI_CHAIN
 
 from relmag.circuits import enumerate_circuits
+from relmag.generators import extremal_system
 from relmag.matrices import (
     IntegerMatrix,
     _signed_maximal_minors,
     determinant,
     nullspace_basis,
     rank,
+)
+from relmag.systems import (
+    UnsolvableSystemError,
+    assemble,
+    parse_system,
+    reduce_system,
+    solve_assembled,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -154,3 +174,36 @@ def test_circuits_match_sympy():
         seen["big"] += max(abs(e) for row in rows for e in row) > 10 ** 5
     # every kind of draw is exercised
     assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_assembled_determinants_match_sympy():
+    """solve_assembled's det A and each Cramer numerator det A_i equal
+    sympy's determinants of the dense assembled matrix A and of A with
+    column i replaced by e_1, sign for sign: on random solvable systems,
+    on extremal and halving chains and on the multi-chain system, up to
+    n = 12."""
+    rng = random.Random(20261023)
+    systems = [parse_system(MULTI_CHAIN)]
+    for n in (2, 6, 12):
+        systems += [extremal_system(2, n), extremal_system(3, n), parse_system(halving_dsl(n))]
+    while len(systems) < 160:
+        system = random_system(rng, nmax=12)
+        try:
+            reduce_system(system)
+        except UnsolvableSystemError:
+            continue
+        systems.append(system)
+    negative = 0
+    for system in systems:
+        reduced, trace = reduce_system(system)
+        asm = assemble(reduced)
+        _, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
+        ref = sympy.Matrix(dense_rows(asm))
+        assert det_a == ref.det(), system.to_text()
+        for i in range(asm.n):
+            a_i = ref.copy()
+            a_i[:, i] = sympy.eye(asm.n)[:, 0]
+            assert det_ai[i] == a_i.det(), (system.to_text(), i)
+        negative += det_a < 0
+    # both signs of det A occur
+    assert 10 <= negative <= len(systems) - 10, negative

@@ -793,9 +793,10 @@ class TestSquareShortcut:
 
     @pytest.mark.parametrize("n", [3, 12])
     def test_singular_square_assembled_raises(self, n):
-        """A singular square matrix is caught by the solve, also above the
-        size of the Cramer cross-check: row n - 1 repeats row n - 2.  The
-        solution it is given, y_i = 2^(i-1) over t = 1, satisfies every row."""
+        """A singular square matrix is caught by the solve at every size:
+        row n - 1 repeats row n - 2, so det A, the signed maximal minor at
+        the unit column, is 0.  The solution it is given, y_i = 2^(i-1)
+        over t = 1, satisfies every row."""
         rows = [((0, 1),)] + [((i, 2), (i + 1, -1)) for i in range(n - 2)]
         rows.append(rows[-1])
         asm = Assembled(rows=tuple(rows), k=2, n=n, column_of={v: v - 1 for v in range(1, n + 1)},
@@ -900,7 +901,7 @@ class TestSolveAndCertify:
             except UnsolvableSystemError:
                 continue
             asm = assemble(reduced)
-            _, _, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
+            _, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
             a = IntegerMatrix(dense_rows(asm))
             e1 = [1] + [0] * (a.rows - 1)
             assert det_a == determinant(a)
@@ -931,7 +932,8 @@ class TestSolveAndCertify:
             except UnsolvableSystemError:
                 continue
             asm = assemble(reduced)
-            y, t, _, _ = solve_assembled(asm, trace.reduced_y, trace.den)
+            y, _, _ = solve_assembled(asm, trace.reduced_y, trace.den)
+            t = trace.den
             expected = gauss_jordan_solve(dense_rows(asm), [1] + [0] * (asm.n - 1))
             assert as_fractions(y, t) == expected
             assert t == lcm(*(v.denominator for v in expected))
@@ -945,8 +947,8 @@ class TestSolveAndCertify:
         n = 64
         system = extremal_system(2, n)
         reduced, trace = reduce_system(system)
-        y, t, det_a, det_ai = solve_assembled(assemble(reduced), trace.reduced_y, trace.den)
-        assert all(type(v) is int for v in (*y, t, det_a, *det_ai))
+        y, det_a, det_ai = solve_assembled(assemble(reduced), trace.reduced_y, trace.den)
+        assert all(type(v) is int for v in (*y, det_a, *det_ai))
         built = []
 
         def counted(*args):
@@ -976,8 +978,8 @@ class TestSolveAndCertify:
             solve_and_certify(parse_system(extremal_dsl(2, 4)))
 
     def test_builds_no_integer_matrix(self, monkeypatch):
-        """Solve and certify work on int rows only, also at the sizes the
-        Cramer cross-check runs at."""
+        """Solve and certify work on int rows only, on chains of 64 and 6
+        variables and on small random systems."""
         constructed = []
         real_init = IntegerMatrix.__post_init__
 
@@ -1001,10 +1003,10 @@ class TestSolveAndCertify:
 
     def test_eliminations_per_solve(self, monkeypatch):
         """One elimination in the reduction when the reduced system is
-        square, two when an equation is dependent; then one of A for det A
-        and, for n <= 10, one for the Cramer cross-check.  The solution is
+        square, two when an equation is dependent; then one in the solve,
+        of the n - 1 rows below the unit row, at every n.  The solution is
         found once, by the one back substitution of the reduction's solve;
-        the cross-check takes one more."""
+        the numerators take one more."""
         calls = []
         back = []
         real_echelon = relmag.matrices._sparse_echelon
@@ -1022,28 +1024,28 @@ class TestSolveAndCertify:
             monkeypatch.setattr(module, "_sparse_echelon", counted)
         monkeypatch.setattr(relmag.matrices, "_back_substitute", counted_back)
         for n in (5, 10, 12):
-            cross = n <= 10
             system = extremal_system(2, n)
             calls.clear()
             back.clear()
             rep = solve_and_certify(system)
             assert rep.n == n and rep.certification.all_ok
-            assert rep.trace.dropped_dependent == 0 and len(calls) == 2 + cross, (n, calls)
-            assert len(back) == 1 + cross, (n, back)
+            assert rep.trace.dropped_dependent == 0 and len(calls) == 2, (n, calls)
+            assert calls[-1] == n - 1 and len(back) == 2 and back[-1] == n, (n, calls, back)
             # the first chain equation once more
             repeated = replace(system, equations=system.equations + system.equations[1:2])
             calls.clear()
             back.clear()
             rep = solve_and_certify(repeated)
             assert rep.n == n and rep.certification.all_ok
-            assert rep.trace.dropped_dependent == 1 and len(calls) == 3 + cross, (n, calls)
-            assert len(back) == 1 + cross, (n, back)
+            assert rep.trace.dropped_dependent == 1 and len(calls) == 3, (n, calls)
+            assert calls[-1] == n - 1 and len(back) == 2 and back[-1] == n, (n, calls, back)
 
     def test_matches_reference_solve(self):
         """The check of the reduction's solution returns what the former
         second solve of A x = e_1 returned: the same y, t, det A and
         Cramer numerators.  The two chains of 64 and 12 variables are
-        above the cross-check size, and the second has t = 2^11."""
+        above the size at which the former solve also took the signed
+        maximal minors, and the second has t = 2^11."""
         rng = random.Random(107)
         systems = [extremal_system(2, 64), parse_system(MULTI_CHAIN), parse_system(halving_dsl(12))]
         done = with_denominator = 0
@@ -1058,7 +1060,8 @@ class TestSolveAndCertify:
         for system in systems:
             reduced, trace = reduce_system(system)
             asm = assemble(reduced)
-            got = solve_assembled(asm, trace.reduced_y, trace.den)
+            y, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
+            got = (y, trace.den, det_a, det_ai)
             assert got == reference_solve_assembled(asm), system.to_text()
             with_denominator += trace.den > 1
         assert with_denominator >= 50
@@ -1096,8 +1099,8 @@ class TestSolveAndCertify:
     @pytest.mark.parametrize("index", range(12))
     def test_assembled_solution_disagreement_raises(self, monkeypatch, index):
         """A reduced solution that passed the reduction's checks but is
-        wrong fails A y = t e_1, also above the Cramer cross-check size,
-        here on a chain whose solution has t = 2^11."""
+        wrong fails A y = t e_1, here on a chain of 12 variables whose
+        solution has t = 2^11."""
         corrupt_reduced_solution(monkeypatch, index)
         with pytest.raises(ReductionError, match="assembled solution disagrees with the reduction"):
             solve_and_certify(parse_system(halving_dsl(12)))
@@ -1119,6 +1122,10 @@ class TestSolveAndCertify:
 
     @pytest.mark.parametrize("kind", ["numerator", "det_a"])
     def test_cramer_disagreement_raises(self, monkeypatch, kind):
+        """A wrong numerator, or a wrong det A, from the one elimination
+        fails Cramer's identity at every size: at n = 6 and on the n = 12
+        halving chain."""
         corrupt_cramer_check(monkeypatch, kind)
-        with pytest.raises(ReductionError, match="Cramer and elimination solutions disagree"):
-            solve_and_certify(extremal_system(2, 6))
+        for system in (extremal_system(2, 6), parse_system(halving_dsl(12))):
+            with pytest.raises(ReductionError, match="Cramer and elimination solutions disagree"):
+                solve_and_certify(system)
