@@ -5,10 +5,9 @@ certifies the per-instance bound omega <= (norm - 1)^rank, and solves
 unit-coefficient constraint systems with full determinant-bound verification.
 All arithmetic is exact; nothing is ever rounded.  Matrices, determinants
 and circuits are Python ints.  A system's solution is carried, from the
-elimination to the certificate, as integers y over one common
-denominator t (x = y / t, as in Cramer's rule); fractions.Fraction values
-are built from it only for the reported solution, maximum and
-per-column x.
+elimination to the certificate and into the reports, as integers y over
+one common denominator t (x = y / t, as in Cramer's rule); each x_i is
+written in lowest terms only when a report is printed.
 """
 
 from relmag.matrices import (

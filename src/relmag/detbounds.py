@@ -13,20 +13,20 @@ prefix and a suffix continuant, computed once per chain and checked
 against its closed form, and each residual block minor is a squared row
 norm less one square; their Hadamard-Fischer product bounds det W_i.
 All checks are integer-exact: the solution arrives as integers y over
-one denominator t, x = y / t, and a Fraction is built only for the x
-and the maximum that the report prints.
+one denominator t, x = y / t, and the report keeps them so; its text
+writes each x_i and the maximum in lowest terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from relmag.matrices import (
     IntegerMatrix,
     determinant_cofactor,
-    format_rational,
+    format_ratio,
 )
 
 
@@ -213,21 +213,20 @@ def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
     )
 
 
-@dataclass(frozen=True)
-class ColumnCertificate:
+class ColumnCertificate(NamedTuple):
     index: int  # 1-based column
     case: int  # 1 = cuts a chain, 2 = meets residual rows only, 0 = neither (n = 1)
-    x: Fraction
+    y_i: int  # x_i = y_i / t, t of the CertificationReport
     det_w: int
     det_u: int
     hf_product: int
     ok: bool
 
-    def to_line(self, bound: int) -> str:
+    def to_line(self, bound: int, t: int) -> str:
         return "i=%d case=%d x=%s detW=%d bound=%d %s" % (
             self.index,
             self.case,
-            format_rational(self.x),
+            format_ratio(self.y_i, t),
             self.det_w,
             bound,
             "OK" if self.ok else "FAIL",
@@ -240,7 +239,8 @@ class CertificationReport:
     k: int
     bound: int  # k^(2(n-1))
     entries: tuple[ColumnCertificate, ...]
-    max_abs: Fraction
+    t: int  # common denominator of the x_i = y_i / t, t > 0
+    max_y: int  # max |y_i|
     sharp: bool
 
     @property
@@ -248,6 +248,7 @@ class CertificationReport:
         return all(e.ok for e in self.entries)
 
     def to_dict(self) -> dict:
+        t = self.t
         return {
             "n": self.n,
             "k": self.k,
@@ -256,7 +257,7 @@ class CertificationReport:
                 {
                     "i": e.index,
                     "case": e.case,
-                    "x": format_rational(e.x),
+                    "x": format_ratio(e.y_i, t),
                     "det_w": e.det_w,
                     "det_u": e.det_u,
                     "hf_product": e.hf_product,
@@ -264,17 +265,17 @@ class CertificationReport:
                 }
                 for e in self.entries
             ],
-            "max_abs": format_rational(self.max_abs),
+            "max_abs": format_ratio(self.max_y, t),
             "sharp": self.sharp,
             "all_ok": self.all_ok,
         }
 
     def to_text(self) -> str:
-        lines = [e.to_line(self.bound) for e in self.entries]
+        lines = [e.to_line(self.bound, self.t) for e in self.entries]
         lines.append(
             "certification: max=%s sharp=%s %s"
             % (
-                format_rational(self.max_abs),
+                format_ratio(self.max_y, self.t),
                 "yes" if self.sharp else "no",
                 "OK" if self.all_ok else "FAIL",
             )
@@ -431,23 +432,14 @@ def certify_solution_bound(asm, y, t: int, det_ai) -> CertificationReport:
             ok = all(norm - e * e <= (k - 1) ** 2 + 1 <= k * k - 2 for e, norm in met)
         hf_product = base // removed * replaced
         ok = ok and yi * yi <= det_w * t2 and det_w <= hf_product and det_w <= bound
-        entries.append(
-            ColumnCertificate(
-                index=i + 1,
-                case=case,
-                x=Fraction(yi, t),
-                det_w=det_w,
-                det_u=det_u,
-                hf_product=hf_product,
-                ok=ok,
-            )
-        )
-    max_abs = Fraction(max(abs(v) for v in y), t)
+        entries.append(ColumnCertificate(i + 1, case, yi, det_w, det_u, hf_product, ok))
+    max_y = max(abs(v) for v in y)
     return CertificationReport(
         n=n,
         k=k,
         bound=bound,
         entries=tuple(entries),
-        max_abs=max_abs,
-        sharp=max_abs == k ** (n - 1),
+        t=t,
+        max_y=max_y,
+        sharp=max_y == k ** (n - 1) * t,
     )

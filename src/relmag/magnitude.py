@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from relmag.circuits import Circuit, circuits_from_basis
-from relmag.matrices import IntegerMatrix, format_rational, infinity_norm, nullspace_basis
+from relmag.matrices import IntegerMatrix, format_ratio, infinity_norm, nullspace_basis
 
 
 def omega_vector(x) -> Fraction:
@@ -65,8 +65,9 @@ class MagnitudeCertificate:
         return all(ok for _, ok in self.checks)
 
     def to_dict(self) -> dict:
+        omega = self.omega_upper
         return {
-            "omega_upper": format_rational(self.omega_upper),
+            "omega_upper": format_ratio(omega.numerator, omega.denominator),
             "exact": self.exact,
             "witness": self.witness.to_dict() if self.witness else None,
             "norm": self.norm,
@@ -81,12 +82,13 @@ class MagnitudeCertificate:
         }
 
     def to_text(self) -> str:
+        omega = self.omega_upper
         lines = [
             "norm=%d" % self.norm,
             "rank=%d" % self.rank,
             "nullity=%d" % self.nullity,
             "t=%s" % (self.min_support if self.min_support is not None else "-"),
-            "omega_upper=%s" % format_rational(self.omega_upper),
+            "omega_upper=%s" % format_ratio(omega.numerator, omega.denominator),
             "exact=%s" % ("yes" if self.exact else "upper-bound-only"),
             "theorem_bound=%s" % (self.theorem_bound if self.theorem_bound is not None else "-"),
             "support_bound=%s" % (self.support_bound if self.support_bound is not None else "-"),

@@ -1,8 +1,8 @@
 """Exact integer and rational matrix arithmetic.
 
-Everything here operates on arbitrary-precision Python ints, and
-fractions.Fraction where a rational is an output (formatting), so
-results are always exact.  There is one fraction-free (Bareiss)
+Everything here operates on arbitrary-precision Python ints, so results
+are always exact; a rational output is an integer pair y / t, written in
+lowest terms by ``format_ratio``.  There is one fraction-free (Bareiss)
 elimination, ``_sparse_echelon``, on {column: value} rows that hold only
 the nonzeros, and one integer back substitution, ``_back_substitute``.
 ``rank``, ``determinant`` and ``nullspace_basis`` run them on the rows of
@@ -331,12 +331,15 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def format_rational(x) -> str:
-    """Render an int or Fraction as "p/q" with q > 0 and gcd(p, q) = 1, or
-    "p" when q = 1; both types keep their value in lowest terms."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+def format_ratio(y: int, t: int) -> str:
+    """Render the rational y / t (t > 0) as "p/q" with q > 0 and
+    gcd(p, q) = 1, or "p" when t divides y."""
+    if t == 1:
+        return "%d" % y
+    g = gcd(y, t)
+    if g == t:
+        return "%d" % (y // t)
+    return "%d/%d" % (y // g, t // g)
 
 
 def _position(line_no: int, line: str, index: int) -> str:

@@ -18,8 +18,8 @@ denominator, so the reduction, the solve, the solution checks and the
 bound test carry it as integers y and a denominator t > 0 with
 gcd(t, y) = 1, x = y / t.  The reduction finds the solution once; one
 elimination of the assembled matrix gives det A and every Cramer
-numerator, which check it at every size, and Fractions are built once,
-at the end, for the ``SolveReport`` solution and maximum.
+numerator, which check it at every size.  The ``SolveReport`` keeps the
+integers too, and its text writes each y_i / t in lowest terms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
@@ -37,7 +36,7 @@ from relmag.matrices import (
     _signed_maximal_minors,
     _solve_augmented,
     _sparse_echelon,
-    format_rational,
+    format_ratio,
 )
 
 
@@ -847,40 +846,43 @@ class SolveReport:
     bound: int  # k^(n-1)
     det_a: int
     det_ai: tuple[int, ...]
-    max_abs: Fraction
+    max_y: int  # max |y_i|
+    t: int  # common denominator, t > 0
     sharp: bool
     bound_ok: bool
-    solution: tuple[Fraction, ...]  # original variables, 1-based order
+    y: tuple[int, ...]  # x = y / t, original variables in 1-based order
     trace: ReductionTrace | None
     certification: CertificationReport | None
     trivial: bool = False
 
     def to_dict(self) -> dict:
+        t = self.t
         return {
             "k": self.k,
             "n": self.n,
             "bound": self.bound,
             "det_a": self.det_a,
-            "max_abs": format_rational(self.max_abs),
+            "max_abs": format_ratio(self.max_y, t),
             "sharp": self.sharp,
             "bound_ok": self.bound_ok,
             "trivial": self.trivial,
             "solution": {
-                "x%d" % (i + 1): format_rational(v) for i, v in enumerate(self.solution)
+                "x%d" % (i + 1): format_ratio(v, t) for i, v in enumerate(self.y)
             },
             "certification": self.certification.to_dict() if self.certification else None,
         }
 
     def to_text(self) -> str:
+        t = self.t
         sol = ", ".join(
-            "x%d=%s" % (i + 1, format_rational(v)) for i, v in enumerate(self.solution)
+            "x%d=%s" % (i + 1, format_ratio(v, t)) for i, v in enumerate(self.y)
         )
         lines = [
             "solution: %s" % sol,
             "n=%d k=%d" % (self.n, self.k),
             "max=%s bound=k^(n-1)=%d %s"
             % (
-                format_rational(self.max_abs),
+                format_ratio(self.max_y, t),
                 self.bound,
                 "OK" if self.bound_ok else "VIOLATED",
             ),
@@ -907,17 +909,17 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
     try:
         reduced, trace = reduce_system(system)
     except AllHomogeneousError:
-        zero = tuple(Fraction(0) for _ in range(system.nvars))
         return SolveReport(
             k=k,
             n=0,
             bound=1,
             det_a=1,
             det_ai=(),
-            max_abs=Fraction(0),
+            max_y=0,
+            t=1,
             sharp=False,
             bound_ok=True,
-            solution=zero,
+            y=(0,) * system.nvars,
             trace=None,
             certification=None,
             trivial=True,
@@ -940,17 +942,17 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         certification = certify_solution_bound(asm, y, t, det_ai)
         if not certification.all_ok:
             raise BoundViolationError("determinant certification failed")
-    max_abs = Fraction(max_y, t)
     return SolveReport(
         k=k,
         n=n,
         bound=bound,
         det_a=det_a,
         det_ai=det_ai,
-        max_abs=max_abs,
-        sharp=max_abs == bound,
+        max_y=max_y,
+        t=t,
+        sharp=max_y == bound * t,
         bound_ok=bound_ok,
-        solution=tuple(Fraction(v, t) for v in original_y),
+        y=original_y,
         trace=trace,
         certification=certification,
     )

@@ -256,6 +256,36 @@ def as_fractions(y, t) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, t) for v in y)
 
 
+def solution(report) -> tuple[Fraction, ...]:
+    """A SolveReport's solution y / t of the original system as Fractions."""
+    return as_fractions(report.y, report.t)
+
+
+def format_rational(x) -> str:
+    """Render an int or Fraction as "p/q" with q > 0 and gcd(p, q) = 1, or
+    "p" when q = 1; both types keep their value in lowest terms.  The
+    Fraction route that matrices.format_ratio replaced, kept verbatim as
+    its reference."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def count_fractions(monkeypatch) -> list:
+    """Record the arguments of every Fraction built from now on, by any
+    module.  Fraction.__new__ is the one way in: Fraction arithmetic needs
+    a Fraction to start from."""
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
 def reduced_solution(trace: ReductionTrace) -> tuple[Fraction, ...]:
     """The reduced solution reduced_y / den as Fractions."""
     return as_fractions(trace.reduced_y, trace.den)
@@ -502,6 +532,33 @@ def corrupt_reduced_solution(monkeypatch, index: int) -> None:
         return reduced, replace(trace, reduced_y=tuple(y))
 
     monkeypatch.setattr(relmag.systems, "reduce_system", reduce_system)
+
+
+def corrupt_expansion(monkeypatch, var: int, delta: int) -> None:
+    """Make ReductionTrace._expand, which maps the reduced solution back to
+    the original variables, return y_var (1-based) off by delta."""
+    real = ReductionTrace._expand
+
+    def expand(trace):
+        y = list(real(trace))
+        y[var - 1] += delta
+        return tuple(y)
+
+    monkeypatch.setattr(ReductionTrace, "_expand", expand)
+
+
+def corrupt_reduced_size(monkeypatch) -> None:
+    """Make the assembled system of systems.solve_and_certify report one
+    column fewer once its solve has run, so the bound k^(n-1) is taken at
+    the wrong size n."""
+    real = relmag.systems.solve_assembled
+
+    def solve_assembled(asm, reduced_y, den):
+        solved = real(asm, reduced_y, den)
+        object.__setattr__(asm, "n", asm.n - 1)
+        return solved
+
+    monkeypatch.setattr(relmag.systems, "solve_assembled", solve_assembled)
 
 
 # ---------------------------------------------------------------------------

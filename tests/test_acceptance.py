@@ -7,10 +7,11 @@ per-criterion lines.
 
 import random
 import time
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from conftest import oracle_circuits, random_matrix, random_system, reduced_solution
+from conftest import oracle_circuits, random_matrix, random_system, reduced_solution, solution
 from relmag.circuits import enumerate_circuits
 from relmag.generators import extremal_matrix, extremal_system
 from relmag.magnitude import omega_matrix_upper, omega_vector
@@ -56,12 +57,12 @@ def test_criterion_2_sharpness_of_solution_bound():
     ok = True
     for n in range(2, 33):
         rep = solve_and_certify(extremal_system(2, n), certify=False)
-        ok = ok and rep.max_abs == 2 ** (n - 1) == rep.bound and rep.sharp
+        ok = ok and Fraction(rep.max_y, rep.t) == 2 ** (n - 1) == rep.bound and rep.sharp
         checked += 1
     for k in range(2, 7):
         for n in range(2, 17):
             rep = solve_and_certify(extremal_system(k, n), certify=False)
-            ok = ok and rep.max_abs == k ** (n - 1) == rep.bound and rep.sharp
+            ok = ok and Fraction(rep.max_y, rep.t) == k ** (n - 1) == rep.bound and rep.sharp
             checked += 1
     _report(2, "sharp system family", ok, time.monotonic() - start, 5,
             "%d systems, max |x_i| = k^(n-1) exactly" % checked)
@@ -106,10 +107,10 @@ def test_criterion_5_certification_fuzz():
             continue
         sound = (
             rep.certification.all_ok
-            and check_solution(system, rep.solution)
-            and max(abs(v) for v in rep.solution)
+            and check_solution(system, rep.y, rep.t)
+            and max(abs(v) for v in solution(rep))
             == max(abs(v) for v in reduced_solution(rep.trace))
-            and rep.max_abs <= rep.bound
+            and Fraction(rep.max_y, rep.t) <= rep.bound
         )
         ok = ok and sound
         solved += 1

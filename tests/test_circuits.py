@@ -50,6 +50,12 @@ def test_is_elementary():
         is_elementary(a, [0, 0, 0])
 
 
+def test_is_elementary_rejects_wrong_length():
+    with pytest.raises(ValueError) as exc:
+        is_elementary(IntegerMatrix.from_rows([[1, 1, 1]]), [1, -1])
+    assert type(exc.value) is ValueError and str(exc.value) == "vector length mismatch"
+
+
 def test_circuit_line_format():
     c = Circuit(support=(0, 2), vector=(1, 0, -1))
     assert c.to_line() == "I = {1,3}; v = (1, 0, -1)"

@@ -6,7 +6,13 @@ import sys
 
 import pytest
 from click.testing import CliRunner
-from conftest import corrupt_cramer_check, corrupt_reduced_solution, halving_dsl
+from conftest import (
+    corrupt_cramer_check,
+    corrupt_expansion,
+    corrupt_reduced_size,
+    corrupt_reduced_solution,
+    halving_dsl,
+)
 
 from relmag import circuits, cli, detbounds, generators
 from relmag.cli import main
@@ -230,6 +236,29 @@ class TestSolve:
         res = invoke("solve", "--system", write(tmp_path, "s.txt", halving_dsl(12)))
         assert res.exit_code == 3
         assert "internal error: assembled solution disagrees with the reduction" in res.output
+
+    def test_reconstructed_solution_fails(self, tmp_path, monkeypatch):
+        # x12 = 1 / 2^11 one off after the map back: 2 x12 = x11 fails
+        corrupt_expansion(monkeypatch, 12, 1)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", halving_dsl(12)))
+        assert res.exit_code == 3
+        assert res.stderr == "error: internal error: reconstructed solution fails the original system\n"
+
+    def test_reduction_changed_maximum(self, tmp_path, monkeypatch):
+        # x13 only meets itself, so the reduction zeroes it; set to 2 instead,
+        # it still solves every equation but is the new maximum
+        corrupt_expansion(monkeypatch, 13, 2 ** 12)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", halving_dsl(12) + "; x13-x13=0"))
+        assert res.exit_code == 3
+        assert res.stderr == (
+            "error: internal error: reduction changed the maximum coordinate magnitude\n")
+
+    def test_solution_exceeds_bound(self, tmp_path, monkeypatch):
+        # the bound taken at n = 5 on the sharp chain of 6: 32 > 2^4
+        corrupt_reduced_size(monkeypatch)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", generators.extremal_dsl(2, 6)))
+        assert res.exit_code == 1
+        assert res.stderr == "error: bound violated: solution magnitude exceeds k^(n-1) = 16\n"
 
     def test_bound_violated(self, tmp_path, monkeypatch):
         def broken(system, certify=True):

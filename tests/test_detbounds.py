@@ -47,6 +47,12 @@ class TestChainBlocks:
         d2 = build_chain_block("D", 2, 2)
         assert d2.entries == ((1, 2), (2, 5))
 
+    def test_build_rejects_empty_block(self):
+        with pytest.raises(ValueError) as exc:
+            build_chain_block("B", 0, 2)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "cannot build a 0 x 0 matrix; det is 1 by convention"
+
     def test_closed_forms_small(self):
         assert det_closed_form("B", 1, 2) == 5
         assert det_closed_form("B", 2, 2) == 21
@@ -118,6 +124,11 @@ class TestCoefficientBounds:
             rep = verify_coefficient_bounds(k)
             assert rep.bound == min(k * k - 1, (k - 1) ** 2 + 4)
             assert rep.deletion_bound == (k - 1) ** 2 + 1
+
+    def test_verify_bounds_rejects_k_below_2(self):
+        with pytest.raises(ValueError) as exc:
+            verify_coefficient_bounds(1)
+        assert type(exc.value) is ValueError and str(exc.value) == "k must be >= 2"
 
     def _without(self, monkeypatch, dropped):
         real = enumerate_residual_multisets
@@ -198,7 +209,7 @@ class TestCertification:
         rep = certify_solution_bound(*args)
         # U_1 is empty, so det U_1 = det W_1 = 1, and x1 meets no other row
         assert rep.n == 1 and rep.all_ok and rep.entries == (
-            ColumnCertificate(index=1, case=0, x=1, det_w=1, det_u=1, hf_product=1, ok=True),
+            ColumnCertificate(index=1, case=0, y_i=1, det_w=1, det_u=1, hf_product=1, ok=True),
         )
 
     def test_serialization(self):

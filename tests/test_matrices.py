@@ -1,5 +1,6 @@
 """Exact integer/rational linear algebra primitives."""
 
+import contextlib
 import random
 import re
 import sys
@@ -15,12 +16,13 @@ from conftest import (
     dense_signed_maximal_minors,
     dense_solve_augmented,
     dict_rows,
+    format_rational,
     primitive_vector,
     replace_column,
     solve_square,
     transpose,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relmag.matrices
@@ -36,7 +38,7 @@ from relmag.matrices import (
     determinant,
     determinant_cofactor,
     format_matrix,
-    format_rational,
+    format_ratio,
     infinity_norm,
     nullspace_basis,
     parse_matrix,
@@ -45,6 +47,35 @@ from relmag.matrices import (
 from relmag.systems import assemble
 
 small_entries = st.integers(min_value=-9, max_value=9)
+
+_small = st.integers(-10**6, 10**6)
+_positive = st.integers(1, 10**6)
+_huge = st.integers(10**4300, 10**4310)  # more digits than int() and str() convert by default
+# (y, t) pairs for format_ratio: any sign and y = 0; t dividing y; a common
+# factor that leaves t / gcd > 1; and numerators and denominators of more
+# than 4,300 digits
+ratios = st.one_of(
+    st.tuples(_small, _positive),
+    st.builds(lambda m, t: (m * t, t), _small, _positive),
+    st.builds(lambda g, a, b: (g * a, g * b), st.integers(2, 10**6), _small, st.integers(2, 10**6)),
+    st.builds(lambda y, sign, t: (sign * y, t), _huge, st.sampled_from((1, -1)), _positive),
+    st.builds(lambda g, a, b: (g * a, g * b), _huge, _small, _positive),
+    st.tuples(_small, _huge),
+)
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift the int-to-str digit limit, as cli._echo_report does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def square(rows):
@@ -498,10 +529,26 @@ class TestTextFormat:
             assert str(exc.value) == "line 2, col 3: entry of %d digits is too long, limit is %d" % (
                 limit + 1, limit)
 
-    def test_format_rational(self):
-        assert format_rational(Fraction(3, 2)) == "3/2"
-        assert format_rational(Fraction(4, 2)) == "2"
-        assert format_rational(7) == "7"
+    def test_format_ratio(self):
+        assert format_ratio(3, 2) == "3/2"
+        assert format_ratio(4, 2) == "2"
+        assert format_ratio(7, 1) == "7"
+        assert format_ratio(-6, 4) == "-3/2"
+        assert format_ratio(0, 5) == "0"
+
+    @given(ratios)
+    @settings(max_examples=300, deadline=None)
+    @example((0, 1))
+    @example((-12, 8))
+    @example((-12, 4))
+    @example((-(10**4300), 3))
+    @example((10**4300, 2 * 10**4300))
+    def test_format_ratio_matches_fraction_route(self, ratio):
+        """format_ratio(y, t) writes what the Fraction route wrote for
+        Fraction(y, t)."""
+        y, t = ratio
+        with unlimited_int_str():
+            assert format_ratio(y, t) == format_rational(Fraction(y, t))
 
 
 class TestMatrixOps:
@@ -518,6 +565,21 @@ class TestMatrixOps:
             IntegerMatrix.from_rows([[Fraction(1, 2), 2]])
         with pytest.raises(MatrixError, match="entries must be integers, got 2.7"):
             IntegerMatrix.from_rows([[1, 2.7]])
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: IntegerMatrix(((1, 1.5),)), MatrixError, "entries must be integers, got 1.5"),
+            (lambda: IntegerMatrix(((1, 2),)).apply([1]), MatrixError, "vector length mismatch"),
+            (lambda: determinant_cofactor(IntegerMatrix(((1, 2),))), NonSquareError,
+             "determinant requires a square matrix"),
+        ],
+        ids=["non_int_entry", "apply_length", "cofactor_non_square"],
+    )
+    def test_input_checks(self, call, error, message):
+        with pytest.raises(MatrixError) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
 
     def test_infinity_norm(self):
         assert infinity_norm(IntegerMatrix.from_rows([[1, -2], [3, 1]])) == 4

@@ -18,6 +18,7 @@ from conftest import (
     combined,
     corrupt_cramer_check,
     corrupt_reduced_solution,
+    count_fractions,
     dense_rows,
     gauss_jordan_solve,
     halving_dsl,
@@ -31,6 +32,7 @@ from conftest import (
     reference_solve_assembled,
     reference_validate,
     replace_column,
+    solution,
     sum_equations,
     unit_equations,
 )
@@ -419,6 +421,12 @@ class TestSystemValidation:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             System(k=1, nvars=1, equations=(UnitEquation(var=1, sign=1),))
+
+    @pytest.mark.parametrize("generate", [extremal_system, extremal_matrix])
+    def test_generators_reject_k_below_2(self, generate):
+        with pytest.raises(ValueError) as exc:
+            generate(1, 3)
+        assert type(exc.value) is ValueError and str(exc.value) == "k must be >= 2, got 1"
 
     def test_rejects_out_of_range_var(self):
         with pytest.raises(ValueError):
@@ -862,23 +870,23 @@ class TestChains:
 class TestSolveAndCertify:
     def test_sharp_instance(self):
         rep = solve_and_certify(parse_system(extremal_dsl(2, 4)))
-        assert rep.max_abs == 8
+        assert (rep.max_y, rep.t) == (8, 1)
         assert rep.bound == 8
         assert rep.sharp and rep.bound_ok
         assert rep.certification.all_ok
 
     def test_solution_values(self):
         rep = solve_and_certify(parse_system("k=3; x1=1; 3x1-x2=0; x2+x1-x3=0"))
-        assert rep.solution == (1, 3, 4)
-        assert rep.max_abs == 4
+        assert (rep.y, rep.t) == ((1, 3, 4), 1)
+        assert rep.max_y == 4
         assert rep.bound == 9
         assert not rep.sharp
 
     def test_trivial_all_homogeneous(self):
         rep = solve_and_certify(parse_system("k=2; x1+x2=0"))
         assert rep.trivial
-        assert rep.solution == (0, 0)
-        assert rep.max_abs == 0
+        assert (rep.y, rep.t) == ((0, 0), 1)
+        assert rep.max_y == 0 and not rep.sharp
 
     def test_report_serialization(self):
         rep = solve_and_certify(parse_system(extremal_dsl(2, 3)))
@@ -911,13 +919,17 @@ class TestSolveAndCertify:
     def test_solution_with_common_denominator(self):
         """x = (1, 1/2, 1/4) is y / t with t = 4; columns run tail first."""
         rep = solve_and_certify(parse_system("k=2; x1=1; 2x2-x1=0; 2x3-x2=0"))
-        assert rep.solution == (1, Fraction(1, 2), Fraction(1, 4))
+        assert (rep.y, rep.t) == ((4, 2, 1), 4)
+        assert solution(rep) == (1, Fraction(1, 2), Fraction(1, 4))
         assert (rep.trace.reduced_y, rep.trace.den) == ((4, 2, 1), 4)
-        assert rep.max_abs == 1 and not rep.sharp
+        assert rep.max_y == 4 and not rep.sharp
         assert (rep.det_a, rep.det_ai) == (4, (1, 2, 4))
         cert = rep.certification
-        assert cert.all_ok
-        assert [e.x for e in cert.entries] == [Fraction(1, 4), Fraction(1, 2), 1]
+        assert cert.all_ok and (cert.t, cert.max_y) == (4, 4)
+        assert [e.y_i for e in cert.entries] == [1, 2, 4]
+        d = rep.to_dict()
+        assert d["max_abs"] == "1" and d["solution"] == {"x1": "1", "x2": "1/2", "x3": "1/4"}
+        assert [c["x"] for c in d["certification"]["columns"]] == ["1/4", "1/2", "1"]
         assert [e.det_u for e in cert.entries] == [1, -2, 4]
         assert [e.det_w for e in cert.entries] == [1, 4, 16]
 
@@ -942,36 +954,36 @@ class TestSolveAndCertify:
         assert with_denominator >= 100
 
     def test_solve_path_builds_no_fraction_per_step(self, monkeypatch):
-        """The solve returns plain ints, and solve_and_certify builds
-        Fractions only for the report: at most 3n for n variables."""
+        """The solve returns plain ints, and neither solve_and_certify nor
+        the report's to_dict and to_text builds a Fraction, on the chain of
+        64 variables (t = 1) and on the halving chain of 12 (t = 2^11)."""
         n = 64
         system = extremal_system(2, n)
         reduced, trace = reduce_system(system)
         y, det_a, det_ai = solve_assembled(assemble(reduced), trace.reduced_y, trace.den)
         assert all(type(v) is int for v in (*y, det_a, *det_ai))
-        built = []
-
-        def counted(*args):
-            built.append(args)
-            return Fraction(*args)
-
-        for module in (relmag.systems, relmag.detbounds):
-            monkeypatch.setattr(module, "Fraction", counted)
-        rep = solve_and_certify(system)
-        assert rep.sharp and rep.certification.all_ok
-        assert len(built) <= 3 * n
+        for module in (relmag.systems, relmag.detbounds, relmag.matrices):
+            assert not hasattr(module, "Fraction"), module.__name__
+        cases = ((system, 1, True), (parse_system(halving_dsl(12)), 2 ** 11, False))
+        built = count_fractions(monkeypatch)
+        for system, t, sharp in cases:
+            rep = solve_and_certify(system)
+            assert rep.certification.all_ok and (rep.t, rep.sharp) == (t, sharp)
+            rep.to_dict()
+            rep.to_text()
+        assert built == []
 
     def test_no_certify_skips_chain(self):
         rep = solve_and_certify(parse_system(extremal_dsl(2, 6)), certify=False)
         assert rep.certification is None
-        assert rep.max_abs == 32
+        assert (rep.max_y, rep.t) == (32, 1)
 
     def test_failed_certification_raises(self, monkeypatch):
         real = relmag.systems.certify_solution_bound
 
         def failing(asm, y, t, det_ai):
             rep = real(asm, y, t, det_ai)
-            return replace(rep, entries=(replace(rep.entries[0], ok=False),) + rep.entries[1:])
+            return replace(rep, entries=(rep.entries[0]._replace(ok=False),) + rep.entries[1:])
 
         monkeypatch.setattr(relmag.systems, "certify_solution_bound", failing)
         with pytest.raises(BoundViolationError, match="determinant certification failed"):
@@ -1069,13 +1081,7 @@ class TestSolveAndCertify:
     def test_reduction_builds_no_fraction(self, monkeypatch):
         """The reduction keeps its solution as integers over one
         denominator only."""
-        built = []
-
-        def counted(*args):
-            built.append(args)
-            return Fraction(*args)
-
-        monkeypatch.setattr(relmag.systems, "Fraction", counted)
+        built = count_fractions(monkeypatch)
         reduced, trace = reduce_system(extremal_system(2, 64))
         assert reduced.nvars == 64 and built == []
 
@@ -1094,7 +1100,7 @@ class TestSolveAndCertify:
             calls.clear()
             rep = solve_and_certify(parse_system(text))
             assert calls == [rep.trace]
-            assert rep.solution == reconstruct(rep.trace)
+            assert solution(rep) == reconstruct(rep.trace)
 
     @pytest.mark.parametrize("index", range(12))
     def test_assembled_solution_disagreement_raises(self, monkeypatch, index):
@@ -1118,7 +1124,7 @@ class TestSolveAndCertify:
                        parse_system(_EVERY_STEP), parse_system("k=4; x1=1; x2-x2+2x1-x3=0")):
             rep = solve_and_certify(system)
             assert rep.bound_ok and rep.certification.all_ok
-        assert rep.solution == (1, 0, 2) and rep.trace.records[0].step == 5
+        assert (rep.y, rep.t) == ((1, 0, 2), 1) and rep.trace.records[0].step == 5
 
     @pytest.mark.parametrize("kind", ["numerator", "det_a"])
     def test_cramer_disagreement_raises(self, monkeypatch, kind):
