@@ -19,8 +19,8 @@ from relmag.matrices import (
     nullspace_basis,
     rank,
 )
-from relmag.circuits import Circuit, enumerate_circuits, elementary_basis, is_elementary
-from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper, omega_vector
+from relmag.circuits import Circuit, enumerate_circuits, elementary_basis
+from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper
 from relmag.systems import System, parse_system, reduce_system, solve_and_certify
 from relmag.generators import extremal_matrix, extremal_dsl
 
@@ -35,10 +35,8 @@ __all__ = [
     "Circuit",
     "enumerate_circuits",
     "elementary_basis",
-    "is_elementary",
     "MagnitudeCertificate",
     "omega_matrix_upper",
-    "omega_vector",
     "System",
     "parse_system",
     "reduce_system",

@@ -8,11 +8,10 @@ canonical primitive integer representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
+from typing import NamedTuple
 
-from relmag.matrices import IntegerMatrix, nullspace_basis, rank
+from relmag.matrices import IntegerMatrix, nullspace_basis
 
 # Every matrix of at most 24 columns has fewer candidate supports than this.
 CANDIDATE_LIMIT = 2 ** 24
@@ -22,8 +21,7 @@ class EnumerationTooLarge(ValueError):
     """Refused an exponential enumeration; pass allow_large to override."""
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """support: sorted 0-based column indices; vector: full-length primitive."""
 
     support: tuple[int, ...]
@@ -48,25 +46,6 @@ class Circuit:
 
 def _support(x) -> tuple[int, ...]:
     return tuple(j for j, v in enumerate(x) if v != 0)
-
-
-def is_elementary(a: IntegerMatrix, x) -> bool:
-    """True iff x is a null vector of minimal support.
-
-    Decided by the rank test: the column submatrix on supp(x) must have
-    rank |supp(x)| - 1, which makes its null space the single ray through
-    x restricted to its support.
-    """
-    x = [Fraction(v) for v in x]
-    if len(x) != a.cols:
-        raise ValueError("vector length mismatch")
-    if all(v == 0 for v in x):
-        raise ValueError("zero vector is not elementary")
-    if any(v != 0 for v in a.apply(x)):
-        raise ValueError("vector is not in the null space")
-    sup = _support(x)
-    sub = a.column_submatrix(sup)
-    return rank(sub) == len(sup) - 1
 
 
 def _extend(

@@ -19,7 +19,7 @@ import click
 from relmag import detbounds, generators
 from relmag.circuits import EnumerationTooLarge, enumerate_circuits
 from relmag.magnitude import omega_matrix_upper
-from relmag.matrices import MatrixError, format_matrix, parse_matrix
+from relmag.matrices import MatrixError, format_matrix, format_ratio, parse_matrix
 from relmag.systems import (
     MAX_VARIABLES,
     BoundViolationError,
@@ -94,7 +94,7 @@ def _report_omega(matrix_path, fmt, allow_large, render):
 def _certify_line(cert) -> str:
     bound = cert.theorem_bound if cert.theorem_bound is not None else "-"
     tail = " SHARP" if cert.sharp else ""
-    return "omega=%s bound=%s%s" % (cert.omega_upper, bound, tail)
+    return "omega=%s bound=%s%s" % (format_ratio(cert.omega_hi, cert.omega_lo), bound, tail)
 
 
 format_option = click.option(

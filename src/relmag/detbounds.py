@@ -19,7 +19,6 @@ writes each x_i and the maximum in lowest terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -77,8 +76,7 @@ def det_closed_form(family: str, t: int, k: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     t_max: int
     k: int
     matrices_checked: int
@@ -156,8 +154,7 @@ def enumerate_residual_multisets(k: int) -> list[tuple[int, ...]]:
     return [m for m in out if sorted(m) != sorted((k, 1))]
 
 
-@dataclass(frozen=True)
-class CoefficientBoundReport:
+class CoefficientBoundReport(NamedTuple):
     k: int
     multisets_checked: int
     bound: int
@@ -233,8 +230,7 @@ class ColumnCertificate(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     n: int
     k: int
     bound: int  # k^(2(n-1))

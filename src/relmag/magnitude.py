@@ -12,43 +12,31 @@ omega_matrix_upper eliminates A once, in the public nullspace_basis: the
 rank is the column count minus the basis length, and circuits_from_basis
 walks the circuits from that basis.  Each circuit's ratio is kept as the
 integer pair (max |x|, min |x|): the minimum is found and every bound is
-tested by cross-multiplication, and one Fraction is built, for the
-minimum.
+tested by cross-multiplication, and the certificate keeps the pair of the
+minimum, written in lowest terms only when a report is printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from relmag.circuits import Circuit, circuits_from_basis
 from relmag.matrices import IntegerMatrix, format_ratio, infinity_norm, nullspace_basis
 
 
-def omega_vector(x) -> Fraction:
-    """max |x_i| over all coordinates / min |x_i| over nonzero ones.
-
-    Entries are ints or Fractions, compared as they are; only the
-    quotient is built as a Fraction.
-    """
-    vals = [abs(v) for v in x]
-    nonzero = [v for v in vals if v]
-    if not nonzero:
-        raise ValueError("relative magnitude of the zero vector is undefined")
-    return Fraction(max(vals)) / min(nonzero)
-
-
-@dataclass(frozen=True)
-class MagnitudeCertificate:
+class MagnitudeCertificate(NamedTuple):
     """Upper bound on the matrix relative magnitude with verification data.
 
-    omega_upper is exact when the null space is at most one-dimensional
-    (then it is the unique circuit ray); otherwise it is the minimum over
-    circuits, an upper bound only.  theorem_bound and support_bound are
-    defined for norm >= 3.
+    The bound is omega_hi / omega_lo, the max and min |x| of the witness
+    circuit, or 0 / 1 when the null space is trivial.  It is exact when
+    the null space is at most one-dimensional (then it is the unique
+    circuit ray); otherwise it is the minimum over circuits, an upper
+    bound only.  theorem_bound and support_bound are defined for
+    norm >= 3.
     """
 
-    omega_upper: Fraction
+    omega_hi: int
+    omega_lo: int
     exact: bool
     witness: Circuit | None
     norm: int
@@ -65,9 +53,8 @@ class MagnitudeCertificate:
         return all(ok for _, ok in self.checks)
 
     def to_dict(self) -> dict:
-        omega = self.omega_upper
         return {
-            "omega_upper": format_ratio(omega.numerator, omega.denominator),
+            "omega_upper": format_ratio(self.omega_hi, self.omega_lo),
             "exact": self.exact,
             "witness": self.witness.to_dict() if self.witness else None,
             "norm": self.norm,
@@ -82,13 +69,12 @@ class MagnitudeCertificate:
         }
 
     def to_text(self) -> str:
-        omega = self.omega_upper
         lines = [
             "norm=%d" % self.norm,
             "rank=%d" % self.rank,
             "nullity=%d" % self.nullity,
             "t=%s" % (self.min_support if self.min_support is not None else "-"),
-            "omega_upper=%s" % format_ratio(omega.numerator, omega.denominator),
+            "omega_upper=%s" % format_ratio(self.omega_hi, self.omega_lo),
             "exact=%s" % ("yes" if self.exact else "upper-bound-only"),
             "theorem_bound=%s" % (self.theorem_bound if self.theorem_bound is not None else "-"),
             "support_bound=%s" % (self.support_bound if self.support_bound is not None else "-"),
@@ -115,7 +101,8 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
     rk = a.cols - nullity
     if nullity == 0:
         return MagnitudeCertificate(
-            omega_upper=Fraction(0),
+            omega_hi=0,
+            omega_lo=1,
             exact=True,
             witness=None,
             norm=norm,
@@ -159,7 +146,8 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
         checks.append(("small_norm_all_circuits_unit", all(hi == lo for hi, lo in ratios)))
     sharp = theorem_bound is not None and best_hi == theorem_bound * best_lo
     return MagnitudeCertificate(
-        omega_upper=Fraction(best_hi, best_lo),
+        omega_hi=best_hi,
+        omega_lo=best_lo,
         exact=nullity == 1,
         witness=circs[best],
         norm=norm,

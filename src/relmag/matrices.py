@@ -68,16 +68,6 @@ class IntegerMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def column_submatrix(self, cols) -> "IntegerMatrix":
-        cols = tuple(cols)
-        return IntegerMatrix(tuple(tuple(row[j] for j in cols) for row in self.entries))
-
-    def apply(self, x):
-        """Return A.x as a tuple (entries of x may be int or Fraction)."""
-        if len(x) != self.cols:
-            raise MatrixError("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, x)) for row in self.entries)
-
     def gram(self) -> "IntegerMatrix":
         """Return A.A^T (symmetric positive semidefinite)."""
         return IntegerMatrix(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -20,6 +19,7 @@ from relmag.matrices import (
     _sparse_echelon,
     determinant,
     nullspace_basis,
+    rank,
 )
 from relmag.systems import (
     MAX_VARIABLES,
@@ -53,7 +53,7 @@ def oracle_circuits(a: IntegerMatrix) -> list[Circuit]:
     out = []
     for size in range(1, n + 1):
         for idx in combinations(range(n), size):
-            sub = a.column_submatrix(idx)
+            sub = column_submatrix(a, idx)
             basis = nullspace_basis(sub)
             if len(basis) != 1 or any(v == 0 for v in basis[0]):
                 continue
@@ -63,6 +63,55 @@ def oracle_circuits(a: IntegerMatrix) -> list[Circuit]:
             out.append(Circuit(support=idx, vector=primitive_vector(vec)))
     out.sort(key=lambda c: c.support)
     return out
+
+
+def column_submatrix(a: IntegerMatrix, cols) -> IntegerMatrix:
+    """The columns cols of a, in that order."""
+    cols = tuple(cols)
+    return IntegerMatrix(tuple(tuple(row[j] for j in cols) for row in a.entries))
+
+
+def apply(a: IntegerMatrix, x):
+    """Return A.x as a tuple (entries of x may be int or Fraction)."""
+    if len(x) != a.cols:
+        raise MatrixError("vector length mismatch")
+    return tuple(sum(e * v for e, v in zip(row, x)) for row in a.entries)
+
+
+def is_elementary(a: IntegerMatrix, x) -> bool:
+    """True iff x is a null vector of minimal support.
+
+    Decided by the rank test: the column submatrix on supp(x) must have
+    rank |supp(x)| - 1, which makes its null space the single ray through
+    x restricted to its support.
+    """
+    x = [Fraction(v) for v in x]
+    if len(x) != a.cols:
+        raise ValueError("vector length mismatch")
+    if all(v == 0 for v in x):
+        raise ValueError("zero vector is not elementary")
+    if any(v != 0 for v in apply(a, x)):
+        raise ValueError("vector is not in the null space")
+    sup = tuple(j for j, v in enumerate(x) if v != 0)
+    return rank(column_submatrix(a, sup)) == len(sup) - 1
+
+
+def omega_vector(x) -> Fraction:
+    """max |x_i| over all coordinates / min |x_i| over nonzero ones.
+
+    Entries are ints or Fractions, compared as they are; only the
+    quotient is built as a Fraction.
+    """
+    vals = [abs(v) for v in x]
+    nonzero = [v for v in vals if v]
+    if not nonzero:
+        raise ValueError("relative magnitude of the zero vector is undefined")
+    return Fraction(max(vals)) / min(nonzero)
+
+
+def omega_upper(cert) -> Fraction:
+    """A MagnitudeCertificate's bound omega_hi / omega_lo as a Fraction."""
+    return Fraction(cert.omega_hi, cert.omega_lo)
 
 
 def dense_bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None:
@@ -529,7 +578,7 @@ def corrupt_reduced_solution(monkeypatch, index: int) -> None:
         reduced, trace = real(system)
         y = list(trace.reduced_y)
         y[index] += 1
-        return reduced, replace(trace, reduced_y=tuple(y))
+        return reduced, trace._replace(reduced_y=tuple(y))
 
     monkeypatch.setattr(relmag.systems, "reduce_system", reduce_system)
 
@@ -548,16 +597,21 @@ def corrupt_expansion(monkeypatch, var: int, delta: int) -> None:
 
 
 def corrupt_reduced_size(monkeypatch) -> None:
-    """Make the assembled system of systems.solve_and_certify report one
-    column fewer once its solve has run, so the bound k^(n-1) is taken at
-    the wrong size n."""
-    real = relmag.systems.solve_assembled
+    """Make every step of systems.solve_and_certify after its solve see an
+    assembled system of one column fewer, so the bound k^(n-1) is taken at
+    the wrong size n.  assemble returns asm._replace(n=asm.n - 1), and the
+    solve runs on the true Assembled, rebuilt from it."""
+    real_assemble = relmag.systems.assemble
+    real_solve = relmag.systems.solve_assembled
+
+    def assemble(system):
+        asm = real_assemble(system)
+        return asm._replace(n=asm.n - 1)
 
     def solve_assembled(asm, reduced_y, den):
-        solved = real(asm, reduced_y, den)
-        object.__setattr__(asm, "n", asm.n - 1)
-        return solved
+        return real_solve(asm._replace(n=asm.n + 1), reduced_y, den)
 
+    monkeypatch.setattr(relmag.systems, "assemble", assemble)
     monkeypatch.setattr(relmag.systems, "solve_assembled", solve_assembled)
 
 

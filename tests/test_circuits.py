@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import dense_bareiss_step, oracle_circuits, random_matrix
+from conftest import dense_bareiss_step, is_elementary, oracle_circuits, random_matrix
 from relmag import circuits, matrices
 from relmag.circuits import (
     Circuit,
@@ -13,7 +13,6 @@ from relmag.circuits import (
     _extend,
     elementary_basis,
     enumerate_circuits,
-    is_elementary,
 )
 from relmag.generators import extremal_matrix
 from relmag.matrices import IntegerMatrix, rank

@@ -1,7 +1,6 @@
 """Determinant closed forms, Hadamard-Fischer, coefficient bounds."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from conftest import (
@@ -230,10 +229,10 @@ class TestCertification:
         ):
             rows[2] = bad
             with pytest.raises(ValueError, match="not supported on columns 1, 2"):
-                certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_ai)
+                certify_solution_bound(asm._replace(rows=tuple(rows)), y, t, det_ai)
         rows[2] = ((1, 2), (2, -2))  # the right support, but no longer a B_3 block
         with pytest.raises(LemmaViolationError, match="closed form det B_3"):
-            certify_solution_bound(replace(asm, rows=tuple(rows)), y, t, det_ai)
+            certify_solution_bound(asm._replace(rows=tuple(rows)), y, t, det_ai)
 
     def test_no_gram_or_determinant(self, monkeypatch):
         """Certification eliminates no matrix: it reads det U_i from the solve."""

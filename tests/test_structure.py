@@ -1,7 +1,14 @@
-"""Module dependency rules, checked on the source syntax tree, and the exports."""
+"""Module dependency rules, checked on the source syntax tree, the exports,
+the record types and what an import of the package loads."""
 
 import ast
+import importlib
+import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import relmag
 
@@ -145,3 +152,65 @@ def test_all_names_resolve():
     namespace = {}
     exec("from relmag import *", namespace)
     assert set(relmag.__all__) <= set(namespace)
+
+
+# the two classes whose construction validates its input
+DATACLASSES = {"IntegerMatrix", "System"}
+
+
+def _is_dataclass_decorator(dec):
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def test_only_validating_classes_are_dataclasses():
+    """Every other record is a NamedTuple: a dataclass generates and execs
+    its methods when the module is imported."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                _is_dataclass_decorator(dec) for dec in node.decorator_list
+            ):
+                found.add(node.name)
+    assert found == DATACLASSES
+
+
+def _record_types():
+    """The public classes the package defines, exceptions apart."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module("relmag." + path.stem)
+        for name, cls in vars(module).items():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and not name.startswith("_") and not issubclass(cls, BaseException)):
+                yield name, cls
+
+
+def test_records_are_immutable_tuples():
+    """Every public record type but the two dataclasses is a tuple subclass,
+    and none takes an assignment to a field or a new attribute."""
+    records = dict(_record_types())
+    assert DATACLASSES <= set(records) and len(records) > len(DATACLASSES)
+    for name, cls in records.items():
+        if name in DATACLASSES:
+            continue
+        assert issubclass(cls, tuple) and cls._fields, name
+        record = cls._make(range(len(cls._fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], -1)
+        with pytest.raises(AttributeError):
+            record.extra = -1
+        assert record == tuple(range(len(cls._fields)))
+
+
+def test_import_loads_no_fractions():
+    """Importing the package and its CLI loads neither fractions nor
+    decimal; no solve or report needs a Fraction."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import relmag, relmag.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n", done.stdout + done.stderr
