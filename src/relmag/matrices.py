@@ -18,9 +18,7 @@ of the Bareiss step on dense rows per column it adds to an independent
 set.  Rows are scaled lazily and a row with a zero in the pivot column
 is not touched, yet the pivot rows, the rank, the sign and so every
 result equal dense Bareiss elimination's; a chain system, nearly all
-zeros, is solved with O(n) row writes instead of O(n^2).  A zero-skipping
-cofactor expansion is kept as an independent route for the chain-block
-determinant identities.
+zeros, is solved with O(n) row writes instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -260,32 +258,6 @@ def determinant(m: IntegerMatrix) -> int:
     rows = _dict_rows(m)
     pivots, sign = _sparse_echelon(rows, m.cols)
     return sign * rows[-1][m.cols - 1] if len(pivots) == m.rows else 0
-
-
-def determinant_cofactor(m: IntegerMatrix) -> int:
-    """Determinant via Laplace expansion along the first row.
-
-    Independent of the elimination route; zero entries are skipped, so
-    sparse (e.g. tridiagonal) matrices expand quickly.
-    """
-    if m.rows != m.cols:
-        raise NonSquareError("determinant requires a square matrix")
-    rows = m.entries
-
-    def expand(top: int, cols: tuple[int, ...]) -> int:
-        if len(cols) == 1:
-            return rows[top][cols[0]]
-        total = 0
-        sign = 1
-        for pos, c in enumerate(cols):
-            e = rows[top][c]
-            if e != 0:
-                rest = cols[:pos] + cols[pos + 1 :]
-                total += sign * e * expand(top + 1, rest)
-            sign = -sign
-        return total
-
-    return expand(0, tuple(range(m.cols)))
 
 
 def _primitive(ints) -> tuple[int, ...]:

@@ -5,14 +5,16 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
+import relmag.detbounds
 import relmag.systems
 from relmag.circuits import Circuit
 from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
+    NonSquareError,
     _back_substitute,
     _signed_maximal_minors,
     _solve_augmented,
@@ -492,6 +494,69 @@ def continuant(diag, off) -> int:
     return cur
 
 
+def build_chain_block(family: str, t: int, k: int, signs=None) -> IntegerMatrix:
+    """The explicit t x t tridiagonal block (t >= 1): diagonal k^2+1,
+    except the last entry k^2 in family C and the first entry 1 in
+    family D; off-diagonal entries signs[i] * k (all +k by default)."""
+    if t < 1:
+        raise ValueError("cannot build a 0 x 0 matrix; det is 1 by convention")
+    signs = signs or (1,) * (t - 1)
+    diag = [k * k + 1] * t
+    if family == "C":
+        diag[-1] = k * k
+    elif family == "D":
+        diag[0] = 1
+    rows = [[0] * t for _ in range(t)]
+    for i in range(t):
+        rows[i][i] = diag[i]
+        if i + 1 < t:
+            rows[i][i + 1] = signs[i] * k
+            rows[i + 1][i] = signs[i] * k
+    return IntegerMatrix.from_rows(rows)
+
+
+def determinant_cofactor(m: IntegerMatrix) -> int:
+    """Determinant via Laplace expansion along the first row.
+
+    Independent of the elimination route; zero entries are skipped, so
+    sparse (e.g. tridiagonal) matrices expand quickly.
+    """
+    if m.rows != m.cols:
+        raise NonSquareError("determinant requires a square matrix")
+    rows = m.entries
+
+    def expand(top: int, cols: tuple[int, ...]) -> int:
+        if len(cols) == 1:
+            return rows[top][cols[0]]
+        total = 0
+        sign = 1
+        for pos, c in enumerate(cols):
+            e = rows[top][c]
+            if e != 0:
+                rest = cols[:pos] + cols[pos + 1 :]
+                total += sign * e * expand(top + 1, rest)
+            sign = -sign
+        return total
+
+    return expand(0, tuple(range(m.cols)))
+
+
+def cofactor_grid(t_max: int, k: int) -> int:
+    """Compare detbounds.det_closed_form, as it is at the call, with the
+    cofactor expansion of every chain block of family B, C and D, size
+    1..t_max and off-diagonal sign pattern, at one k; returns the number
+    of blocks.  A mismatch fails an assertion naming the block."""
+    det_closed_form = relmag.detbounds.det_closed_form
+    blocks = 0
+    for t in range(1, t_max + 1):
+        for signs in product((1, -1), repeat=t - 1):
+            for family in "BCD":
+                actual = determinant_cofactor(build_chain_block(family, t, k, signs))
+                assert actual == det_closed_form(family, t, k), (family, t, k, signs)
+                blocks += 1
+    return blocks
+
+
 def chain_block(a, rows) -> tuple[list[int], list[int]]:
     """Diagonal and off-diagonal of the chain block of G = A' A'^T, read
     off the dense rows a as inner products."""
@@ -594,6 +659,21 @@ def corrupt_expansion(monkeypatch, var: int, delta: int) -> None:
         return tuple(y)
 
     monkeypatch.setattr(ReductionTrace, "_expand", expand)
+
+
+def corrupt_reduction_solve(monkeypatch, values: dict[int, int]) -> None:
+    """Make the reduction's solve, systems._solve_augmented, return
+    x_v = values[v] for each variable v given, counted as a pivot."""
+    real = relmag.systems._solve_augmented
+
+    def solve(rows, n):
+        pivots, y, t = real(rows, n)
+        y = list(y)
+        for v, value in values.items():
+            y[v] = value * t
+        return sorted(set(pivots) | set(values)), y, t
+
+    monkeypatch.setattr(relmag.systems, "_solve_augmented", solve)
 
 
 def corrupt_reduced_size(monkeypatch) -> None:

@@ -7,10 +7,12 @@ import sys
 import pytest
 from click.testing import CliRunner
 from conftest import (
+    cofactor_grid,
     corrupt_cramer_check,
     corrupt_expansion,
     corrupt_reduced_size,
     corrupt_reduced_solution,
+    corrupt_reduction_solve,
     halving_dsl,
 )
 
@@ -129,7 +131,51 @@ class TestCircuits:
         assert _int_digits_limit() == _LIMIT
 
 
+    def test_walk_non_integral(self, monkeypatch):
+        """A Bareiss step of the walk that doubles its new pivot leaves a
+        back substitution with a remainder."""
+        real = circuits._extend
+
+        def extend(rows, lag, r, piv, c, prev):
+            ext, ext_lag = real(rows, lag, r, piv, c, prev)
+            ext[r] = ext[r][:c] + [2 * ext[r][c]] + ext[r][c + 1:]
+            return ext, ext_lag
+
+        monkeypatch.setattr(circuits, "_extend", extend)
+        res = invoke("circuits", "--matrix", "-", input="2 4\n-2 1 3 3\n3 -3 -1 -3\n")
+        assert res.exit_code == 3
+        assert res.stderr == ("error: internal error: ArithmeticError: "
+                              "circuit vector on columns (0, 2, 3) is not integral\n")
+
+
+def _failing_verdict(monkeypatch):
+    """Make the CLI's omega_matrix_upper return a certificate whose last
+    check failed."""
+    real = cli.omega_matrix_upper
+
+    def omega_matrix_upper(a, allow_large=False):
+        cert = real(a, allow_large)
+        name, _ = cert.checks[-1]
+        return cert._replace(checks=cert.checks[:-1] + ((name, False),))
+
+    monkeypatch.setattr(cli, "omega_matrix_upper", omega_matrix_upper)
+
+
 class TestCertify:
+    @pytest.mark.parametrize("command, line", [
+        ("omega", "check every_circuit_le_support_power: FAIL"),
+        ("certify", "omega=8 bound=8 SHARP"),
+    ])
+    def test_false_verdict_exits_1(self, tmp_path, monkeypatch, command, line):
+        """A false verdict exits 1 after the report is written."""
+        _failing_verdict(monkeypatch)
+        res = invoke(command, "--matrix", write(tmp_path, "a.txt", CHAIN_MATRIX))
+        assert res.exit_code == 1
+        assert line in res.output.splitlines() and res.stderr == ""
+        res = invoke(command, "--matrix", write(tmp_path, "a.txt", CHAIN_MATRIX),
+                     "--format", "json")
+        assert res.exit_code == 1 and json.loads(res.output)["verdict"] is False
+
     def test_sharp_line(self, tmp_path):
         res = invoke("certify", "--matrix", write(tmp_path, "a.txt", CHAIN_MATRIX))
         assert res.exit_code == 0
@@ -237,6 +283,35 @@ class TestSolve:
         assert res.exit_code == 3
         assert "internal error: assembled solution disagrees with the reduction" in res.output
 
+    @pytest.mark.parametrize("values, text, message", [
+        ({2: 0}, "k=2\nx1=1\nx1+x2=0\n",
+         "single-variable homogeneous equation survived steps 2-4"),
+        ({2: 2, 3: 3}, "k=2\nx1=1\nx2-x3=0\nx2-x3=0\nx2-x3=0\n",
+         "could not select 2 independent equations"),
+    ], ids=["single_variable", "selection"])
+    def test_reduction_check_fails(self, tmp_path, monkeypatch, values, text, message):
+        corrupt_reduction_solve(monkeypatch, values)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", text))
+        assert res.exit_code == 3
+        assert res.stderr == "error: internal error: %s\n" % message
+
+    def test_chain_minor_falsified(self, tmp_path, monkeypatch):
+        """Chain row 0's ends swapped, and only in the ends: det B_4 holds,
+        the minor of the first column does not."""
+        real = detbounds._chain_tridiagonal
+
+        def chain_tridiagonal(a, rows, cols):
+            diag, off, ends = real(a, rows, cols)
+            ends[0] = ends[0][::-1]
+            return diag, off, ends
+
+        monkeypatch.setattr(detbounds, "_chain_tridiagonal", chain_tridiagonal)
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", generators.extremal_dsl(3, 5)))
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "error: lemma falsified: column 1 cuts a chain block with det 6561, "
+            "closed form det C_0 det D_4 says 1\n")
+
     def test_reconstructed_solution_fails(self, tmp_path, monkeypatch):
         # x12 = 1 / 2^11 one off after the map back: 2 x12 = x11 fails
         corrupt_expansion(monkeypatch, 12, 1)
@@ -294,33 +369,58 @@ class TestGenerators:
 
 class TestVerifyLemmas:
     def test_defaults(self):
-        res = invoke("verify-lemmas", "--tmax", "4", "--kmax", "3")
+        res = invoke("verify-lemmas", "--kmax", "3")
         assert res.exit_code == 0
-        assert "all determinant identities pass" in res.output
+        assert res.output.splitlines() == [
+            "chain blocks: det B_t, C_t, D_t proved for every t and k, "
+            "24 base cases and 24 recurrences verified",
+            "k=2: 2 coefficient multisets within bound 3, equality attained",
+            "k=3: 6 coefficient multisets within bound 8, equality attained",
+            "all determinant identities pass",
+        ]
 
     def test_json(self):
-        res = invoke("verify-lemmas", "--tmax", "3", "--kmax", "2", "--format", "json")
+        res = invoke("verify-lemmas", "--kmax", "2", "--format", "json")
         doc = json.loads(res.output)
-        assert len(doc["recurrences"]) == 2  # k = 1, 2
-        assert doc["coefficient_bounds"][0]["k"] == 2
+        assert doc["chain_blocks"] == {
+            "k": [1, 2, 3, 4], "t": [3, 4095], "base_cases": 24, "recurrences": 24,
+        }
+        assert doc["coefficient_bounds"] == [{"k": 2, "multisets_checked": 2, "bound": 3}]
 
     def test_bad_params(self):
-        assert invoke("verify-lemmas", "--tmax", "2").exit_code == 2
+        # the chain-block identities hold for every t: there is no size option
+        for value in ("2", "10"):
+            res = invoke("verify-lemmas", "--tmax", value)
+            assert res.exit_code == 2 and "No such option '--tmax'" in res.output
 
     def test_size_guard(self, monkeypatch):
         ran = []
-        monkeypatch.setattr(detbounds, "verify_recurrences", lambda tmax, k: ran.append(k))
+        monkeypatch.setattr(detbounds, "verify_recurrences", lambda: ran.append(0))
         monkeypatch.setattr(detbounds, "verify_coefficient_bounds", lambda k: ran.append(k))
-        for args in (("--tmax", "11"), ("--kmax", "31")):
-            res = invoke("verify-lemmas", *args)
-            assert res.exit_code == 2, args
+        for value in ("1", "31"):
+            res = invoke("verify-lemmas", "--kmax", value)
+            assert res.exit_code == 2, value
         assert ran == []
 
     def test_lemma_falsified(self, monkeypatch):
-        def broken(tmax, k):
+        def broken():
             raise detbounds.LemmaViolationError("det C_3 != recurrence")
 
         monkeypatch.setattr(detbounds, "verify_recurrences", broken)
-        res = invoke("verify-lemmas", "--tmax", "3", "--kmax", "2")
+        res = invoke("verify-lemmas", "--kmax", "2")
         assert res.exit_code == 1
         assert res.stderr.startswith("error: lemma falsified: det C_3 != recurrence")
+
+    def test_closed_form_wrong_for_large_t(self, monkeypatch):
+        """det C_t off by one from t = 11 on: the cofactor grid up to
+        t = 10 passes it, the induction does not."""
+        real = detbounds.det_closed_form
+        monkeypatch.setattr(
+            detbounds, "det_closed_form",
+            lambda family, t, k: real(family, t, k) + (family == "C" and t >= 11),
+        )
+        assert cofactor_grid(10, 2) == 3069
+        res = invoke("verify-lemmas", "--kmax", "2")
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "error: lemma falsified: closed form of det C_4095 (k=1) fails its recurrence\n")

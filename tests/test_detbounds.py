@@ -4,11 +4,13 @@ import random
 
 import pytest
 from conftest import (
+    build_chain_block,
     chain_block,
     continuant,
     cut_chain_minor,
     delete_row_col,
     dense_rows,
+    determinant_cofactor,
     hadamard_fischer_check,
     random_system,
 )
@@ -18,8 +20,9 @@ import relmag.matrices
 from relmag.detbounds import (
     ColumnCertificate,
     LemmaViolationError,
+    K_POINTS,
+    T_POINTS,
     _chain_minors,
-    build_chain_block,
     certify_solution_bound,
     det_closed_form,
     enumerate_residual_multisets,
@@ -27,8 +30,9 @@ from relmag.detbounds import (
     verify_recurrences,
 )
 from relmag.generators import extremal_dsl, extremal_system
-from relmag.matrices import IntegerMatrix, determinant, determinant_cofactor
+from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
+    MAX_VARIABLES,
     UnsolvableSystemError,
     assemble,
     parse_system,
@@ -80,11 +84,43 @@ class TestChainBlocks:
                     )
 
     def test_verify_recurrences(self):
-        rep = verify_recurrences(6, 3)
-        assert rep.matrices_checked == 3 * sum(2 ** (t - 1) for t in range(1, 7))
-        assert rep.recurrences_checked == 12
-        with pytest.raises(ValueError):
-            verify_recurrences(2, 3)
+        rep = verify_recurrences()
+        assert rep == (24, 24)  # 3 families x 2 sizes (or t values) x 4 k
+        assert rep.to_dict() == {
+            "k": [1, 2, 3, 4], "t": [3, 4095], "base_cases": 24, "recurrences": 24,
+        }
+
+    def test_points_decide_the_identities(self):
+        # three distinct K = k^2 >= 4 and k = 1; two distinct t >= 3, the
+        # largest the longest chain a system can hold
+        assert K_POINTS[0] == 1 and len(set(K_POINTS[1:])) == 3 and min(K_POINTS[1:]) >= 2
+        assert T_POINTS == (3, MAX_VARIABLES - 1)
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rejects_closed_form_wrong_for_large_t(self, monkeypatch, family, k):
+        """A closed form doubled from t = 11 on, where a cofactor grid up
+        to t = 10 cannot see it, fails the induction."""
+        real = det_closed_form
+
+        def wrong(fam, t, kk):
+            return real(fam, t, kk) * (2 if fam == family and kk == k and t >= 11 else 1)
+
+        monkeypatch.setattr(relmag.detbounds, "det_closed_form", wrong)
+        with pytest.raises(LemmaViolationError, match=r"\(k=%d\) fails its recurrence" % k):
+            verify_recurrences()
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_rejects_wrong_base_case(self, monkeypatch, t):
+        real = det_closed_form
+        monkeypatch.setattr(
+            relmag.detbounds, "det_closed_form",
+            lambda fam, tt, k: real(fam, tt, k) + (fam == "C" and tt == t and k == 3),
+        )
+        with pytest.raises(LemmaViolationError) as exc:
+            verify_recurrences()
+        assert str(exc.value) == "det C_%d (k=3) is %d, closed form says %d" % (
+            t, 9 ** t, 9 ** t + 1)
 
 
 class TestHadamardFischer:
@@ -141,6 +177,26 @@ class TestCoefficientBounds:
         self._without(monkeypatch, (2, 2))
         with pytest.raises(LemmaViolationError, match=r"extremal multiset \(2, 2\) missing"):
             verify_coefficient_bounds(3)
+
+    def _with(self, monkeypatch, extra):
+        real = enumerate_residual_multisets
+        monkeypatch.setattr(
+            relmag.detbounds, "enumerate_residual_multisets", lambda k: real(k) + [extra],
+        )
+
+    def test_norm_bound_exceeded(self, monkeypatch):
+        # the k-to-1 chain pattern, which the enumeration leaves out
+        self._with(monkeypatch, (3, 1))
+        with pytest.raises(LemmaViolationError) as exc:
+            verify_coefficient_bounds(3)
+        assert str(exc.value) == "coefficients (3, 1) have norm 10 > 8 (k=3)"
+
+    def test_deletion_bound_exceeded(self, monkeypatch):
+        # weight 6 > k + 1 = 5; norm 12 is within 13, but less a 1 it is 11 > 10
+        self._with(monkeypatch, (3, 1, 1, 1))
+        with pytest.raises(LemmaViolationError) as exc:
+            verify_coefficient_bounds(4)
+        assert str(exc.value) == "coefficients (3, 1, 1, 1) minus 1 have norm 11 > 10 (k=4)"
 
     def test_deletion_equality_not_attained(self, monkeypatch):
         # (2, 1, 1) less a 1 is the only deletion at k = 3 reaching 5, the bound

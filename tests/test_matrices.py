@@ -16,6 +16,7 @@ from conftest import (
     dense_echelon,
     dense_signed_maximal_minors,
     dense_solve_augmented,
+    determinant_cofactor,
     dict_rows,
     format_rational,
     primitive_vector,
@@ -37,7 +38,6 @@ from relmag.matrices import (
     _solve_augmented,
     _sparse_echelon,
     determinant,
-    determinant_cofactor,
     format_matrix,
     format_ratio,
     infinity_norm,

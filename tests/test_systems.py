@@ -18,6 +18,7 @@ from conftest import (
     combined,
     corrupt_cramer_check,
     corrupt_reduced_solution,
+    corrupt_reduction_solve,
     count_fractions,
     dense_rows,
     gauss_jordan_solve,
@@ -1112,8 +1113,9 @@ class TestSolveAndCertify:
             solve_and_certify(parse_system(halving_dsl(12)))
 
     def test_valid_systems_never_sum_a_weight(self, monkeypatch):
-        """System validation and the reduction sum each equation's weight in
-        the loop that reads its terms: with SumEquation.weight failing, the
+        """System validation sums each equation's weight in the loop that
+        reads its terms, and the reduction sums none: with SumEquation.weight
+        failing, the
         longest extremal chain, the multi-chain system and a system with
         cancelling terms such as x1-x1 still build, solve and certify."""
         def fail(self):
@@ -1135,3 +1137,22 @@ class TestSolveAndCertify:
         for system in (extremal_system(2, 6), parse_system(halving_dsl(12))):
             with pytest.raises(ReductionError, match="Cramer and elimination solutions disagree"):
                 solve_and_certify(system)
+
+
+class TestReductionChecks:
+    """The reduction's internal checks, reached by a wrong solve."""
+
+    def test_single_variable_equation(self, monkeypatch):
+        # x2 = 0 removes x2 from x1 + x2 = 0 and leaves x1 = 0
+        corrupt_reduction_solve(monkeypatch, {2: 0})
+        with pytest.raises(ReductionError) as exc:
+            reduce_system(parse_system("k=2; x1=1; x1+x2=0"))
+        assert str(exc.value) == "single-variable homogeneous equation survived steps 2-4"
+
+    def test_too_few_independent_equations(self, monkeypatch):
+        # x3, in truth free, as a pivot: three active variables, and three
+        # copies of x2 - x3 = 0 with one independent among them
+        corrupt_reduction_solve(monkeypatch, {2: 2, 3: 3})
+        with pytest.raises(ReductionError) as exc:
+            reduce_system(parse_system("k=2; x1=1; x2-x3=0; x2-x3=0; x2-x3=0"))
+        assert str(exc.value) == "could not select 2 independent equations"
