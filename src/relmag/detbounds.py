@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from relmag.matrices import format_ratio
+from relmag.matrices import _decimal, format_ratio
 
 
 class LemmaViolationError(AssertionError):
@@ -331,8 +331,9 @@ def _chain_minors(a, rows, cols, k: int):
     det_b = det_closed_form("B", t, k)
     if f[t] != det_b or g[0] != det_b:
         raise LemmaViolationError(
-            "chain block at rows %d..%d has det %d (prefix) and %d (suffix), "
-            "closed form det B_%d says %d" % (rows[0], rows[-1], f[t], g[0], t, det_b)
+            "chain block at rows %d..%d has det %s (prefix) and %s (suffix), "
+            "closed form det B_%d says %s"
+            % (rows[0], rows[-1], _decimal(f[t]), _decimal(g[0]), t, _decimal(det_b))
         )
     k2 = k * k
     expected = 1  # det C_p = k^(2p) and det D_q = 1, by a running product
@@ -343,8 +344,8 @@ def _chain_minors(a, rows, cols, k: int):
         minor = left * right
         if minor != expected:
             raise LemmaViolationError(
-                "column %d cuts a chain block with det %d, closed form det C_%d det D_%d says %d"
-                % (cols[p] + 1, minor, p, t - p, expected)
+                "column %d cuts a chain block with det %s, closed form det C_%d det D_%d says %s"
+                % (cols[p] + 1, _decimal(minor), p, t - p, _decimal(expected))
             )
         minors.append(minor)
         expected *= k2

@@ -304,6 +304,17 @@ def format_ratio(y: int, t: int) -> str:
     return "%d/%d" % (y // g, t // g)
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or a lower bound where n has more digits than
+    int-to-str conversion allows (sys.get_int_max_str_digits()): error
+    messages write their integers with it, so that a message about a huge
+    value does not itself raise."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return "10^%d or more" % sys.get_int_max_str_digits()
+
+
 def _position(line_no: int, line: str, index: int) -> str:
     """"line L, col C" of the index-th entry of line, or of its end."""
     starts = [m.start() for m in re.finditer(r"\S+", line)] + [len(line.rstrip())]

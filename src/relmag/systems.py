@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
+    _decimal,
     _line_col,
     _signed_maximal_minors,
     _solve_augmented,
@@ -123,15 +124,6 @@ def _overweight_message(eq: SumEquation, k: int) -> str:
     """The error for an equation over the weight limit k + 1."""
     return "equation %s has %s unit terms, limit is k+1 = %s" % (
         eq.to_text(), _decimal(eq.weight()), _decimal(k + 1))
-
-
-def _decimal(n: int) -> str:
-    """n in decimal, or a lower bound where n has more digits than
-    int-to-str conversion allows (sys.get_int_max_str_digits())."""
-    try:
-        return "%d" % n
-    except ValueError:
-        return "10^%d or more" % sys.get_int_max_str_digits()
 
 
 @dataclass(frozen=True)
@@ -392,14 +384,14 @@ def _scan_error(text: str, tokens: list, unread, message: str | None,
 _BY_VARIABLE = itemgetter(1)
 
 
-class StepRecord(NamedTuple):
-    step: int
-    detail: str
-
-
 class ReductionTrace(NamedTuple):
     """Auditable record of the reduction; supports exact reconstruction.
 
+    Each step's facts are fields: the extra unit equations turned into
+    differences (step 1), the equations, as parsed, whose opposite terms
+    cancelled (step 5), the free (step 2) and zero-valued (step 3)
+    variables set to zero, the merges (step 4), the number of dependent
+    equations dropped and whether the unit sign was absorbed (step 6).
     The reduced solution is kept as integers reduced_y over the common
     denominator den, x = reduced_y / den.
     """
@@ -407,6 +399,7 @@ class ReductionTrace(NamedTuple):
     original_nvars: int
     kept_unit: tuple[int, int]
     converted_units: tuple[tuple[int, int], ...]
+    cancelled: tuple[SumEquation, ...]
     zeroed_free: tuple[int, ...]
     zeroed_solved: tuple[int, ...]
     merges: tuple[tuple[int, int, int], ...]  # (removed j, sign, kept i), in order
@@ -415,7 +408,6 @@ class ReductionTrace(NamedTuple):
     rename: dict[int, int]  # surviving original variable -> reduced index
     reduced_y: tuple[int, ...]
     den: int
-    records: tuple[StepRecord, ...]
 
     def _expand(self) -> tuple[int, ...]:
         """reduced_y mapped back to the original variables, a full original
@@ -535,14 +527,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         sums.append(d)
     if not uvar:
         raise AllHomogeneousError("no unit equation; the zero vector solves the system")
-    records: list[StepRecord] = []
-    if converted:
-        records.append(
-            StepRecord(1, "converted unit equations on %s to differences with x%d"
-                       % (sorted(v for v, _ in converted), uvar))
-        )
-    for eq in cancelled:
-        records.append(StepRecord(5, "cancelled opposite terms in %s" % eq.to_text()))
     eqs.extend(sums)
 
     # steps 2-4 collect one substitution `target`: a free (step 2) or
@@ -552,14 +536,10 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
     zeroed_free = tuple(free)
     target: dict[int, tuple[int, int] | None] = dict.fromkeys(zeroed_free)
-    if zeroed_free:
-        records.append(StepRecord(2, "fixed free variables %s to zero" % list(zeroed_free)))
     zeroed_solved = tuple(sorted(v for v in values if values[v] == 0))
     for v in zeroed_solved:
         target[v] = None
         del values[v]
-    if zeroed_solved:
-        records.append(StepRecord(3, "removed zero-valued variables %s" % list(zeroed_solved)))
     groups: dict[int, list[int]] = {}
     for v in sorted(values):
         groups.setdefault(abs(values[v]), []).append(v)
@@ -574,9 +554,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
                 target[j] = (keep, sgn)
     for j, _, _ in merges:
         del values[j]
-    if merges:
-        records.append(StepRecord(4, "merged sign-equal variables: %s"
-                                  % ["x%d=%+dx%d" % (j, s, i) for j, s, i in merges]))
     # apply it once, cancelling opposite terms as it goes (step 5); a kept
     # variable is never a target.  A single-variable equation fails.  No
     # equation exceeds the weight k + 1 that System validation checked:
@@ -610,8 +587,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     dropped = len(eqs) - len(selected)
     if len(selected) != n - 1:
         raise ReductionError("could not select %d independent equations" % (n - 1))
-    if dropped:
-        records.append(StepRecord(2, "dropped %d dependent equations" % dropped))
     # step 6 (sign absorption): make the unit equation x = +1
     flipped = usign == -1
     if flipped:
@@ -619,7 +594,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
             if uvar in d:
                 d[uvar] = -d[uvar]
         values[uvar] = den
-        records.append(StepRecord(6, "replaced x%d by -x%d to absorb the unit sign" % (uvar, uvar)))
 
     # final rename: unit variable first, the rest ascending
     others = sorted(v for v in active if v != uvar)
@@ -641,6 +615,7 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         original_nvars=system.nvars,
         kept_unit=(uvar, usign),
         converted_units=tuple(converted),
+        cancelled=tuple(cancelled),
         zeroed_free=zeroed_free,
         zeroed_solved=zeroed_solved,
         merges=tuple(merges),
@@ -649,7 +624,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         rename=rename,
         reduced_y=tuple(reduced_y),
         den=den,
-        records=tuple(records),
     )
     _check_reduced(reduced, trace)
     return reduced, trace
@@ -926,7 +900,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         raise ReductionError("reduction changed the maximum coordinate magnitude")
     bound = k ** (n - 1)
     if max_y > bound * t:
-        raise BoundViolationError("solution magnitude exceeds k^(n-1) = %d" % bound)
+        raise BoundViolationError("solution magnitude exceeds k^(n-1) = %s" % _decimal(bound))
     certification = None
     if certify:
         certification = certify_solution_bound(asm, y, t, det_ai)

@@ -31,7 +31,6 @@ from relmag.systems import (
     ParseError,
     ReductionError,
     ReductionTrace,
-    StepRecord,
     SumEquation,
     System,
     SystemError_,
@@ -909,7 +908,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
     units = unit_equations(system)
     if not units:
         raise AllHomogeneousError("no unit equation; the zero vector solves the system")
-    records: list[StepRecord] = []
 
     # step 1: keep one unit equation, turn the others into differences
     uvar, usign = units[0].var, units[0].sign
@@ -922,15 +920,11 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
             continue
         eqs.append({ue.var: 1, uvar: -ue.sign * usign})
         converted.append((ue.var, ue.sign))
-    if converted:
-        records.append(
-            StepRecord(1, "converted unit equations on %s to differences with x%d"
-                       % (sorted(v for v, _ in converted), uvar))
-        )
+    cancelled: list[SumEquation] = []
     for se in sum_equations(system):
         d = combined(se)
         if sum(abs(c) for c in d.values()) < se.weight():
-            records.append(StepRecord(5, "cancelled opposite terms in %s" % se.to_text()))
+            cancelled.append(se)
         if d:
             eqs.append(d)
 
@@ -941,14 +935,10 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
     values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
     zeroed_free = tuple(free)
     target: dict[int, tuple[int, int] | None] = dict.fromkeys(zeroed_free)
-    if zeroed_free:
-        records.append(StepRecord(2, "fixed free variables %s to zero" % list(zeroed_free)))
     zeroed_solved = tuple(sorted(v for v in values if values[v] == 0))
     for v in zeroed_solved:
         target[v] = None
         del values[v]
-    if zeroed_solved:
-        records.append(StepRecord(3, "removed zero-valued variables %s" % list(zeroed_solved)))
     groups: dict[int, list[int]] = {}
     for v in sorted(values):
         groups.setdefault(abs(values[v]), []).append(v)
@@ -963,9 +953,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
                 target[j] = (keep, sgn)
     for j, _, _ in merges:
         del values[j]
-    if merges:
-        records.append(StepRecord(4, "merged sign-equal variables: %s"
-                                  % ["x%d=%+dx%d" % (j, s, i) for j, s, i in merges]))
     # apply it once, cancelling opposite terms as it goes (step 5); a kept
     # variable is never a target
     for d in eqs:
@@ -992,8 +979,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
     dropped = len(eqs) - len(selected)
     if len(selected) != n - 1:
         raise ReductionError("could not select %d independent equations" % (n - 1))
-    if dropped:
-        records.append(StepRecord(2, "dropped %d dependent equations" % dropped))
     # step 6 (sign absorption): make the unit equation x = +1
     flipped = usign == -1
     if flipped:
@@ -1001,7 +986,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
             if uvar in d:
                 d[uvar] = -d[uvar]
         values[uvar] = den
-        records.append(StepRecord(6, "replaced x%d by -x%d to absorb the unit sign" % (uvar, uvar)))
 
     # final rename: unit variable first, the rest ascending
     others = sorted(v for v in active if v != uvar)
@@ -1020,6 +1004,7 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
         original_nvars=system.nvars,
         kept_unit=(uvar, usign),
         converted_units=tuple(converted),
+        cancelled=tuple(cancelled),
         zeroed_free=zeroed_free,
         zeroed_solved=zeroed_solved,
         merges=tuple(merges),
@@ -1028,7 +1013,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
         rename=rename,
         reduced_y=tuple(reduced_y),
         den=den,
-        records=tuple(records),
     )
     reference_check_reduced(reduced, trace)
     return reduced, trace

@@ -295,9 +295,13 @@ class TestSolve:
         assert res.exit_code == 3
         assert res.stderr == "error: internal error: %s\n" % message
 
-    def test_chain_minor_falsified(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("k, det", [(3, "6561"), (10 ** 1500, "10^%s or more" % _LIMIT)],
+                             ids=["k=3", "k=10^1500"])
+    def test_chain_minor_falsified(self, tmp_path, monkeypatch, k, det):
         """Chain row 0's ends swapped, and only in the ends: det B_4 holds,
-        the minor of the first column does not."""
+        the minor of the first column, k^8, does not.  At k = 10^1500 the
+        minor has more digits than int-to-str conversion allows, and the
+        message gives a lower bound for it."""
         real = detbounds._chain_tridiagonal
 
         def chain_tridiagonal(a, rows, cols):
@@ -306,11 +310,11 @@ class TestSolve:
             return diag, off, ends
 
         monkeypatch.setattr(detbounds, "_chain_tridiagonal", chain_tridiagonal)
-        res = invoke("solve", "--system", write(tmp_path, "s.txt", generators.extremal_dsl(3, 5)))
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", generators.extremal_dsl(k, 5)))
         assert res.exit_code == 1
         assert res.stderr == (
-            "error: lemma falsified: column 1 cuts a chain block with det 6561, "
-            "closed form det C_0 det D_4 says 1\n")
+            "error: lemma falsified: column 1 cuts a chain block with det %s, "
+            "closed form det C_0 det D_4 says 1\n" % det)
 
     def test_reconstructed_solution_fails(self, tmp_path, monkeypatch):
         # x12 = 1 / 2^11 one off after the map back: 2 x12 = x11 fails
@@ -328,12 +332,15 @@ class TestSolve:
         assert res.stderr == (
             "error: internal error: reduction changed the maximum coordinate magnitude\n")
 
-    def test_solution_exceeds_bound(self, tmp_path, monkeypatch):
-        # the bound taken at n = 5 on the sharp chain of 6: 32 > 2^4
+    @pytest.mark.parametrize("k, bound", [(2, "16"), (10 ** 1500, "10^%s or more" % _LIMIT)],
+                             ids=["k=2", "k=10^1500"])
+    def test_solution_exceeds_bound(self, tmp_path, monkeypatch, k, bound):
+        # the bound taken at n = 5 on the sharp chain of 6: k^5 > k^4, which
+        # at k = 10^1500 has more digits than int-to-str conversion allows
         corrupt_reduced_size(monkeypatch)
-        res = invoke("solve", "--system", write(tmp_path, "s.txt", generators.extremal_dsl(2, 6)))
+        res = invoke("solve", "--system", write(tmp_path, "s.txt", generators.extremal_dsl(k, 6)))
         assert res.exit_code == 1
-        assert res.stderr == "error: bound violated: solution magnitude exceeds k^(n-1) = 16\n"
+        assert res.stderr == "error: bound violated: solution magnitude exceeds k^(n-1) = %s\n" % bound
 
     def test_bound_violated(self, tmp_path, monkeypatch):
         def broken(system, certify=True):

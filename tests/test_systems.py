@@ -487,9 +487,7 @@ class TestReduction:
     def test_cancellation_record_follows_the_text(self):
         s = parse_system("k=10000001; x1=1; 5000000x2-5000000x2+x1-x3=0")
         _, trace = reduce_system(s)
-        (record,) = [r for r in trace.records if r.step == 5]
-        assert record.detail == "cancelled opposite terms in 5000000x2-5000000x2+x1-x3=0"
-        assert len(record.detail) < 100
+        assert trace.cancelled == (SumEquation(((5000000, 2), (-5000000, 2), (1, 1), (-1, 3))),)
 
     def test_idempotent(self):
         s = parse_system("k=3; x2=1; 3x2-x1=0; x1+x2-x3=0")
@@ -616,12 +614,11 @@ def _result(fn, *args):
         return type(exc), str(exc)
 
 
-# The kinds of StepRecord a reduction writes, told apart by the first word
-# of the detail after the step number: step 2 both fixes free variables and
-# drops dependent equations.
-_RECORD_KINDS = {(1, "converted"), (2, "fixed"), (2, "dropped"), (3, "removed"),
-                 (4, "merged"), (5, "cancelled"), (6, "replaced")}
-# A system whose reduction writes every kind: the negative kept unit x2 = -1,
+# The fields of ReductionTrace that hold what the steps of a reduction did:
+# step 2 both fixes free variables and drops dependent equations.
+_STEP_FIELDS = ("converted_units", "cancelled", "zeroed_free", "zeroed_solved",
+                "merges", "dropped_dependent", "unit_sign_flipped")
+# A system whose reduction takes every step: the negative kept unit x2 = -1,
 # an extra unit equation, cancelling terms, the free x3 and x6, the
 # zero-valued x5 and x7, the merge of x4 into x2 and a dependent equation.
 # The CI's reduction smoke step solves it too.
@@ -634,7 +631,7 @@ class TestReductionOracle:
     every equation in one plain loop."""
 
     def test_reduction_matches_reference(self):
-        kinds, outcomes = set(), set()
+        filled, outcomes = set(), set()
 
         @given(_reducible_systems())
         @example(parse_system(_EVERY_STEP))
@@ -648,11 +645,21 @@ class TestReductionOracle:
                 outcomes.add(expected[0])
             else:
                 outcomes.add(System)
-                kinds.update((r.step, r.detail.split()[0]) for r in expected[1].records)
+                filled.update(f for f in _STEP_FIELDS if getattr(expected[1], f))
 
         same()
-        assert kinds == _RECORD_KINDS
+        assert filled == set(_STEP_FIELDS)
         assert outcomes == {System, UnsolvableSystemError, AllHomogeneousError}
+
+    def test_every_step_trace(self):
+        """The trace of _EVERY_STEP holds each step's facts as data."""
+        _, trace = reduce_system(parse_system(_EVERY_STEP))
+        assert trace == ReductionTrace(
+            original_nvars=7, kept_unit=(2, -1), converted_units=((4, -1),),
+            cancelled=(SumEquation(((1, 1), (-1, 1), (1, 3), (-1, 3))),),
+            zeroed_free=(3, 6), zeroed_solved=(5, 7), merges=((4, 1, 2),),
+            dropped_dependent=1, unit_sign_flipped=True, rename={2: 1, 1: 2},
+            reduced_y=(1, -3), den=1)
 
     @pytest.mark.parametrize("text", [
         "x1=1; x2-x2=0", "x2-x2+x1=0", "x1=1; x2=1; x2=-1", "x1=1; x1=1; x1=-1",
@@ -758,7 +765,7 @@ def _checked_reductions(draw):
     trace = ReductionTrace(
         original_nvars=n, kept_unit=(1, 1), converted_units=(), zeroed_free=(),
         zeroed_solved=(), merges=(), dropped_dependent=0, unit_sign_flipped=False,
-        rename={v: v for v in range(1, n + 1)}, reduced_y=tuple(y), den=den, records=())
+        rename={v: v for v in range(1, n + 1)}, reduced_y=tuple(y), den=den, cancelled=())
     return System(k=7, nvars=n, equations=tuple(equations)), trace
 
 
@@ -1114,19 +1121,21 @@ class TestSolveAndCertify:
 
     def test_valid_systems_never_sum_a_weight(self, monkeypatch):
         """System validation sums each equation's weight in the loop that
-        reads its terms, and the reduction sums none: with SumEquation.weight
-        failing, the
+        reads its terms, and the reduction sums none and writes no text:
+        with SumEquation.weight and SumEquation.to_text failing, the
         longest extremal chain, the multi-chain system and a system with
         cancelling terms such as x1-x1 still build, solve and certify."""
         def fail(self):
-            raise AssertionError("SumEquation.weight called on a valid system")
+            raise AssertionError("SumEquation.weight or to_text called on a valid system")
 
         monkeypatch.setattr(SumEquation, "weight", fail)
+        monkeypatch.setattr(SumEquation, "to_text", fail)
         for system in (extremal_system(2, 512), parse_system(MULTI_CHAIN),
                        parse_system(_EVERY_STEP), parse_system("k=4; x1=1; x2-x2+2x1-x3=0")):
             rep = solve_and_certify(system)
             assert rep.max_y <= rep.bound * rep.t and rep.certification.all_ok
-        assert (rep.y, rep.t) == ((1, 0, 2), 1) and rep.trace.records[0].step == 5
+        assert (rep.y, rep.t) == ((1, 0, 2), 1)
+        assert rep.trace.cancelled == (SumEquation(((1, 2), (-1, 2), (2, 1), (-1, 3))),)
 
     @pytest.mark.parametrize("kind", ["numerator", "det_a"])
     def test_cramer_disagreement_raises(self, monkeypatch, kind):
