@@ -97,6 +97,9 @@ def _certify_line(cert) -> str:
     return "omega=%s bound=%s%s" % (format_ratio(cert.omega_hi, cert.omega_lo), bound, tail)
 
 
+matrix_option = click.option(
+    "--matrix", "matrix_path", required=True, help="Matrix file, '-' for stdin.",
+)
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
     help="Report format.",
@@ -113,7 +116,7 @@ def main():
 
 
 @main.command()
-@click.option("--matrix", "matrix_path", required=True, help="Matrix file, '-' for stdin.")
+@matrix_option
 @format_option
 @allow_large_option
 def omega(matrix_path, fmt, allow_large):
@@ -122,7 +125,7 @@ def omega(matrix_path, fmt, allow_large):
 
 
 @main.command()
-@click.option("--matrix", "matrix_path", required=True, help="Matrix file, '-' for stdin.")
+@matrix_option
 @format_option
 @allow_large_option
 def circuits(matrix_path, fmt, allow_large):
@@ -133,7 +136,7 @@ def circuits(matrix_path, fmt, allow_large):
 
 
 @main.command()
-@click.option("--matrix", "matrix_path", required=True, help="Matrix file, '-' for stdin.")
+@matrix_option
 @format_option
 @allow_large_option
 def certify(matrix_path, fmt, allow_large):
@@ -172,27 +175,22 @@ def gen_extremal(k, n, mode):
 @format_option
 def verify_lemmas(kmax, fmt):
     """Self-test the determinant identities and coefficient bounds."""
-    rep = detbounds.verify_recurrences()
-    results = {"chain_blocks": rep.to_dict(), "coefficient_bounds": []}
-    if fmt == "text":
-        click.echo(
-            "chain blocks: det B_t, C_t, D_t proved for every t and k, "
-            "%d base cases and %d recurrences verified" % (rep.base_cases, rep.recurrences)
-        )
-    for k in range(2, kmax + 1):
-        rep = detbounds.verify_coefficient_bounds(k)
-        results["coefficient_bounds"].append(
-            {"k": k, "multisets_checked": rep.multisets_checked, "bound": rep.bound}
-        )
-        if fmt == "text":
-            click.echo(
-                "k=%d: %d coefficient multisets within bound %d, equality attained"
-                % (k, rep.multisets_checked, rep.bound)
-            )
-    if fmt == "json":
-        click.echo(json.dumps(results, indent=2))
-    else:
-        click.echo("all determinant identities pass")
+    chain = detbounds.verify_recurrences()
+    bounds = [detbounds.verify_coefficient_bounds(k) for k in range(2, kmax + 1)]
+    doc = {
+        "chain_blocks": chain.to_dict(),
+        "coefficient_bounds": [
+            {"k": r.k, "multisets_checked": r.multisets_checked, "bound": r.bound} for r in bounds
+        ],
+    }
+    lines = [
+        "chain blocks: det B_t, C_t, D_t proved for every t and k, "
+        "%d base cases and %d recurrences verified" % (chain.base_cases, chain.recurrences)
+    ] + [
+        "k=%d: %d coefficient multisets within bound %d, equality attained"
+        % (r.k, r.multisets_checked, r.bound) for r in bounds
+    ] + ["all determinant identities pass"]
+    _echo_report(fmt, lambda: doc, lambda: "\n".join(lines))
 
 
 if __name__ == "__main__":

@@ -365,29 +365,23 @@ def parse_matrix(text: str) -> IntegerMatrix:
                 "%s: expected %d entries per row, got %d"
                 % (_position(line_no, ln, min(n, len(parts))), n, len(parts))
             )
-        try:
-            rows.append(tuple(map(int, parts)))
-        except ValueError as exc:
-            raise _entry_error(line_no, ln, parts) from exc
+        row = []
+        for index, p in enumerate(parts):
+            try:
+                row.append(int(p))
+            except ValueError as exc:
+                raise MatrixError(_entry_error(_position(line_no, ln, index), p)) from exc
+        rows.append(tuple(row))
     return IntegerMatrix(tuple(rows))
 
 
-def _entry_error(line_no: int, line: str, parts: list[str]) -> MatrixError:
-    """The error for the first of the entries parts of line that int()
-    rejects: not an integer, or more digits than int() converts."""
-    for index, p in enumerate(parts):
-        try:
-            int(p)
-        except ValueError:
-            where = _position(line_no, line, index)
-            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", p):
-                return MatrixError(
-                    "%s: entry of %d digits is too long, limit is %d"
-                    % (where, len(p.lstrip("+-").replace("_", "")),
-                       sys.get_int_max_str_digits())
-                )
-            return MatrixError("%s: non-integer entry %r" % (where, p))
-    raise ValueError("every entry of line %d converts" % line_no)
+def _entry_error(where: str, p: str) -> str:
+    """The message for the entry p at where that int() rejects: not an
+    integer, or more digits than int() converts."""
+    if re.fullmatch(r"[+-]?\d+(?:_\d+)*", p):
+        return "%s: entry of %d digits is too long, limit is %d" % (
+            where, len(p.lstrip("+-").replace("_", "")), sys.get_int_max_str_digits())
+    return "%s: non-integer entry %r" % (where, p)
 
 
 def format_matrix(a: IntegerMatrix) -> str:

@@ -394,6 +394,65 @@ class TestVerifyLemmas:
         }
         assert doc["coefficient_bounds"] == [{"k": 2, "multisets_checked": 2, "bound": 3}]
 
+    # (k, multisets_checked, bound) of each coefficient-bound check
+    _BOUNDS = ((2, 2, 3), (3, 6, 8), (4, 12, 13), (5, 22, 20), (6, 36, 29), (7, 57, 40))
+
+    @pytest.mark.parametrize("kmax", range(2, 8))
+    def test_text_bytes(self, kmax):
+        res = invoke("verify-lemmas", "--kmax", str(kmax))
+        assert res.exit_code == 0
+        assert res.stdout == "".join(
+            ["chain blocks: det B_t, C_t, D_t proved for every t and k, "
+             "24 base cases and 24 recurrences verified\n"]
+            + ["k=%d: %d coefficient multisets within bound %d, equality attained\n" % row
+               for row in self._BOUNDS[:kmax - 1]]
+            + ["all determinant identities pass\n"]
+        )
+
+    @pytest.mark.parametrize("kmax", range(2, 8))
+    def test_json_bytes(self, kmax):
+        """The JSON document, written out by hand: two-space indent, one
+        value per line, a final newline."""
+        res = invoke("verify-lemmas", "--kmax", str(kmax), "--format", "json")
+        assert res.exit_code == 0
+        head = (
+            '{\n  "chain_blocks": {\n'
+            '    "k": [\n      1,\n      2,\n      3,\n      4\n    ],\n'
+            '    "t": [\n      3,\n      4095\n    ],\n'
+            '    "base_cases": 24,\n    "recurrences": 24\n  },\n'
+            '  "coefficient_bounds": [\n'
+        )
+        entries = ",\n".join(
+            '    {\n      "k": %d,\n      "multisets_checked": %d,\n      "bound": %d\n    }'
+            % row for row in self._BOUNDS[:kmax - 1]
+        )
+        assert res.stdout == head + entries + "\n  ]\n}\n"
+        assert res.stdout == json.dumps(json.loads(res.stdout), indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("failing_k", [None, 2, 4])
+    def test_falsified_lemma_writes_no_report(self, monkeypatch, fmt, failing_k):
+        """Every check runs before a byte is written: a LemmaViolationError
+        from the recurrences (failing_k None) or from the bounds at some
+        k, after earlier checks passed, leaves stdout empty."""
+        real = detbounds.verify_coefficient_bounds
+
+        def bounds(k):
+            if k == failing_k:
+                raise detbounds.LemmaViolationError("bound broken (k=%d)" % k)
+            return real(k)
+
+        def recurrences():
+            raise detbounds.LemmaViolationError("det C_3 != recurrence")
+
+        monkeypatch.setattr(detbounds, "verify_coefficient_bounds", bounds)
+        if failing_k is None:
+            monkeypatch.setattr(detbounds, "verify_recurrences", recurrences)
+        res = invoke("verify-lemmas", "--kmax", "5", "--format", fmt)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: lemma falsified: ")
+
     def test_bad_params(self):
         # the chain-block identities hold for every t: there is no size option
         for value in ("2", "10"):

@@ -91,9 +91,13 @@ class TestChainBlocks:
         }
 
     def test_points_decide_the_identities(self):
-        # three distinct K = k^2 >= 4 and k = 1; two distinct t >= 3, the
-        # largest the longest chain a system can hold
+        # three distinct K = k^2 >= 4 and k = 1
         assert K_POINTS[0] == 1 and len(set(K_POINTS[1:])) == 3 and min(K_POINTS[1:]) >= 2
+
+    def test_last_t_point_is_the_longest_chain(self):
+        """Drift guard: two distinct t >= 3, the last the longest chain a
+        system can hold, MAX_VARIABLES - 1 rows.  T_POINTS is written
+        out, so a new variable limit must move it too."""
         assert T_POINTS == (3, MAX_VARIABLES - 1)
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])

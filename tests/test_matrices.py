@@ -530,6 +530,37 @@ class TestTextFormat:
             assert str(exc.value) == "line 2, col 3: entry of %d digits is too long, limit is %d" % (
                 limit + 1, limit)
 
+    def test_first_error_of_a_row(self):
+        """Of several entries int() rejects in one row, the first is
+        reported, at its own column; a row that also has the wrong number
+        of entries is reported for its count."""
+        for text, message in [
+            ("1 4\n1 x 2.5 y\n", "line 2, col 2: non-integer entry 'x'"),
+            ("1 4\n1 2  2.5 y\n", "line 2, col 5: non-integer entry '2.5'"),
+            ("2 3\n1 2 3\n4 5 6e1  # e\n", "line 3, col 4: non-integer entry '6e1'"),
+            ("1 2\nx 1 2\n", "line 2, col 4: expected 2 entries per row, got 3"),
+            ("1 3\n1 y\n", "line 2, col 3: expected 3 entries per row, got 2"),
+        ]:
+            with pytest.raises(MatrixError) as exc:
+                parse_matrix(text)
+            assert str(exc.value) == message
+
+    def test_long_and_non_integer_entries_in_one_row(self):
+        """A digit string over the limit and a non-integer in one row: each
+        has its own message, the first of them in the row is reported."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() converts entries of any length")
+        long = "9" * (limit + 1)
+        for text, message in [
+            ("1 3\n%s x 1\n" % long,
+             "line 2, col 0: entry of %d digits is too long, limit is %d" % (limit + 1, limit)),
+            ("1 3\n1 x %s\n" % long, "line 2, col 2: non-integer entry 'x'"),
+        ]:
+            with pytest.raises(MatrixError) as exc:
+                parse_matrix(text)
+            assert str(exc.value) == message
+
     def test_format_ratio(self):
         assert format_ratio(3, 2) == "3/2"
         assert format_ratio(4, 2) == "2"
