@@ -23,7 +23,6 @@ from relmag.matrices import MatrixError, format_matrix, format_ratio, parse_matr
 from relmag.systems import (
     MAX_VARIABLES,
     BoundViolationError,
-    ChainIntersectionError,
     ReductionError,
     SystemError_,
     parse_system,
@@ -34,14 +33,13 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-# (exception types, exit code, stderr message) -- the first matching row
-# wins.  BoundViolationError, ReductionError and ChainIntersectionError
-# subclass SystemError_, so their rows precede the input row; the last row
+# (exception types, exit code, stderr message).  No type subclasses a type
+# of another row, so the rows may come in any order but the last, which
 # takes everything else.
 EXIT_TABLE = (
     ((BoundViolationError,), EXIT_VIOLATION, "bound violated: {exc}"),
     ((detbounds.LemmaViolationError,), EXIT_VIOLATION, "lemma falsified: {exc}"),
-    ((ReductionError, ChainIntersectionError), EXIT_INTERNAL, "internal error: {exc}"),
+    ((ReductionError,), EXIT_INTERNAL, "internal error: {exc}"),
     ((EnumerationTooLarge,), EXIT_INPUT, "{exc}; pass --allow-large to force it"),
     ((SystemError_, MatrixError, OSError, UnicodeDecodeError), EXIT_INPUT, "{exc}"),
     ((Exception,), EXIT_INTERNAL, "internal error: {type}: {exc}"),
@@ -147,10 +145,9 @@ def certify(matrix_path, fmt, allow_large):
 @main.command()
 @click.option("--system", "system_path", required=True, help="System file, '-' for stdin.")
 @format_option
-@click.option("--no-certify", is_flag=True, help="Skip the determinant certification chain.")
-def solve(system_path, fmt, no_certify):
+def solve(system_path, fmt):
     """Solve a unit-coefficient system and certify the k^(n-1) bound."""
-    report = solve_and_certify(parse_system(_read(system_path)), certify=not no_certify)
+    report = solve_and_certify(parse_system(_read(system_path)))
     _echo_report(fmt, report.to_dict, report.to_text)
 
 

@@ -294,7 +294,7 @@ def _chain_tridiagonal(a, rows, cols):
         row = a[r]
         if not (len(row) == 2 and row[0][0] == cols[j] and row[1][0] == cols[j + 1]
                 and row[0][1] and row[1][1]):
-            raise ValueError(
+            raise RuntimeError(
                 "chain row %d is not supported on columns %d, %d" % (r, cols[j], cols[j + 1])
             )
         ends.append((row[0][1], row[1][1]))

@@ -266,7 +266,7 @@ def _primitive(ints) -> tuple[int, ...]:
     vectors map to the same result."""
     g = gcd(*ints)
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
+        raise RuntimeError("zero vector has no primitive form")
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)

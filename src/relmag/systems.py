@@ -67,15 +67,11 @@ class AllHomogeneousError(SystemError_):
     """No unit equation present; the zero vector solves the system."""
 
 
-class ChainIntersectionError(SystemError_):
-    """Two maximal chains share a variable (signals a reduction bug)."""
+class ReductionError(RuntimeError):
+    """A reduction or assembly postcondition failed (signals an internal bug)."""
 
 
-class ReductionError(SystemError_):
-    """A reduction postcondition failed (signals an internal bug)."""
-
-
-class BoundViolationError(SystemError_):
+class BoundViolationError(AssertionError):
     """A certified inequality failed; would falsify a proved theorem."""
 
 
@@ -728,9 +724,9 @@ def assemble(system: System) -> Assembled:
                 (ca, a), (cb, b) = eq.terms
             if abs(cb) == k and abs(ca) == 1:
                 if a in links:
-                    raise ChainIntersectionError("variable x%d heads two links" % a)
+                    raise ReductionError("variable x%d heads two links" % a)
                 if b in tails:
-                    raise ChainIntersectionError("variable x%d tails two links" % b)
+                    raise ReductionError("variable x%d tails two links" % b)
                 links[a] = (b, ca if cb > 0 else -ca)
                 tails.add(b)
                 continue
@@ -753,7 +749,7 @@ def assemble(system: System) -> Assembled:
         for c, a in enumerate(reversed(chain[:-1]), start=start):
             rows.append(((c, k), (c + 1, links[a][1])))
     if visited != set(links) | tails:
-        raise ChainIntersectionError("cyclic two-variable equations detected")
+        raise ReductionError("cyclic two-variable equations detected")
     if chain_cols and len(residual) < len(chain_cols) - 1:
         raise ReductionError("fewer than r-1 residual equations for %d chains" % len(chain_cols))
     for v in range(1, n + 1):
@@ -823,7 +819,7 @@ class SolveReport(NamedTuple):
     sharp: bool
     y: tuple[int, ...]  # x = y / t, original variables in 1-based order
     trace: ReductionTrace | None
-    certification: CertificationReport | None
+    certification: CertificationReport | None  # None only when trivial
     trivial: bool = False
 
     def to_dict(self) -> dict:
@@ -864,13 +860,13 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
 
     Reduces, which solves the system exactly, assembles and checks the
     solution on the assembled matrix, maps it back to a solution of the
-    original system, and checks |x_i| <= k^(n-1) with n the reduced size.
-    With certify=True the full determinant certification chain
-    x_i^2 <= det W_i <= k^(2(n-1)) is run per column.  Certification is
-    single-threaded; jobs is accepted for existing callers and must be 1.
+    original system, and checks |x_i| <= k^(n-1) with n the reduced size,
+    then runs the determinant certification chain x_i^2 <= det W_i <=
+    k^(2(n-1)) per column, single-threaded.  certify and jobs are accepted
+    for existing callers and must be True and 1.
     """
-    if jobs != 1:
-        raise ValueError("jobs must be 1, got %r" % (jobs,))
+    if certify is not True or jobs != 1:
+        raise ValueError("certify must be True and jobs 1, got %r and %r" % (certify, jobs))
     k = system.k
     try:
         reduced, trace = reduce_system(system)
@@ -901,11 +897,9 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
     bound = k ** (n - 1)
     if max_y > bound * t:
         raise BoundViolationError("solution magnitude exceeds k^(n-1) = %s" % _decimal(bound))
-    certification = None
-    if certify:
-        certification = certify_solution_bound(asm, y, t, det_ai)
-        if not certification.all_ok:
-            raise BoundViolationError("determinant certification failed")
+    certification = certify_solution_bound(asm, y, t, det_ai)
+    if not certification.all_ok:
+        raise BoundViolationError("determinant certification failed")
     return SolveReport(
         k=k,
         n=n,

@@ -65,16 +65,18 @@ def test_criterion_2_sharpness_of_solution_bound():
     checked = 0
     ok = True
     for n in range(2, 33):
-        rep = solve_and_certify(extremal_system(2, n), certify=False)
+        rep = solve_and_certify(extremal_system(2, n))
         ok = ok and Fraction(rep.max_y, rep.t) == 2 ** (n - 1) == rep.bound and rep.sharp
+        ok = ok and rep.certification.all_ok
         checked += 1
     for k in range(2, 7):
         for n in range(2, 17):
-            rep = solve_and_certify(extremal_system(k, n), certify=False)
+            rep = solve_and_certify(extremal_system(k, n))
             ok = ok and Fraction(rep.max_y, rep.t) == k ** (n - 1) == rep.bound and rep.sharp
+            ok = ok and rep.certification.all_ok
             checked += 1
     _report(2, "sharp system family", ok, time.monotonic() - start, 5,
-            "%d systems, max |x_i| = k^(n-1) exactly" % checked)
+            "%d systems, max |x_i| = k^(n-1) exactly, each certified" % checked)
 
 
 def test_criterion_3_chain_block_determinants():

@@ -288,7 +288,7 @@ class TestCertification:
             ((1, 2), (2, 0)),  # a zero-valued pair
         ):
             rows[2] = bad
-            with pytest.raises(ValueError, match="not supported on columns 1, 2"):
+            with pytest.raises(RuntimeError, match="not supported on columns 1, 2"):
                 certify_solution_bound(asm._replace(rows=tuple(rows)), y, t, det_ai)
         rows[2] = ((1, 2), (2, -2))  # the right support, but no longer a B_3 block
         with pytest.raises(LemmaViolationError, match="closed form det B_3"):

@@ -177,7 +177,7 @@ class TestPrimitiveVector:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             primitive_vector([0, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError):
             _primitive([0, 0])
 
     def test_integer_route_matches(self):

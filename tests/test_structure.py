@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import relmag
+from relmag.cli import EXIT_TABLE
+from relmag.systems import BoundViolationError, ReductionError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relmag"
 TESTS = Path(__file__).resolve().parent
@@ -143,6 +145,21 @@ def test_cli_has_one_try():
     tries = [node.lineno for node in ast.walk(_tree(SRC / "cli.py"))
              if isinstance(node, ast.Try)]
     assert len(tries) == 1, "cli.py has try statements at lines %s" % tries
+
+
+def test_exit_table_is_order_free():
+    """No type of one EXIT_TABLE row subclasses a type of another, so the
+    first match is the only match; the catch-all last row is exempt.  An
+    internal bug or a falsified bound is no ValueError, the bad-input
+    family a caller's `except ValueError` takes."""
+    rows = [types for types, _, _ in EXIT_TABLE[:-1]]
+    assert EXIT_TABLE[-1][0] == (Exception,)
+    overlaps = [(sub.__name__, base.__name__)
+                for i, row in enumerate(rows) for other in rows[:i] + rows[i + 1:]
+                for sub in row for base in other if issubclass(sub, base)]
+    assert not overlaps, "EXIT_TABLE rows overlap (subclass, base): %s" % overlaps
+    assert not issubclass(ReductionError, ValueError)
+    assert not issubclass(BoundViolationError, ValueError)
 
 
 def test_all_names_resolve():

@@ -45,7 +45,6 @@ from relmag.systems import (
     AllHomogeneousError,
     Assembled,
     BoundViolationError,
-    ChainIntersectionError,
     ParseError,
     ReductionError,
     ReductionTrace,
@@ -606,11 +605,11 @@ def _reducible_systems(draw):
 
 
 def _result(fn, *args):
-    """What fn returns, or the type and message of the SystemError_ it
-    raises."""
+    """What fn returns, or the type and message of the SystemError_ or
+    ReductionError it raises."""
     try:
         return fn(*args)
-    except SystemError_ as exc:
+    except (SystemError_, ReductionError) as exc:
         return type(exc), str(exc)
 
 
@@ -857,11 +856,11 @@ class TestChains:
         "nvars, equations, error, message",
         [
             (3, [_sum((2, 2), (-1, 1)), _sum((2, 3), (-1, 1))],
-             ChainIntersectionError, "x1 heads two links"),
+             ReductionError, "x1 heads two links"),
             (3, [_sum((2, 3), (-1, 1)), _sum((2, 3), (-1, 2))],
-             ChainIntersectionError, "x3 tails two links"),
+             ReductionError, "x3 tails two links"),
             (2, [_sum((2, 2), (-1, 1)), _sum((2, 1), (-1, 2))],
-             ChainIntersectionError, "cyclic two-variable equations"),
+             ReductionError, "cyclic two-variable equations"),
             (4, [_sum((2, 2), (-1, 1)), _sum((2, 4), (-1, 3))],
              ReductionError, "fewer than r-1 residual equations for 2 chains"),
             (3, [_sum((2, 2), (-1, 1))],
@@ -904,8 +903,11 @@ class TestSolveAndCertify:
         assert "max=4 bound=k^(n-1)=4 OK" in rep.to_text()
 
     def test_jobs_other_than_one_rejected(self):
-        with pytest.raises(ValueError):
-            solve_and_certify(parse_system(extremal_dsl(3, 5)), jobs=2)
+        """solve_and_certify runs one route: certified, on one thread."""
+        system = parse_system(extremal_dsl(3, 5))
+        for keywords in ({"jobs": 2}, {"certify": False}, {"certify": False, "jobs": 2}):
+            with pytest.raises(ValueError, match="certify must be True and jobs 1"):
+                solve_and_certify(system, **keywords)
 
     def test_solve_assembled_determinants(self):
         """det A and the Cramer numerators det A_i equal independent Bareiss runs."""
@@ -980,11 +982,6 @@ class TestSolveAndCertify:
             rep.to_dict()
             rep.to_text()
         assert built == []
-
-    def test_no_certify_skips_chain(self):
-        rep = solve_and_certify(parse_system(extremal_dsl(2, 6)), certify=False)
-        assert rep.certification is None
-        assert (rep.max_y, rep.t) == (32, 1)
 
     def test_failed_certification_raises(self, monkeypatch):
         real = relmag.systems.certify_solution_bound
