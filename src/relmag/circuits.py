@@ -48,40 +48,33 @@ def _support(x) -> tuple[int, ...]:
     return tuple(j for j, v in enumerate(x) if v != 0)
 
 
-def _extend(
-    rows: list[list[int]], lag: list[int], r: int, piv: int, c: int, prev: int
-) -> tuple[list[list[int]], list[int]]:
-    """The (rows, lag) of S + {c} from those of S, by one Bareiss step.
+def _extend(rows: list[list[int]], r: int, piv: int, c: int, prev: int) -> list[list[int]]:
+    """The echelon rows of S + {c} from those of S, by one Bareiss step.
 
     Copy on write: no list the parent holds is written.  rows[piv] moves
-    up to row r and becomes the pivot row on column c; if it lags, it is
-    brought current from column c on as a new list.  Each row below with
-    an entry f in column c becomes a new list, current at the pivot p:
-    columns before c are kept, column c is 0, and the columns after it
-    are (e * p - f * g) / lag[i]: the lazy form of the tests' dense step
-    conftest.dense_bareiss_step, exact as in matrices._sparse_echelon.
-    Every other row is shared with the parent, with its lag.
+    up to row r and becomes the pivot row on column c, with pivot p.  Each
+    row below becomes a new list: one with an entry f in column c gets 0
+    there and (e * p - f * g) / prev after it, one with a zero there is
+    rescaled by p / prev after it, and both keep the columns before c.
+    This is the tests' dense step conftest.dense_bareiss_step, so every
+    division is exact: each entry it writes is a minor of A.  The rows
+    above r are shared with the parent.
     """
     rows = rows[:]
-    lag = lag[:]
     rows[r], rows[piv] = rows[piv], rows[r]
-    lag[r], lag[piv] = lag[piv], lag[r]
     prow = rows[r]
-    behind = lag[r]
-    if behind != prev:
-        prow = rows[r] = prow[:c] + [g * prev // behind if g else 0 for g in prow[c:]]
     p = prow[c]
     tail = prow[c + 1 :]
     for i in range(r + 1, len(rows)):
         row = rows[i]
         f = row[c]
         if f:
-            behind = lag[i]
             rows[i] = row[:c] + [0] + [
-                (e * p - f * g) // behind for e, g in zip(row[c + 1 :], tail)
+                (e * p - f * g) // prev for e, g in zip(row[c + 1 :], tail)
             ]
-            lag[i] = p
-    return rows, lag
+        elif p != prev:
+            rows[i] = row[: c + 1] + [e * p // prev for e in row[c + 1 :]]
+    return rows
 
 
 def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
@@ -114,9 +107,7 @@ def circuits_from_basis(
     column is independent of S: _extend takes one Bareiss step on it, and
     S + {j} is walked in turn, unless j is the last support column, which
     leaves S + {j} no later column to test.  A dependent set is never
-    extended.  The step
-    scales lazily, so each set also carries, per row, the pivot that row
-    is current at; only zero tests read the rows below the pivots.
+    extended.
     Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
     candidate supports (column sets of the null-space support of at most
     rank(A) + 1 columns), unless allow_large is set.
@@ -139,12 +130,11 @@ def circuits_from_basis(
     width = len(cols)
     m, n = a.rows, a.cols
     found: list[Circuit] = []
-    # (S, the columns of A in S, echelon rows pivoted on S, the pivot each
-    # row is current at, last pivot); an explicit stack, so a high rank
-    # cannot exhaust the recursion limit
-    stack = [((), (), [[row[c] for c in cols] for row in a.entries], [1] * m, 1)]
+    # (S, the columns of A in S, echelon rows pivoted on S, last pivot); an
+    # explicit stack, so a high rank cannot exhaust the recursion limit
+    stack = [((), (), [[row[c] for c in cols] for row in a.entries], 1)]
     while stack:
-        sset, csup, rows, lag, prev = stack.pop()
+        sset, csup, rows, prev = stack.pop()
         r = len(sset)
         for j in range(sset[-1] + 1 if sset else 0, width):
             for piv in range(r, m):
@@ -177,8 +167,8 @@ def circuits_from_basis(
                 continue
             if j == width - 1:
                 continue
-            ext, ext_lag = _extend(rows, lag, r, piv, j, prev)
-            stack.append((sset + (j,), csup + (cols[j],), ext, ext_lag, ext[r][j]))
+            ext = _extend(rows, r, piv, j, prev)
+            stack.append((sset + (j,), csup + (cols[j],), ext, ext[r][j]))
     found.sort(key=lambda c: c.support)
     return found
 

@@ -5,6 +5,9 @@ are always exact; a rational output is an integer pair y / t, written in
 lowest terms by ``format_ratio``.  There is one fraction-free (Bareiss)
 elimination, ``_sparse_echelon``, on {column: value} rows that hold only
 the nonzeros, and one integer back substitution, ``_back_substitute``.
+Its callers give each free column a multiple of the last pivot, the
+determinant of the pivot block, so by Cramer's rule every value it fills
+in is an integer and each of its divisions is exact.
 ``rank``, ``determinant`` and ``nullspace_basis`` run them on the rows of
 an IntegerMatrix; ``_solve_augmented`` solves A.x = b for the reduction,
 and returns the solution as integers y over one common denominator t,
@@ -12,13 +15,13 @@ x = y / t, the form of Cramer's rule, so its callers never build a
 Fraction per coordinate; ``_signed_maximal_minors`` takes every Cramer
 numerator of a square system whose first row is a unit row from one
 elimination, the route by which an assembled system gets det A and the
-numerators that check its solution.  The circuit walk (relmag.circuits)
-starts from ``nullspace_basis``, then takes its own copy-on-write form
-of the Bareiss step on dense rows per column it adds to an independent
-set.  Rows are scaled lazily and a row with a zero in the pivot column
-is not touched, yet the pivot rows, the rank, the sign and so every
-result equal dense Bareiss elimination's; a chain system, nearly all
-zeros, is solved with O(n) row writes instead of O(n^2).
+numerators that check its solution.  The elimination scales rows lazily
+and leaves a row with a zero in the pivot column untouched, yet the
+pivot rows, the rank, the sign and so every result equal dense Bareiss
+elimination's; a chain system, nearly all zeros, is solved with O(n)
+row writes instead of O(n^2).  The circuit walk (relmag.circuits)
+starts from ``nullspace_basis``, then takes the plain Bareiss step on
+copies of dense rows per column it adds to an independent set.
 """
 
 from __future__ import annotations
@@ -174,24 +177,21 @@ def _back_substitute(rows: list[dict[int, int]], pivots: list[int], x: list[int]
 
     x holds integers, given at the non-pivot columns and zero at the pivot
     columns until they are filled in, so a row's own items give its
-    partial sum.  Where a pivot does not divide it, all of x is rescaled
-    by an integer factor, so x stays integral and is fixed up to scale
-    only.
+    partial sum.  The given values must be multiples of the last pivot,
+    the determinant of the pivot block: then by Cramer's rule every value
+    filled in is an integer (a multiple of a minor of the input), so each
+    division is exact, and a remainder, which only a wrong pivot row can
+    leave, raises ArithmeticError.
     """
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
-        p = row[c]
         s = 0
         for j, v in row.items():
             s += v * x[j]
-        if s % p:
-            g = gcd(s, p)
-            q = p // g
-            x[:] = [v * q for v in x]
-            x[c] = -s // g
-        else:
-            x[c] = -s // p
+        x[c], rest = divmod(-s, row[c])
+        if rest:
+            raise ArithmeticError("the Cramer quotient at column %d is not integral" % c)
 
 
 def _solve_augmented(rows: list[dict[int, int]], n: int):
@@ -203,13 +203,14 @@ def _solve_augmented(rows: list[dict[int, int]], n: int):
     y, t): the pivot columns of A and the solution with every free
     variable zero as integers y over one common denominator t, x = y / t,
     in canonical form (t > 0 and gcd(t, y_1, ..., y_n) = 1, so equal
-    solutions give equal (y, t)).
+    solutions give equal (y, t)).  The back substitution starts from t =
+    the last pivot, so it divides exactly; (y, t) is then reduced.
     """
     pivots, _ = _sparse_echelon(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
     # [A | b] . (y, -t) = 0 gives A . (y / t) = b
-    y = [0] * n + [-1]
+    y = [0] * n + [-(rows[len(pivots) - 1][pivots[-1]] if pivots else 1)]
     _back_substitute(rows, pivots, y)
     g = gcd(*y)
     if y[n] > 0:
@@ -230,19 +231,15 @@ def _signed_maximal_minors(rows: list[dict[int, int]], n: int) -> list[int]:
     elimination gives all n: when B has rank n-1 it leaves one free column
     f, and Bareiss makes the last pivot, times the sign of the row
     permutation, det B_-f.  Back substitution from z_f = det B_-f gives
-    z = (-1)^f d; every division is exact, and a remainder, which would
-    make the back substitution rescale z, raises ArithmeticError.  d is
-    zero when B is rank-deficient.
+    z = (-1)^f d, dividing exactly.  d is zero when B is rank-deficient.
     """
     pivots, sign = _sparse_echelon(rows, n)
     if len(pivots) < n - 1:
         return [0] * n
     f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
     z = [0] * n
-    z[f] = det_f = sign * rows[-1][pivots[-1]] if pivots else 1
+    z[f] = sign * rows[-1][pivots[-1]] if pivots else 1
     _back_substitute(rows, pivots, z)
-    if z[f] != det_f:
-        raise ArithmeticError("a maximal minor is not integral")
     return [-v for v in z] if f % 2 else z
 
 
@@ -276,18 +273,20 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
     """Basis of N(A), each vector in canonical primitive integer form.
 
     Empty list iff rank(A) = n.  There is one basis vector per free
-    (non-pivot) column f, in increasing order: the null vector that is 1 at
-    f and 0 at the other free columns.
+    (non-pivot) column f, in increasing order: the null vector that is
+    nonzero at f and 0 at the other free columns.  Its back substitution
+    starts from x_f = the last pivot, so it divides exactly.
     """
     n = a.cols
     rows = _dict_rows(a)
     pivots, _ = _sparse_echelon(rows, n)
+    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
         if f not in pivot_set:
             x = [0] * n
-            x[f] = 1
+            x[f] = last
             _back_substitute(rows, pivots, x)
             basis.append(_primitive(x))
     return basis

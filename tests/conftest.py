@@ -15,7 +15,6 @@ from relmag.matrices import (
     IntegerMatrix,
     MatrixError,
     NonSquareError,
-    _back_substitute,
     _signed_maximal_minors,
     _solve_augmented,
     _sparse_echelon,
@@ -118,8 +117,8 @@ def omega_upper(cert) -> Fraction:
 def dense_bareiss_step(rows: list[list[int]], r: int, c: int, prev: int) -> None:
     """Reference Bareiss step: every row below the pivot is updated, also
     one with a zero in column c, which is rescaled by p / prev.  This is
-    the dense form of the lazy step in matrices._sparse_echelon and
-    circuits._extend, kept to check them.
+    the dense form of the lazy step in matrices._sparse_echelon, kept to
+    check it, and the step circuits._extend takes on copies of the rows.
     """
     prow = rows[r]
     p = prow[c]
@@ -166,8 +165,10 @@ def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
 def dense_back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:
     """Reference for matrices._back_substitute on dense echelon rows, in
     place: fill in x at the pivot columns so that every echelon row
-    annihilates x, rescaling all of x by an integer factor where a pivot
-    does not divide its row's partial sum."""
+    annihilates x.  It takes any integer values at the free columns and
+    rescales all of x by an integer factor where a pivot does not divide
+    its row's partial sum, so x is fixed up to scale only: compare it with
+    the package's in canonical form."""
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
@@ -362,13 +363,25 @@ def reconstruct(trace: ReductionTrace) -> tuple[Fraction, ...]:
 def reference_solve_augmented(rows: list[dict[int, int]], n: int):
     """matrices._solve_augmented as it was when it also returned the sign
     of the row permutation: (pivots, y, t, sign), and for square
-    nonsingular A, det A = sign * rows[n - 1][n - 1] after the call."""
+    nonsingular A, det A = sign * rows[n - 1][n - 1] after the call.  Its
+    back substitution is its own, independent of matrices._back_substitute:
+    it starts from y_n = -1 and rescales all of y where a pivot does not
+    divide a row's partial sum."""
     pivots, sign = _sparse_echelon(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
     # [A | b] . (y, -t) = 0 gives A . (y / t) = b
     y = [0] * n + [-1]
-    _back_substitute(rows, pivots, y)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        p = rows[r][c]
+        s = sum(v * y[j] for j, v in rows[r].items())
+        if s % p:
+            g = gcd(s, p)
+            y = [v * (p // g) for v in y]
+            y[c] = -s // g
+        else:
+            y[c] = -s // p
     g = gcd(*y)
     if y[n] > 0:
         g = -g
@@ -631,6 +644,20 @@ def halving_dsl(n: int) -> str:
     """The chain x_1 = 1, 2 x_(i+1) = x_i of n variables: x_i = 1 / 2^(i-1),
     so the solution is y / t with t = 2^(n-1)."""
     return "k=2; x1=1; " + "; ".join("2x%d-x%d=0" % (i + 1, i) for i in range(1, n))
+
+
+def corrupt_first_pivot_row(monkeypatch) -> None:
+    """Make matrices._sparse_echelon add 1 to the first row's entry in the
+    last column after it eliminates, so that back substitution over that
+    row leaves a remainder."""
+    real = relmag.matrices._sparse_echelon
+
+    def corrupted(rows, n):
+        out = real(rows, n)
+        rows[0][n - 1] += 1
+        return out
+
+    monkeypatch.setattr(relmag.matrices, "_sparse_echelon", corrupted)
 
 
 def corrupt_reduced_solution(monkeypatch, index: int) -> None:

@@ -10,6 +10,7 @@ from conftest import (
     cofactor_grid,
     corrupt_cramer_check,
     corrupt_expansion,
+    corrupt_first_pivot_row,
     corrupt_reduced_size,
     corrupt_reduced_solution,
     corrupt_reduction_solve,
@@ -18,6 +19,7 @@ from conftest import (
 
 from relmag import circuits, cli, detbounds, generators
 from relmag.cli import main
+from relmag.matrices import nullspace_basis, parse_matrix
 from relmag.systems import MAX_VARIABLES, BoundViolationError, ReductionError, SolveReport
 
 runner = CliRunner()
@@ -89,6 +91,20 @@ class TestOmega:
         assert res.stderr.startswith("error: internal error: RuntimeError: boom")
         assert "Traceback" not in res.output
 
+    def test_corrupted_pivot_row(self, monkeypatch):
+        """A pivot row corrupted after the elimination leaves a remainder in
+        the null space's back substitution: an internal error, not a wrong
+        witness (the true ray of this matrix is (1, 3, -5))."""
+        a = "2 3\n2 1 1\n1 3 2\n"
+        assert nullspace_basis(parse_matrix(a)) == [(1, 3, -5)]
+        corrupt_first_pivot_row(monkeypatch)
+        with pytest.raises(ArithmeticError):
+            nullspace_basis(parse_matrix(a))
+        res = invoke("omega", "--matrix", "-", input=a)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: internal error: ArithmeticError:")
+
 
 class TestCircuits:
     def test_text(self, tmp_path):
@@ -136,10 +152,10 @@ class TestCircuits:
         back substitution with a remainder."""
         real = circuits._extend
 
-        def extend(rows, lag, r, piv, c, prev):
-            ext, ext_lag = real(rows, lag, r, piv, c, prev)
+        def extend(rows, r, piv, c, prev):
+            ext = real(rows, r, piv, c, prev)
             ext[r] = ext[r][:c] + [2 * ext[r][c]] + ext[r][c + 1:]
-            return ext, ext_lag
+            return ext
 
         monkeypatch.setattr(circuits, "_extend", extend)
         res = invoke("circuits", "--matrix", "-", input="2 4\n-2 1 3 3\n3 -3 -1 -3\n")

@@ -12,6 +12,7 @@ from conftest import (
     SingularMatrixError,
     apply,
     as_fractions,
+    corrupt_first_pivot_row,
     cramer_solve,
     dense_echelon,
     dense_signed_maximal_minors,
@@ -448,18 +449,11 @@ class TestSignedMaximalMinors:
 
     def test_non_integral_minor_raises(self, monkeypatch):
         """A pivot row whose back substitution leaves a remainder, here one
-        corrupted after the elimination, raises instead of rescaling the
-        minors."""
+        corrupted after the elimination, raises."""
         rows = [[2, 1, 1], [1, 3, 2]]
         assert _signed_maximal_minors(dict_rows(rows), 3) == [-1, -3, 5]
-        real = relmag.matrices._sparse_echelon
-
-        def corrupted(rows, n):
-            out = real(rows, n)
-            rows[0][n - 1] += 1  # {0: 2, 1: 1, 2: 1} -> {0: 2, 1: 1, 2: 2}
-            return out
-
-        monkeypatch.setattr(relmag.matrices, "_sparse_echelon", corrupted)
+        # {0: 2, 1: 1, 2: 1} -> {0: 2, 1: 1, 2: 2}
+        corrupt_first_pivot_row(monkeypatch)
         with pytest.raises(ArithmeticError, match="not integral"):
             _signed_maximal_minors(dict_rows(rows), 3)
 
