@@ -9,6 +9,7 @@ canonical primitive integer representative.
 from __future__ import annotations
 
 from math import comb, gcd
+from operator import mul
 from typing import NamedTuple
 
 from relmag.matrices import IntegerMatrix, nullspace_basis
@@ -78,40 +79,35 @@ def _extend(rows: list[list[int]], r: int, piv: int, c: int, prev: int) -> list[
 
 
 def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circuit]:
-    """All circuits of A, canonical form, sorted lexicographically by support;
-    circuits_from_basis on the nullspace_basis of A."""
-    return circuits_from_basis(a, nullspace_basis(a), allow_large)
-
-
-def circuits_from_basis(
-    a: IntegerMatrix, basis: list[tuple[int, ...]], allow_large: bool = False
-) -> list[Circuit]:
-    """All circuits of A, canonical form, sorted lexicographically by support,
-    where basis is nullspace_basis(a), so a caller that needs the basis too
-    eliminates A once.
+    """All circuits of A, canonical form, sorted lexicographically by support.
 
     A circuit is a minimal dependent column set, and every circuit lies in
-    the support of the null space.  The walk goes depth first over the
-    independent sets S of those columns, each taken in increasing column
-    order and carrying the Bareiss echelon rows of A pivoted on S; R is
-    the set of rows of A that became the pivot rows.  A later column j
-    that has no entry below the pivot rows depends on S, and S + {j} is a
-    circuit iff the unique null vector on it has no zero entry, so each
-    circuit C is found once, from C minus its largest column.  That
-    vector is read off the pivot rows by Cramer's rule: with
+    the support of the null space, read off nullspace_basis(a).  The walk
+    goes depth first over the independent sets S of those columns, each
+    taken in increasing column order and carrying the Bareiss echelon rows
+    of A pivoted on S; R is the set of rows of A that became the pivot
+    rows.  A later column j that has no entry below the pivot rows depends
+    on S, and S + {j} is a circuit iff the unique null vector on it has no
+    zero entry, so each circuit C is found once, from C minus its largest
+    column.  That vector is read off the pivot rows by Cramer's rule: with
     x_j = det A[R, S], the last pivot, each x_s is
     -det A[R, S with s replaced by j], an integer, so back substitution
     over the r pivot rows divides exactly.  Every entry of a circuit
     vector is nonzero, so its primitive form is x divided by gcd(x),
-    negated when x is negative at the smallest column.  Any other later
-    column is independent of S: _extend takes one Bareiss step on it, and
-    S + {j} is walked in turn, unless j is the last support column, which
-    leaves S + {j} no later column to test.  A dependent set is never
-    extended.
+    negated when x is negative at the smallest column; before it is kept,
+    one dot product per row of A checks that A.z = 0.  A remainder or a
+    nonzero product, which only a wrong pivot row or pivot can leave,
+    raises ArithmeticError.  Any other later column is independent of S:
+    _extend takes one Bareiss step on it, and S + {j} is walked in turn,
+    unless j is the last support column, which leaves S + {j} no later
+    column to test.  A dependent set is never extended.
     Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
     candidate supports (column sets of the null-space support of at most
-    rank(A) + 1 columns), unless allow_large is set.
+    rank(A) + 1 columns), unless allow_large is set.  The guard runs on
+    every call; the walk runs once per matrix, which keeps the list in
+    a._memo, and each call returns a fresh list.
     """
+    basis = nullspace_basis(a)
     d = len(basis)
     if d == 0:
         return []
@@ -126,6 +122,8 @@ def circuits_from_basis(
             "circuit enumeration would test %d candidate supports (limit %d)"
             % (candidates, CANDIDATE_LIMIT)
         )
+    if "circuits" in a._memo:
+        return list(a._memo["circuits"])
     # the walk runs on A restricted to cols, in local column indices
     width = len(cols)
     m, n = a.rows, a.cols
@@ -163,6 +161,11 @@ def circuits_from_basis(
                     support = csup + (cols[j],)
                     for c, v in zip(support, x):
                         vec[c] = v // g
+                    for row in a.entries:
+                        if sum(map(mul, row, vec)):
+                            raise ArithmeticError(
+                                "circuit vector on columns %r is not a null vector" % (support,)
+                            )
                     found.append(Circuit(support, tuple(vec)))
                 continue
             if j == width - 1:
@@ -170,6 +173,7 @@ def circuits_from_basis(
             ext = _extend(rows, r, piv, j, prev)
             stack.append((sset + (j,), csup + (cols[j],), ext, ext[r][j]))
     found.sort(key=lambda c: c.support)
+    a._memo["circuits"] = tuple(found)
     return found
 
 

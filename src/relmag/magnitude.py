@@ -8,19 +8,21 @@ upper bound together with the per-clause verdicts of the sharp bound
 (norm - 1)^rank and its min-support refinement t, or, for norm <= 2,
 of the dichotomy omega in {0, 1} (every circuit has ratio 1).
 
-omega_matrix_upper eliminates A once, in the public nullspace_basis: the
-rank is the column count minus the basis length, and circuits_from_basis
-walks the circuits from that basis.  Each circuit's ratio is kept as the
-integer pair (max |x|, min |x|): the minimum is found and every bound is
-tested by cross-multiplication, and the certificate keeps the pair of the
-minimum, written in lowest terms only when a report is printed.
+omega_matrix_upper takes the rank as the column count minus the length of
+nullspace_basis(A) and the circuits from enumerate_circuits(A).  Both
+keep their result on the matrix, so A is eliminated and walked once,
+however many times it is asked for its omega and its circuits.  Each
+circuit's ratio is kept as the integer pair (max |x|, min |x|): the
+minimum is found and every bound is tested by cross-multiplication, and
+the certificate keeps the pair of the minimum, written in lowest terms
+only when a report is printed.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from relmag.circuits import Circuit, circuits_from_basis
+from relmag.circuits import Circuit, enumerate_circuits
 from relmag.matrices import IntegerMatrix, format_ratio, infinity_norm, nullspace_basis
 
 
@@ -96,8 +98,7 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
     value whenever the null space is a single ray.
     """
     norm = infinity_norm(a)
-    basis = nullspace_basis(a)
-    nullity = len(basis)
+    nullity = len(nullspace_basis(a))
     rk = a.cols - nullity
     if nullity == 0:
         return MagnitudeCertificate(
@@ -114,7 +115,7 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
             sharp=False,
             checks=(("zero_iff_full_rank", True),),
         )
-    circs = circuits_from_basis(a, basis, allow_large)
+    circs = enumerate_circuits(a, allow_large)
     # (max |x|, min |x|) of each circuit; its ratio is hi / lo
     ratios = []
     for c in circs:

@@ -21,14 +21,17 @@ pivot rows, the rank, the sign and so every result equal dense Bareiss
 elimination's; a chain system, nearly all zeros, is solved with O(n)
 row writes instead of O(n^2).  The circuit walk (relmag.circuits)
 starts from ``nullspace_basis``, then takes the plain Bareiss step on
-copies of dense rows per column it adds to an independent set.
+copies of dense rows per column it adds to an independent set.  An
+IntegerMatrix is immutable, so it keeps its null-space basis and its
+circuits in a private memo: a matrix asked for both its omega and its
+circuits eliminates and walks once.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 
@@ -42,9 +45,17 @@ class NonSquareError(MatrixError):
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable m x n matrix with integer entries, row-major."""
+    """Immutable m x n matrix with integer entries, row-major.
+
+    _memo keeps what depends only on the entries, computed once per
+    object: nullspace_basis stores the basis and
+    circuits.enumerate_circuits the circuit list, each as a tuple.  It
+    takes no part in ==, hash or repr, so an equal matrix parsed afresh
+    computes its own.
+    """
 
     entries: tuple[tuple[int, ...], ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
@@ -275,8 +286,11 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
     Empty list iff rank(A) = n.  There is one basis vector per free
     (non-pivot) column f, in increasing order: the null vector that is
     nonzero at f and 0 at the other free columns.  Its back substitution
-    starts from x_f = the last pivot, so it divides exactly.
+    starts from x_f = the last pivot, so it divides exactly.  A matrix
+    eliminates once: later calls copy the basis kept in a._memo.
     """
+    if "basis" in a._memo:
+        return list(a._memo["basis"])
     n = a.cols
     rows = _dict_rows(a)
     pivots, _ = _sparse_echelon(rows, n)
@@ -289,6 +303,7 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
             x[f] = last
             _back_substitute(rows, pivots, x)
             basis.append(_primitive(x))
+    a._memo["basis"] = tuple(basis)
     return basis
 
 

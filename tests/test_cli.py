@@ -149,7 +149,8 @@ class TestCircuits:
 
     def test_walk_non_integral(self, monkeypatch):
         """A Bareiss step of the walk that doubles its new pivot leaves a
-        back substitution with a remainder."""
+        back substitution with a remainder, here before any circuit it
+        gives fails the A.z = 0 check."""
         real = circuits._extend
 
         def extend(rows, r, piv, c, prev):
@@ -158,10 +159,28 @@ class TestCircuits:
             return ext
 
         monkeypatch.setattr(circuits, "_extend", extend)
-        res = invoke("circuits", "--matrix", "-", input="2 4\n-2 1 3 3\n3 -3 -1 -3\n")
+        res = invoke("circuits", "--matrix", "-", input="2 4\n2 -1 1 0\n0 1 0 -1\n")
         assert res.exit_code == 3
         assert res.stderr == ("error: internal error: ArithmeticError: "
-                              "circuit vector on columns (0, 2, 3) is not integral\n")
+                              "circuit vector on columns (1, 2, 3) is not integral\n")
+
+    def test_walk_not_null_vector(self, monkeypatch):
+        """A Bareiss step of the walk that adds 1 to the pivot row after its
+        pivot divides exactly but gives vectors outside the null space; the
+        A.z = 0 check stops the first one (unchecked, the walk printed two
+        wrong circuits for these four true ones, with exit 0)."""
+        real = circuits._extend
+
+        def extend(rows, r, piv, c, prev):
+            ext = real(rows, r, piv, c, prev)
+            ext[r] = ext[r][:c + 1] + [ext[r][c + 1] + 1] + ext[r][c + 2:]
+            return ext
+
+        monkeypatch.setattr(circuits, "_extend", extend)
+        res = invoke("circuits", "--matrix", "-", input="2 4\n1 2 3 4\n2 3 5 7\n")
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == ("error: internal error: ArithmeticError: "
+                              "circuit vector on columns (1, 2, 3) is not a null vector\n")
 
 
 def _failing_verdict(monkeypatch):

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import omega_upper, omega_vector, random_matrix
-from relmag import matrices
-from relmag.circuits import enumerate_circuits
+from relmag import circuits, matrices
+from relmag.circuits import EnumerationTooLarge, enumerate_circuits
 from relmag.generators import extremal_matrix
 from relmag.magnitude import MagnitudeCertificate, omega_matrix_upper
-from relmag.matrices import IntegerMatrix, infinity_norm, rank
+from relmag.matrices import IntegerMatrix, infinity_norm, nullspace_basis, rank
 
 
 class TestOmegaVector:
@@ -222,3 +222,84 @@ def test_one_elimination_per_matrix(monkeypatch):
         cert = omega_matrix_upper(a)
         assert calls == 1
         assert (cert.rank, cert.nullity) == (rk, a.cols - rk)
+
+
+VANDERMONDE = [[x ** i for x in range(1, 9)] for i in range(4)]
+
+
+def test_omega_and_circuits_walk_once(monkeypatch):
+    """omega_matrix_upper then enumerate_circuits on one matrix eliminate
+    and walk once; an equal matrix parsed afresh pays its own elimination
+    and walk."""
+    calls = {"_sparse_echelon": 0, "_extend": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(matrices, "_sparse_echelon")
+    counted(circuits, "_extend")
+    a = IntegerMatrix.from_rows(VANDERMONDE)
+    cert = omega_matrix_upper(a)
+    circs = enumerate_circuits(a)
+    assert calls == {"_sparse_echelon": 1, "_extend": 98}
+    assert cert.witness in circs and omega_matrix_upper(a) == cert
+    assert enumerate_circuits(IntegerMatrix.from_rows(VANDERMONDE)) == circs
+    assert calls == {"_sparse_echelon": 2, "_extend": 196}
+
+
+def test_guard_runs_on_every_call(monkeypatch):
+    """A walk kept on the matrix does not lift the candidate guard."""
+    monkeypatch.setattr(circuits, "CANDIDATE_LIMIT", 10)
+    a = IntegerMatrix.from_rows(VANDERMONDE)
+    assert len(enumerate_circuits(a, allow_large=True)) == 56
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_circuits(a)
+    with pytest.raises(EnumerationTooLarge):
+        omega_matrix_upper(a)
+
+
+def test_results_are_fresh_copies():
+    """Mutating a returned basis or circuit list leaves the next result as
+    it was."""
+    a = IntegerMatrix.from_rows(VANDERMONDE)
+    basis, circs = nullspace_basis(a), enumerate_circuits(a)
+    want_basis, want_circs = basis[:], circs[:]
+    basis.clear()
+    circs.reverse()
+    circs.pop()
+    assert nullspace_basis(a) == want_basis
+    assert enumerate_circuits(a) == want_circs
+
+
+def test_memo_is_not_part_of_the_value():
+    """==, hash and repr see the entries only, not what the matrix keeps."""
+    a, b = IntegerMatrix.from_rows(VANDERMONDE), IntegerMatrix.from_rows(VANDERMONDE)
+    omega_matrix_upper(a)
+    assert a._memo and not b._memo
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == "IntegerMatrix(entries=%r)" % (a.entries,)
+
+
+def test_failed_walk_keeps_nothing(monkeypatch):
+    """A walk that raises stores no circuit list: once the fault is gone,
+    the same matrix walks again and gets the right circuits."""
+    real = circuits._extend
+
+    def extend(rows, r, piv, c, prev):
+        ext = real(rows, r, piv, c, prev)
+        ext[r] = ext[r][:c + 1] + [ext[r][c + 1] + 1] + ext[r][c + 2:]
+        return ext
+
+    a = IntegerMatrix.from_rows([[1, 2, 3, 4], [2, 3, 5, 7]])
+    monkeypatch.setattr(circuits, "_extend", extend)
+    with pytest.raises(ArithmeticError, match="is not a null vector"):
+        enumerate_circuits(a)
+    monkeypatch.setattr(circuits, "_extend", real)
+    assert [c.vector for c in enumerate_circuits(a)] == [
+        (1, 1, -1, 0), (2, 1, 0, -1), (1, 0, 1, -1), (0, 1, -2, 1)]
