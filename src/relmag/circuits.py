@@ -28,10 +28,6 @@ class Circuit(NamedTuple):
     support: tuple[int, ...]
     vector: tuple[int, ...]
 
-    def restricted(self) -> tuple[int, ...]:
-        """The nonzero coordinates, in support order."""
-        return tuple(self.vector[j] for j in self.support)
-
     def to_line(self) -> str:
         """One-line text form with 1-based indices."""
         sup = ",".join(str(j + 1) for j in self.support)
@@ -40,13 +36,25 @@ class Circuit(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "support": [j + 1 for j in self.support],
+            "support": list(map((1).__add__, self.support)),
             "vector": list(self.vector),
         }
 
 
 def _support(x) -> tuple[int, ...]:
     return tuple(j for j, v in enumerate(x) if v != 0)
+
+
+def _checked(a: IntegerMatrix, support: tuple[int, ...], vec: tuple[int, ...]) -> Circuit:
+    """The circuit (support, vec), once one integer dot product per row of
+    A shows A.z = 0; a nonzero product, which only a wrong elimination or
+    back substitution can leave, raises ArithmeticError."""
+    for row in a.entries:
+        if sum(map(mul, row, vec)):
+            raise ArithmeticError(
+                "circuit vector on columns %r is not a null vector" % (support,)
+            )
+    return Circuit(support, vec)
 
 
 def _extend(rows: list[list[int]], r: int, piv: int, c: int, prev: int) -> list[list[int]]:
@@ -94,36 +102,44 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
     -det A[R, S with s replaced by j], an integer, so back substitution
     over the r pivot rows divides exactly.  Every entry of a circuit
     vector is nonzero, so its primitive form is x divided by gcd(x),
-    negated when x is negative at the smallest column; before it is kept,
-    one dot product per row of A checks that A.z = 0.  A remainder or a
-    nonzero product, which only a wrong pivot row or pivot can leave,
-    raises ArithmeticError.  Any other later column is independent of S:
+    negated when x is negative at the smallest column.  A remainder, which
+    only a wrong pivot row or pivot can leave, raises ArithmeticError, and
+    so does _checked, which every circuit passes before it is returned:
+    one dot product per row of A shows that A.z = 0.  When the null space
+    is a single ray, the basis vector is the one circuit, so there is no
+    walk, only that check.  Any other later column is independent of S:
     _extend takes one Bareiss step on it, and S + {j} is walked in turn,
     unless j is the last support column, which leaves S + {j} no later
     column to test.  A dependent set is never extended.
     Raises EnumerationTooLarge when there are more than CANDIDATE_LIMIT
     candidate supports (column sets of the null-space support of at most
-    rank(A) + 1 columns), unless allow_large is set.  The guard runs on
-    every call; the walk runs once per matrix, which keeps the list in
-    a._memo, and each call returns a fresh list.
+    rank(A) + 1 columns), unless allow_large is set.  The walk runs once
+    per matrix: a completed walk keeps the list and its candidate count in
+    a._memo, and each call returns a fresh list.  The guard runs on every
+    call, on the count kept there once a walk has completed; a refused
+    call or a walk that raises keeps no circuit list.
     """
     basis = nullspace_basis(a)
     d = len(basis)
     if d == 0:
         return []
     if d == 1:
-        return [Circuit(support=_support(basis[0]), vector=basis[0])]
+        return [_checked(a, _support(basis[0]), basis[0])]
 
-    cols = sorted(set(j for v in basis for j in _support(v)))
-    max_size = min(len(cols), a.cols - d + 1)
-    candidates = sum(comb(len(cols), s) for s in range(1, max_size + 1))
+    memo = a._memo.get("circuits")
+    if memo is None:
+        cols = sorted(set(j for v in basis for j in _support(v)))
+        max_size = min(len(cols), a.cols - d + 1)
+        candidates = sum(comb(len(cols), s) for s in range(1, max_size + 1))
+    else:
+        kept, candidates = memo
     if candidates > CANDIDATE_LIMIT and not allow_large:
         raise EnumerationTooLarge(
             "circuit enumeration would test %d candidate supports (limit %d)"
             % (candidates, CANDIDATE_LIMIT)
         )
-    if "circuits" in a._memo:
-        return list(a._memo["circuits"])
+    if memo is not None:
+        return list(kept)
     # the walk runs on A restricted to cols, in local column indices
     width = len(cols)
     m, n = a.rows, a.cols
@@ -161,19 +177,14 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
                     support = csup + (cols[j],)
                     for c, v in zip(support, x):
                         vec[c] = v // g
-                    for row in a.entries:
-                        if sum(map(mul, row, vec)):
-                            raise ArithmeticError(
-                                "circuit vector on columns %r is not a null vector" % (support,)
-                            )
-                    found.append(Circuit(support, tuple(vec)))
+                    found.append(_checked(a, support, tuple(vec)))
                 continue
             if j == width - 1:
                 continue
             ext = _extend(rows, r, piv, j, prev)
             stack.append((sset + (j,), csup + (cols[j],), ext, ext[r][j]))
     found.sort(key=lambda c: c.support)
-    a._memo["circuits"] = tuple(found)
+    a._memo["circuits"] = (tuple(found), candidates)
     return found
 
 
@@ -183,6 +194,7 @@ def elementary_basis(a: IntegerMatrix) -> list[Circuit]:
     Each nullspace_basis ray is 1 at one free column, 0 at the others and
     otherwise supported on the independent pivot columns, so it is that
     column's fundamental circuit with respect to the pivot basis, already
-    in canonical primitive form.  There are n - rank(A) of them.
+    in canonical primitive form.  There are n - rank(A) of them, each
+    checked to be a null vector of A.
     """
-    return [Circuit(support=_support(v), vector=v) for v in nullspace_basis(a)]
+    return [_checked(a, _support(v), v) for v in nullspace_basis(a)]

@@ -11,11 +11,14 @@ of the dichotomy omega in {0, 1} (every circuit has ratio 1).
 omega_matrix_upper takes the rank as the column count minus the length of
 nullspace_basis(A) and the circuits from enumerate_circuits(A).  Both
 keep their result on the matrix, so A is eliminated and walked once,
-however many times it is asked for its omega and its circuits.  Each
-circuit's ratio is kept as the integer pair (max |x|, min |x|): the
-minimum is found and every bound is tested by cross-multiplication, and
-the certificate keeps the pair of the minimum, written in lowest terms
-only when a report is printed.
+however many times it is asked for its omega and its circuits.  One pass
+over the circuits reads each vector once, skipping its zeros: its ratio
+as the integer pair (max |x|, min |x|) and its support size.  The pass
+keeps the minimum ratio, found by cross-multiplication, the smallest
+support t, and whether every circuit is within its bound, a power of
+norm - 1 read from a table built once per call.  The certificate keeps
+the pair of the minimum, written in lowest terms only when a report is
+printed.
 """
 
 from __future__ import annotations
@@ -116,41 +119,38 @@ def omega_matrix_upper(a: IntegerMatrix, allow_large: bool = False) -> Magnitude
             checks=(("zero_iff_full_rank", True),),
         )
     circs = enumerate_circuits(a, allow_large)
-    # (max |x|, min |x|) of each circuit; its ratio is hi / lo
-    ratios = []
+    # one pass over the circuits: each one's (max |x|, min |x|) and support
+    # size from its nonzero entries; the first minimum of hi / lo is the
+    # witness, and (1, 0) stands above every ratio
+    powers = [(norm - 1) ** k for k in range(rk + 1)] if norm >= 3 else None
+    witness, best_hi, best_lo = None, 1, 0
+    t = a.cols
+    within = True
     for c in circs:
-        mags = [abs(v) for v in c.restricted()]
-        ratios.append((max(mags), min(mags)))
-    best = 0
-    for i, (hi, lo) in enumerate(ratios):
-        if hi * ratios[best][1] < ratios[best][0] * lo:
-            best = i
-    best_hi, best_lo = ratios[best]
-    t = min(len(c.support) for c in circs)
+        mags = [abs(v) for v in c.vector if v]
+        hi, lo, size = max(mags), min(mags), len(mags)
+        if hi * best_lo < best_hi * lo:
+            witness, best_hi, best_lo = c, hi, lo
+        if size < t:
+            t = size
+        if within:
+            within = hi <= powers[size - 1] * lo if powers else hi == lo
     checks = [("omega_ge_1", best_hi >= best_lo)]
     theorem_bound = support_bound = None
-    if norm >= 3:
-        theorem_bound = (norm - 1) ** rk
-        support_bound = (norm - 1) ** (t - 1)
+    if powers:
+        theorem_bound = powers[rk]
+        support_bound = powers[t - 1]
         checks.append(("omega_le_support_bound", best_hi <= support_bound * best_lo))
         checks.append(("support_bound_le_theorem_bound", support_bound <= theorem_bound))
-        checks.append(
-            (
-                "every_circuit_le_support_power",
-                all(
-                    hi <= (norm - 1) ** (len(c.support) - 1) * lo
-                    for c, (hi, lo) in zip(circs, ratios)
-                ),
-            )
-        )
+        checks.append(("every_circuit_le_support_power", within))
     else:
-        checks.append(("small_norm_all_circuits_unit", all(hi == lo for hi, lo in ratios)))
+        checks.append(("small_norm_all_circuits_unit", within))
     sharp = theorem_bound is not None and best_hi == theorem_bound * best_lo
     return MagnitudeCertificate(
         omega_hi=best_hi,
         omega_lo=best_lo,
         exact=nullity == 1,
-        witness=circs[best],
+        witness=witness,
         norm=norm,
         rank=rk,
         nullity=nullity,

@@ -275,9 +275,12 @@ def _primitive(ints) -> tuple[int, ...]:
     g = gcd(*ints)
     if g == 0:
         raise RuntimeError("zero vector has no primitive form")
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    return tuple([v // g for v in ints])
 
 
 def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:

@@ -109,6 +109,11 @@ def omega_vector(x) -> Fraction:
     return Fraction(max(vals)) / min(nonzero)
 
 
+def restricted(c) -> tuple[int, ...]:
+    """A circuit's nonzero coordinates, in support order."""
+    return tuple(c.vector[j] for j in c.support)
+
+
 def omega_upper(cert) -> Fraction:
     """A MagnitudeCertificate's bound omega_hi / omega_lo as a Fraction."""
     return Fraction(cert.omega_hi, cert.omega_lo)

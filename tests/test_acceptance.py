@@ -19,6 +19,7 @@ from conftest import (
     random_matrix,
     random_system,
     reduced_solution,
+    restricted,
     solution,
 )
 from relmag.circuits import enumerate_circuits
@@ -173,11 +174,11 @@ def test_criterion_7_elementary_vector_bound():
             continue
         circs = enumerate_circuits(a)
         for c in circs:
-            w = omega_vector(c.restricted())
+            w = omega_vector(restricted(c))
             ok = ok and w <= (norm - 1) ** (len(c.support) - 1)
         if circs:
             t = min(len(c.support) for c in circs)
-            best = min(omega_vector(c.restricted()) for c in circs)
+            best = min(omega_vector(restricted(c)) for c in circs)
             ok = ok and best <= (norm - 1) ** (t - 1) <= (norm - 1) ** rank(a)
         checked += 1
     _report(7, "elementary vector bound", ok, time.monotonic() - start, 120,

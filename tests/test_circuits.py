@@ -15,6 +15,7 @@ from relmag.circuits import (
     enumerate_circuits,
 )
 from relmag.generators import extremal_matrix
+from relmag.magnitude import omega_matrix_upper
 from relmag.matrices import IntegerMatrix, rank
 
 
@@ -275,3 +276,30 @@ def test_elementary_basis_beyond_enumeration_limit():
     for c in basis:
         assert is_elementary(a, c.vector)
         assert c.support == tuple(j for j, v in enumerate(c.vector) if v != 0)
+
+
+# N(A) is the ray of (1, 2, 4); the last pivot of the elimination is 4
+SINGLE_RAY = [[2, -1, 0], [0, 2, -1]]
+
+
+def test_single_ray_is_checked(monkeypatch):
+    """No null-space basis vector is returned as a circuit before A.z = 0 is
+    checked.  A back substitution that adds the last pivot to the first
+    pivot column after the real one makes the one basis vector (5, 2, 4);
+    unchecked, enumerate_circuits and elementary_basis returned it and
+    omega_matrix_upper certified omega_upper = 5/2 with verdict pass."""
+    real = matrices._back_substitute
+
+    def back_substitute(rows, pivots, x):
+        real(rows, pivots, x)
+        x[pivots[0]] += rows[len(pivots) - 1][pivots[-1]]
+
+    monkeypatch.setattr(matrices, "_back_substitute", back_substitute)
+    assert matrices.nullspace_basis(IntegerMatrix.from_rows(SINGLE_RAY)) == [(5, 2, 4)]
+    for route in (enumerate_circuits, elementary_basis, omega_matrix_upper):
+        with pytest.raises(ArithmeticError) as exc:
+            route(IntegerMatrix.from_rows(SINGLE_RAY))
+        assert str(exc.value) == "circuit vector on columns (0, 1, 2) is not a null vector"
+    monkeypatch.setattr(matrices, "_back_substitute", real)
+    a = IntegerMatrix.from_rows(SINGLE_RAY)
+    assert enumerate_circuits(a) == elementary_basis(a) == [Circuit((0, 1, 2), (1, 2, 4))]

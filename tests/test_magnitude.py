@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import omega_upper, omega_vector, random_matrix
+from conftest import omega_upper, omega_vector, random_matrix, restricted
 from relmag import circuits, matrices
 from relmag.circuits import EnumerationTooLarge, enumerate_circuits
 from relmag.generators import extremal_matrix
@@ -149,7 +149,7 @@ def _fraction_certificate(a):
             (("zero_iff_full_rank", True),),
         )
     circs = enumerate_circuits(a)
-    omegas = [omega_vector(c.restricted()) for c in circs]
+    omegas = [omega_vector(restricted(c)) for c in circs]
     best = min(omegas)
     t = min(len(c.support) for c in circs)
     checks = [("omega_ge_1", best >= 1)]
@@ -166,7 +166,7 @@ def _fraction_certificate(a):
     else:
         checks.append(("small_norm_all_circuits_unit", all(w == 1 for w in omegas)))
     witness = circs[omegas.index(best)]
-    mags = [abs(v) for v in witness.restricted()]
+    mags = [abs(v) for v in restricted(witness)]
     assert Fraction(max(mags), min(mags)) == best
     return MagnitudeCertificate(
         max(mags), min(mags), nullity == 1, witness, norm, rk, nullity, t,
@@ -191,7 +191,7 @@ def test_integer_certificate_matches_fraction_oracle():
         if cert.nullity:
             seen["small_norm" if cert.norm <= 2 else "large_norm"] += 1
             seen["nullity_ge_2"] += cert.nullity >= 2
-            omegas = [omega_vector(c.restricted()) for c in enumerate_circuits(a)]
+            omegas = [omega_vector(restricted(c)) for c in enumerate_circuits(a)]
             seen["tied_minimum"] += omegas.count(omega_upper(cert)) > 1
             seen["sharp"] += cert.sharp
     assert all(count >= 5 for count in seen.values()), seen
@@ -228,10 +228,11 @@ VANDERMONDE = [[x ** i for x in range(1, 9)] for i in range(4)]
 
 
 def test_omega_and_circuits_walk_once(monkeypatch):
-    """omega_matrix_upper then enumerate_circuits on one matrix eliminate
-    and walk once; an equal matrix parsed afresh pays its own elimination
-    and walk."""
-    calls = {"_sparse_echelon": 0, "_extend": 0}
+    """omega_matrix_upper then enumerate_circuits on one matrix eliminate,
+    walk, and find the null-space support and count the candidate
+    supports once (the second call runs the guard on the count kept beside
+    the circuit list); an equal matrix parsed afresh pays all of it again."""
+    calls = {"_sparse_echelon": 0, "_extend": 0, "_support": 0, "comb": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -244,13 +245,16 @@ def test_omega_and_circuits_walk_once(monkeypatch):
 
     counted(matrices, "_sparse_echelon")
     counted(circuits, "_extend")
+    counted(circuits, "_support")
+    counted(circuits, "comb")
     a = IntegerMatrix.from_rows(VANDERMONDE)
     cert = omega_matrix_upper(a)
     circs = enumerate_circuits(a)
-    assert calls == {"_sparse_echelon": 1, "_extend": 98}
+    # one _support per basis vector, one comb per support size 1..rank + 1
+    assert calls == {"_sparse_echelon": 1, "_extend": 98, "_support": 4, "comb": 5}
     assert cert.witness in circs and omega_matrix_upper(a) == cert
     assert enumerate_circuits(IntegerMatrix.from_rows(VANDERMONDE)) == circs
-    assert calls == {"_sparse_echelon": 2, "_extend": 196}
+    assert calls == {"_sparse_echelon": 2, "_extend": 196, "_support": 8, "comb": 10}
 
 
 def test_guard_runs_on_every_call(monkeypatch):
