@@ -30,9 +30,8 @@ class Circuit(NamedTuple):
 
     def to_line(self) -> str:
         """One-line text form with 1-based indices."""
-        sup = ",".join(str(j + 1) for j in self.support)
         vec = ", ".join(str(v) for v in self.vector)
-        return "I = {%s}; v = (%s)" % (sup, vec)
+        return "I = %s; v = (%s)" % (_columns(self.support), vec)
 
     def to_dict(self) -> dict:
         return {
@@ -45,6 +44,11 @@ def _support(x) -> tuple[int, ...]:
     return tuple(j for j, v in enumerate(x) if v != 0)
 
 
+def _columns(support: tuple[int, ...]) -> str:
+    """The 0-based columns of support as the 1-based set {i,j,...}."""
+    return "{%s}" % ",".join(str(j + 1) for j in support)
+
+
 def _checked(a: IntegerMatrix, support: tuple[int, ...], vec: tuple[int, ...]) -> Circuit:
     """The circuit (support, vec), once one integer dot product per row of
     A shows A.z = 0; a nonzero product, which only a wrong elimination or
@@ -52,8 +56,7 @@ def _checked(a: IntegerMatrix, support: tuple[int, ...], vec: tuple[int, ...]) -
     for row in a.entries:
         if sum(map(mul, row, vec)):
             raise ArithmeticError(
-                "circuit vector on columns %r is not a null vector" % (support,)
-            )
+                "circuit vector on columns %s is not a null vector" % _columns(support))
     return Circuit(support, vec)
 
 
@@ -165,10 +168,8 @@ def enumerate_circuits(a: IntegerMatrix, allow_large: bool = False) -> list[Circ
                         s += row[sset[t]] * x[t]
                     x[q], rest = divmod(-s, row[sset[q]])
                     if rest:
-                        raise ArithmeticError(
-                            "circuit vector on columns %r is not integral"
-                            % (csup + (cols[j],),)
-                        )
+                        raise ArithmeticError("circuit vector on columns %s is not integral"
+                                              % _columns(csup + (cols[j],)))
                 if all(x):
                     g = gcd(*x)
                     if x[0] < 0:

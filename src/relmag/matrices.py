@@ -4,10 +4,11 @@ Everything here operates on arbitrary-precision Python ints, so results
 are always exact; a rational output is an integer pair y / t, written in
 lowest terms by ``format_ratio``.  There is one fraction-free (Bareiss)
 elimination, ``_sparse_echelon``, on {column: value} rows that hold only
-the nonzeros, and one integer back substitution, ``_back_substitute``.
-Its callers give each free column a multiple of the last pivot, the
-determinant of the pivot block, so by Cramer's rule every value it fills
-in is an integer and each of its divisions is exact.
+the nonzeros, and one integer back substitution, ``_ray``, which takes
+every null vector: one per free column in ``nullspace_basis``, the one
+at the right-hand side in ``_solve_augmented`` and the one at the column
+without a pivot in ``_signed_maximal_minors``.  Its free column holds the
+last pivot, so by Cramer's rule each of its divisions is exact.
 ``rank``, ``determinant`` and ``nullspace_basis`` run them on the rows of
 an IntegerMatrix; ``_solve_augmented`` solves A.x = b for the reduction,
 and returns the solution as integers y over one common denominator t,
@@ -21,7 +22,8 @@ pivot rows, the rank, the sign and so every result equal dense Bareiss
 elimination's; a chain system, nearly all zeros, is solved with O(n)
 row writes instead of O(n^2).  The circuit walk (relmag.circuits)
 starts from ``nullspace_basis``, then takes the plain Bareiss step on
-copies of dense rows per column it adds to an independent set.  An
+copies of dense rows per column it adds to an independent set and reads
+each circuit vector by its own dense back substitution.  An
 IntegerMatrix is immutable, so it keeps its null-space basis and its
 circuits in a private memo: a matrix asked for both its omega and its
 circuits eliminates and walks once.
@@ -183,17 +185,19 @@ def _sparse_echelon(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]
     return pivots, sign
 
 
-def _back_substitute(rows: list[dict[int, int]], pivots: list[int], x: list[int]) -> None:
-    """Fill in x at the pivot columns so that every pivot row annihilates x.
+def _ray(rows: list[dict[int, int]], pivots: list[int], n: int, f: int) -> list[int]:
+    """The null vector x of the pivot rows over columns 0..n-1 that is the
+    last pivot, the determinant of the pivot block (1 with no pivot), at
+    the non-pivot column f and 0 at the other non-pivot columns.
 
-    x holds integers, given at the non-pivot columns and zero at the pivot
-    columns until they are filled in, so a row's own items give its
-    partial sum.  The given values must be multiples of the last pivot,
-    the determinant of the pivot block: then by Cramer's rule every value
-    filled in is an integer (a multiple of a minor of the input), so each
-    division is exact, and a remainder, which only a wrong pivot row can
-    leave, raises ArithmeticError.
+    By Cramer's rule each value filled in at a pivot column is an integer,
+    a minor of the input, so every division is exact; a remainder, which
+    only a wrong pivot row can leave, raises ArithmeticError.  Its message
+    names the 0-based kernel column, which is a variable, a matrix column
+    or the right-hand side depending on the caller.
     """
+    x = [0] * n
+    x[f] = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
@@ -203,6 +207,7 @@ def _back_substitute(rows: list[dict[int, int]], pivots: list[int], x: list[int]
         x[c], rest = divmod(-s, row[c])
         if rest:
             raise ArithmeticError("the Cramer quotient at column %d is not integral" % c)
+    return x
 
 
 def _solve_augmented(rows: list[dict[int, int]], n: int):
@@ -214,15 +219,13 @@ def _solve_augmented(rows: list[dict[int, int]], n: int):
     y, t): the pivot columns of A and the solution with every free
     variable zero as integers y over one common denominator t, x = y / t,
     in canonical form (t > 0 and gcd(t, y_1, ..., y_n) = 1, so equal
-    solutions give equal (y, t)).  The back substitution starts from t =
-    the last pivot, so it divides exactly; (y, t) is then reduced.
+    solutions give equal (y, t)), read off the _ray at column n.
     """
     pivots, _ = _sparse_echelon(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
     # [A | b] . (y, -t) = 0 gives A . (y / t) = b
-    y = [0] * n + [-(rows[len(pivots) - 1][pivots[-1]] if pivots else 1)]
-    _back_substitute(rows, pivots, y)
+    y = _ray(rows, pivots, n + 1, n)
     g = gcd(*y)
     if y[n] > 0:
         g = -g
@@ -241,17 +244,15 @@ def _signed_maximal_minors(rows: list[dict[int, int]], n: int) -> list[int]:
     (systems.solve_assembled takes them so).  d is a null vector of B, so one
     elimination gives all n: when B has rank n-1 it leaves one free column
     f, and Bareiss makes the last pivot, times the sign of the row
-    permutation, det B_-f.  Back substitution from z_f = det B_-f gives
-    z = (-1)^f d, dividing exactly.  d is zero when B is rank-deficient.
+    permutation, det B_-f.  So the _ray at f times that sign is (-1)^f d.
+    d is zero when B is rank-deficient.
     """
     pivots, sign = _sparse_echelon(rows, n)
     if len(pivots) < n - 1:
         return [0] * n
     f = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
-    z = [0] * n
-    z[f] = sign * rows[-1][pivots[-1]] if pivots else 1
-    _back_substitute(rows, pivots, z)
-    return [-v for v in z] if f % 2 else z
+    z = _ray(rows, pivots, n, f)
+    return z if sign == (-1) ** f else [-v for v in z]
 
 
 def rank(a: IntegerMatrix) -> int:
@@ -288,24 +289,17 @@ def nullspace_basis(a: IntegerMatrix) -> list[tuple[int, ...]]:
 
     Empty list iff rank(A) = n.  There is one basis vector per free
     (non-pivot) column f, in increasing order: the null vector that is
-    nonzero at f and 0 at the other free columns.  Its back substitution
-    starts from x_f = the last pivot, so it divides exactly.  A matrix
-    eliminates once: later calls copy the basis kept in a._memo.
+    nonzero at f and 0 at the other free columns, the _ray at f in
+    primitive form.  A matrix eliminates once: later calls copy the basis
+    kept in a._memo.
     """
     if "basis" in a._memo:
         return list(a._memo["basis"])
     n = a.cols
     rows = _dict_rows(a)
     pivots, _ = _sparse_echelon(rows, n)
-    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f not in pivot_set:
-            x = [0] * n
-            x[f] = last
-            _back_substitute(rows, pivots, x)
-            basis.append(_primitive(x))
+    basis = [_primitive(_ray(rows, pivots, n, f)) for f in range(n) if f not in pivot_set]
     a._memo["basis"] = tuple(basis)
     return basis
 

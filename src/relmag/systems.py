@@ -16,10 +16,12 @@ once, in a plain loop over its terms.
 By Cramer's rule every solution is an integer vector over one common
 denominator, so the reduction, the solve, the solution checks and the
 bound test carry it as integers y and a denominator t > 0 with
-gcd(t, y) = 1, x = y / t.  The reduction finds the solution once; one
-elimination of the assembled matrix gives det A and every Cramer
-numerator, which check it at every size.  The ``SolveReport`` keeps the
-integers too, and its text writes each y_i / t in lowest terms.
+gcd(t, y) = 1, x = y / t.  The reduction finds the solution once and
+keeps it on both the original and the reduced variables, so nothing maps
+it back; one elimination of the assembled matrix gives det A and every
+Cramer numerator, which check the reduced one at every size.  The
+``SolveReport`` keeps the integers too, and its text writes each y_i / t
+in lowest terms.
 """
 
 from __future__ import annotations
@@ -388,11 +390,11 @@ class ReductionTrace(NamedTuple):
     cancelled (step 5), the free (step 2) and zero-valued (step 3)
     variables set to zero, the merges (step 4), the number of dependent
     equations dropped and whether the unit sign was absorbed (step 6).
-    The reduced solution is kept as integers reduced_y over the common
-    denominator den, x = reduced_y / den.
+    The solution of the one elimination is kept as integers over the
+    common denominator den: y on the original variables, free ones 0, and
+    reduced_y on the reduced ones, x = y / den.
     """
 
-    original_nvars: int
     kept_unit: tuple[int, int]
     converted_units: tuple[tuple[int, int], ...]
     cancelled: tuple[SumEquation, ...]
@@ -402,22 +404,9 @@ class ReductionTrace(NamedTuple):
     dropped_dependent: int
     unit_sign_flipped: bool
     rename: dict[int, int]  # surviving original variable -> reduced index
+    y: tuple[int, ...]  # x_1..x_nvars of the original system
     reduced_y: tuple[int, ...]
     den: int
-
-    def _expand(self) -> tuple[int, ...]:
-        """reduced_y mapped back to the original variables, a full original
-        solution over the same denominator den, 0 at the zeroed ones."""
-        y = self.reduced_y
-        vals = {old: y[new - 1] for old, new in self.rename.items()}
-        if self.unit_sign_flipped:
-            u = self.kept_unit[0]
-            vals[u] = -vals[u]
-        for j, sgn, keep in reversed(self.merges):
-            vals[j] = sgn * vals[keep]
-        for v in self.zeroed_solved + self.zeroed_free:
-            vals[v] = 0
-        return tuple(vals[i] for i in range(1, self.original_nvars + 1))
 
 
 def check_solution(system: System, x, den: int = 1) -> bool:
@@ -439,30 +428,6 @@ def check_solution(system: System, x, den: int = 1) -> bool:
     return True
 
 
-def _solve_with_free(unit: tuple[int, int], eqs: list[dict[int, int]], nvars: int):
-    """Solve unit + homogeneous equations over variables 1..nvars.
-
-    One fraction-free elimination of the augmented rows [A | b], copies of
-    the equation dicts: column v is x_v, column 0 stays empty and column
-    nvars + 1 is b.  A pivot in the right-hand side column means the
-    system is unsolvable.  Free variables are the non-pivot columns in
-    ascending order (the lexicographically earliest pivot set).  With all
-    free variables set to zero, returns the values of the pivot variables
-    as integers y over the common denominator t (see _solve_augmented),
-    plus the free variable list.
-    """
-    uvar, usign = unit
-    rows = [{uvar: 1, nvars + 1: usign}]
-    rows.extend(d.copy() for d in eqs)
-    solved = _solve_augmented(rows, nvars + 1)
-    if solved is None:
-        raise UnsolvableSystemError("system is unsolvable")
-    pivots, y, t = solved
-    pivot_set = set(pivots)
-    free = [v for v in range(1, nvars + 1) if v not in pivot_set]
-    return {v: y[v] for v in pivots}, t, free
-
-
 def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     """Reduce to an equivalent square system with unique nonzero solution.
 
@@ -475,6 +440,11 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     absolute coordinate value is preserved.  The steps read the solution
     as integers y over one denominator t: zero, equal and opposite values
     of y are those of x = y / t.
+
+    Step 2 eliminates the augmented rows [A | b] once (_solve_augmented):
+    column v is x_v, column 0 stays empty, and a pivot in column nvars + 1,
+    b, means the system is unsolvable.  The free variables, the non-pivot
+    columns (the lexicographically earliest pivot set), are 0.
 
     Each stage reads each equation once: step 1 splits the equations into
     the kept unit, differences and combined sums, noting opposite terms
@@ -529,8 +499,15 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
     # zero-valued (step 3) variable maps to None, one equal up to sign to
     # a kept variable (step 4: keep the smallest index, preferring the unit
     # variable) to (kept, sign)
-    values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
-    zeroed_free = tuple(free)
+    nvars = system.nvars
+    rows = [{uvar: 1, nvars + 1: usign}]
+    rows.extend(d.copy() for d in eqs)
+    solved = _solve_augmented(rows, nvars + 1)
+    if solved is None:
+        raise UnsolvableSystemError("system is unsolvable")
+    pivots, y, den = solved
+    values = {v: y[v] for v in pivots}
+    zeroed_free = tuple(v for v in range(1, nvars + 1) if v not in values)
     target: dict[int, tuple[int, int] | None] = dict.fromkeys(zeroed_free)
     zeroed_solved = tuple(sorted(v for v in values if values[v] == 0))
     for v in zeroed_solved:
@@ -608,7 +585,6 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         equations.append(SumEquation(terms=tuple(terms)))
     reduced = System(k=k, nvars=n, equations=tuple(equations))
     trace = ReductionTrace(
-        original_nvars=system.nvars,
         kept_unit=(uvar, usign),
         converted_units=tuple(converted),
         cancelled=tuple(cancelled),
@@ -618,6 +594,7 @@ def reduce_system(system: System) -> tuple[System, ReductionTrace]:
         dropped_dependent=dropped,
         unit_sign_flipped=flipped,
         rename=rename,
+        y=tuple(y[1:]),
         reduced_y=tuple(reduced_y),
         den=den,
     )
@@ -859,10 +836,11 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
     """Solve a unit-coefficient system and certify the magnitude bound.
 
     Reduces, which solves the system exactly, assembles and checks the
-    solution on the assembled matrix, maps it back to a solution of the
-    original system, and checks |x_i| <= k^(n-1) with n the reduced size,
-    then runs the determinant certification chain x_i^2 <= det W_i <=
-    k^(2(n-1)) per column, single-threaded.  certify and jobs are accepted
+    reduced solution on the assembled matrix, checks the solution of the
+    original system that the reduction kept against that system and its
+    maximum against the assembled one, and checks |x_i| <= k^(n-1) with n
+    the reduced size, then runs the determinant certification chain x_i^2
+    <= det W_i <= k^(2(n-1)) per column, single-threaded.  certify and jobs are accepted
     for existing callers and must be True and 1.
     """
     if certify is not True or jobs != 1:
@@ -888,11 +866,10 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
     asm = assemble(reduced)
     y, det_a, det_ai = solve_assembled(asm, trace.reduced_y, trace.den)
     n, t = asm.n, trace.den
-    original_y = trace._expand()
-    if not check_solution(system, original_y, t):
+    if not check_solution(system, trace.y, t):
         raise ReductionError("reconstructed solution fails the original system")
     max_y = max(abs(v) for v in y)
-    if max_y != max(abs(v) for v in original_y):
+    if max_y != max(abs(v) for v in trace.y):
         raise ReductionError("reduction changed the maximum coordinate magnitude")
     bound = k ** (n - 1)
     if max_y > bound * t:
@@ -909,7 +886,7 @@ def solve_and_certify(system: System, certify: bool = True, jobs: int = 1) -> So
         max_y=max_y,
         t=t,
         sharp=max_y == bound * t,
-        y=original_y,
+        y=trace.y,
         trace=trace,
         certification=certification,
     )

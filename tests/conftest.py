@@ -37,7 +37,6 @@ from relmag.systems import (
     UnsolvableSystemError,
     _overweight_message,
     _select_equations,
-    _solve_with_free,
 )
 
 
@@ -168,12 +167,12 @@ def dense_echelon(rows: list[list[int]]) -> tuple[list[int], int]:
 
 
 def dense_back_substitute(rows: list[list[int]], pivots: list[int], x: list[int]) -> None:
-    """Reference for matrices._back_substitute on dense echelon rows, in
-    place: fill in x at the pivot columns so that every echelon row
-    annihilates x.  It takes any integer values at the free columns and
-    rescales all of x by an integer factor where a pivot does not divide
-    its row's partial sum, so x is fixed up to scale only: compare it with
-    the package's in canonical form."""
+    """Reference for the back substitution of matrices._ray on dense
+    echelon rows, in place: fill in x at the pivot columns so that every
+    echelon row annihilates x.  It takes any integer values at the free
+    columns and rescales all of x by an integer factor where a pivot does
+    not divide its row's partial sum, so x is fixed up to scale only:
+    compare it with the package's in canonical form."""
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
@@ -349,8 +348,10 @@ def reduced_solution(trace: ReductionTrace) -> tuple[Fraction, ...]:
 
 def reconstruct(trace: ReductionTrace) -> tuple[Fraction, ...]:
     """The reduced solution mapped back to a full original solution, over
-    Fractions: the route the package took before ReductionTrace._expand
-    read integers only."""
+    Fractions, by replaying the reduction backwards (rename, sign flip,
+    merges, zeroings): the route by which the package once found the
+    solution it now keeps as trace.y, and the oracle the tests compare
+    trace.y with."""
     inverse = {new: old for old, new in trace.rename.items()}
     vals = {}
     for idx, val in enumerate(reduced_solution(trace), start=1):
@@ -362,14 +363,14 @@ def reconstruct(trace: ReductionTrace) -> tuple[Fraction, ...]:
         vals[j] = sgn * vals[keep]
     for v in trace.zeroed_solved + trace.zeroed_free:
         vals[v] = Fraction(0)
-    return tuple(vals[i] for i in range(1, trace.original_nvars + 1))
+    return tuple(vals[i] for i in range(1, len(trace.y) + 1))
 
 
 def reference_solve_augmented(rows: list[dict[int, int]], n: int):
     """matrices._solve_augmented as it was when it also returned the sign
     of the row permutation: (pivots, y, t, sign), and for square
     nonsingular A, det A = sign * rows[n - 1][n - 1] after the call.  Its
-    back substitution is its own, independent of matrices._back_substitute:
+    back substitution is its own, independent of matrices._ray:
     it starts from y_n = -1 and rescales all of y where a pivot does not
     divide a row's partial sum."""
     pivots, sign = _sparse_echelon(rows, n + 1)
@@ -680,16 +681,18 @@ def corrupt_reduced_solution(monkeypatch, index: int) -> None:
 
 
 def corrupt_expansion(monkeypatch, var: int, delta: int) -> None:
-    """Make ReductionTrace._expand, which maps the reduced solution back to
-    the original variables, return y_var (1-based) off by delta."""
-    real = ReductionTrace._expand
+    """Make systems.reduce_system return a trace whose solution of the
+    original system, trace.y, has y_var (1-based) off by delta, after the
+    reduction's own checks have passed it."""
+    real = relmag.systems.reduce_system
 
-    def expand(trace):
-        y = list(real(trace))
+    def reduce_system(system):
+        reduced, trace = real(system)
+        y = list(trace.y)
         y[var - 1] += delta
-        return tuple(y)
+        return reduced, trace._replace(y=tuple(y))
 
-    monkeypatch.setattr(ReductionTrace, "_expand", expand)
+    monkeypatch.setattr(relmag.systems, "reduce_system", reduce_system)
 
 
 def corrupt_reduction_solve(monkeypatch, values: dict[int, int]) -> None:
@@ -923,8 +926,9 @@ def reference_check_solution(system: System, x, den: int = 1) -> bool:
 
 def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
     """systems.reduce_system as it was, verbatim but for the helpers
-    above: reduce to an equivalent square system with unique nonzero
-    solution.
+    above, with reference_solve_augmented for its solve, so that it shares
+    no back substitution with the package: reduce to an equivalent square
+    system with unique nonzero solution.
 
     Steps: fold extra unit equations into differences; zero out free
     variables; drop zero-valued variables; merge variables equal up to
@@ -964,8 +968,14 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
     # zero-valued (step 3) variable maps to None, one equal up to sign to
     # a kept variable (step 4: keep the smallest index, preferring the unit
     # variable) to (kept, sign)
-    values, den, free = _solve_with_free((uvar, usign), eqs, system.nvars)
-    zeroed_free = tuple(free)
+    rows = [{uvar: 1, system.nvars + 1: usign}]
+    rows.extend(d.copy() for d in eqs)
+    solved = reference_solve_augmented(rows, system.nvars + 1)
+    if solved is None:
+        raise UnsolvableSystemError("system is unsolvable")
+    pivots, y, den, _ = solved
+    values = {v: y[v] for v in pivots}
+    zeroed_free = tuple(v for v in range(1, system.nvars + 1) if v not in values)
     target: dict[int, tuple[int, int] | None] = dict.fromkeys(zeroed_free)
     zeroed_solved = tuple(sorted(v for v in values if values[v] == 0))
     for v in zeroed_solved:
@@ -1033,7 +1043,6 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
         equations.append(SumEquation(terms=terms))
     reduced = System(k=k, nvars=n, equations=tuple(equations))
     trace = ReductionTrace(
-        original_nvars=system.nvars,
         kept_unit=(uvar, usign),
         converted_units=tuple(converted),
         cancelled=tuple(cancelled),
@@ -1043,6 +1052,7 @@ def reference_reduce_system(system: System) -> tuple[System, ReductionTrace]:
         dropped_dependent=dropped,
         unit_sign_flipped=flipped,
         rename=rename,
+        y=tuple(y[1:]),
         reduced_y=tuple(reduced_y),
         den=den,
     )

@@ -183,7 +183,7 @@ def test_walk_eliminates_once(monkeypatch):
     calls = {
         "nullspace_basis": 0,
         "IntegerMatrix": 0,
-        "_back_substitute": 0,
+        "_ray": 0,
         "_sparse_echelon": 0,
         "_extend": 0,
         "kernel calls outside nullspace_basis": 0,
@@ -218,7 +218,7 @@ def test_walk_eliminates_once(monkeypatch):
 
     monkeypatch.setattr(circuits, "nullspace_basis", counted_nullspace)
     monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
-    counted("_back_substitute")
+    counted("_ray")
     counted("_sparse_echelon")
     real_extend = circuits._extend
 
@@ -232,7 +232,7 @@ def test_walk_eliminates_once(monkeypatch):
     assert calls == {
         "nullspace_basis": 1,
         "IntegerMatrix": 0,
-        "_back_substitute": 4,  # the nullity: one per nullspace_basis ray
+        "_ray": 4,  # the nullity: one per nullspace_basis ray
         "_sparse_echelon": 1,  # the one elimination inside nullspace_basis
         # the independent sets of 1 to 4 columns without the last column,
         # sum of C(7, s): a set that ends on it has no column left to test
@@ -284,22 +284,23 @@ SINGLE_RAY = [[2, -1, 0], [0, 2, -1]]
 
 def test_single_ray_is_checked(monkeypatch):
     """No null-space basis vector is returned as a circuit before A.z = 0 is
-    checked.  A back substitution that adds the last pivot to the first
-    pivot column after the real one makes the one basis vector (5, 2, 4);
+    checked.  A _ray that adds the last pivot to the first pivot column
+    after the real back substitution makes the one basis vector (5, 2, 4);
     unchecked, enumerate_circuits and elementary_basis returned it and
     omega_matrix_upper certified omega_upper = 5/2 with verdict pass."""
-    real = matrices._back_substitute
+    real = matrices._ray
 
-    def back_substitute(rows, pivots, x):
-        real(rows, pivots, x)
+    def ray(rows, pivots, n, f):
+        x = real(rows, pivots, n, f)
         x[pivots[0]] += rows[len(pivots) - 1][pivots[-1]]
+        return x
 
-    monkeypatch.setattr(matrices, "_back_substitute", back_substitute)
+    monkeypatch.setattr(matrices, "_ray", ray)
     assert matrices.nullspace_basis(IntegerMatrix.from_rows(SINGLE_RAY)) == [(5, 2, 4)]
     for route in (enumerate_circuits, elementary_basis, omega_matrix_upper):
         with pytest.raises(ArithmeticError) as exc:
             route(IntegerMatrix.from_rows(SINGLE_RAY))
-        assert str(exc.value) == "circuit vector on columns (0, 1, 2) is not a null vector"
-    monkeypatch.setattr(matrices, "_back_substitute", real)
+        assert str(exc.value) == "circuit vector on columns {1,2,3} is not a null vector"
+    monkeypatch.setattr(matrices, "_ray", real)
     a = IntegerMatrix.from_rows(SINGLE_RAY)
     assert enumerate_circuits(a) == elementary_basis(a) == [Circuit((0, 1, 2), (1, 2, 4))]

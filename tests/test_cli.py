@@ -162,7 +162,7 @@ class TestCircuits:
         res = invoke("circuits", "--matrix", "-", input="2 4\n2 -1 1 0\n0 1 0 -1\n")
         assert res.exit_code == 3
         assert res.stderr == ("error: internal error: ArithmeticError: "
-                              "circuit vector on columns (1, 2, 3) is not integral\n")
+                              "circuit vector on columns {2,3,4} is not integral\n")
 
     def test_walk_not_null_vector(self, monkeypatch):
         """A Bareiss step of the walk that adds 1 to the pivot row after its
@@ -180,7 +180,7 @@ class TestCircuits:
         res = invoke("circuits", "--matrix", "-", input="2 4\n1 2 3 4\n2 3 5 7\n")
         assert res.exit_code == 3 and res.stdout == ""
         assert res.stderr == ("error: internal error: ArithmeticError: "
-                              "circuit vector on columns (1, 2, 3) is not a null vector\n")
+                              "circuit vector on columns {2,3,4} is not a null vector\n")
 
 
 def _failing_verdict(monkeypatch):
@@ -352,7 +352,7 @@ class TestSolve:
             "closed form det C_0 det D_4 says 1\n" % det)
 
     def test_reconstructed_solution_fails(self, tmp_path, monkeypatch):
-        # x12 = 1 / 2^11 one off after the map back: 2 x12 = x11 fails
+        # y12 of x12 = 1 / 2^11 one off in the kept solution: 2 x12 = x11 fails
         corrupt_expansion(monkeypatch, 12, 1)
         res = invoke("solve", "--system", write(tmp_path, "s.txt", halving_dsl(12)))
         assert res.exit_code == 3

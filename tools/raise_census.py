@@ -2,10 +2,14 @@
 
 Copies src/ to a temporary directory, writes a hit record before every
 `raise` of the copy (src/ itself is never edited), runs the tests on the
-copy and lists the sites no test reached.  Exits 1 when the tests fail,
-when an unreached site is not in ALLOWED with the reason it cannot fire,
-or when an ALLOWED entry names no unreached site.  From the repository
-root: python tools/raise_census.py [pytest options]
+copy and lists the sites no test reached.  Every raise statement is its
+own site, keyed by its module, its enclosing function, its text and its
+ordinal among the statements of that text in that function, so that a
+site keeps its key when lines move.  Exits 1 when the tests fail, when
+the sites are not as many as the raise statements, when an unreached
+site is not in ALLOWED with the reason it cannot fire, or when an
+ALLOWED entry names no unreached site.  From the repository root:
+python tools/raise_census.py [pytest options]
 """
 
 import ast
@@ -17,7 +21,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# (module, enclosing function, the raise statement): why no input reaches it
+# (module, enclosing function, the raise statement, its 1-based ordinal
+# among the identical ones of that function): why no input reaches it
 ALLOWED = {}
 
 
@@ -36,7 +41,8 @@ class Instrument(ast.NodeTransformer):
 
     def visit_Raise(self, node):
         text = " ".join(ast.get_source_segment(self.source, node).split())
-        site = (self.module, self.func, text)
+        same = sum(site[:3] == (self.module, self.func, text) for site in self.sites)
+        site = (self.module, self.func, text, same + 1)
         self.sites.add(site)
         record = "with open(%r, 'a') as _census_fh: _census_fh.write(%r)" % (
             self.hits, repr(site) + "\n")
@@ -44,15 +50,16 @@ class Instrument(ast.NodeTransformer):
 
 
 def main():
-    sites, reached = set(), set()
+    sites, reached, raises = set(), set(), 0
     with tempfile.TemporaryDirectory() as tmp:
         copy, hits = Path(tmp) / "src", Path(tmp) / "hits"
         shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
         for path in sorted((copy / "relmag").glob("*.py")):
             source = path.read_text()
+            tree = ast.parse(source)
+            raises += sum(isinstance(node, ast.Raise) for node in ast.walk(tree))
             instrument = Instrument(path.name, source, str(hits))
-            tree = ast.fix_missing_locations(instrument.visit(ast.parse(source)))
-            path.write_text(ast.unparse(tree))
+            path.write_text(ast.unparse(ast.fix_missing_locations(instrument.visit(tree))))
             sites |= instrument.sites
         paths = [str(copy)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
@@ -63,12 +70,14 @@ def main():
                 reached = {ast.literal_eval(line) for line in fh}
     unreached = sites - reached
     print("raise census: %d of %d sites reached" % (len(sites & reached), len(sites)))
+    if len(sites) != raises:
+        print("  %d sites for %d raise statements" % (len(sites), raises))
     for site in sorted(unreached):
-        print("  %s %s(): %s -- %s" % (*site, ALLOWED.get(site, "NOT REACHED, NOT ALLOWED")))
+        print("  %s %s(): %s (#%d) -- %s" % (*site, ALLOWED.get(site, "NOT REACHED, NOT ALLOWED")))
     for site in sorted(ALLOWED.keys() - unreached):
-        print("  stale allowlist entry: %s %s(): %s" % site)
+        print("  stale allowlist entry: %s %s(): %s (#%d)" % site)
     # no hit at all means the tests did not import the instrumented copy
-    return int(code != 0 or not reached or bool(unreached ^ ALLOWED.keys()))
+    return int(code != 0 or not reached or len(sites) != raises or bool(unreached ^ ALLOWED.keys()))
 
 
 if __name__ == "__main__":
