@@ -1,12 +1,13 @@
 """Determinant bounds backing the magnitude certification.
 
-Closed-form determinants of the tridiagonal chain blocks, as plain
-functions of the family (B, C or D), the size t and k, proved for every
-t by verify_recurrences, an induction on t over the blocks' Laplace
-recurrences; the coefficient norm bounds for residual equations; and
-the per-column certification chain x_i^2 <= det W_i <= k^(2(n-1)) for
-assembled systems, one loop for every column, the single column of
-n = 1 included.  The certification eliminates no matrix and reads A through its nonzero (column, value)
+The closed-form determinants of the tridiagonal chain blocks, written
+once as a table of integer polynomials in K = k^2 and Q = K^t that
+det_closed_form evaluates and verify_recurrences proves, as identities
+in K and Q, for every size t and every k; the coefficient norm bounds
+for residual equations; and the per-column certification chain
+x_i^2 <= det W_i <= k^(2(n-1)) for assembled systems, one loop for
+every column, the single column of n = 1 included.  The certification
+eliminates no matrix and reads A through its nonzero (column, value)
 pairs: det U_i = +-det A_i, the Cramer numerator from the solve,
 det W_i = det U_i^2, each chain block minor of W_i is one product of a
 prefix and a suffix continuant, computed once per chain and checked
@@ -28,34 +29,49 @@ class LemmaViolationError(AssertionError):
     """A proved determinant identity or bound failed; must never fire."""
 
 
+# each chain-block closed form times K - 1, as an integer polynomial
+# {(i, j): c}, the sum of the terms c K^i Q^j, in K = k^2 and Q = K^t: the
+# one table that det_closed_form evaluates and verify_recurrences proves
+CLOSED_FORMS = {
+    "B": {(1, 1): 1, (0, 0): -1},  # K Q - 1
+    "C": {(1, 1): 1, (0, 1): -1},  # K Q - Q
+    "D": {(1, 0): 1, (0, 0): -1},  # K - 1
+}
+
+
 def det_closed_form(family: str, t: int, k: int) -> int:
     """Closed-form determinant of a t x t block of the family, the same
-    for every off-diagonal sign pattern.
+    for every off-diagonal sign pattern: B_t = 1 + K + ... + K^t,
+    C_t = K^t and D_t = 1, K = k^2, and 1 at size 0.
 
-    B: ((k^2)^(t+1) - 1)/(k^2 - 1), or t+1 when k^2 = 1.
-    C: k^(2t).  D: 1.  Size 0 has determinant 1 by convention.
+    Its CLOSED_FORMS numerator at Q = K^t, divided by K - 1.  Every
+    numerator vanishes at K = Q = 1, so at K = 1 the quotient is the
+    numerator's derivative in K there, the sum of c (i + t j).
     """
-    if t == 0:
-        return 1
-    if family == "B":
-        k2 = k * k
-        if k2 == 1:
-            return t + 1
-        return ((k2 ** (t + 1)) - 1) // (k2 - 1)
-    if family == "C":
-        return k ** (2 * t)
-    return 1
+    k2 = k * k
+    terms = CLOSED_FORMS[family].items()
+    if k2 == 1:
+        return sum(c * (i + t * j) for (i, j), c in terms)
+    return sum(c * k2 ** (i + t * j) for (i, j), c in terms) // (k2 - 1)
 
 
-# verify_recurrences evaluates the identities at these k: three values of
-# K = k^2 >= 4 decide a polynomial of degree 2 in K, and k = 1 is the
-# B_t = t + 1 branch of det_closed_form
-K_POINTS = (1, 2, 3, 4)
-# and checks the recurrences at these t: two values decide a residual
-# linear in K^t (in t at k = 1).  They are the two ends of what the
-# certification meets: the first size with a recurrence, and the longest
-# chain, 4,095 rows, of a system of MAX_VARIABLES = 4096 variables
-T_POINTS = (3, 4095)
+def _add(*polys):
+    """The sum of polynomials {(i, j): c} in K and Q, zero terms dropped,
+    so that two polynomials are equal exactly when their dicts are."""
+    out = {}
+    for p in polys:
+        for key, c in p.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul(p, r):
+    return _add(*({(i + a, j + b): c * d} for (i, j), c in p.items() for (a, b), d in r.items()))
+
+
+def _shift(p, s, q=1):
+    """p with Q replaced by K^s Q^q: at size t + s for q = 1, at t = s for q = 0."""
+    return _add(*({(i + s * j, q * j): c} for (i, j), c in p.items()))
 
 
 class RecurrenceReport(NamedTuple):
@@ -63,17 +79,13 @@ class RecurrenceReport(NamedTuple):
     recurrences: int
 
     def to_dict(self) -> dict:
-        return {
-            "k": list(K_POINTS),
-            "t": list(T_POINTS),
-            "base_cases": self.base_cases,
-            "recurrences": self.recurrences,
-        }
+        return self._asdict()
 
 
 def verify_recurrences() -> RecurrenceReport:
-    """Prove det_closed_form for every size t >= 1 and every k >= 1, by
-    induction on t.
+    """Prove the CLOSED_FORMS table by induction on t: for every size
+    t >= 1 and every k >= 1, the quotient that det_closed_form evaluates
+    is the determinant of the t x t block of each family.
 
     The t x t block of family B, C or D has diagonal K + 1, K = k^2,
     except a last entry K in C and a first entry 1 in D, and off-diagonal
@@ -86,50 +98,43 @@ def verify_recurrences() -> RecurrenceReport:
         D_t = B_(t-1) - K B_(t-2),
 
     for t >= 3, so the closed forms are the determinants at every t once
-    they hold at t = 1, 2 and satisfy the recurrences.  The base cases
-    are compared with the 1 x 1 and 2 x 2 determinants, d_1 and
-    d_1 d_2 - K, of the block entries; the recurrences are checked on
-    det_closed_form itself.  For k >= 2 and P = K^(t-1) the closed forms
-    are (K^2 P - 1)/(K - 1), K P and 1: times K - 1, each recurrence's
-    residual is a(K) P + b(K) with deg a, deg b <= 2, and each base case
-    is a polynomial of degree <= 2 in K.  So three values of k >= 2
-    (K_POINTS) and, for the recurrences, two of t (T_POINTS) prove them
-    as identities.  At k = 1, B_t = t + 1 and the residuals are linear
-    in t, so the same two values of t prove them.  The proof holds for
-    closed forms of these shapes, read off det_closed_form, and is no
-    test of an arbitrary function: at k = 1, B_t + 1 for t >= 11 alone
-    would pass, a constant shift of B_t satisfying every recurrence near
-    t = 4095.  Any mismatch raises LemmaViolationError.
+    they hold at t = 1, 2 and satisfy the recurrences.  Times K - 1, each
+    is an equality of integer polynomials in K and Q, checked term by term:
+
+    - each numerator's coefficients sum to 0: it vanishes at K = Q = 1;
+    - each base case: K - 1 times the 1 x 1 or 2 x 2 determinant, d_1 or
+      d_1 d_2 - K, of the block entries is the numerator at Q = K^t;
+    - each recurrence, at Q = K^(t-2): the numerator of the family at
+      K^2 Q is the recurrence's combination of those of B at K Q and Q.
+
+    Identities in K and Q hold at every t and K; as the numerators vanish
+    at K = Q = 1, their K-derivatives at K = 1 are the same statements
+    for the K = 1 quotients.  The table is read directly, never through
+    det_closed_form.  A failed equality raises LemmaViolationError.
     """
+    one, K, minus_K = {(0, 0): 1}, {(1, 0): 1}, {(1, 0): -1}
+    K_plus_1, K_minus_1 = _add(K, one), _add(K, {(0, 0): -1})
     base = recurrences = 0
-    for k in K_POINTS:
-        k2 = k * k
-        for family in "BCD":
-            for t in (1, 2):
-                diag = [k2 + 1] * t
-                if family == "C":
-                    diag[-1] = k2
-                elif family == "D":
-                    diag[0] = 1
-                det = diag[0] if t == 1 else diag[0] * diag[1] - k2
-                closed = det_closed_form(family, t, k)
-                if closed != det:
-                    raise LemmaViolationError(
-                        "det %s_%d (k=%d) is %d, closed form says %d"
-                        % (family, t, k, det, closed)
-                    )
-                base += 1
-        for t in T_POINTS:
-            b1, b2 = det_closed_form("B", t - 1, k), det_closed_form("B", t - 2, k)
-            for family, rhs in (("B", (k2 + 1) * b1 - k2 * b2), ("C", k2 * b1 - k2 * b2),
-                                ("D", b1 - k2 * b2)):
-                # the values may have more digits than int-to-str
-                # conversion allows, so the message does not show them
-                if det_closed_form(family, t, k) != rhs:
-                    raise LemmaViolationError(
-                        "closed form of det %s_%d (k=%d) fails its recurrence" % (family, t, k)
-                    )
-                recurrences += 1
+    for family in "BCD":
+        if sum(CLOSED_FORMS[family].values()):
+            raise LemmaViolationError(
+                "closed form of det %s_t times K - 1 is not 0 at K = 1" % family)
+        for t in (1, 2):
+            diag = [K_plus_1] * t
+            if family == "C":
+                diag[-1] = K
+            elif family == "D":
+                diag[0] = one
+            det = diag[0] if t == 1 else _add(_mul(diag[0], diag[1]), minus_K)
+            if _mul(K_minus_1, det) != _shift(CLOSED_FORMS[family], t, 0):
+                raise LemmaViolationError(
+                    "closed form of det %s_%d is not the determinant of its block" % (family, t))
+            base += 1
+    b = CLOSED_FORMS["B"]
+    for family, first in (("B", K_plus_1), ("C", K), ("D", one)):
+        if _shift(CLOSED_FORMS[family], 2) != _add(_mul(first, _shift(b, 1)), _mul(minus_K, b)):
+            raise LemmaViolationError("closed form of det %s_t fails its recurrence" % family)
+        recurrences += 1
     return RecurrenceReport(base_cases=base, recurrences=recurrences)
 
 
@@ -160,7 +165,6 @@ class CoefficientBoundReport(NamedTuple):
     k: int
     multisets_checked: int
     bound: int
-    deletion_bound: int
 
 
 def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
@@ -204,12 +208,7 @@ def verify_coefficient_bounds(k: int) -> CoefficientBoundReport:
         raise LemmaViolationError("extremal multiset %s missing (k=%d)" % (witness, k))
     if not equality or not deletion_equality:
         raise LemmaViolationError("equality cases not attained (k=%d)" % k)
-    return CoefficientBoundReport(
-        k=k,
-        multisets_checked=len(multisets),
-        bound=bound,
-        deletion_bound=deletion_bound,
-    )
+    return CoefficientBoundReport(k=k, multisets_checked=len(multisets), bound=bound)
 
 
 class ColumnCertificate(NamedTuple):

@@ -575,6 +575,31 @@ def cofactor_grid(t_max: int, k: int) -> int:
     return blocks
 
 
+def vanishing_to(t_max: int) -> dict:
+    """(K - 1)(Q - K)(Q - K^2)...(Q - K^t_max), a polynomial {(i, j): c}
+    in K and Q as in detbounds.CLOSED_FORMS.  Added to a numerator there,
+    it leaves the closed form at every k and every size t <= t_max as it
+    was (at k = 1 at every t, the K-derivative of the product being 0
+    there), and changes it at every larger t for every k >= 2."""
+    poly = {(1, 0): 1, (0, 0): -1}
+    for s in range(1, t_max + 1):
+        out = {}
+        for (i, j), c in poly.items():
+            for key, d in (((i, j + 1), c), ((i + s, j), -c)):
+                out[key] = out.get(key, 0) + d
+        poly = out
+    return poly
+
+
+def mutate_closed_form(monkeypatch, family: str, extra: dict) -> None:
+    """Add the polynomial extra to the family's numerator in
+    detbounds.CLOSED_FORMS, until the test ends."""
+    form = dict(relmag.detbounds.CLOSED_FORMS[family])
+    for key, c in extra.items():
+        form[key] = form.get(key, 0) + c
+    monkeypatch.setitem(relmag.detbounds.CLOSED_FORMS, family, form)
+
+
 def chain_block(a, rows) -> tuple[list[int], list[int]]:
     """Diagonal and off-diagonal of the chain block of G = A' A'^T, read
     off the dense rows a as inner products."""

@@ -15,6 +15,8 @@ from conftest import (
     corrupt_reduced_solution,
     corrupt_reduction_solve,
     halving_dsl,
+    mutate_closed_form,
+    vanishing_to,
 )
 
 from relmag import circuits, cli, detbounds, generators
@@ -415,7 +417,7 @@ class TestVerifyLemmas:
         assert res.exit_code == 0
         assert res.output.splitlines() == [
             "chain blocks: det B_t, C_t, D_t proved for every t and k, "
-            "24 base cases and 24 recurrences verified",
+            "6 base cases and 3 recurrences verified",
             "k=2: 2 coefficient multisets within bound 3, equality attained",
             "k=3: 6 coefficient multisets within bound 8, equality attained",
             "all determinant identities pass",
@@ -424,9 +426,7 @@ class TestVerifyLemmas:
     def test_json(self):
         res = invoke("verify-lemmas", "--kmax", "2", "--format", "json")
         doc = json.loads(res.output)
-        assert doc["chain_blocks"] == {
-            "k": [1, 2, 3, 4], "t": [3, 4095], "base_cases": 24, "recurrences": 24,
-        }
+        assert doc["chain_blocks"] == {"base_cases": 6, "recurrences": 3}
         assert doc["coefficient_bounds"] == [{"k": 2, "multisets_checked": 2, "bound": 3}]
 
     # (k, multisets_checked, bound) of each coefficient-bound check
@@ -438,7 +438,7 @@ class TestVerifyLemmas:
         assert res.exit_code == 0
         assert res.stdout == "".join(
             ["chain blocks: det B_t, C_t, D_t proved for every t and k, "
-             "24 base cases and 24 recurrences verified\n"]
+             "6 base cases and 3 recurrences verified\n"]
             + ["k=%d: %d coefficient multisets within bound %d, equality attained\n" % row
                for row in self._BOUNDS[:kmax - 1]]
             + ["all determinant identities pass\n"]
@@ -452,9 +452,7 @@ class TestVerifyLemmas:
         assert res.exit_code == 0
         head = (
             '{\n  "chain_blocks": {\n'
-            '    "k": [\n      1,\n      2,\n      3,\n      4\n    ],\n'
-            '    "t": [\n      3,\n      4095\n    ],\n'
-            '    "base_cases": 24,\n    "recurrences": 24\n  },\n'
+            '    "base_cases": 6,\n    "recurrences": 3\n  },\n'
             '  "coefficient_bounds": [\n'
         )
         entries = ",\n".join(
@@ -513,15 +511,12 @@ class TestVerifyLemmas:
         assert res.stderr.startswith("error: lemma falsified: det C_3 != recurrence")
 
     def test_closed_form_wrong_for_large_t(self, monkeypatch):
-        """det C_t off by one from t = 11 on: the cofactor grid up to
+        """det C_t changed from t = 11 on by a multiple of
+        (Q - K)...(Q - K^10) in its numerator: the cofactor grid up to
         t = 10 passes it, the induction does not."""
-        real = detbounds.det_closed_form
-        monkeypatch.setattr(
-            detbounds, "det_closed_form",
-            lambda family, t, k: real(family, t, k) + (family == "C" and t >= 11),
-        )
+        mutate_closed_form(monkeypatch, "C", vanishing_to(10))
+        assert detbounds.det_closed_form("C", 11, 2) != 4 ** 11
         assert cofactor_grid(10, 2) == 3069
         res = invoke("verify-lemmas", "--kmax", "2")
         assert res.exit_code == 1
-        assert res.stderr == (
-            "error: lemma falsified: closed form of det C_4095 (k=1) fails its recurrence\n")
+        assert res.stderr == "error: lemma falsified: closed form of det C_t fails its recurrence\n"

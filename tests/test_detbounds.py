@@ -12,7 +12,9 @@ from conftest import (
     dense_rows,
     determinant_cofactor,
     hadamard_fischer_check,
+    mutate_closed_form,
     random_system,
+    vanishing_to,
 )
 
 import relmag.detbounds
@@ -20,8 +22,6 @@ import relmag.matrices
 from relmag.detbounds import (
     ColumnCertificate,
     LemmaViolationError,
-    K_POINTS,
-    T_POINTS,
     _chain_minors,
     certify_solution_bound,
     det_closed_form,
@@ -32,7 +32,6 @@ from relmag.detbounds import (
 from relmag.generators import extremal_dsl, extremal_system
 from relmag.matrices import IntegerMatrix, determinant
 from relmag.systems import (
-    MAX_VARIABLES,
     UnsolvableSystemError,
     assemble,
     parse_system,
@@ -85,46 +84,68 @@ class TestChainBlocks:
 
     def test_verify_recurrences(self):
         rep = verify_recurrences()
-        assert rep == (24, 24)  # 3 families x 2 sizes (or t values) x 4 k
-        assert rep.to_dict() == {
-            "k": [1, 2, 3, 4], "t": [3, 4095], "base_cases": 24, "recurrences": 24,
-        }
-
-    def test_points_decide_the_identities(self):
-        # three distinct K = k^2 >= 4 and k = 1
-        assert K_POINTS[0] == 1 and len(set(K_POINTS[1:])) == 3 and min(K_POINTS[1:]) >= 2
-
-    def test_last_t_point_is_the_longest_chain(self):
-        """Drift guard: two distinct t >= 3, the last the longest chain a
-        system can hold, MAX_VARIABLES - 1 rows.  T_POINTS is written
-        out, so a new variable limit must move it too."""
-        assert T_POINTS == (3, MAX_VARIABLES - 1)
+        assert rep == (6, 3)  # 3 families x 2 sizes; one recurrence per family
+        assert rep.to_dict() == {"base_cases": 6, "recurrences": 3}
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_rejects_closed_form_wrong_for_large_t(self, monkeypatch, family, k):
-        """A closed form doubled from t = 11 on, where a cofactor grid up
-        to t = 10 cannot see it, fails the induction."""
-        real = det_closed_form
-
-        def wrong(fam, t, kk):
-            return real(fam, t, kk) * (2 if fam == family and kk == k and t >= 11 else 1)
-
-        monkeypatch.setattr(relmag.detbounds, "det_closed_form", wrong)
-        with pytest.raises(LemmaViolationError, match=r"\(k=%d\) fails its recurrence" % k):
+        """A numerator changed by a multiple of (Q - K)...(Q - K^10), which
+        no block up to t = 10 can see, fails the induction.  For k >= 2 the
+        closed form is wrong from t = 11 on.  At k = 1 every closed form is
+        linear in t, so no change can hide up to t = 10 and show later:
+        this one never shows there, and the table still fails, being no
+        identity in K."""
+        before = [det_closed_form(family, t, k) for t in range(1, 12)]
+        mutate_closed_form(monkeypatch, family, vanishing_to(10))
+        after = [det_closed_form(family, t, k) for t in range(1, 12)]
+        blocks = [determinant(build_chain_block(family, t, k)) for t in range(1, 11)]
+        assert after[:10] == before[:10] == blocks
+        assert (after[10] != before[10]) == (k > 1)
+        with pytest.raises(LemmaViolationError) as exc:
             verify_recurrences()
+        assert str(exc.value) == "closed form of det %s_t fails its recurrence" % family
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_rejects_wrong_base_case(self, monkeypatch, t):
-        real = det_closed_form
-        monkeypatch.setattr(
-            relmag.detbounds, "det_closed_form",
-            lambda fam, tt, k: real(fam, tt, k) + (fam == "C" and tt == t and k == 3),
-        )
+        """C changed by (K - 1)(Q - K^(3-t)): wrong at size t, right at
+        the other base size and, times K - 1, still 0 at K = Q = 1."""
+        mutate_closed_form(monkeypatch, "C", {(1, 1): 1, (0, 1): -1, (4 - t, 0): -1, (3 - t, 0): 1})
+        assert det_closed_form("C", t, 3) == 9 ** t + (-1) ** t * 72
+        assert det_closed_form("C", 3 - t, 3) == 9 ** (3 - t)
         with pytest.raises(LemmaViolationError) as exc:
             verify_recurrences()
-        assert str(exc.value) == "det C_%d (k=3) is %d, closed form says %d" % (
-            t, 9 ** t, 9 ** t + 1)
+        assert str(exc.value) == "closed form of det C_%d is not the determinant of its block" % t
+
+    def test_rejects_b_plus_one(self, monkeypatch):
+        """B_t + 1, the numerator plus K - 1, satisfies the B recurrence
+        at every t and every k; the base cases reject it.  Certification
+        evaluates the same table, so it moves too, and a certified solve
+        fails."""
+        mutate_closed_form(monkeypatch, "B", {(1, 0): 1, (0, 0): -1})
+        assert [det_closed_form("B", t, 1) for t in range(40)] == list(range(2, 42))
+        assert det_closed_form("B", 2, 2) == 22
+        with pytest.raises(LemmaViolationError) as exc:
+            verify_recurrences()
+        assert str(exc.value) == "closed form of det B_1 is not the determinant of its block"
+        with pytest.raises(LemmaViolationError, match="closed form det B_3 says 86"):
+            certify_solution_bound(*_certify_args(extremal_system(2, 4)))
+
+    def test_rejects_c_off_by_k_to_the_t(self, monkeypatch):
+        """C_t + K^t, the numerator plus (K - 1) Q."""
+        mutate_closed_form(monkeypatch, "C", {(1, 1): 1, (0, 1): -1})
+        assert [det_closed_form("C", t, 3) for t in range(6)] == [2 * 9 ** t for t in range(6)]
+        with pytest.raises(LemmaViolationError) as exc:
+            verify_recurrences()
+        assert str(exc.value) == "closed form of det C_1 is not the determinant of its block"
+
+    def test_rejects_numerator_not_zero_at_k_1(self, monkeypatch):
+        """A numerator that does not vanish at K = Q = 1 has no K = 1
+        value as its derivative; it is rejected before any identity."""
+        mutate_closed_form(monkeypatch, "D", {(0, 0): 1})
+        with pytest.raises(LemmaViolationError) as exc:
+            verify_recurrences()
+        assert str(exc.value) == "closed form of det D_t times K - 1 is not 0 at K = 1"
 
 
 class TestHadamardFischer:
@@ -162,7 +183,6 @@ class TestCoefficientBounds:
         for k in range(2, 9):
             rep = verify_coefficient_bounds(k)
             assert rep.bound == min(k * k - 1, (k - 1) ** 2 + 4)
-            assert rep.deletion_bound == (k - 1) ** 2 + 1
 
     def test_verify_bounds_rejects_k_below_2(self):
         with pytest.raises(ValueError) as exc:
