@@ -174,12 +174,7 @@ def verify_lemmas(kmax, fmt):
     """Self-test the determinant identities and coefficient bounds."""
     chain = detbounds.verify_recurrences()
     bounds = [detbounds.verify_coefficient_bounds(k) for k in range(2, kmax + 1)]
-    doc = {
-        "chain_blocks": chain.to_dict(),
-        "coefficient_bounds": [
-            {"k": r.k, "multisets_checked": r.multisets_checked, "bound": r.bound} for r in bounds
-        ],
-    }
+    doc = {"chain_blocks": chain._asdict(), "coefficient_bounds": [r._asdict() for r in bounds]}
     lines = [
         "chain blocks: det B_t, C_t, D_t proved for every t and k, "
         "%d base cases and %d recurrences verified" % (chain.base_cases, chain.recurrences)

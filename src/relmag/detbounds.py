@@ -48,11 +48,11 @@ def det_closed_form(family: str, t: int, k: int) -> int:
     numerator vanishes at K = Q = 1, so at K = 1 the quotient is the
     numerator's derivative in K there, the sum of c (i + t j).
     """
-    k2 = k * k
-    terms = CLOSED_FORMS[family].items()
-    if k2 == 1:
-        return sum(c * (i + t * j) for (i, j), c in terms)
-    return sum(c * k2 ** (i + t * j) for (i, j), c in terms) // (k2 - 1)
+    K = k * k
+    num = 0
+    for (i, j), c in CLOSED_FORMS[family].items():
+        num += c * (i + t * j if K == 1 else K ** (i + t * j))
+    return num if K == 1 else num // (K - 1)
 
 
 def _add(*polys):
@@ -77,9 +77,6 @@ def _shift(p, s, q=1):
 class RecurrenceReport(NamedTuple):
     base_cases: int
     recurrences: int
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def verify_recurrences() -> RecurrenceReport:

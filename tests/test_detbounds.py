@@ -85,7 +85,7 @@ class TestChainBlocks:
     def test_verify_recurrences(self):
         rep = verify_recurrences()
         assert rep == (6, 3)  # 3 families x 2 sizes; one recurrence per family
-        assert rep.to_dict() == {"base_cases": 6, "recurrences": 3}
+        assert rep._asdict() == {"base_cases": 6, "recurrences": 3}
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
