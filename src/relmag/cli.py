@@ -10,11 +10,10 @@ Reports go to stdout; --format json switches to a structured document.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import sys
-
-import click
 
 from relmag import detbounds, generators
 from relmag.circuits import EnumerationTooLarge, enumerate_circuits
@@ -46,22 +45,6 @@ EXIT_TABLE = (
 )
 
 
-class _Main(click.Group):
-    """Applies EXIT_TABLE around every subcommand; click's own exceptions pass."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
-            raise
-        except Exception as exc:
-            for types, code, message in EXIT_TABLE:
-                if isinstance(exc, types):
-                    break
-            click.echo("error: " + message.format(type=type(exc).__name__, exc=exc), err=True)
-            raise click.exceptions.Exit(code) from exc
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -78,15 +61,14 @@ def _echo_report(fmt, as_dict, as_text):
         if hasattr(sys, "set_int_max_str_digits"):
             restore.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
             sys.set_int_max_str_digits(0)
-        click.echo(json.dumps(as_dict(), indent=2) if fmt == "json" else as_text())
+        print(json.dumps(as_dict(), indent=2) if fmt == "json" else as_text(), flush=True)
 
 
-def _report_omega(matrix_path, fmt, allow_large, render):
+def _report_omega(args, render) -> int:
     """Shared body of omega and certify: they differ in the text report."""
-    cert = omega_matrix_upper(parse_matrix(_read(matrix_path)), allow_large=allow_large)
-    _echo_report(fmt, cert.to_dict, lambda: render(cert))
-    if not cert.verdict:
-        raise click.exceptions.Exit(EXIT_VIOLATION)
+    cert = omega_matrix_upper(parse_matrix(_read(args.matrix)), allow_large=args.allow_large)
+    _echo_report(args.format, cert.to_dict, lambda: render(cert))
+    return 0 if cert.verdict else EXIT_VIOLATION
 
 
 def _certify_line(cert) -> str:
@@ -95,85 +77,40 @@ def _certify_line(cert) -> str:
     return "omega=%s bound=%s%s" % (format_ratio(cert.omega_hi, cert.omega_lo), bound, tail)
 
 
-matrix_option = click.option(
-    "--matrix", "matrix_path", required=True, help="Matrix file, '-' for stdin.",
-)
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-    help="Report format.",
-)
-allow_large_option = click.option(
-    "--allow-large", is_flag=True,
-    help="Permit circuit enumeration beyond 2^24 candidate supports (exponential).",
-)
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact relative-magnitude computation and certification."""
-
-
-@main.command()
-@matrix_option
-@format_option
-@allow_large_option
-def omega(matrix_path, fmt, allow_large):
+def omega(args):
     """Compute the certified magnitude upper bound of a matrix."""
-    _report_omega(matrix_path, fmt, allow_large, lambda cert: cert.to_text())
+    return _report_omega(args, lambda cert: cert.to_text())
 
 
-@main.command()
-@matrix_option
-@format_option
-@allow_large_option
-def circuits(matrix_path, fmt, allow_large):
+def circuits(args):
     """List all minimal-support null vectors of a matrix."""
-    circs = enumerate_circuits(parse_matrix(_read(matrix_path)), allow_large=allow_large)
-    _echo_report(fmt, lambda: [c.to_dict() for c in circs],
+    circs = enumerate_circuits(parse_matrix(_read(args.matrix)), allow_large=args.allow_large)
+    _echo_report(args.format, lambda: [c.to_dict() for c in circs],
                  lambda: "\n".join([c.to_line() for c in circs] + ["count=%d" % len(circs)]))
 
 
-@main.command()
-@matrix_option
-@format_option
-@allow_large_option
-def certify(matrix_path, fmt, allow_large):
+def certify(args):
     """Certify the (norm-1)^rank magnitude bound for a matrix."""
-    _report_omega(matrix_path, fmt, allow_large, _certify_line)
+    return _report_omega(args, _certify_line)
 
 
-@main.command()
-@click.option("--system", "system_path", required=True, help="System file, '-' for stdin.")
-@format_option
-def solve(system_path, fmt):
+def solve(args):
     """Solve a unit-coefficient system and certify the k^(n-1) bound."""
-    report = solve_and_certify(parse_system(_read(system_path)))
-    _echo_report(fmt, report.to_dict, report.to_text)
+    report = solve_and_certify(parse_system(_read(args.system)))
+    _echo_report(args.format, report.to_dict, report.to_text)
 
 
-@main.command("gen-extremal")
-@click.option("--k", type=click.IntRange(min=2), required=True)
-@click.option("--n", type=click.IntRange(2, MAX_VARIABLES), required=True)
-@click.option(
-    "--mode", type=click.Choice(["homogeneous", "system"]), default="homogeneous",
-    help="Emit the chain matrix or the x1=1 system DSL.",
-)
-def gen_extremal(k, n, mode):
+def gen_extremal(args):
     """Emit the sharp chain instance for given k and n."""
-    if mode == "homogeneous":
-        click.echo(format_matrix(generators.extremal_matrix(k, n)), nl=False)
-    else:
-        click.echo(generators.extremal_dsl(k, n), nl=False)
+    text = (format_matrix(generators.extremal_matrix(args.k, args.n)) if args.mode == "homogeneous"
+            else generators.extremal_dsl(args.k, args.n))
+    print(text, end="", flush=True)
 
 
-@main.command("verify-lemmas")
-@click.option("--kmax", type=click.IntRange(2, 30), default=5,
-              help="Largest k for the coefficient bounds.")
-@format_option
-def verify_lemmas(kmax, fmt):
+def verify_lemmas(args):
     """Self-test the determinant identities and coefficient bounds."""
     chain = detbounds.verify_recurrences()
-    bounds = [detbounds.verify_coefficient_bounds(k) for k in range(2, kmax + 1)]
+    bounds = [detbounds.verify_coefficient_bounds(k) for k in range(2, args.kmax + 1)]
     doc = {"chain_blocks": chain._asdict(), "coefficient_bounds": [r._asdict() for r in bounds]}
     lines = [
         "chain blocks: det B_t, C_t, D_t proved for every t and k, "
@@ -182,8 +119,71 @@ def verify_lemmas(kmax, fmt):
         "k=%d: %d coefficient multisets within bound %d, equality attained"
         % (r.k, r.multisets_checked, r.bound) for r in bounds
     ] + ["all determinant identities pass"]
-    _echo_report(fmt, lambda: doc, lambda: "\n".join(lines))
+    _echo_report(args.format, lambda: doc, lambda: "\n".join(lines))
+
+
+def _int_range(low, high=None):
+    """An argparse type: an int in [low, high], high None for no limit."""
+    def integer(text):
+        value = int(text)
+        if value < low or high is not None and value > high:
+            shown = "x>=%d" % low if high is None else "%d<=x<=%d" % (low, high)
+            raise argparse.ArgumentTypeError("%d is not in the range %s." % (value, shown))
+        return value
+    return integer
+
+
+FORMAT_OPTION = ("--format", dict(choices=("text", "json"), default="text", help="Report format."))
+MATRIX_OPTIONS = (
+    ("--matrix", dict(required=True, help="Matrix file, '-' for stdin.")),
+    FORMAT_OPTION,
+    ("--allow-large", dict(action="store_true", help=(
+        "Permit circuit enumeration beyond 2^24 candidate supports (exponential)."))),
+)
+
+# (name, command, options); a command returns its exit code, None for 0
+COMMANDS = (
+    ("omega", omega, MATRIX_OPTIONS),
+    ("circuits", circuits, MATRIX_OPTIONS),
+    ("certify", certify, MATRIX_OPTIONS),
+    ("solve", solve, (
+        ("--system", dict(required=True, help="System file, '-' for stdin.")),
+        FORMAT_OPTION,
+    )),
+    ("gen-extremal", gen_extremal, (
+        ("--k", dict(type=_int_range(2), required=True)),
+        ("--n", dict(type=_int_range(2, MAX_VARIABLES), required=True)),
+        ("--mode", dict(choices=("homogeneous", "system"), default="homogeneous",
+                        help="Emit the chain matrix or the x1=1 system DSL.")),
+    )),
+    ("verify-lemmas", verify_lemmas, (
+        ("--kmax", dict(type=_int_range(2, 30), default=5,
+                        help="Largest k for the coefficient bounds.")),
+        FORMAT_OPTION,
+    )),
+)
+
+
+def main(argv=None) -> int:
+    """Exact relative-magnitude computation and certification."""
+    parser = argparse.ArgumentParser(prog="relmag", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, command, options in COMMANDS:
+        sub = commands.add_parser(name, help=command.__doc__, description=command.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=command)
+        for flag, spec in options:
+            sub.add_argument(flag, **spec)
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args) or 0
+    except Exception as exc:
+        for types, code, message in EXIT_TABLE:
+            if isinstance(exc, types):
+                break
+        print("error: " + message.format(type=type(exc).__name__, exc=exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from math import gcd
 
 
@@ -45,8 +44,40 @@ class NonSquareError(MatrixError):
     """Operation requires a square matrix."""
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class _Frozen:
+    """Base of the two records whose construction validates its input.
+
+    A subclass names its fields in _fields and sets them in __init__ with
+    object.__setattr__.  ==, hash and repr go by those fields; assigning or
+    deleting any attribute raises.  The instance keeps its __dict__, so
+    copy and pickle take it as it is.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % field for field in zip(self._fields, self._values())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class IntegerMatrix(_Frozen):
     """Immutable m x n matrix with integer entries, row-major.
 
     _memo keeps what depends only on the entries, computed once per
@@ -56,8 +87,13 @@ class IntegerMatrix:
     computes its own.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_memo", {})
+        # looked up on the instance, so that a tracer can wrap the checks
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
 from relmag.detbounds import CertificationReport, certify_solution_bound
 from relmag.matrices import (
+    _Frozen,
     _decimal,
     _line_col,
     _signed_maximal_minors,
@@ -124,8 +124,7 @@ def _overweight_message(eq: SumEquation, k: int) -> str:
         eq.to_text(), _decimal(eq.weight()), _decimal(k + 1))
 
 
-@dataclass(frozen=True)
-class System:
+class System(_Frozen):
     """A system of unit and sum equations over x_1..x_nvars, for k >= 2.
 
     Construction validates it in one loop over the equations: a unit
@@ -135,12 +134,12 @@ class System:
     first check that fails raises SystemError_.
     """
 
-    k: int
-    nvars: int
-    equations: tuple[Equation, ...]
+    _fields = ("k", "nvars", "equations")
 
-    def __post_init__(self):
-        k, nvars = self.k, self.nvars
+    def __init__(self, k: int, nvars: int, equations: tuple[Equation, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "equations", equations)
         if k < 2:
             raise SystemError_("k must be >= 2, got %d" % k)
         if nvars < 1:
@@ -149,7 +148,7 @@ class System:
             raise SystemError_(
                 "system has %d variables, limit is %d" % (nvars, MAX_VARIABLES)
             )
-        for eq in self.equations:
+        for eq in equations:
             if isinstance(eq, UnitEquation):
                 if eq.sign not in (1, -1):
                     raise SystemError_("unit equation sign must be +-1")

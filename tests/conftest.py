@@ -905,7 +905,7 @@ def combined(eq: SumEquation) -> dict[int, int]:
 
 
 def reference_validate(k: int, nvars: int, equations) -> None:
-    """The checks of System.__post_init__, kept verbatim on the fields of a
+    """The checks of System.__init__, kept verbatim on the fields of a
     System, which they raise SystemError_ on."""
     if k < 2:
         raise SystemError_("k must be >= 2, got %d" % k)

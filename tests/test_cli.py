@@ -1,11 +1,14 @@
 """Command-line interface end-to-end behaviour."""
 
+import contextlib
+import io
 import json
 import random
 import sys
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from conftest import (
     cofactor_grid,
     corrupt_cramer_check,
@@ -24,8 +27,6 @@ from relmag.cli import main
 from relmag.matrices import nullspace_basis, parse_matrix
 from relmag.systems import MAX_VARIABLES, BoundViolationError, ReductionError, SolveReport
 
-runner = CliRunner()
-
 
 def _int_digits_limit():
     """sys.get_int_max_str_digits(), or None where int() has no limit."""
@@ -35,8 +36,37 @@ def _int_digits_limit():
 _LIMIT = _int_digits_limit()
 
 
-def invoke(*args, **kwargs):
-    return runner.invoke(main, list(args), **kwargs)
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, in the order they were written
+
+
+class _Recorder(io.StringIO):
+    """A captured stream that also appends each write to a shared log."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def write(self, text):
+        self.log.append(text)
+        return super().write(text)
+
+
+def invoke(*args, input=None):
+    """Run main(args) in-process, stdin reading input, stdout and stderr
+    captured; argparse's usage errors and --help end in SystemExit."""
+    log = []
+    out, err = _Recorder(log), _Recorder(log)
+    with mock.patch.object(sys, "stdin", io.StringIO(input or "")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue(), "".join(log))
 
 
 def write(tmp_path, name, text):
@@ -247,11 +277,11 @@ class TestSolve:
         assert invoke("solve", "--system", path, "--jobs", "2").exit_code == 2
 
     def test_no_certify_option(self, tmp_path):
-        """solve always certifies: click rejects --no-certify as unknown."""
+        """solve always certifies: the parser rejects --no-certify as unknown."""
         path = write(tmp_path, "s.txt", CHAIN_SYSTEM)
         res = invoke("solve", "--system", path, "--no-certify")
         assert res.exit_code == 2
-        assert "No such option" in res.output and "--no-certify" in res.output
+        assert "unrecognized arguments: --no-certify" in res.output
 
     def test_unsolvable(self, tmp_path):
         res = invoke("solve", "--system", write(tmp_path, "s.txt", "x1=1; x1=-1"))
@@ -490,7 +520,7 @@ class TestVerifyLemmas:
         # the chain-block identities hold for every t: there is no size option
         for value in ("2", "10"):
             res = invoke("verify-lemmas", "--tmax", value)
-            assert res.exit_code == 2 and "No such option '--tmax'" in res.output
+            assert res.exit_code == 2 and "unrecognized arguments: --tmax" in res.output
 
     def test_size_guard(self, monkeypatch):
         ran = []
@@ -520,3 +550,60 @@ class TestVerifyLemmas:
         res = invoke("verify-lemmas", "--kmax", "2")
         assert res.exit_code == 1
         assert res.stderr == "error: lemma falsified: closed form of det C_t fails its recurrence\n"
+
+
+class TestUsage:
+    """What the argument parser owns: a usage error exits 2 with nothing on
+    stdout and names the bad option or command on stderr."""
+
+    @pytest.mark.parametrize("args, named", [
+        (("omega",), "the following arguments are required: --matrix"),
+        (("circuits", "--format", "json"), "the following arguments are required: --matrix"),
+        (("solve",), "the following arguments are required: --system"),
+        (("omega", "--matrix", "-", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+        (("solve", "--system", "-", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+        ((), "the following arguments are required: COMMAND"),
+        (("solv",), "argument COMMAND: invalid choice: 'solv'"),
+        (("gen-extremal", "--k", "two", "--n", "3"), "argument --k: invalid integer value: 'two'"),
+        (("gen-extremal", "--k", "2", "--n", "4097"),
+         "argument --n: 4097 is not in the range 2<=x<=4096."),
+        (("omega", "--mat", "-"), "the following arguments are required: --matrix"),
+    ])
+    def test_usage_error(self, args, named):
+        res = invoke(*args, input=CHAIN_MATRIX)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: relmag")
+        assert "error: " + named in res.stderr, res.stderr
+
+    def test_help(self):
+        """--help lists the six commands, each with its help line."""
+        res = invoke("--help")
+        assert res.exit_code == 0 and res.stderr == ""
+        listed = " ".join(res.stdout.split())
+        for line in (
+            "omega Compute the certified magnitude upper bound of a matrix.",
+            "circuits List all minimal-support null vectors of a matrix.",
+            "certify Certify the (norm-1)^rank magnitude bound for a matrix.",
+            "solve Solve a unit-coefficient system and certify the k^(n-1) bound.",
+            "gen-extremal Emit the sharp chain instance for given k and n.",
+            "verify-lemmas Self-test the determinant identities and coefficient bounds.",
+        ):
+            assert line in listed, line
+
+    def test_command_help(self):
+        res = invoke("certify", "--help")
+        assert res.exit_code == 0 and res.stderr == ""
+        text = " ".join(res.stdout.split())
+        assert "Certify the (norm-1)^rank magnitude bound for a matrix." in text
+        assert "Permit circuit enumeration beyond 2^24 candidate supports (exponential)." in text
+
+    def test_file_name_with_leading_dash(self, tmp_path, monkeypatch):
+        """argparse reads a separate '-a.txt' as an option; '=' passes it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-a.txt").write_text(CHAIN_MATRIX)
+        res = invoke("certify", "--matrix=-a.txt")
+        assert res.exit_code == 0 and res.output == "omega=8 bound=8 SHARP\n"
+        res = invoke("certify", "--matrix", "-a.txt")
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "argument --matrix: expected one argument" in res.stderr

@@ -2,8 +2,10 @@
 the record types and what an import of the package loads."""
 
 import ast
+import copy
 import importlib
 import inspect
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import relmag
 from relmag.cli import EXIT_TABLE
-from relmag.systems import BoundViolationError, ReductionError
+from relmag.matrices import IntegerMatrix
+from relmag.systems import BoundViolationError, ReductionError, SumEquation, System, UnitEquation
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relmag"
 TESTS = Path(__file__).resolve().parent
@@ -83,19 +86,11 @@ def test_no_unused_imports():
             )
 
 
-def _is_click_command(fn):
-    """fn is decorated by a click group's .command() or by click.group()."""
-    for dec in fn.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
-            return True
-    return False
-
-
 def test_no_test_only_routes():
     """Every function and method the package defines has a caller in the
-    package, is exported, or is a CLI command: a route only the tests call
-    belongs in tests/conftest.py, apart from the code it checks."""
+    package or is exported; a CLI command is named in cli.COMMANDS.  A route
+    only the tests call belongs in tests/conftest.py, apart from the code
+    it checks."""
     # perfbench/tracing.py patches IntegerMatrix.gram by name, so it moves
     # with the benchmark
     allowed = {"IntegerMatrix.gram"}
@@ -125,7 +120,7 @@ def test_no_test_only_routes():
         "%s:%d %s" % (fname, lineno, qualname)
         for fname, lineno, qualname, fn in defined
         if fn.name not in (attributes if "." in qualname else anywhere)
-        and fn.name not in relmag.__all__ and not _is_click_command(fn)
+        and fn.name not in relmag.__all__
         and qualname not in allowed
     ]
     assert not unused, "defined but never called in the package: %s" % unused
@@ -172,7 +167,7 @@ def test_all_names_resolve():
 
 
 # the two classes whose construction validates its input
-DATACLASSES = {"IntegerMatrix", "System"}
+VALIDATING = {"IntegerMatrix", "System"}
 
 
 def _is_dataclass_decorator(dec):
@@ -181,17 +176,17 @@ def _is_dataclass_decorator(dec):
     return name == "dataclass"
 
 
-def test_only_validating_classes_are_dataclasses():
-    """Every other record is a NamedTuple: a dataclass generates and execs
-    its methods when the module is imported."""
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ClassDef) and any(
-                _is_dataclass_decorator(dec) for dec in node.decorator_list
-            ):
-                found.add(node.name)
-    assert found == DATACLASSES
+def test_no_class_is_a_dataclass():
+    """Every record is a NamedTuple or a plain class: a dataclass generates
+    and execs its methods when the module is imported, and importing
+    dataclasses loads inspect."""
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, node.name)
+        for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(dec) for dec in node.decorator_list)
+    ]
+    assert not found, "dataclasses in src/: %s" % found
 
 
 def _record_types():
@@ -207,12 +202,12 @@ def _record_types():
 
 
 def test_records_are_immutable_tuples():
-    """Every public record type but the two dataclasses is a tuple subclass,
-    and none takes an assignment to a field or a new attribute."""
+    """Every public record type but the two validating classes is a tuple
+    subclass, and none takes an assignment to a field or a new attribute."""
     records = dict(_record_types())
-    assert DATACLASSES <= set(records) and len(records) > len(DATACLASSES)
+    assert VALIDATING <= set(records) and len(records) > len(VALIDATING)
     for name, cls in records.items():
-        if name in DATACLASSES:
+        if name in VALIDATING:
             continue
         assert issubclass(cls, tuple) and cls._fields, name
         record = cls._make(range(len(cls._fields)))
@@ -223,11 +218,59 @@ def test_records_are_immutable_tuples():
         assert record == tuple(range(len(cls._fields)))
 
 
+EQUATIONS = (UnitEquation(1, 1), SumEquation(((2, 1), (-1, 2))))
+
+
+@pytest.mark.parametrize("make, fields, text", [
+    (IntegerMatrix, {"entries": ((1, -2), (3, 4))}, "IntegerMatrix(entries=((1, -2), (3, 4)))"),
+    (System, {"k": 2, "nvars": 2, "equations": EQUATIONS},
+     "System(k=2, nvars=2, equations=(UnitEquation(var=1, sign=1), "
+     "SumEquation(terms=((2, 1), (-1, 2)))))"),
+])
+def test_validating_classes_are_values(make, fields, text):
+    """IntegerMatrix and System compare, hash and print by their fields,
+    refuse assignment and deletion, and survive copy and pickle."""
+    record = make(**fields)
+    twin = make(*fields.values())
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+    assert repr(record) == text
+    assert record != tuple(fields.values()) and record != object()
+    other = dict(fields)
+    other[next(iter(fields))] = ((5,),) if make is IntegerMatrix else 3
+    assert record != make(**other)
+    for name in list(fields) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert vars(record).keys() >= fields.keys() and not hasattr(make, "__slots__")
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is make and clone == record and repr(clone) == text
+
+
+def test_memo_is_not_a_field():
+    """IntegerMatrix._memo takes no part in ==, hash or repr, and is read
+    only: the dict is filled in place, never replaced."""
+    a, b = IntegerMatrix(((1, 2),)), IntegerMatrix(((1, 2),))
+    a._memo["basis"] = ((2, -1),)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert b._memo == {} and a._memo is not b._memo
+    with pytest.raises(AttributeError):
+        a._memo = {}
+    with pytest.raises(AttributeError):
+        del a._memo
+
+
 def test_import_loads_no_fractions():
     """Importing the package and its CLI loads neither fractions nor
-    decimal; no solve or report needs a Fraction."""
+    decimal, as no solve or report needs a Fraction, nor click, dataclasses
+    or inspect: the CLI parses with argparse and the two validating
+    classes are plain classes."""
+    unwanted = "{'fractions', 'decimal', 'click', 'dataclasses', 'inspect'}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import relmag, relmag.cli; "
-            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+            "print(sorted(%s & set(sys.modules)))" % unwanted)
     done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n", done.stdout + done.stderr

@@ -2,7 +2,6 @@
 
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -676,7 +675,7 @@ class TestReductionOracle:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_validation_matches_reference(self, data):
-        """System raises what the checks of System.__post_init__ raised, on
+        """System raises what the checks of System.__init__ raised, on
         fields that break them one at a time or several at once."""
         k = data.draw(st.sampled_from([1, 2, 2, 3, 3]))
         nvars = data.draw(st.sampled_from([0, MAX_VARIABLES + 1, 4, 4, 4, 4, 4]))
@@ -1055,7 +1054,7 @@ class TestSolveAndCertify:
             assert rep.trace.dropped_dependent == 0 and len(calls) == 2, (n, calls)
             assert calls[-1] == n - 1 and len(back) == 2 and back[-1] == n, (n, calls, back)
             # the first chain equation once more
-            repeated = replace(system, equations=system.equations + system.equations[1:2])
+            repeated = System(system.k, system.nvars, system.equations + system.equations[1:2])
             calls.clear()
             back.clear()
             rep = solve_and_certify(repeated)
