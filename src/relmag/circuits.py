@@ -6,8 +6,6 @@ the support size, so the vector is unique up to scale and we keep the
 canonical primitive integer representative.
 """
 
-from __future__ import annotations
-
 from math import comb, gcd
 from operator import mul
 from typing import NamedTuple

@@ -4,15 +4,14 @@ Exit codes: 0 = success / all checks pass, 1 = a certified bound or
 determinant identity failed (which would falsify a theorem), 2 = bad
 input (an unreadable or non-UTF-8 file, a malformed matrix or system, an
 unsolvable system, a refused enumeration, a bad option), 3 = internal
-error (a reduction postcondition failed, or any unexpected exception).
+error (a reduction postcondition failed, or any unexpected exception),
+141 = stdout closed by its reader (128 + SIGPIPE, nothing on stderr).
 Reports go to stdout; --format json switches to a structured document.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
-import json
+import os
 import sys
 
 from relmag import detbounds, generators
@@ -52,6 +51,51 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+class _Escapes(dict):
+    """json.dumps's ensure_ascii escapes, a str.translate table filled in on first use."""
+
+    def __missing__(self, code):
+        self[code] = (chr(code) if 0x20 <= code < 0x7F else "\\u%04x" % code if code < 0x10000
+                      else "\\u%04x\\u%04x" % (0xD800 + (code - 0x10000 >> 10), 0xDC00 + (code & 0x3FF)))
+        return self[code]
+
+
+_ESCAPES = _Escapes({0x22: '\\"', 0x5C: "\\\\", 8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
+
+
+def to_json(doc) -> str:
+    """json.dumps(doc, indent=2) of dicts with str keys, lists, tuples, str, int, True,
+    False and None.  Anything else raises TypeError (a key that is no str, in str.translate)."""
+    parts = []
+    _write_json(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline, out):
+    if isinstance(value, str):
+        out('"' + value.translate(_ESCAPES) + '"')
+    elif value is None or value is True or value is False:
+        out("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, dict):
+        sep, inner = "{", newline + "  "
+        for key, item in value.items():
+            out('%s%s"%s": ' % (sep, inner, str.translate(key, _ESCAPES)))
+            _write_json(item, inner, out)
+            sep = ","
+        out(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        sep, inner = "[", newline + "  "
+        for item in value:
+            out(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out(newline + "]" if value else "[]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def _echo_report(fmt, as_dict, as_text):
     """Write the report as_dict() in JSON or as_text().  Exact results may
     have more digits than int-to-str conversion allows, so the limit
@@ -61,7 +105,7 @@ def _echo_report(fmt, as_dict, as_text):
         if hasattr(sys, "set_int_max_str_digits"):
             restore.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
             sys.set_int_max_str_digits(0)
-        print(json.dumps(as_dict(), indent=2) if fmt == "json" else as_text(), flush=True)
+        print(to_json(as_dict()) if fmt == "json" else as_text(), flush=True)
 
 
 def _report_omega(args, render) -> int:
@@ -177,6 +221,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args) or 0
+    except BrokenPipeError:  # the reader is gone: the rest and the exit flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # SIGPIPE's number: the status a shell gives a tool SIGPIPE stops
     except Exception as exc:
         for types, code, message in EXIT_TABLE:
             if isinstance(exc, types):

@@ -18,8 +18,6 @@ one denominator t, x = y / t, and the report keeps them so; its text
 writes each x_i and the maximum in lowest terms.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from relmag.matrices import _decimal, format_ratio

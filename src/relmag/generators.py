@@ -7,8 +7,6 @@ equality.  With x_1 = 1 prepended it is the sharp instance for the
 k^(n-1) solution bound.
 """
 
-from __future__ import annotations
-
 from relmag.matrices import IntegerMatrix
 from relmag.systems import MAX_VARIABLES, System, SumEquation, UnitEquation
 

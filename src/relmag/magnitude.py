@@ -21,8 +21,6 @@ the pair of the minimum, written in lowest terms only when a report is
 printed.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from relmag.circuits import Circuit, enumerate_circuits

@@ -29,8 +29,6 @@ circuits in a private memo: a matrix asked for both its omega and its
 circuits eliminates and walks once.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from math import gcd

@@ -24,8 +24,6 @@ Cramer numerator, which check the reduced one at every size.  The
 in lowest terms.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from itertools import islice

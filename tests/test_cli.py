@@ -4,11 +4,15 @@ import contextlib
 import io
 import json
 import random
+import subprocess
 import sys
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     cofactor_grid,
     corrupt_cramer_check,
@@ -607,3 +611,79 @@ class TestUsage:
         res = invoke("certify", "--matrix", "-a.txt")
         assert res.exit_code == 2 and res.stdout == ""
         assert "argument --matrix: expected one argument" in res.stderr
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the int-to-str digit limit, as _echo_report does, for json.dumps too."""
+    if _LIMIT is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(_LIMIT)
+
+
+# characters that json.dumps escapes, each in its own way, and some it keeps
+_SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80 ~\xe9\u2028\uffff\U000103ff\U0001f600\U0010ffff\ud800\udfff'
+_STRINGS = st.text(st.characters(exclude_categories=()) | st.sampled_from(_SPECIAL), max_size=8)
+# integers of about 4,300 digits, the default int-to-str limit, and beyond
+_BIG = st.builds(lambda digits, low, sign: sign * (10 ** digits + low),
+                 st.integers(4290, 4420), st.integers(0, 10 ** 6), st.sampled_from([1, -1]))
+_SCALARS = st.none() | st.booleans() | _STRINGS | st.integers() | _BIG
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_STRINGS, children)),
+    max_leaves=12,
+)
+
+
+class TestToJson:
+    """cli.to_json writes every JSON report: the bytes of json.dumps(doc,
+    indent=2) for what a report holds, and a TypeError for anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS)
+    def test_same_bytes_as_json_dumps(self, doc):
+        with _no_digit_limit():
+            assert cli.to_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), "", 0, True, False, None, {"a": []}, [{}, (), [[]]], {"": {"": ""}},
+        "\U0001f600 \udfff\ud800", {"\x7f\xe9": ["\x00"]},
+    ])
+    def test_edge_cases(self, doc):
+        assert cli.to_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, {1, 2}, {3: "x"}, {"a": [0, 2.0]}, {True: 1}, [b"x"]],
+                             ids=["float", "set", "int key", "nested float", "bool key", "bytes"])
+    def test_other_types_raise(self, doc):
+        """A report that ever gains such a value fails loudly; json.dumps
+        would write a float, or a number key as a string."""
+        with pytest.raises(TypeError):
+            cli.to_json(doc)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_141(tmp_path, fmt):
+    """A reader that stops after a few bytes, as `| head -c 100` does,
+    closes the pipe while a 1 MB report is written: exit 128 + SIGPIPE
+    with nothing on stderr, not the bad-input error "[Errno 32] Broken
+    pipe" and exit 2."""
+    path = write(tmp_path, "s.txt", generators.extremal_dsl(2, 1024))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from relmag.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-c", code, src, "solve", "--system", path, "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""
+    assert head.startswith(b'{\n  "k": 2,' if fmt == "json" else b"solution: x1=1, x2=2, ")

@@ -8,6 +8,7 @@ import inspect
 import pickle
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,26 @@ def test_records_are_immutable_tuples():
         assert record == tuple(range(len(cls._fields)))
 
 
+def _unevaluated(annotation):
+    """The ForwardRefs and strings in an annotation, its arguments too."""
+    if isinstance(annotation, (str, typing.ForwardRef)):
+        return [annotation]
+    return [found for arg in typing.get_args(annotation) for found in _unevaluated(arg)]
+
+
+def test_record_annotations_are_evaluated():
+    """Every NamedTuple record is built from types, not from strings that
+    typing turns into ForwardRefs one field at a time (as under
+    `from __future__ import annotations`)."""
+    records = [(name, cls) for name, cls in _record_types() if issubclass(cls, tuple)]
+    assert len(records) >= 10
+    for name, cls in records:
+        assert cls.__annotations__.keys() == set(cls._fields), name
+        unevaluated = {field: _unevaluated(annotation)
+                       for field, annotation in cls.__annotations__.items()}
+        assert not any(unevaluated.values()), "%s: %s" % (name, unevaluated)
+
+
 EQUATIONS = (UnitEquation(1, 1), SumEquation(((2, 1), (-1, 2))))
 
 
@@ -263,12 +284,13 @@ def test_memo_is_not_a_field():
         del a._memo
 
 
-def test_import_loads_no_fractions():
+def test_import_loads_no_unneeded_module():
     """Importing the package and its CLI loads neither fractions nor
     decimal, as no solve or report needs a Fraction, nor click, dataclasses
     or inspect: the CLI parses with argparse and the two validating
-    classes are plain classes."""
-    unwanted = "{'fractions', 'decimal', 'click', 'dataclasses', 'inspect'}"
+    classes are plain classes.  Nor json: the CLI writes its JSON reports
+    with its own cli.to_json."""
+    unwanted = "{'fractions', 'decimal', 'click', 'dataclasses', 'inspect', 'json'}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import relmag, relmag.cli; "
             "print(sorted(%s & set(sys.modules)))" % unwanted)
     done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
