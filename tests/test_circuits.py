@@ -4,6 +4,8 @@ import random
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_bareiss_step, is_elementary, oracle_circuits, random_matrix
 from relmag import circuits, matrices
@@ -11,6 +13,7 @@ from relmag.circuits import (
     Circuit,
     EnumerationTooLarge,
     _extend,
+    _extend_whole,
     elementary_basis,
     enumerate_circuits,
 )
@@ -174,18 +177,22 @@ def test_walk_steps_match_dense_reference():
     assert sets >= 5000, sets
 
 
-def test_walk_eliminates_once(monkeypatch):
-    """One null-space elimination per call, no matrix per candidate support,
-    and no kernel call from the walk itself: a circuit vector costs no back
-    substitution and a child set no elimination."""
-    # Vandermonde rows on distinct nodes: every 4 columns are independent
-    a = IntegerMatrix.from_rows([[x ** i for x in range(1, 9)] for i in range(4)])
+def _vandermonde(m, n):
+    """Rows x^i for x = 1..n, i = 0..m-1: every m columns are independent,
+    so the circuits are the C(n, m + 1) sets of m + 1 columns."""
+    return IntegerMatrix.from_rows([[x ** i for x in range(1, n + 1)] for i in range(m)])
+
+
+def _count_eliminations(monkeypatch, a):
+    """enumerate_circuits(a), and the calls it made to nullspace_basis, to
+    IntegerMatrix, to the kernel routines and to the two routes' steps."""
     calls = {
         "nullspace_basis": 0,
         "IntegerMatrix": 0,
         "_ray": 0,
         "_sparse_echelon": 0,
         "_extend": 0,
+        "_extend_whole": 0,
         "kernel calls outside nullspace_basis": 0,
     }
     inside = []
@@ -204,7 +211,7 @@ def test_walk_eliminates_once(monkeypatch):
         calls["IntegerMatrix"] += 1
         real_init(self)
 
-    def counted(name):
+    def counted_kernel(name):
         real = getattr(matrices, name)
 
         def wrapper(*args):
@@ -212,33 +219,190 @@ def test_walk_eliminates_once(monkeypatch):
             calls["kernel calls outside nullspace_basis"] += not inside
             return real(*args)
 
-        # the walk may reach a kernel routine through either module
+        # the routes may reach a kernel routine through either module
         monkeypatch.setattr(matrices, name, wrapper)
         monkeypatch.setattr(circuits, name, wrapper, raising=False)
 
+    def counted_step(name):
+        real = getattr(circuits, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(circuits, name, wrapper)
+
     monkeypatch.setattr(circuits, "nullspace_basis", counted_nullspace)
     monkeypatch.setattr(IntegerMatrix, "__post_init__", counted_init)
-    counted("_ray")
-    counted("_sparse_echelon")
-    real_extend = circuits._extend
+    counted_kernel("_ray")
+    counted_kernel("_sparse_echelon")
+    counted_step("_extend")
+    counted_step("_extend_whole")
+    return enumerate_circuits(a), calls
 
-    def counted_extend(*args):
-        calls["_extend"] += 1
-        return real_extend(*args)
 
-    monkeypatch.setattr(circuits, "_extend", counted_extend)
-    circs = enumerate_circuits(a)
-    assert len(circs) == comb(8, 5)  # in general position the circuits are the 5-sets
+def test_walk_eliminates_once(monkeypatch):
+    """One null-space elimination per call, no matrix per candidate support,
+    and no kernel call from the walk itself: a circuit vector costs no back
+    substitution and a child set no elimination."""
+    # nullity 5 > rank + 1 = 4: the walk (both routes count sum C(8, s)
+    # over s <= 4, a tie)
+    circs, calls = _count_eliminations(monkeypatch, _vandermonde(3, 8))
+    assert len(circs) == comb(8, 4)  # in general position the circuits are the 4-sets
     assert calls == {
         "nullspace_basis": 1,
         "IntegerMatrix": 0,
-        "_ray": 4,  # the nullity: one per nullspace_basis ray
+        "_ray": 5,  # the nullity: one per nullspace_basis ray
         "_sparse_echelon": 1,  # the one elimination inside nullspace_basis
-        # the independent sets of 1 to 4 columns without the last column,
+        # the independent sets of 1 to 3 columns without the last column,
         # sum of C(7, s): a set that ends on it has no column left to test
-        "_extend": 98,
+        "_extend": 63,
+        "_extend_whole": 0,
         "kernel calls outside nullspace_basis": 0,
     }
+
+
+def test_dual_eliminates_once(monkeypatch):
+    """The dual route runs the one null-space elimination too, and then
+    only its own steps on the basis rows: no kernel call per column set."""
+    # nullity 4 <= rank + 1 = 5: the dual route
+    circs, calls = _count_eliminations(monkeypatch, _vandermonde(4, 8))
+    assert len(circs) == comb(8, 5)
+    assert calls == {
+        "nullspace_basis": 1,
+        "IntegerMatrix": 0,
+        "_ray": 4,
+        "_sparse_echelon": 1,
+        # the increasing sequences of 1 and 2 of the 8 columns that can
+        # still grow to 3 columns, C(6, 1) + C(7, 2); the last column of
+        # each of the C(8, 3) hyperplane bases takes no copied step
+        "_extend": 0,
+        "_extend_whole": 27,
+        "kernel calls outside nullspace_basis": 0,
+    }
+
+
+def test_dual_steps_are_minors():
+    """On the edge-case draws, every row that _extend_whole leaves below
+    its pivots is, at every column k, the minor of the basis rows that
+    became the pivot rows and that row, on the pivot columns and k; the
+    last one is 0 on the pivot columns and a circuit vector.
+    _extend_whole writes no list its parent holds."""
+    rng = random.Random(73)
+    steps = 0
+    for trial in range(80):
+        a = _edge_matrix(rng, ("zero_columns", "parallel", "coloop", "low_rank")[trial % 4])
+        basis = matrices.nullspace_basis(a)
+        vectors = [c.vector for c in enumerate_circuits(a)]
+        d, n = len(basis), a.cols
+        # (T, rows, the basis row each row is built from, last pivot)
+        stack = [((), [list(v) for v in basis], list(range(d)), 1)]
+        while stack:
+            tset, rows, origin, prev = stack.pop()
+            r = len(tset)
+            if r + 1 >= d:
+                continue
+            for j in range(tset[-1] + 1 if tset else 0, n):
+                piv = next((i for i in range(r, d) if rows[i][j]), None)
+                if piv is None:
+                    continue
+                snapshot = [row[:] for row in rows]
+                ext = _extend_whole(rows, r, piv, j, prev)
+                assert rows == snapshot
+                order = origin[:]
+                order[r], order[piv] = order[piv], order[r]
+                pivots = tset + (j,)
+                for i in range(r + 1, d):
+                    sub = [basis[q] for q in order[: r + 1] + [order[i]]]
+                    assert ext[i] == [
+                        matrices.determinant(IntegerMatrix.from_rows(
+                            [[v[c] for c in pivots + (k,)] for v in sub]))
+                        for k in range(n)
+                    ], (a.entries, pivots)
+                if r + 2 == d:
+                    z = ext[r + 1]
+                    assert not any(z[t] for t in pivots)
+                    assert matrices._primitive(z) in vectors
+                steps += 1
+                stack.append((pivots, ext, order, ext[r][j]))
+    assert steps >= 2000, steps
+
+
+def _route_matrices():
+    """Random matrices of at most 4x8, and _edge_matrix's draws."""
+    random_rows = st.integers(1, 4).flatmap(lambda m: st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+    return st.one_of(
+        random_rows.map(IntegerMatrix.from_rows),
+        st.builds(_edge_matrix, st.randoms(use_true_random=False),
+                  st.sampled_from(("zero_columns", "parallel", "coloop", "low_rank"))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_route_matrices())
+def test_routes_agree(a):
+    """The walk and the dual route return the same list whatever the rule
+    would choose, and the exhaustive oracle's.  A matrix of full column
+    rank has no circuits and takes neither route."""
+    basis = matrices.nullspace_basis(a)
+    if not basis:
+        assert enumerate_circuits(a) == [] == oracle_circuits(a)
+        return
+    cols = sorted({j for v in basis for j, x in enumerate(v) if x})
+    walk = circuits._walk(a, cols)
+    assert circuits._dual(a, basis) == walk == oracle_circuits(a)
+
+
+@pytest.mark.parametrize("shape, route", [
+    ((1, 4), "_walk"), ((1, 7), "_walk"), ((2, 6), "_walk"), ((2, 7), "_walk"),
+    ((1, 3), "_dual"), ((2, 4), "_dual"), ((3, 5), "_dual"), ((3, 6), "_dual"),
+    ((4, 8), "_dual"), ((40, 43), "_dual"),
+])
+def test_route_choice(monkeypatch, shape, route):
+    """The route with fewer candidate supports runs, the walk on a tie
+    (1x4 and 2x6); the guard counts that route's candidates."""
+    chosen = []
+    for name in ("_walk", "_dual"):
+        monkeypatch.setattr(circuits, name, lambda *args, name=name: chosen.append(name) or [])
+    m, n = shape
+    a = _vandermonde(m, n)
+    w, d = n, n - m
+    enumerate_circuits(a)
+    assert chosen == [route]
+    top = min(w, m + 1) if route == "_walk" else d - 1
+    assert a._memo["circuits"] == ((), sum(comb(w, s) for s in range(1, top + 1)))
+
+
+def test_route_choice_on_the_guards_tie(monkeypatch):
+    """[I_12 | J_12x14] has 38,754,731 candidate supports on both routes:
+    the walk's count and message, and the walk once allowed."""
+    chosen = []
+    for name in ("_walk", "_dual"):
+        monkeypatch.setattr(circuits, name, lambda *args, name=name: chosen.append(name) or [])
+    wide = IntegerMatrix.from_rows([[int(i == j) for j in range(12)] + [1] * 14 for i in range(12)])
+    with pytest.raises(EnumerationTooLarge) as exc:
+        enumerate_circuits(wide)
+    assert str(exc.value) == ("circuit enumeration would test 38754731 candidate supports"
+                              " (limit %d)" % circuits.CANDIDATE_LIMIT)
+    assert chosen == []
+    assert enumerate_circuits(wide, allow_large=True) == [] and chosen == ["_walk"]
+    assert sum(comb(26, s) for s in range(1, 14)) == 38754731
+
+
+def test_dual_reaches_past_the_walks_guard():
+    """The 40x43 Vandermonde: the walk would test 2^43 - 45 candidate
+    supports, the dual route tests 43 + C(43, 2) and finds the C(43, 41)
+    circuits, each A.z = 0 with no zero on its 41 columns."""
+    a = _vandermonde(40, 43)
+    circs = enumerate_circuits(a)
+    assert len(circs) == comb(43, 41) == 903
+    assert a._memo["circuits"][1] == 43 + comb(43, 2)
+    assert sum(comb(43, s) for s in range(1, 42)) == 2 ** 43 - 45 > circuits.CANDIDATE_LIMIT
+    for c in circs:
+        assert len(c.support) == 41 and c.support == circuits._support(c.vector)
+        assert all(sum(e * v for e, v in zip(row, c.vector)) == 0 for row in a.entries)
 
 
 def test_circuits_are_elementary_and_primitive():
@@ -280,6 +444,23 @@ def test_elementary_basis_beyond_enumeration_limit():
 
 # N(A) is the ray of (1, 2, 4); the last pivot of the elimination is 4
 SINGLE_RAY = [[2, -1, 0], [0, 2, -1]]
+
+
+def test_single_ray_is_kept(monkeypatch):
+    """A nullity-1 matrix keeps its one circuit in a._memo like any other
+    list: omega, then circuits, check the ray once."""
+    checked = []
+    real = circuits._checked
+
+    def counted(a, support, vec):
+        checked.append(support)
+        return real(a, support, vec)
+
+    monkeypatch.setattr(circuits, "_checked", counted)
+    a = IntegerMatrix.from_rows(SINGLE_RAY)
+    cert = omega_matrix_upper(a)
+    assert enumerate_circuits(a) == [cert.witness] == [Circuit((0, 1, 2), (1, 2, 4))]
+    assert checked == [(0, 1, 2)]
 
 
 def test_single_ray_is_checked(monkeypatch):

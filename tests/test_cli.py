@@ -183,6 +183,11 @@ class TestCircuits:
         assert _int_digits_limit() == _LIMIT
 
 
+    # nullity 4 > rank + 1: the walk
+    WALK_2X6 = "2 6\n1 2 3 4 5 6\n2 3 5 7 11 13\n"
+    # nullity 3 <= rank + 1: the dual route, with one step before the last
+    DUAL_2X5 = "2 5\n1 2 3 4 5\n2 3 5 7 11\n"
+
     def test_walk_non_integral(self, monkeypatch):
         """A Bareiss step of the walk that doubles its new pivot leaves a
         back substitution with a remainder, here before any circuit it
@@ -195,16 +200,15 @@ class TestCircuits:
             return ext
 
         monkeypatch.setattr(circuits, "_extend", extend)
-        res = invoke("circuits", "--matrix", "-", input="2 4\n2 -1 1 0\n0 1 0 -1\n")
+        res = invoke("circuits", "--matrix", "-", input=self.WALK_2X6)
         assert res.exit_code == 3
         assert res.stderr == ("error: internal error: ArithmeticError: "
-                              "circuit vector on columns {2,3,4} is not integral\n")
+                              "circuit vector on columns {4,5,6} is not integral\n")
 
     def test_walk_not_null_vector(self, monkeypatch):
         """A Bareiss step of the walk that adds 1 to the pivot row after its
         pivot divides exactly but gives vectors outside the null space; the
-        A.z = 0 check stops the first one (unchecked, the walk printed two
-        wrong circuits for these four true ones, with exit 0)."""
+        A.z = 0 check stops the first one."""
         real = circuits._extend
 
         def extend(rows, r, piv, c, prev):
@@ -213,10 +217,45 @@ class TestCircuits:
             return ext
 
         monkeypatch.setattr(circuits, "_extend", extend)
-        res = invoke("circuits", "--matrix", "-", input="2 4\n1 2 3 4\n2 3 5 7\n")
+        res = invoke("circuits", "--matrix", "-", input=self.WALK_2X6)
         assert res.exit_code == 3 and res.stdout == ""
         assert res.stderr == ("error: internal error: ArithmeticError: "
-                              "circuit vector on columns {2,3,4} is not a null vector\n")
+                              "circuit vector on columns {4,5,6} is not a null vector\n")
+
+    @pytest.mark.parametrize("command", ["circuits", "omega", "certify"])
+    def test_dual_not_zero_on_pivot_columns(self, monkeypatch, command):
+        """A dual step that adds 1 to the last row at its pivot column
+        leaves a circuit vector that is not 0 on that column: exit 3
+        before any output."""
+        real = circuits._extend_whole
+
+        def extend_whole(rows, r, piv, c, prev):
+            ext = real(rows, r, piv, c, prev)
+            ext[-1] = ext[-1][:c] + [ext[-1][c] + 1] + ext[-1][c + 1:]
+            return ext
+
+        monkeypatch.setattr(circuits, "_extend_whole", extend_whole)
+        res = invoke(command, "--matrix", "-", input=self.DUAL_2X5)
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == ("error: internal error: ArithmeticError: circuit vector on "
+                              "columns {1,2,3,5} is not 0 on its pivot columns {3,4}\n")
+
+    def test_dual_not_null_vector(self, monkeypatch):
+        """A dual step that doubles the last row after its pivot column
+        keeps the circuit vector 0 on its pivot columns but moves it out
+        of the null space; the A.z = 0 check stops it."""
+        real = circuits._extend_whole
+
+        def extend_whole(rows, r, piv, c, prev):
+            ext = real(rows, r, piv, c, prev)
+            ext[-1] = ext[-1][:c + 1] + [2 * e for e in ext[-1][c + 1:]]
+            return ext
+
+        monkeypatch.setattr(circuits, "_extend_whole", extend_whole)
+        res = invoke("circuits", "--matrix", "-", input=self.DUAL_2X5)
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == ("error: internal error: ArithmeticError: "
+                              "circuit vector on columns {1,2,5} is not a null vector\n")
 
 
 def _failing_verdict(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import omega_upper, omega_vector, random_matrix, restricted
+from conftest import omega_upper, omega_vector, oracle_circuits, random_matrix, restricted
 from relmag import circuits, matrices
 from relmag.circuits import EnumerationTooLarge, enumerate_circuits
 from relmag.generators import extremal_matrix
@@ -227,12 +227,15 @@ def test_one_elimination_per_matrix(monkeypatch):
 VANDERMONDE = [[x ** i for x in range(1, 9)] for i in range(4)]
 
 
-def test_omega_and_circuits_walk_once(monkeypatch):
-    """omega_matrix_upper then enumerate_circuits on one matrix eliminate,
-    walk, and find the null-space support and count the candidate
-    supports once (the second call runs the guard on the count kept beside
-    the circuit list); an equal matrix parsed afresh pays all of it again."""
-    calls = {"_sparse_echelon": 0, "_extend": 0, "_support": 0, "comb": 0}
+# nullity 5 > rank + 1 = 4: enumerate_circuits walks
+VANDERMONDE_3X8 = VANDERMONDE[:3]
+
+
+def _count_passes(monkeypatch, rows):
+    """The calls made by omega_matrix_upper then enumerate_circuits on one
+    matrix of these rows, then by enumerate_circuits on an equal matrix
+    parsed afresh: (calls after the first two, calls after all three)."""
+    calls = {"_sparse_echelon": 0, "_extend": 0, "_extend_whole": 0, "_support": 0, "comb": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -244,17 +247,34 @@ def test_omega_and_circuits_walk_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(matrices, "_sparse_echelon")
-    counted(circuits, "_extend")
-    counted(circuits, "_support")
-    counted(circuits, "comb")
-    a = IntegerMatrix.from_rows(VANDERMONDE)
+    for name in ("_extend", "_extend_whole", "_support", "comb"):
+        counted(circuits, name)
+    a = IntegerMatrix.from_rows(rows)
     cert = omega_matrix_upper(a)
     circs = enumerate_circuits(a)
-    # one _support per basis vector, one comb per support size 1..rank + 1
-    assert calls == {"_sparse_echelon": 1, "_extend": 98, "_support": 4, "comb": 5}
+    first = dict(calls)
     assert cert.witness in circs and omega_matrix_upper(a) == cert
-    assert enumerate_circuits(IntegerMatrix.from_rows(VANDERMONDE)) == circs
-    assert calls == {"_sparse_echelon": 2, "_extend": 196, "_support": 8, "comb": 10}
+    assert enumerate_circuits(IntegerMatrix.from_rows(rows)) == circs
+    return first, calls
+
+
+def test_omega_and_circuits_walk_once(monkeypatch):
+    """omega_matrix_upper then enumerate_circuits on one matrix eliminate,
+    walk, and find the null-space support and count the candidate
+    supports once (the second call runs the guard on the count kept beside
+    the circuit list); an equal matrix parsed afresh pays all of it again."""
+    first, calls = _count_passes(monkeypatch, VANDERMONDE_3X8)
+    # one _support per basis vector, one comb per support size 1..rank + 1
+    assert first == {"_sparse_echelon": 1, "_extend": 63, "_extend_whole": 0, "_support": 5, "comb": 4}
+    assert calls == {"_sparse_echelon": 2, "_extend": 126, "_extend_whole": 0, "_support": 10, "comb": 8}
+
+
+def test_omega_and_circuits_dual_once(monkeypatch):
+    """The same on the dual route: one elimination, one dual enumeration,
+    and one count, of the support sizes 1..nullity - 1."""
+    first, calls = _count_passes(monkeypatch, VANDERMONDE)
+    assert first == {"_sparse_echelon": 1, "_extend": 0, "_extend_whole": 27, "_support": 4, "comb": 3}
+    assert calls == {"_sparse_echelon": 2, "_extend": 0, "_extend_whole": 54, "_support": 8, "comb": 6}
 
 
 def test_guard_runs_on_every_call(monkeypatch):
@@ -300,10 +320,31 @@ def test_failed_walk_keeps_nothing(monkeypatch):
         ext[r] = ext[r][:c + 1] + [ext[r][c + 1] + 1] + ext[r][c + 2:]
         return ext
 
-    a = IntegerMatrix.from_rows([[1, 2, 3, 4], [2, 3, 5, 7]])
+    # nullity 3 > rank + 1 = 2: the walk
+    a = IntegerMatrix.from_rows([[1, 2, 3, 4]])
     monkeypatch.setattr(circuits, "_extend", extend)
     with pytest.raises(ArithmeticError, match="is not a null vector"):
         enumerate_circuits(a)
     monkeypatch.setattr(circuits, "_extend", real)
     assert [c.vector for c in enumerate_circuits(a)] == [
-        (1, 1, -1, 0), (2, 1, 0, -1), (1, 0, 1, -1), (0, 1, -2, 1)]
+        (2, -1, 0, 0), (3, 0, -1, 0), (4, 0, 0, -1), (0, 3, -2, 0), (0, 2, 0, -1), (0, 0, 4, -3)]
+
+
+def test_failed_dual_keeps_nothing(monkeypatch):
+    """The same on the dual route, with a step that doubles the last row
+    after its pivot column."""
+    real = circuits._extend_whole
+
+    def extend_whole(rows, r, piv, c, prev):
+        ext = real(rows, r, piv, c, prev)
+        ext[-1] = ext[-1][:c + 1] + [2 * e for e in ext[-1][c + 1:]]
+        return ext
+
+    # nullity 3 <= rank + 1 = 3: the dual route, with one step before the last
+    a = IntegerMatrix.from_rows([[1, 2, 3, 4, 5], [2, 3, 5, 7, 11]])
+    monkeypatch.setattr(circuits, "_extend_whole", extend_whole)
+    with pytest.raises(ArithmeticError, match="is not a null vector"):
+        enumerate_circuits(a)
+    monkeypatch.setattr(circuits, "_extend_whole", real)
+    circs = enumerate_circuits(a)
+    assert len(circs) == 10 and circs == oracle_circuits(a)
